@@ -8,10 +8,8 @@ u**(-alpha), used as a sharpness oracle.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.optimize import brentq
 
 ROOT_CAP = 1e9
@@ -36,60 +34,44 @@ class ExponentResult:
         return math.isfinite(self.p0)
 
 
-def _log_f(q: float, p: float, C: float) -> float:
-    # log of ((q-p)/q) * (q/(q-1))**p * C, kept in log space so the factor
-    # (q/(q-1))**p cannot overflow for q near 1.
-    return (
-        math.log(q - p)
-        - math.log(q)
-        + p * (math.log(q) - math.log(q - 1.0))
-        + math.log(C)
-    )
-
-
-def _warn_if_not_monotone(p: float, C: float, lo: float, hi: float) -> None:
-    grid = np.linspace(lo, hi, 64)
-    values = [_log_f(q, p, C) for q in grid]
-    if np.any(np.diff(values) < -1e-9):
-        warnings.warn(
-            f"crossing function is not monotone on ({lo}, {hi}); "
-            "reporting the smallest root found from the left",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+def _log_f(s: float, p: float, C: float) -> float:
+    # log of ((q-p)/q) * (q/(q-1))**p * C at q = p + exp(s).  Working in
+    # s = log(q - p) keeps the root resolved when it lies within an ulp of p
+    # (large C), and log space keeps (q/(q-1))**p from overflowing near 1.
+    gap = math.exp(s)
+    return s + (p - 1.0) * math.log(p + gap) - p * math.log((p - 1.0) + gap) + math.log(C)
 
 
 def p0_solve(p: float, C: float) -> ExponentResult:
     """Smallest root q > p of ((q-p)/q) * (q/(q-1))**p * C = 1.
 
-    Bracket expansion doubles the right end until the crossing function
-    exceeds 1; past ROOT_CAP the root is classified as +inf, which covers
-    C = 1 exactly (the function stays below 1 on every finite bracket).
+    The left side increases in q: its log-derivative is
+    p(p-1) / (q(q-1)(q-p)) > 0.  So the root is unique, and below
+    s = log(q-p) = -(log C - log p + p log(p/(p-1))) - 1 the left side is
+    under 1.  Bracket expansion doubles the right end until it exceeds 1; past
+    ROOT_CAP the root is classified as +inf, which covers C = 1 exactly (the
+    function stays below 1 on every finite bracket).
     """
-    if p <= 1:
-        raise ValueError(f"base exponent must be > 1, got {p}")
-    if C < 1:
-        raise ValueError(f"constant must be >= 1, got {C}")
-    lo = p + max(1e-12, p * 1e-12)
-    while _log_f(lo, p, C) >= 0.0:  # push the left end into the negative region
-        lo = p + (lo - p) / 16.0
+    if not (math.isfinite(p) and p > 1):
+        raise ValueError(f"base exponent must be a finite number > 1, got {p}")
+    if not (math.isfinite(C) and C >= 1):
+        raise ValueError(f"constant must be a finite number >= 1, got {C}")
+    lo = -(math.log(C) - math.log(p) + p * math.log(p / (p - 1.0))) - 1.0
     hi = max(2.0 * p, 4.0)
-    while _log_f(hi, p, C) <= 0.0:
+    while _log_f(math.log(hi - p), p, C) <= 0.0:
         hi *= 2.0
         if hi > ROOT_CAP:
             return ExponentResult(p=p, C=C, p0=math.inf, residual=math.nan)
-    _warn_if_not_monotone(p, C, lo, hi)
+    hi = math.log(hi - p)
     root = brentq(_log_f, lo, hi, args=(p, C), xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    residual = abs(math.exp(_log_f(root, p, C)) - 1.0)
-    return ExponentResult(p=p, C=C, p0=float(root), residual=residual)
+    residual = abs(math.expm1(_log_f(root, p, C)))
+    return ExponentResult(p=p, C=C, p0=p + math.exp(root), residual=residual)
 
 
 def improvement_range(p: float, c: float, k: int) -> ExponentResult:
     """Integrability range [p, p0) for a tree weight: p0_solve at k*c - k + 1."""
     if k < 2:
         raise ValueError(f"branching factor must be >= 2, got {k}")
-    if c < 1:
-        raise ValueError(f"constant must be >= 1, got {c}")
     return p0_solve(p, k * c - k + 1.0)
 
 

@@ -4,9 +4,9 @@ The rearrangement of a tree weight is an exact step function on (0, 1]
 whose breakpoints are integer multiples of the leaf measure.  Prefix
 averages over (0, t] are exact piecewise-constant integrals, and the
 reverse-Holder / Muckenhoupt constants over prefix intervals are computed
-as a sup over t: every breakpoint is evaluated, and inside each step the
-single interior stationary point of the ratio is solved in closed form
-(the log-derivative equation there is linear in t).
+as a sup over t of a power-mean ratio: every breakpoint is evaluated, and
+inside each step the single interior stationary point of the ratio is
+solved in closed form (the log-derivative equation there is linear in t).
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weight import DyadicWeight
+from .weight import _RANGE_ERROR, _RESOLVED, DyadicWeight, _power_pair, _rescaled
 
 T_SLACK = 1e-12
 
@@ -46,10 +46,6 @@ class StepFunction:
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
 
-    @property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.breakpoints, prepend=0.0)
-
     def __call__(self, t: float) -> float:
         """Value at t in (0, 1] (left-continuous)."""
         t = _check_t(t)
@@ -80,22 +76,13 @@ def rearrangement(weight: DyadicWeight) -> StepFunction:
 
     Breakpoints are cumulative leaf counts divided by the leaf count, so
     level-set lengths of the result match level-set measures of the weight
-    exactly.  The value-sort breaks ties by original leaf index.
+    exactly.
     """
     n = weight.space.n_leaves
-    order = np.argsort(-weight.values, kind="stable")
-    sorted_vals = weight.values[order]
+    sorted_vals = np.sort(weight.values)[::-1]
     ends = np.append(np.flatnonzero(np.diff(sorted_vals) != 0), n - 1)
     breakpoints = (ends + 1).astype(np.float64) / n
     return StepFunction(breakpoints=breakpoints, values=sorted_vals[ends])
-
-
-def step_leaf_values(h: StepFunction, n_leaves: int) -> np.ndarray:
-    """Expand a step function whose breakpoints sit on the grid j/n_leaves."""
-    counts = np.rint(h.breakpoints * n_leaves).astype(int)
-    if not np.allclose(counts / n_leaves, h.breakpoints, rtol=0, atol=1e-12):
-        raise ValueError("breakpoints are not multiples of 1/n_leaves")
-    return np.repeat(h.values, np.diff(counts, prepend=0))
 
 
 def prefix_average(h: StepFunction, t: float, q: float = 1.0) -> float:
@@ -113,85 +100,76 @@ def prefix_average(h: StepFunction, t: float, q: float = 1.0) -> float:
     return float(np.dot(powered, seg)) / t
 
 
-def _sup_with_ties(ts: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
-    """Max of vals with ties resolved toward the largest t."""
-    order = np.argsort(ts, kind="stable")
-    ts, vals = ts[order], vals[order]
+def _prefix_ratios(
+    h: StepFunction, p: float, dual: bool, ts: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(t, ratio): the power-mean ratio (M_a / M_b)**a of _power_pair over
+    (0, t], at ts or, by default, at every breakpoint and every stationary
+    point inside a step.  Values out of range are rescaled (see _RANGE_ERROR).
+    """
+    a, b = _power_pair(p, dual)
+    if h.values[0] == 0:
+        raise ValueError("function is identically zero")
+    if min(a, b) < 0 and h.values[-1] == 0:
+        raise ValueError(f"a negative power at p={p} needs strictly positive values")
+    found = _ratios_at(h.breakpoints, h.values, a, b, ts) or _ratios_at(
+        h.breakpoints, _rescaled(h.values), a, b, ts
+    )
+    if found is None:
+        raise ValueError(_RANGE_ERROR.format(p=p))
+    return found
+
+
+def _ratios_at(
+    right: np.ndarray, v: np.ndarray, a: float, b: float, ts: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """_prefix_ratios on the step values v, or None when out of double range."""
+    left = np.concatenate(([0.0], right[:-1]))
+    width = right - left
+    with np.errstate(all="ignore"):
+        va = v if a == 1.0 else v ** a
+        vb = v if b == 1.0 else v ** b
+        # N and D, the integrals of h**a and h**b, up to the start of each step
+        n0 = np.concatenate(([0.0], np.cumsum(va * width)[:-1]))
+        d0 = np.concatenate(([0.0], np.cumsum(vb * width)[:-1]))
+        if ts is None:
+            # Within a step N = alpha + va*t and D = gamma + vb*t.  The ratio
+            # is N * D**y * t**z with 1 + y + z = 0, so the quadratic term of
+            # its log-derivative equation cancels and leaves one linear root.
+            y = -a / b
+            z = -1.0 - y
+            alpha, gamma = n0 - va * left, d0 - vb * left
+            t_in = z * alpha * gamma / (y * va * gamma + alpha * vb)
+            inside = np.flatnonzero((t_in > left) & (t_in < right))
+            step = np.concatenate([np.arange(right.size), inside])
+            ts = np.concatenate([right, t_in[inside]])
+        else:
+            step = np.minimum(np.searchsorted(right, ts, side="left"), right.size - 1)
+        mean_a = (n0[step] + va[step] * (ts - left[step])) / ts
+        mean_b = (d0[step] + vb[step] * (ts - left[step])) / ts
+        ratio = (mean_a ** (1.0 / a) / mean_b ** (1.0 / b)) ** a
+    lowest = np.min(np.minimum(mean_a, mean_b))
+    if not (np.isfinite(np.max(ratio)) and lowest >= _RESOLVED):
+        return None
+    return ts, ratio
+
+
+def _prefix_sup(h: StepFunction, p: float, dual: bool) -> PrefixReport:
+    """Max of _prefix_ratios with ties resolved toward the largest t."""
+    ts, vals = _prefix_ratios(h, p, dual)
     best = np.max(vals)
-    idx = int(np.flatnonzero(vals == best)[-1])
-    return float(best), float(ts[idx])
+    witness = np.max(ts[vals == best])
+    return PrefixReport(exponent=p, constant=float(best), witness_t=float(witness))
 
 
 def prefix_rhi_constant(h: StepFunction, q: float) -> PrefixReport:
     """sup over t of prefix_average(h, t, q) / prefix_average(h, t, 1)**q."""
-    if q <= 1:
-        raise ValueError(f"exponent must be > 1, got {q}")
-    if h.values[0] == 0:
-        raise ValueError("function is identically zero")
-    t = h.breakpoints
-    v = h.values
-    left = np.concatenate(([0.0], t[:-1]))
-    w = t - left
-    vq = v ** q
-    c1 = np.cumsum(v * w)
-    cq = np.cumsum(vq * w)
-    ratio_bp = cq * t ** (q - 1.0) / c1 ** q
-
-    # Interior stationary point of the ratio within each step, from the
-    # linear-in-t log-derivative equation of N(t) * t**(q-1) / D(t)**q with
-    # N, D affine continuations of the two cumulative integrals.
-    alpha = (cq - vq * w) - vq * left
-    beta = vq
-    gamma = (c1 - v * w) - v * left
-    delta = v
-    denom = q * beta * gamma - alpha * delta
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ts = (1.0 - q) * alpha * gamma / denom
-    interior = np.isfinite(ts) & (ts > left) & (ts < t)
-    ts = ts[interior]
-    num = alpha[interior] + beta[interior] * ts
-    den = gamma[interior] + delta[interior] * ts
-    ratio_in = num * ts ** (q - 1.0) / den ** q
-
-    constant, witness = _sup_with_ties(
-        np.concatenate([t, ts]), np.concatenate([ratio_bp, ratio_in])
-    )
-    return PrefixReport(exponent=q, constant=constant, witness_t=witness)
+    return _prefix_sup(h, q, dual=False)
 
 
 def prefix_muckenhoupt_constant(h: StepFunction, p: float) -> PrefixReport:
     """sup over t of avg(h) * avg(h**(-1/(p-1)))**(p-1) over prefixes (0, t]."""
-    if p <= 1:
-        raise ValueError(f"exponent must be > 1, got {p}")
-    if np.any(h.values == 0):
-        raise ValueError("Muckenhoupt constant requires strictly positive values")
-    m = -1.0 / (p - 1.0)
-    t = h.breakpoints
-    v = h.values
-    left = np.concatenate(([0.0], t[:-1]))
-    w = t - left
-    vm = v ** m
-    c1 = np.cumsum(v * w)
-    cm = np.cumsum(vm * w)
-    ratio_bp = c1 * cm ** (p - 1.0) / t ** p
-
-    gamma1 = (c1 - v * w) - v * left
-    delta1 = v
-    gammam = (cm - vm * w) - vm * left
-    deltam = vm
-    denom = (1.0 - p) * delta1 * gammam - deltam * gamma1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ts = p * gamma1 * gammam / denom
-    interior = np.isfinite(ts) & (ts > left) & (ts < t)
-    ts = ts[interior]
-    d1 = gamma1[interior] + delta1[interior] * ts
-    dm = gammam[interior] + deltam[interior] * ts
-    ratio_in = d1 * dm ** (p - 1.0) / ts ** p
-
-    constant, witness = _sup_with_ties(
-        np.concatenate([t, ts]), np.concatenate([ratio_bp, ratio_in])
-    )
-    return PrefixReport(exponent=p, constant=constant, witness_t=witness)
+    return _prefix_sup(h, p, dual=True)
 
 
 def ratio_curve(h: StepFunction, q: float, n_samples: int) -> np.ndarray:
@@ -201,13 +179,4 @@ def ratio_curve(h: StepFunction, q: float, n_samples: int) -> np.ndarray:
     grid = np.unique(
         np.concatenate([np.linspace(1.0 / n_samples, 1.0, n_samples), h.breakpoints])
     )
-    ratios = np.array([prefix_average(h, t, q) / prefix_average(h, t, 1.0) ** q for t in grid])
-    return np.column_stack([grid, ratios])
-
-
-def write_curve_csv(path, curve: np.ndarray) -> None:
-    lines = ["t,ratio"]
-    lines += [f"{t:.17g},{r:.17g}" for t, r in curve]
-    from pathlib import Path
-
-    Path(path).write_text("\n".join(lines) + "\n")
+    return np.column_stack(_prefix_ratios(h, q, False, grid))

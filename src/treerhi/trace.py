@@ -18,7 +18,7 @@ import numpy as np
 
 from .rearrange import prefix_average, rearrangement
 from .tree import NodeId, TreeSpace
-from .weight import DyadicWeight
+from .weight import _RESOLVED, DyadicWeight, _check_exponent
 
 GAMMA_REL_TOL = 1e-10
 ASSERT_REL_TOL = 1e-9
@@ -332,8 +332,7 @@ def lemma21_check(
     Leaf overlaps are aligned maximally (fraction-wise minimum), which is
     attainable since fractions model non-atomic portions.
     """
-    if p <= 1:
-        raise ValueError(f"exponent must be > 1, got {p}")
+    _check_exponent(p)
     if not e.fractions or not e_hat.fractions:
         raise ValueError("both sets must be nonempty")
     avg_e = e.average(weight)
@@ -375,8 +374,7 @@ def lemma21_check(
 
 def trace_theorem1(weight: DyadicWeight, p: float, t: float) -> DecompositionTrace:
     """Run the whole decomposition at prefix length t and record every check."""
-    if p <= 1:
-        raise ValueError(f"exponent must be > 1, got {p}")
+    _check_exponent(p)
     if not 0.0 < t <= 1.0 + EQ_REL_TOL:
         raise ValueError(f"t must lie in (0, 1], got {t}")
     t = min(float(t), 1.0)
@@ -387,6 +385,10 @@ def trace_theorem1(weight: DyadicWeight, p: float, t: float) -> DecompositionTra
     k = space.k
     star = rearrangement(weight)
     threshold = prefix_average(star, t, 1.0)
+    # every power average the trace sums from leaf powers lies in [A**p, max**p]
+    for v in (threshold, star.values[0]):
+        if not math.log2(_RESOLVED) <= p * math.log2(v) < 1024:
+            raise ValueError(f"threshold**p or max**p leaves the double range at p={p}")
     prefix_power = prefix_average(star, t, p)
     rhi = weight.dyadic_rhi_constant(p)
     bound_factor = k * (rhi.constant - 1.0) + 1.0

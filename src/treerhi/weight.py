@@ -11,6 +11,7 @@ reproduces every cached node sum bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,6 +20,31 @@ import numpy as np
 from .tree import NodeId, TreeSpace
 
 REL_TOL = 1e-12
+# Smallest power average trusted to full precision: underflow drops less than
+# tiny from any average, which is under one ulp of a value this large.
+_RESOLVED = np.finfo(np.float64).tiny * 2.0**52
+# Constants are tried on the values as they are, then rescaled by an exact
+# power of two; a power average out of range in both is refused with this.
+_RANGE_ERROR = "power averages at p={p} leave the double range even after rescaling"
+
+
+def _check_exponent(p: float) -> float:
+    """The exponent of every constant: a finite number > 1."""
+    if not (math.isfinite(p) and p > 1):
+        raise ValueError(f"exponent must be a finite number > 1, got {p}")
+    return float(p)
+
+
+def _power_pair(p: float, dual: bool) -> tuple[float, float]:
+    """Exponents (a, b) whose power-mean ratio (M_a / M_b)**a is the constant:
+    (p, 1) for reverse Holder, (1, -1/(p-1)) for Muckenhoupt."""
+    p = _check_exponent(p)
+    return (1.0, -1.0 / (p - 1.0)) if dual else (p, 1.0)
+
+
+def _rescaled(values: np.ndarray) -> np.ndarray:
+    """values * 2**-e, exact, with the largest value brought into [1/2, 1)."""
+    return np.ldexp(values, -np.frexp(values.max())[1])
 
 
 @dataclass(frozen=True)
@@ -105,53 +131,54 @@ class DyadicWeight:
     def node_average(self, node: NodeId, q: float = 1.0) -> float:
         return self.node_integral(node, q) / self.space.node_measure(node)
 
-    def _node_sup(self, per_level) -> tuple[float, NodeId]:
+    def _node_sup(self, p: float, dual: bool) -> RhiReport:
+        """sup over all nodes of avg(value**a) * avg(value**b)**(-a/b), the
+        power-mean ratio (M_a / M_b)**a of _power_pair, on the values as they
+        are or else rescaled (see _RANGE_ERROR).  Nodes with zero b-average
+        carry an identically zero weight and are skipped, not taken as 0/0.
+        """
+        a, b = _power_pair(p, dual)
+        if self.total_integral == 0:
+            raise ValueError("weight is identically zero")
+        if min(a, b) < 0 and np.any(self.values == 0):
+            raise ValueError(f"a negative power at p={p} needs strictly positive values")
+        found = self._ratio_sup(a, b) or DyadicWeight(
+            self.space, _rescaled(self.values)
+        )._ratio_sup(a, b)
+        if found is None:
+            raise ValueError(_RANGE_ERROR.format(p=p))
+        return RhiReport(exponent=p, constant=found[0], witness=found[1])
+
+    def _ratio_sup(self, a: float, b: float) -> tuple[float, NodeId] | None:
+        """Sup and witness of _node_sup, or None when out of double range."""
+        y = -a / b
         best = -np.inf
         witness = self.space.root
-        for level in range(self.space.depth + 1):
-            arr = per_level(level)
-            i = int(np.argmax(arr))
-            if arr[i] > best:
-                best = float(arr[i])
-                witness = NodeId(level, i)
+        with np.errstate(all="ignore"):
+            nums, dens = self.level_averages(a), self.level_averages(b)
+            for level in range(self.space.depth + 1):
+                num, den = nums[level], dens[level]
+                powered = den ** abs(y)
+                live = den > 0
+                ratio = np.where(live, num / powered if y < 0 else num * powered, -np.inf)
+                i = int(np.argmax(ratio))
+                # argmax returns the first NaN, so this also catches overflow
+                lowest = np.minimum(np.minimum(num, den), powered)
+                lowest = np.min(lowest, where=live, initial=np.inf)
+                if not (np.isfinite(ratio[i]) and lowest >= _RESOLVED):
+                    return None
+                if ratio[i] > best:
+                    best = float(ratio[i])
+                    witness = NodeId(level, i)
         return best, witness
 
     def dyadic_rhi_constant(self, p: float) -> RhiReport:
-        """sup over all nodes I of avg(value**p, I) / avg(value, I)**p.
-
-        Nodes with zero average carry an identically zero weight, where the
-        inequality is trivial; they are skipped rather than producing 0/0.
-        """
-        if p <= 1:
-            raise ValueError(f"exponent must be > 1, got {p}")
-        if self.total_integral == 0:
-            raise ValueError("weight is identically zero")
-        s1 = self.level_averages(1.0)
-        sp = self.level_averages(p)
-
-        def ratios(level: int) -> np.ndarray:
-            a1 = s1[level]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r = sp[level] / a1 ** p
-            return np.where(a1 > 0, r, -np.inf)
-
-        constant, witness = self._node_sup(ratios)
-        return RhiReport(exponent=p, constant=constant, witness=witness)
+        """sup over all nodes I of avg(value**p, I) / avg(value, I)**p."""
+        return self._node_sup(p, dual=False)
 
     def dyadic_muckenhoupt_constant(self, p: float) -> RhiReport:
         """sup over all nodes of avg(value) * avg(value**(-1/(p-1)))**(p-1)."""
-        if p <= 1:
-            raise ValueError(f"exponent must be > 1, got {p}")
-        if np.any(self.values == 0):
-            raise ValueError("Muckenhoupt constant requires strictly positive values")
-        a1 = self.level_averages(1.0)
-        am = self.level_averages(-1.0 / (p - 1.0))
-
-        def ratios(level: int) -> np.ndarray:
-            return a1[level] * am[level] ** (p - 1.0)
-
-        constant, witness = self._node_sup(ratios)
-        return RhiReport(exponent=p, constant=constant, witness=witness)
+        return self._node_sup(p, dual=True)
 
     def maximal_function(self) -> np.ndarray:
         """Per leaf, the maximum average over all nodes containing it."""

@@ -1,7 +1,11 @@
 import json
+import shlex
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from treerhi import DyadicWeight, TreeSpace, cli, gen_random, save_weight
 from treerhi.cli import main
 
 
@@ -130,3 +134,79 @@ def test_curve_cmd(tmp_path):
 
 def test_unknown_command_is_usage_error():
     assert run("frobnicate") == 2
+
+
+def test_non_finite_exponent_is_usage_error(tmp_path):
+    wfile = tmp_path / "w.json"
+    wfile.write_text('{"k": 2, "depth": 1, "leaves": [1, 3]}')
+    for p in ("nan", "inf", "-inf"):
+        # --p nan used to escape cli.main as an IndexError
+        assert run("analyze", str(wfile), "--p", p) == 2
+        assert run("curve", str(wfile), "--p", p, "-o", str(tmp_path / "c.csv")) == 2
+        assert run("verify", "theorem1", "--count", "2", "--p", p) == 2
+
+
+def test_unexpected_exception_exits_3(tmp_path, monkeypatch, capsys):
+    def boom(w, p):
+        raise RuntimeError("boom")
+
+    wfile = tmp_path / "w.json"
+    wfile.write_text('{"k": 2, "depth": 1, "leaves": [1, 3]}')
+    monkeypatch.setattr(cli, "analyze_weight", boom)
+    assert run("analyze", str(wfile)) == 3
+    assert "RuntimeError: boom" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e-100, 1e200, 1e-200])
+def test_analyze_and_curve_scaled_weight(tmp_path, scale):
+    w = gen_random(TreeSpace(2, 6), 3)
+    plain, scaled = tmp_path / "plain.json", tmp_path / "scaled.json"
+    save_weight(w, plain)
+    save_weight(DyadicWeight(w.space, w.values * scale), scaled)
+    reports = []
+    for f in (plain, scaled):
+        out = tmp_path / f"{f.stem}-report.json"
+        assert run("analyze", str(f), "-o", str(out)) == 0
+        reports.append(json.loads(out.read_text()))
+        assert run("curve", str(f), "-o", str(tmp_path / f"{f.stem}.csv")) == 0
+    for key in ("dyadic_constant", "prefix_constant", "muckenhoupt_constant",
+                "prefix_muckenhoupt_constant", "p0_dyadic", "p0_bound"):
+        assert reports[1][key] == pytest.approx(reports[0][key], rel=1e-12)
+    assert reports[1]["dyadic_witness"] == reports[0]["dyadic_witness"]
+    curves = [np.loadtxt(tmp_path / f"{s}.csv", delimiter=",", skiprows=1)
+              for s in ("plain", "scaled")]
+    assert np.array_equal(curves[0][:, 0], curves[1][:, 0])
+    assert np.allclose(curves[1][:, 1], curves[0][:, 1], rtol=1e-12, atol=0)
+
+
+def test_verify_lemma_threshold_one_ulp_apart(capsys):
+    # Weight 55 of `verify lemma --count 200` (k=4, depth 1, t=0.19276549...):
+    # the top-set average and the trace's threshold differ by one ulp, which
+    # once sent the check down the degenerate branch with an empty Gamma and
+    # exit 2.  --depth 1 reaches the same weight and t quickly (and weight 13,
+    # another such case).  Degenerate traces are skipped, so 60 checks run
+    # past weight 55.
+    assert run("verify", "lemma", "--count", "60", "--depth", "1") == 0
+    assert capsys.readouterr().out.startswith("lemma: 60 instances")
+
+
+README_COUNTS = {"decomposition": "2", "lemma": "2"}  # README's take minutes
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("treerhi ")]
+    for argv in commands:
+        if argv[0] == "verify" and argv[1] in README_COUNTS:
+            argv[argv.index("--count") + 1] = README_COUNTS[argv[1]]
+    return commands
+
+
+def test_readme_commands(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    for argv in commands:
+        assert run(*argv) == 0, argv

@@ -100,3 +100,26 @@ def test_sharpness_identity(p, alpha):
         pytest.skip("outside the admissible range")
     result = p0_solve(p, power_weight_constant(alpha, p))
     assert result.p0 == pytest.approx(1.0 / alpha, rel=1e-6)
+
+
+def test_p0_root_within_an_ulp_of_p():
+    # the root q lies about 5e-301 above p, so only log(q - p) resolves it;
+    # solving in q raised "math domain error"
+    result = p0_solve(2.0, 1e300)
+    assert result.p0 == 2.0
+    assert result.residual <= 1e-12
+
+
+def test_p0_residual_small_for_large_constant():
+    # solving in q left a residual of 8.9e-5 here: q - p is about 2e-12,
+    # which q itself resolves to only about four digits
+    for C in (1e8, 1e12, 1e100):
+        result = p0_solve(2.0, C)
+        assert result.residual <= 1e-12
+        assert result.p0 >= 2.0
+
+
+@pytest.mark.parametrize("p, C", [(math.nan, 2.0), (math.inf, 2.0), (2.0, math.nan), (2.0, math.inf)])
+def test_p0_rejects_non_finite(p, C):
+    with pytest.raises(ValueError):
+        p0_solve(p, C)

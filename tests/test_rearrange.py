@@ -15,9 +15,9 @@ from treerhi import (
     ratio_curve,
     rearrangement,
 )
-from treerhi.rearrange import step_leaf_values, write_curve_csv
+from treerhi.cli import write_curve_csv
 from treerhi.trace import build_top_set
-from helpers import dense_grid_muckenhoupt_sup, dense_grid_prefix_sup
+from helpers import dense_grid_muckenhoupt_sup, dense_grid_prefix_sup, step_leaf_values
 
 
 def two_step():

@@ -274,6 +274,18 @@ def test_trace_validation():
         trace_theorem1(w8211(), 2.0, 0.0)
     with pytest.raises(ValueError):
         trace_theorem1(DyadicWeight.from_leaves(2, 1, [0, 0]), 2.0, 0.5)
+    for p in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            trace_theorem1(w8211(), p, 0.5)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_trace_refuses_powers_out_of_double_range(scale):
+    # threshold**2 is about 1e+403 or 1e-397; 1e+200 raised OverflowError
+    w = gen_random(TreeSpace(2, 4), 1)
+    with pytest.raises(ValueError, match="double range"):
+        trace_theorem1(DyadicWeight(w.space, w.values * scale), 2.0, 0.5)
+    assert trace_theorem1(DyadicWeight(w.space, w.values * scale**0.5), 2.0, 0.5).all_hold
 
 
 @pytest.mark.parametrize("seed", range(8))
