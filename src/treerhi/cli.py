@@ -228,10 +228,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError("count must be positive")
     for p in args.p:
         weight_mod._check_exponent(p)
-    if any(k < 2 for k in args.k):
-        raise UsageError("all branching factors must be >= 2")
     if args.depth < 1:
         raise UsageError("depth must be >= 1")
+    for k in args.k:
+        TreeSpace(k, args.depth)  # refuses k < 2 and oversized trees up front
     return VERIFY_SUITES[args.suite](args)
 
 
@@ -240,8 +240,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    if not 0.0 < args.t <= 1.0:
-        raise UsageError(f"t must lie in (0, 1], got {args.t}")
     w = weight_mod.load_weight(args.weight)
     tr = trace_mod.trace_theorem1(w, args.p, args.t)
     doc = tr.to_dict()
@@ -279,8 +277,6 @@ def write_curve_csv(path, curve: np.ndarray) -> None:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    if args.samples < 2:
-        raise UsageError("samples must be >= 2")
     w = weight_mod.load_weight(args.weight)
     star = rearrange.rearrangement(w)
     curve = rearrange.ratio_curve(star, args.p, args.samples)

@@ -7,6 +7,14 @@ average exactly at the threshold, and the top set of measure t.  Every
 inequality the construction relies on is evaluated numerically and recorded,
 ending with the bound k*(c-1)+1 on the power average, where c is the
 reverse-Holder constant over the tree nodes.
+
+Sets are fraction arrays over contiguous leaf windows: a father's block for
+the per-father sets, the whole tree for the top set and the union of the
+Gamma sets.  Maximal fathers are disjoint, so a trace stores O(n) fractions
+for n leaves and costs O(n log n): the stopping family and the fathers are
+selected level by level, stopping nodes are grouped by a per-leaf label of
+their father, and each filler is one sort and one running sum over its
+father's block.
 """
 from __future__ import annotations
 
@@ -16,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rearrange import prefix_average, rearrangement
+from .rearrange import _check_t, prefix_average, rearrangement
 from .tree import NodeId, TreeSpace
 from .weight import _RESOLVED, DyadicWeight, _check_exponent
 
@@ -25,59 +33,77 @@ ASSERT_REL_TOL = 1e-9
 EQ_REL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class FractionalSet:
-    """Measurable subset as per-leaf fractions in (0, 1].
+    """Measurable subset as per-leaf fractions in [0, 1] over a leaf window.
 
-    Models non-atomicity: a leaf may contribute any fraction of its measure,
+    ``window[i]`` is the share of leaf ``first + i`` in the set; a leaf with
+    share 0, or outside the window, is not in the set.  Models
+    non-atomicity: a leaf may contribute any fraction of its measure,
     carrying the leaf's value on that fraction.
     """
 
-    space: TreeSpace
-    fractions: dict[int, float]
-
-    def __post_init__(self) -> None:
-        for leaf, frac in self.fractions.items():
-            if not 0 <= leaf < self.space.n_leaves:
-                raise ValueError(f"leaf {leaf} out of range")
-            if not 0.0 < frac <= 1.0 + EQ_REL_TOL:
-                raise ValueError(f"fraction {frac} for leaf {leaf} outside (0, 1]")
+    def __init__(self, space: TreeSpace, first: int, fractions) -> None:
+        window = np.array(fractions, dtype=np.float64)
+        if window.ndim != 1 or not 0 <= first <= space.n_leaves - window.size:
+            raise ValueError(f"window of {window.size} leaves at leaf {first} out of range")
+        if not (window.min(initial=0.0) >= 0.0 and window.max(initial=0.0) <= 1.0 + EQ_REL_TOL):
+            raise ValueError("fractions must lie in [0, 1]")
+        window.setflags(write=False)
+        self.space = space
+        self.first = first
+        self.window = window
 
     @classmethod
     def from_node(cls, space: TreeSpace, node: NodeId) -> "FractionalSet":
         first, count = space.leaf_range(node)
-        return cls(space, {leaf: 1.0 for leaf in range(first, first + count)})
+        return cls(space, first, np.ones(count))
 
     @classmethod
     def union(cls, space: TreeSpace, parts) -> "FractionalSet":
-        """Union of pairwise disjoint parts (fractions capped at 1)."""
-        fractions: dict[int, float] = {}
+        """Union of pairwise disjoint parts over the whole tree (fractions capped at 1)."""
+        fractions = np.zeros(space.n_leaves)
         for part in parts:
-            for leaf, frac in part.fractions.items():
-                fractions[leaf] = min(fractions.get(leaf, 0.0) + frac, 1.0)
-        return cls(space, fractions)
+            block = fractions[part.first:part.first + part.window.size]
+            np.minimum(block + part.window, 1.0, out=block)
+        return cls(space, 0, fractions)
+
+    @property
+    def fractions(self) -> dict[int, float]:
+        """Leaf -> fraction for the leaves in the set, in leaf order."""
+        return {self.first + i: f for i, f in enumerate(self.window.tolist()) if f}
 
     @property
     def measure(self) -> float:
-        return math.fsum(self.fractions.values()) * self.space.leaf_measure
+        return math.fsum(self.window.tolist()) * self.space.leaf_measure
 
     def integral(self, weight: DyadicWeight, q: float = 1.0) -> float:
-        terms = []
-        for leaf in sorted(self.fractions):
-            value = float(weight.values[leaf])
-            if q < 0 and value == 0:
-                raise ValueError("negative exponent requires strictly positive values")
-            terms.append(self.fractions[leaf] * value ** q)
+        if q == 1.0:
+            values = weight.values[self.first:self.first + self.window.size]
+            return math.fsum((self.window * values).tolist()) * self.space.leaf_measure
+        inside = self.window.nonzero()[0]
+        values = weight.values[inside + self.first]
+        if q < 0 and np.any(values == 0):
+            raise ValueError("negative exponent requires strictly positive values")
+        # Python's float power: np.power can differ from it in the last bit
+        terms = [f * v ** q for f, v in zip(self.window[inside].tolist(), values.tolist())]
         return math.fsum(terms) * self.space.leaf_measure
 
     def average(self, weight: DyadicWeight, q: float = 1.0) -> float:
         return self.integral(weight, q) / self.measure
 
-    def fraction_array(self, n_leaves: int) -> np.ndarray:
-        arr = np.zeros(n_leaves)
-        for leaf, frac in self.fractions.items():
-            arr[leaf] = frac
-        return arr
+    def fraction_array(self, first: int = 0, count: int | None = None) -> np.ndarray:
+        """Fractions over leaves [first, first + count), by default the whole
+        tree; a window that leaves out part of the set is refused."""
+        if count is None:
+            count = self.space.n_leaves - first
+        out = np.zeros(count)
+        lo = max(first, self.first)
+        hi = min(first + count, self.first + self.window.size)
+        if lo < hi:
+            out[lo - first:hi - first] = self.window[lo - self.first:hi - self.first]
+        if np.count_nonzero(out) < np.count_nonzero(self.window):
+            raise ValueError(f"set reaches outside leaves [{first}, {first + count})")
+        return out
 
 
 @dataclass(frozen=True)
@@ -143,7 +169,7 @@ class DecompositionTrace:
             return [n.level, n.index]
 
         def fset(s: FractionalSet) -> dict:
-            return {str(leaf): s.fractions[leaf] for leaf in sorted(s.fractions)}
+            return {str(leaf): frac for leaf, frac in s.fractions.items()}
 
         return {
             "k": self.k,
@@ -201,6 +227,23 @@ class DecompositionTrace:
 # Construction steps
 # ---------------------------------------------------------------------------
 
+def _maximal(space: TreeSpace, marked: list[np.ndarray]) -> list[NodeId]:
+    """Maximal nodes among the marked ones, in (level, index) order.
+
+    marked[level] flags nodes of one level, from the root down; the mask of
+    nodes under an earlier pick is repeated k-fold from level to level.
+    """
+    blocked = np.zeros(1, dtype=bool)
+    found: list[NodeId] = []
+    for level, flags in enumerate(marked):
+        if level:
+            blocked = np.repeat(blocked, space.k)
+        picked = flags & ~blocked
+        found += [NodeId(level, i) for i in np.flatnonzero(picked).tolist()]
+        blocked |= picked
+    return found
+
+
 def stopping_decomposition(weight: DyadicWeight, threshold: float) -> list[NodeId]:
     """Maximal nodes whose average strictly exceeds the threshold.
 
@@ -209,19 +252,10 @@ def stopping_decomposition(weight: DyadicWeight, threshold: float) -> list[NodeI
     """
     if threshold <= 0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
-    space = weight.space
     avgs = weight.level_averages(1.0)
     if avgs[0][0] > threshold:
         raise ValueError("root average exceeds the threshold")
-    selected: list[NodeId] = []
-    stack = [space.root]
-    while stack:
-        node = stack.pop()
-        if avgs[node.level][node.index] > threshold:
-            selected.append(node)
-        elif node.level < space.depth:
-            stack.extend(space.children(node))
-    return sorted(selected)
+    return _maximal(weight.space, [level > threshold for level in avgs])
 
 
 def select_fathers(space: TreeSpace, stopping_nodes: list[NodeId]) -> list[NodeId]:
@@ -230,12 +264,11 @@ def select_fathers(space: TreeSpace, stopping_nodes: list[NodeId]) -> list[NodeI
         raise ValueError("stopping family is empty")
     if any(n.level == 0 for n in stopping_nodes):
         raise ValueError("stopping family contains the root, which has no father")
-    fathers = sorted({space.father(n) for n in stopping_nodes})
-    maximal: list[NodeId] = []
-    for candidate in fathers:  # level-ascending order: ancestors come first
-        if not any(space.contains(kept, candidate) for kept in maximal):
-            maximal.append(candidate)
-    return maximal
+    marked = [np.zeros(space.k ** level, dtype=bool) for level in range(space.depth)]
+    for node in stopping_nodes:
+        father = space.father(node)
+        marked[father.level][father.index] = True
+    return _maximal(space, marked)
 
 
 def build_gamma(
@@ -249,52 +282,43 @@ def build_gamma(
     The filler is chosen greedily from the complement leaves in ascending value
     order, the last one fractionally by solving the one-variable linear
     equation; requires avg(kernel) > threshold >= avg(father).  Returns
-    (gamma, delta) with delta the remainder of the father.
+    (gamma, delta) with delta the remainder of the father, both over the
+    father's block.
     """
     space = weight.space
     h = space.leaf_measure
-    kernel_avg = kernel.average(weight)
+    mass, total = kernel.measure, kernel.integral(weight)
+    kernel_avg = total / mass
     father_avg = weight.node_average(father)
     if kernel_avg < threshold * (1.0 - EQ_REL_TOL):
         raise ValueError("kernel average must be at least the threshold")
     if father_avg > threshold * (1.0 + EQ_REL_TOL):
         raise ValueError("father average must not exceed the threshold")
     first, count = space.leaf_range(father)
-    for leaf in kernel.fractions:
-        if not first <= leaf < first + count:
-            raise ValueError("kernel is not contained in the father")
+    gamma = kernel.fraction_array(first, count)
 
-    fractions = dict(kernel.fractions)
     if not math.isclose(kernel_avg, threshold, rel_tol=EQ_REL_TOL):
-        complement = []
-        for leaf in range(first, first + count):
-            rem = 1.0 - kernel.fractions.get(leaf, 0.0)
-            if rem > 0:
-                complement.append((float(weight.values[leaf]), leaf, rem))
-        complement.sort()
-        mass = kernel.measure
-        total = kernel.integral(weight)
-        for value, leaf, rem in complement:
-            m = rem * h
-            if (total + m * value) / (mass + m) > threshold or threshold - value <= 0:
-                fractions[leaf] = fractions.get(leaf, 0.0) + rem
-                mass += m
-                total += m * value
-                continue
-            x = (total - threshold * mass) / (threshold - value)
-            x = min(max(x, 0.0), m)
+        block = weight.values[first:first + count]
+        rem = 1.0 - gamma
+        free = (rem > 0).nonzero()[0]
+        free = free[block[free].argsort(kind="stable")]
+        values, rem = block[free], rem[free]
+        m = rem * h
+        # mass and integral after each complement leaf is taken whole, in order
+        mass = np.concatenate(([mass], m)).cumsum()
+        total = np.concatenate(([total], m * values)).cumsum()
+        whole = (total[1:] / mass[1:] > threshold) | (values >= threshold)
+        j = whole.size if whole.all() else int(np.argmin(whole))
+        gamma[free[:j]] += rem[:j]
+        if j < whole.size:
+            x = (total[j] - threshold * mass[j]) / (threshold - values[j])
+            x = min(max(x, 0.0), m[j])
             if x > 0:
-                fractions[leaf] = fractions.get(leaf, 0.0) + x / h
-            break
+                gamma[free[j]] += x / h
 
-    gamma = FractionalSet(space, fractions)
-    delta_fracs = {}
-    for leaf in range(first, first + count):
-        rem = 1.0 - fractions.get(leaf, 0.0)
-        if rem > EQ_REL_TOL:
-            delta_fracs[leaf] = rem
-    delta = FractionalSet(space, delta_fracs)
-    return gamma, delta
+    rem = 1.0 - gamma
+    delta = np.where(rem > EQ_REL_TOL, rem, 0.0)
+    return FractionalSet(space, first, gamma), FractionalSet(space, first, delta)
 
 
 def build_top_set(weight: DyadicWeight, t: float) -> FractionalSet:
@@ -302,20 +326,19 @@ def build_top_set(weight: DyadicWeight, t: float) -> FractionalSet:
 
     Its average equals the prefix average of the rearrangement over (0, t].
     """
-    if not 0.0 < t <= 1.0 + EQ_REL_TOL:
-        raise ValueError(f"t must lie in (0, 1], got {t}")
-    t = min(float(t), 1.0)
+    t = _check_t(t)
     space = weight.space
     h = space.leaf_measure
     order = np.argsort(-weight.values, kind="stable")
     quotient = t / h
     full = int(round(quotient)) if abs(quotient - round(quotient)) < 1e-9 else int(quotient)
     full = min(full, space.n_leaves)
-    fractions = {int(leaf): 1.0 for leaf in order[:full]}
+    fractions = np.zeros(space.n_leaves)
+    fractions[order[:full]] = 1.0
     rest = quotient - full
     if rest > EQ_REL_TOL and full < space.n_leaves:
-        fractions[int(order[full])] = rest
-    return FractionalSet(space, fractions)
+        fractions[order[full]] = rest
+    return FractionalSet(space, 0, fractions)
 
 
 def lemma21_check(
@@ -333,7 +356,9 @@ def lemma21_check(
     attainable since fractions model non-atomic portions.
     """
     _check_exponent(p)
-    if not e.fractions or not e_hat.fractions:
+    fe = e.fraction_array()
+    fh = e_hat.fraction_array()
+    if not (fe.any() and fh.any()):
         raise ValueError("both sets must be nonempty")
     avg_e = e.average(weight)
     avg_hat = e_hat.average(weight)
@@ -342,9 +367,6 @@ def lemma21_check(
     if not math.isclose(avg_e, avg_hat, rel_tol=ASSERT_REL_TOL, abs_tol=1e-12):
         failures.append("averages differ")
 
-    n = weight.space.n_leaves
-    fe = e.fraction_array(n)
-    fh = e_hat.fraction_array(n)
     values = weight.values
     outside = np.minimum(fe, fh) < 1.0 - EQ_REL_TOL
     if np.any(values[outside] > common * (1.0 + ASSERT_REL_TOL) + 1e-300):
@@ -372,12 +394,19 @@ def lemma21_check(
 # Full trace
 # ---------------------------------------------------------------------------
 
+def _at_most(name: str, lhs: float, rhs: float) -> Assertion:
+    return Assertion(name, lhs, rhs, lhs <= rhs * (1.0 + ASSERT_REL_TOL))
+
+
+def _pinned(name: str, average: float, threshold: float) -> Assertion:
+    return Assertion(name, average, threshold,
+                     math.isclose(average, threshold, rel_tol=GAMMA_REL_TOL))
+
+
 def trace_theorem1(weight: DyadicWeight, p: float, t: float) -> DecompositionTrace:
     """Run the whole decomposition at prefix length t and record every check."""
     _check_exponent(p)
-    if not 0.0 < t <= 1.0 + EQ_REL_TOL:
-        raise ValueError(f"t must lie in (0, 1], got {t}")
-    t = min(float(t), 1.0)
+    t = _check_t(t)
     if weight.total_integral == 0:
         raise ValueError("weight is identically zero")
 
@@ -409,182 +438,80 @@ def trace_theorem1(weight: DyadicWeight, p: float, t: float) -> DecompositionTra
     )
     push = trace.assertions.append
 
-    maximal = weight.maximal_function()
-    exceed = np.flatnonzero(maximal > threshold)
-    trace.exceedance_leaves = [int(i) for i in exceed]
+    exceeds = weight.maximal_function() > threshold
+    trace.exceedance_leaves = np.flatnonzero(exceeds).tolist()
 
-    if exceed.size == 0:
+    if not trace.exceedance_leaves:
         # Nothing exceeds the threshold, so the rearrangement is at most the
         # threshold on (0, t] and the bound follows directly.
         trace.degenerate = True
-        vmax = float(weight.values.max())
-        push(
-            Assertion(
-                "max_value_le_threshold",
-                vmax,
-                threshold,
-                vmax <= threshold * (1.0 + ASSERT_REL_TOL),
-            )
-        )
-        push(
-            Assertion(
-                "prefix_power_le_bound",
-                prefix_power,
-                bound_value,
-                prefix_power <= bound_value * (1.0 + ASSERT_REL_TOL),
-            )
-        )
+        push(_at_most("max_value_le_threshold", float(weight.values.max()), threshold))
+        push(_at_most("prefix_power_le_bound", prefix_power, bound_value))
         return trace
 
     stopping = stopping_decomposition(weight, threshold)
     trace.stopping_nodes = stopping
-    covered: set[int] = set()
-    for node in stopping:
-        first, count = space.leaf_range(node)
-        covered.update(range(first, first + count))
-    mismatch = covered.symmetric_difference(int(i) for i in exceed)
-    push(Assertion("stopping_family_covers_exceedance", float(len(mismatch)), 0.0, not mismatch))
-
     fathers = select_fathers(space, stopping)
     trace.fathers = fathers
-    gamma_parts: list[FractionalSet] = []
+    label = np.empty(space.n_leaves, dtype=np.intp)
     for s, father in enumerate(fathers):
-        members = tuple(
-            n for n in stopping if space.contains(father, space.father(n))
-        )
-        kernel = FractionalSet.union(
-            space, [FractionalSet.from_node(space, n) for n in members]
-        )
+        first, count = space.leaf_range(father)
+        label[first:first + count] = s
+    # each stopping node joins the maximal father labelled at its first leaf
+    members: list[list[NodeId]] = [[] for _ in fathers]
+    covered = np.zeros(space.n_leaves)
+    for node in stopping:
+        first, count = space.leaf_range(node)
+        covered[first:first + count] = 1.0
+        members[label[first]].append(node)
+    mismatch = int(np.count_nonzero((covered > 0) != exceeds))
+    push(Assertion("stopping_family_covers_exceedance", float(mismatch), 0.0, not mismatch))
+
+    for s, father in enumerate(fathers):
+        first, count = space.leaf_range(father)
+        kernel = FractionalSet(space, first, covered[first:first + count])
         father_avg = weight.node_average(father)
-        kernel_avg = kernel.average(weight)
         father_measure = space.node_measure(father)
         kernel_measure = kernel.measure
-        push(
-            Assertion(
-                f"father_average_le_threshold[{s}]",
-                father_avg,
-                threshold,
-                father_avg <= threshold * (1.0 + ASSERT_REL_TOL),
-            )
-        )
-        push(
-            Assertion(
-                f"kernel_average_gt_threshold[{s}]",
-                kernel_avg,
-                threshold,
-                kernel_avg > threshold * (1.0 - ASSERT_REL_TOL),
-            )
-        )
+        kernel_avg = kernel.integral(weight) / kernel_measure
+        push(_at_most(f"father_average_le_threshold[{s}]", father_avg, threshold))
+        push(Assertion(f"kernel_average_gt_threshold[{s}]", kernel_avg, threshold,
+                       kernel_avg > threshold * (1.0 - ASSERT_REL_TOL)))
         lower_ok = kernel_measure >= father_measure / k * (1.0 - ASSERT_REL_TOL)
         upper_ok = kernel_measure < father_measure * (1.0 + ASSERT_REL_TOL)
-        push(
-            Assertion(
-                f"kernel_measure_bounds[{s}]",
-                kernel_measure,
-                father_measure,
-                lower_ok and upper_ok,
-            )
-        )
+        push(Assertion(f"kernel_measure_bounds[{s}]", kernel_measure, father_measure,
+                       lower_ok and upper_ok))
         gamma_s, delta_s = build_gamma(weight, father, kernel, threshold)
         gamma_avg = gamma_s.average(weight)
-        push(
-            Assertion(
-                f"gamma_average_matches_threshold[{s}]",
-                gamma_avg,
-                threshold,
-                math.isclose(gamma_avg, threshold, rel_tol=GAMMA_REL_TOL),
-            )
-        )
-        filler = FractionalSet(
-            space,
-            {
-                leaf: frac - kernel.fractions.get(leaf, 0.0)
-                for leaf, frac in gamma_s.fractions.items()
-                if frac - kernel.fractions.get(leaf, 0.0) > EQ_REL_TOL
-            },
-        )
-        trace.records.append(
-            FatherRecord(
-                father=father,
-                members=members,
-                kernel=kernel,
-                filler=filler,
-                gamma=gamma_s,
-                delta=delta_s,
-                father_average=father_avg,
-                kernel_average=kernel_avg,
-                gamma_average=gamma_avg,
-            )
-        )
-        gamma_parts.append(gamma_s)
+        push(_pinned(f"gamma_average_matches_threshold[{s}]", gamma_avg, threshold))
+        added = gamma_s.window - kernel.window
+        filler = FractionalSet(space, first, np.where(added > EQ_REL_TOL, added, 0.0))
+        trace.records.append(FatherRecord(
+            father=father,
+            members=tuple(members[s]),
+            kernel=kernel,
+            filler=filler,
+            gamma=gamma_s,
+            delta=delta_s,
+            father_average=father_avg,
+            kernel_average=kernel_avg,
+            gamma_average=gamma_avg,
+        ))
 
-    gamma = FractionalSet.union(space, gamma_parts)
-    gamma_measure = gamma.measure
-    trace.gamma_measure = gamma_measure
-    trace.father_union_measure = math.fsum(
-        space.node_measure(f) for f in fathers
-    )
-    gamma_avg = gamma.average(weight)
-    push(
-        Assertion(
-            "gamma_average_matches_threshold",
-            gamma_avg,
-            threshold,
-            math.isclose(gamma_avg, threshold, rel_tol=GAMMA_REL_TOL),
-        )
-    )
-    push(
-        Assertion(
-            "gamma_measure_le_t",
-            gamma_measure,
-            t,
-            gamma_measure <= t * (1.0 + ASSERT_REL_TOL),
-        )
-    )
+    gamma = FractionalSet.union(space, [r.gamma for r in trace.records])
+    trace.gamma_measure = gamma.measure
+    trace.father_union_measure = math.fsum(space.node_measure(f) for f in fathers)
+    push(_pinned("gamma_average_matches_threshold", gamma.average(weight), threshold))
+    push(_at_most("gamma_measure_le_t", trace.gamma_measure, t))
 
-    top = build_top_set(weight, t)
-    lemma = lemma21_check(weight, top, gamma, p)
+    lemma = lemma21_check(weight, build_top_set(weight, t), gamma, p)
     trace.lemma = lemma
-    push(
-        Assertion(
-            "lemma_hypotheses_hold",
-            float(lemma.hypotheses_hold),
-            1.0,
-            lemma.hypotheses_hold,
-        )
-    )
-    gamma_power = gamma.average(weight, p)
-    trace.gamma_power_average = gamma_power
-    push(
-        Assertion(
-            "prefix_power_le_gamma_power",
-            prefix_power,
-            gamma_power,
-            prefix_power <= gamma_power * (1.0 + ASSERT_REL_TOL),
-        )
-    )
-    push(
-        Assertion(
-            "father_union_measure_le_k_gamma",
-            trace.father_union_measure,
-            k * gamma_measure,
-            trace.father_union_measure <= k * gamma_measure * (1.0 + ASSERT_REL_TOL),
-        )
-    )
-    push(
-        Assertion(
-            "gamma_power_le_bound",
-            gamma_power,
-            bound_value,
-            gamma_power <= bound_value * (1.0 + ASSERT_REL_TOL),
-        )
-    )
-    push(
-        Assertion(
-            "prefix_power_le_bound",
-            prefix_power,
-            bound_value,
-            prefix_power <= bound_value * (1.0 + ASSERT_REL_TOL),
-        )
-    )
+    push(Assertion("lemma_hypotheses_hold", float(lemma.hypotheses_hold), 1.0,
+                   lemma.hypotheses_hold))
+    trace.gamma_power_average = gamma.average(weight, p)
+    push(_at_most("prefix_power_le_gamma_power", prefix_power, trace.gamma_power_average))
+    push(_at_most("father_union_measure_le_k_gamma", trace.father_union_measure,
+                  k * trace.gamma_measure))
+    push(_at_most("gamma_power_le_bound", trace.gamma_power_average, bound_value))
+    push(_at_most("prefix_power_le_bound", prefix_power, bound_value))
     return trace

@@ -4,12 +4,15 @@ A tree of branching factor k and depth L partitions the space into k**L
 leaves of equal measure; every node at level l below the root carries
 measure k**(-l) and splits into k disjoint children of equal measure.
 Nodes are addressed as (level, index), which makes father/children and
-leaf-block arithmetic O(1).
+leaf-block arithmetic O(1).  Trees have at most MAX_LEAVES leaves; larger
+ones are refused on construction, before any leaf array exists.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator
+
+MAX_LEAVES = 2**24
 
 
 @dataclass(frozen=True, order=True)
@@ -35,6 +38,11 @@ class TreeSpace:
             raise ValueError(f"branching factor must be >= 2, got {self.k}")
         if self.depth < 0:
             raise ValueError(f"depth must be >= 0, got {self.depth}")
+        # k >= 2, so a depth above log2(MAX_LEAVES) is refused before k**depth is formed
+        if self.depth >= MAX_LEAVES.bit_length() or self.k ** self.depth > MAX_LEAVES:
+            raise ValueError(
+                f"k**depth must be at most {MAX_LEAVES} leaves, got k={self.k}, depth={self.depth}"
+            )
 
     @property
     def n_leaves(self) -> int:

@@ -205,8 +205,8 @@ def test_criterion_6_lemma_instances():
     w = DyadicWeight.from_leaves(2, 2, [4, 2, 1, 1])
     hand = lemma21_check(
         w,
-        FractionalSet(w.space, {0: 1.0, 1: 1.0}),
-        FractionalSet(w.space, {0: 1.0, 2: 0.5}),
+        FractionalSet(w.space, 0, [1.0, 1.0]),
+        FractionalSet(w.space, 0, [1.0, 0.0, 0.5]),
         2.0,
     )
     if not (

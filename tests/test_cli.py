@@ -44,6 +44,14 @@ def test_gen_bad_params(tmp_path):
     assert run("gen", "constant", "--value", "-1", "-o", str(tmp_path / "x.json")) == 2
 
 
+def test_gen_oversized_tree_refused(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert run("gen", "random", "--depth", "60", "-o", str(out)) == 2
+    assert "at most" in capsys.readouterr().err
+    assert not out.exists()
+    assert run("verify", "theorem1", "--count", "1", "--depth", "60") == 2
+
+
 def test_analyze(tmp_path, capsys):
     wfile = tmp_path / "w.json"
     wfile.write_text('{"k": 2, "depth": 1, "leaves": [1, 3]}')

@@ -32,7 +32,7 @@ def w8211():
 
 def test_fractional_set_measure_and_integral():
     w = w8211()
-    s = FractionalSet(w.space, {0: 1.0, 1: 0.5})
+    s = FractionalSet(w.space, 0, [1.0, 0.5])
     assert s.measure == pytest.approx(0.375, rel=1e-15)
     assert s.integral(w) == pytest.approx(8 * 0.25 + 2 * 0.125, rel=1e-15)
     assert s.average(w) == pytest.approx(2.25 / 0.375, rel=1e-15)
@@ -41,17 +41,30 @@ def test_fractional_set_measure_and_integral():
 def test_fractional_set_validation():
     space = TreeSpace(2, 2)
     with pytest.raises(ValueError):
-        FractionalSet(space, {0: 0.0})
+        FractionalSet(space, 0, [-0.5])
     with pytest.raises(ValueError):
-        FractionalSet(space, {0: 1.5})
+        FractionalSet(space, 0, [1.5])
     with pytest.raises(ValueError):
-        FractionalSet(space, {7: 0.5})
+        FractionalSet(space, 3, [0.5, 0.5])  # leaf 4 is outside the tree
+    assert FractionalSet(space, 0, [0.0, 0.5]).fractions == {1: 0.5}
 
 
 def test_fractional_set_from_node():
     space = TreeSpace(2, 2)
     s = FractionalSet.from_node(space, NodeId(1, 1))
     assert s.fractions == {2: 1.0, 3: 1.0}
+
+
+def test_fractional_set_windows():
+    w = w8211()
+    s = FractionalSet(w.space, 1, [0.5, 1.0])
+    assert s.fraction_array().tolist() == [0.0, 0.5, 1.0, 0.0]
+    assert s.fraction_array(1, 2).tolist() == [0.5, 1.0]
+    with pytest.raises(ValueError):
+        s.fraction_array(0, 2)  # leaves out leaf 2
+    union = FractionalSet.union(w.space, [s, FractionalSet.from_node(w.space, NodeId(2, 3))])
+    assert union.fractions == {1: 0.5, 2: 1.0, 3: 1.0}
+    assert union.integral(w, 2.0) == pytest.approx((0.5 * 4 + 1 + 1) * 0.25, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +134,7 @@ def test_select_fathers_rejects_root_member():
 
 def test_build_gamma_full_filler():
     w = w8211()
-    kernel = FractionalSet(w.space, {0: 1.0})
+    kernel = FractionalSet(w.space, 0, [1.0])
     gamma, delta = build_gamma(w, NodeId(1, 0), kernel, 5.0)
     assert gamma.fractions == {0: 1.0, 1: 1.0}
     assert delta.fractions == {}
@@ -130,7 +143,7 @@ def test_build_gamma_full_filler():
 
 def test_build_gamma_boundary_kernel():
     w = w8211()
-    kernel = FractionalSet(w.space, {0: 1.0, 1: 1.0})
+    kernel = FractionalSet(w.space, 0, [1.0, 1.0])
     gamma, delta = build_gamma(w, NodeId(1, 0), kernel, 5.0)
     assert gamma.fractions == kernel.fractions
     assert delta.fractions == {}
@@ -138,7 +151,7 @@ def test_build_gamma_boundary_kernel():
 
 def test_build_gamma_fractional_filler():
     w = DyadicWeight.from_leaves(2, 2, [9, 1, 1, 1])
-    kernel = FractionalSet(w.space, {0: 1.0})
+    kernel = FractionalSet(w.space, 0, [1.0])
     gamma, delta = build_gamma(w, NodeId(1, 0), kernel, 7.0)
     # (9*0.25 + theta*0.25*1) / (0.25 + theta*0.25) = 7  =>  theta = 1/3
     assert gamma.fractions[0] == 1.0
@@ -149,12 +162,18 @@ def test_build_gamma_fractional_filler():
 
 def test_build_gamma_preconditions():
     w = w8211()
-    low_kernel = FractionalSet(w.space, {1: 1.0})
+    low_kernel = FractionalSet(w.space, 1, [1.0])
     with pytest.raises(ValueError):
         build_gamma(w, NodeId(1, 0), low_kernel, 5.0)
-    kernel = FractionalSet(w.space, {0: 1.0})
+    kernel = FractionalSet(w.space, 0, [1.0])
     with pytest.raises(ValueError):
         build_gamma(w, NodeId(1, 0), kernel, 4.0)  # father average 5 > threshold
+
+
+def test_build_gamma_kernel_outside_father():
+    w = w8211()
+    with pytest.raises(ValueError):
+        build_gamma(w, NodeId(1, 1), FractionalSet(w.space, 0, [1.0]), 5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +219,7 @@ def test_build_top_set_validation():
 
 def test_lemma_equal_sets():
     w = w8211()
-    e = FractionalSet(w.space, {0: 1.0, 1: 1.0})
+    e = FractionalSet(w.space, 0, [1.0, 1.0])
     result = lemma21_check(w, e, e, 2.0)
     assert result.hypotheses_hold
     assert result.conclusion_holds
@@ -209,8 +228,8 @@ def test_lemma_equal_sets():
 
 def test_lemma_hand_example():
     w = DyadicWeight.from_leaves(2, 2, [4, 2, 1, 1])
-    e = FractionalSet(w.space, {0: 1.0, 1: 1.0})
-    e_hat = FractionalSet(w.space, {0: 1.0, 2: 0.5})
+    e = FractionalSet(w.space, 0, [1.0, 1.0])
+    e_hat = FractionalSet(w.space, 0, [1.0, 0.0, 0.5])
     result = lemma21_check(w, e, e_hat, 2.0)
     assert result.hypotheses_hold
     assert result.average == pytest.approx(3.0, rel=1e-12)
@@ -222,8 +241,8 @@ def test_lemma_hand_example():
 def test_lemma_negative_path():
     # value carried by e_hat only (4) above a value carried by e (1)
     w = DyadicWeight.from_leaves(2, 2, [4, 1, 1, 1])
-    e = FractionalSet(w.space, {1: 1.0, 2: 1.0})
-    e_hat = FractionalSet(w.space, {0: 0.5})
+    e = FractionalSet(w.space, 1, [1.0, 1.0])
+    e_hat = FractionalSet(w.space, 0, [0.5])
     result = lemma21_check(w, e, e_hat, 2.0)
     assert not result.hypotheses_hold
 
@@ -231,7 +250,7 @@ def test_lemma_negative_path():
 def test_lemma_rejects_empty():
     w = w8211()
     with pytest.raises(ValueError):
-        lemma21_check(w, FractionalSet(w.space, {}), FractionalSet(w.space, {0: 1.0}), 2.0)
+        lemma21_check(w, FractionalSet(w.space, 0, []), FractionalSet(w.space, 0, [1.0]), 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +269,20 @@ def test_trace_8211_half():
     assert tr.prefix_power_average == pytest.approx(34.0, rel=1e-12)
     assert tr.gamma_power_average == pytest.approx(34.0, rel=1e-12)
     assert tr.bound_value == pytest.approx((2 * (35 / 18 - 1) + 1) * 25, rel=1e-12)
+    assert tr.all_hold
+
+
+def test_trace_nested_fathers_share_one_record():
+    # the father (2, 2) of stopping node (3, 5) lies strictly inside the
+    # father (1, 1) of stopping node (2, 3), so both join one record
+    w = DyadicWeight.from_leaves(2, 3, [1, 1, 1, 1, 1, 2, 2, 2])
+    tr = trace_theorem1(w, 2.0, 0.5)
+    assert tr.threshold == 1.75
+    assert tr.stopping_nodes == [NodeId(2, 3), NodeId(3, 5)]
+    assert {w.space.father(n) for n in tr.stopping_nodes} == {NodeId(1, 1), NodeId(2, 2)}
+    assert tr.fathers == [NodeId(1, 1)]
+    assert [r.members for r in tr.records] == [(NodeId(2, 3), NodeId(3, 5))]
+    assert tr.records[0].kernel.fractions == {5: 1.0, 6: 1.0, 7: 1.0}
     assert tr.all_hold
 
 

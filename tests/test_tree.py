@@ -1,6 +1,9 @@
+import tracemalloc
+
 import pytest
 
 from treerhi import NodeId, TreeSpace
+from treerhi.tree import MAX_LEAVES
 
 
 def test_root_measure_is_one():
@@ -98,3 +101,16 @@ def test_contains():
     assert space.contains(NodeId(1, 0), NodeId(1, 0))
     assert not space.contains(NodeId(1, 0), NodeId(3, 4))
     assert not space.contains(NodeId(2, 0), NodeId(1, 0))
+
+
+def test_oversized_tree_refused_before_allocating():
+    assert TreeSpace(2, 24).n_leaves == MAX_LEAVES == 2**24
+    tracemalloc.start()
+    try:
+        for k, depth in ((2, 25), (2, 10**9), (10**9, 1), (4097, 2)):
+            with pytest.raises(ValueError, match="at most"):
+                TreeSpace(k, depth)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # 2**(10**9) alone would take 125 MB
