@@ -82,7 +82,7 @@ class FractionalSet:
             return math.fsum((self.window * values).tolist()) * self.space.leaf_measure
         inside = self.window.nonzero()[0]
         values = weight.values[inside + self.first]
-        if q < 0 and np.any(values == 0):
+        if q < 0 and (values == 0).any():
             raise ValueError("negative exponent requires strictly positive values")
         # Python's float power: np.power can differ from it in the last bit
         terms = [f * v ** q for f, v in zip(self.window[inside].tolist(), values.tolist())]
@@ -227,48 +227,48 @@ class DecompositionTrace:
 # Construction steps
 # ---------------------------------------------------------------------------
 
-def _maximal(space: TreeSpace, marked: list[np.ndarray]) -> list[NodeId]:
-    """Maximal nodes among the marked ones, in (level, index) order.
-
-    marked[level] flags nodes of one level, from the root down; the mask of
-    nodes under an earlier pick is repeated k-fold from level to level.
-    """
-    blocked = np.zeros(1, dtype=bool)
-    found: list[NodeId] = []
-    for level, flags in enumerate(marked):
-        if level:
-            blocked = np.repeat(blocked, space.k)
-        picked = flags & ~blocked
-        found += [NodeId(level, i) for i in np.flatnonzero(picked).tolist()]
-        blocked |= picked
-    return found
-
-
 def stopping_decomposition(weight: DyadicWeight, threshold: float) -> list[NodeId]:
     """Maximal nodes whose average strictly exceeds the threshold.
 
     The result is pairwise disjoint and its leaves are exactly the set where
     the maximal function exceeds the threshold.  The root must not qualify.
+    Nodes are picked level by level; the mask of nodes under an earlier pick
+    is repeated k-fold from each level to the next.
     """
     if threshold <= 0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
     avgs = weight.level_averages(1.0)
     if avgs[0][0] > threshold:
         raise ValueError("root average exceeds the threshold")
-    return _maximal(weight.space, [level > threshold for level in avgs])
+    blocked = np.zeros(1, dtype=bool)
+    selected: list[NodeId] = []
+    for level, avg in enumerate(avgs):
+        if level:
+            blocked = np.repeat(blocked, weight.space.k)
+        picked = (avg > threshold) & ~blocked
+        selected += [NodeId(level, i) for i in picked.nonzero()[0].tolist()]
+        blocked |= picked
+    return selected
 
 
 def select_fathers(space: TreeSpace, stopping_nodes: list[NodeId]) -> list[NodeId]:
-    """Fathers of the stopping family, deduplicated and reduced to maximal ones."""
+    """Fathers of the stopping family, deduplicated and reduced to maximal ones.
+
+    Walks the fathers root first and keeps one when no kept father has
+    claimed its first leaf yet.
+    """
     if not stopping_nodes:
         raise ValueError("stopping family is empty")
     if any(n.level == 0 for n in stopping_nodes):
         raise ValueError("stopping family contains the root, which has no father")
-    marked = [np.zeros(space.k ** level, dtype=bool) for level in range(space.depth)]
-    for node in stopping_nodes:
-        father = space.father(node)
-        marked[father.level][father.index] = True
-    return _maximal(space, marked)
+    claimed = np.zeros(space.n_leaves, dtype=bool)
+    kept: list[NodeId] = []
+    for father in sorted({space.father(n) for n in stopping_nodes}):
+        first, count = space.leaf_range(father)
+        if not claimed[first]:
+            claimed[first:first + count] = True
+            kept.append(father)
+    return kept
 
 
 def build_gamma(
@@ -302,19 +302,18 @@ def build_gamma(
         rem = 1.0 - gamma
         free = (rem > 0).nonzero()[0]
         free = free[block[free].argsort(kind="stable")]
-        values, rem = block[free], rem[free]
-        m = rem * h
-        # mass and integral after each complement leaf is taken whole, in order
-        mass = np.concatenate(([mass], m)).cumsum()
-        total = np.concatenate(([total], m * values)).cumsum()
-        whole = (total[1:] / mass[1:] > threshold) | (values >= threshold)
-        j = whole.size if whole.all() else int(np.argmin(whole))
-        gamma[free[:j]] += rem[:j]
-        if j < whole.size:
-            x = (total[j] - threshold * mass[j]) / (threshold - values[j])
-            x = min(max(x, 0.0), m[j])
+        for leaf, value, r in zip(free.tolist(), block[free].tolist(), rem[free].tolist()):
+            m = r * h
+            if (total + m * value) / (mass + m) > threshold or threshold - value <= 0:
+                gamma[leaf] += r
+                mass += m
+                total += m * value
+                continue
+            x = (total - threshold * mass) / (threshold - value)
+            x = min(max(x, 0.0), m)
             if x > 0:
-                gamma[free[j]] += x / h
+                gamma[leaf] += x / h
+            break
 
     rem = 1.0 - gamma
     delta = np.where(rem > EQ_REL_TOL, rem, 0.0)
@@ -369,12 +368,11 @@ def lemma21_check(
 
     values = weight.values
     outside = np.minimum(fe, fh) < 1.0 - EQ_REL_TOL
-    if np.any(values[outside] > common * (1.0 + ASSERT_REL_TOL) + 1e-300):
+    if (values[outside] > common * (1.0 + ASSERT_REL_TOL) + 1e-300).any():
         failures.append("value above the common average outside the overlap")
     only_hat = fh - fe > EQ_REL_TOL
-    in_e = fe > 0
-    if np.any(only_hat) and np.any(in_e):
-        if values[only_hat].max() > values[in_e].min() * (1.0 + ASSERT_REL_TOL):
+    if only_hat.any():  # e is nonempty, checked above
+        if values[only_hat].max() > values[fe > 0].min() * (1.0 + ASSERT_REL_TOL):
             failures.append("value in e_hat minus e above a value in e")
 
     lhs = e.average(weight, p)
@@ -439,7 +437,7 @@ def trace_theorem1(weight: DyadicWeight, p: float, t: float) -> DecompositionTra
     push = trace.assertions.append
 
     exceeds = weight.maximal_function() > threshold
-    trace.exceedance_leaves = np.flatnonzero(exceeds).tolist()
+    trace.exceedance_leaves = exceeds.nonzero()[0].tolist()
 
     if not trace.exceedance_leaves:
         # Nothing exceeds the threshold, so the rearrangement is at most the
