@@ -11,10 +11,10 @@ reverse-Holder constant over the tree nodes.
 Sets are fraction arrays over contiguous leaf windows: a father's block for
 the per-father sets, the whole tree for the top set and the union of the
 Gamma sets.  Maximal fathers are disjoint, so a trace stores O(n) fractions
-for n leaves and costs O(n log n): the stopping family and the fathers are
-selected level by level, stopping nodes are grouped by a per-leaf label of
-their father, and each filler is one sort and one running sum over its
-father's block.
+for n leaves and costs O(n log n): the stopping family is picked level by
+level, a father is kept while its first leaf is unclaimed, each stopping node
+joins the father labelled at its first leaf, and each filler is one sort and
+one greedy pass over its father's block.
 """
 from __future__ import annotations
 
@@ -46,7 +46,8 @@ class FractionalSet:
         window = np.array(fractions, dtype=np.float64)
         if window.ndim != 1 or not 0 <= first <= space.n_leaves - window.size:
             raise ValueError(f"window of {window.size} leaves at leaf {first} out of range")
-        if not (window.min(initial=0.0) >= 0.0 and window.max(initial=0.0) <= 1.0 + EQ_REL_TOL):
+        if not (np.minimum.reduce(window, initial=0.0) >= 0.0
+                and np.maximum.reduce(window, initial=0.0) <= 1.0 + EQ_REL_TOL):
             raise ValueError("fractions must lie in [0, 1]")
         window.setflags(write=False)
         self.space = space
@@ -467,6 +468,7 @@ def trace_theorem1(weight: DyadicWeight, p: float, t: float) -> DecompositionTra
 
     for s, father in enumerate(fathers):
         first, count = space.leaf_range(father)
+        # the stopping nodes inside a maximal father's block are its members
         kernel = FractionalSet(space, first, covered[first:first + count])
         father_avg = weight.node_average(father)
         father_measure = space.node_measure(father)
@@ -506,7 +508,7 @@ def trace_theorem1(weight: DyadicWeight, p: float, t: float) -> DecompositionTra
     trace.lemma = lemma
     push(Assertion("lemma_hypotheses_hold", float(lemma.hypotheses_hold), 1.0,
                    lemma.hypotheses_hold))
-    trace.gamma_power_average = gamma.average(weight, p)
+    trace.gamma_power_average = lemma.rhs  # the power average over Gamma
     push(_at_most("prefix_power_le_gamma_power", prefix_power, trace.gamma_power_average))
     push(_at_most("father_union_measure_le_k_gamma", trace.father_union_measure,
                   k * trace.gamma_measure))
