@@ -81,7 +81,7 @@ class FractionalSet:
         if q == 1.0:
             values = weight.values[self.first:self.first + self.window.size]
             return math.fsum((self.window * values).tolist()) * self.space.leaf_measure
-        inside = self.window.nonzero()[0]
+        inside = self.window.nonzero()[0]  # value**q only where the set has mass
         values = weight.values[inside + self.first]
         if q < 0 and (values == 0).any():
             raise ValueError("negative exponent requires strictly positive values")
