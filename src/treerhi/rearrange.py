@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weight import _RANGE_ERROR, _RESOLVED, DyadicWeight, _power_pair, _rescaled
+from .weight import _RANGE_ERROR, _RESOLVED, DyadicWeight, _power_pair, _scalings
 
 T_SLACK = 1e-12
 
@@ -76,13 +76,15 @@ def rearrangement(weight: DyadicWeight) -> StepFunction:
 
     Breakpoints are cumulative leaf counts divided by the leaf count, so
     level-set lengths of the result match level-set measures of the weight
-    exactly.
+    exactly.  Computed once per weight and kept on it.
     """
-    n = weight.space.n_leaves
-    sorted_vals = np.sort(weight.values)[::-1]
-    ends = np.append(np.flatnonzero(np.diff(sorted_vals) != 0), n - 1)
-    breakpoints = (ends + 1).astype(np.float64) / n
-    return StepFunction(breakpoints=breakpoints, values=sorted_vals[ends])
+    if weight._rearranged is None:
+        n = weight.space.n_leaves
+        sorted_vals = np.sort(weight.values)[::-1]
+        ends = np.append(np.flatnonzero(np.diff(sorted_vals) != 0), n - 1)
+        breakpoints = (ends + 1).astype(np.float64) / n
+        weight._rearranged = StepFunction(breakpoints=breakpoints, values=sorted_vals[ends])
+    return weight._rearranged
 
 
 def prefix_average(h: StepFunction, t: float, q: float = 1.0) -> float:
@@ -112,12 +114,11 @@ def _prefix_ratios(
         raise ValueError("function is identically zero")
     if min(a, b) < 0 and h.values[-1] == 0:
         raise ValueError(f"a negative power at p={p} needs strictly positive values")
-    found = _ratios_at(h.breakpoints, h.values, a, b, ts) or _ratios_at(
-        h.breakpoints, _rescaled(h.values), a, b, ts
-    )
-    if found is None:
-        raise ValueError(_RANGE_ERROR.format(p=p))
-    return found
+    for values in _scalings(h.values):
+        found = _ratios_at(h.breakpoints, values, a, b, ts)
+        if found is not None:
+            return found
+    raise ValueError(_RANGE_ERROR.format(p=p))
 
 
 def _ratios_at(
@@ -127,11 +128,11 @@ def _ratios_at(
     left = np.concatenate(([0.0], right[:-1]))
     width = right - left
     with np.errstate(all="ignore"):
-        va = v if a == 1.0 else v ** a
-        vb = v if b == 1.0 else v ** b
-        # N and D, the integrals of h**a and h**b, up to the start of each step
-        n0 = np.concatenate(([0.0], np.cumsum(va * width)[:-1]))
-        d0 = np.concatenate(([0.0], np.cumsum(vb * width)[:-1]))
+        va, vb = _power(v, a), _power(v, b)
+        # N and D, the integrals of h**a and h**b over (0, right[i - 1]]:
+        # n[i] up to the start of step i, n[i + 1] up to its end
+        n, d = _integrals(va, width), _integrals(vb, width)
+        n0, d0 = n[:-1], d[:-1]
         if ts is None:
             # Within a step N = alpha + va*t and D = gamma + vb*t.  The ratio
             # is N * D**y * t**z with 1 + y + z = 0, so the quadratic term of
@@ -140,18 +141,44 @@ def _ratios_at(
             z = -1.0 - y
             alpha, gamma = n0 - va * left, d0 - vb * left
             t_in = z * alpha * gamma / (y * va * gamma + alpha * vb)
-            inside = np.flatnonzero((t_in > left) & (t_in < right))
-            step = np.concatenate([np.arange(right.size), inside])
-            ts = np.concatenate([right, t_in[inside]])
+            step = np.flatnonzero((t_in > left) & (t_in < right))
+            t_in = t_in[step]
+            ts = np.concatenate([right, t_in])
+            # At a breakpoint n0 + va*width is the running sum itself, so the
+            # means there are read off n and d; only the few interior points
+            # are gathered by step.
+            mean_a = np.concatenate([n[1:] / right, _mean_in(n0, va, left, step, t_in)])
+            mean_b = np.concatenate([d[1:] / right, _mean_in(d0, vb, left, step, t_in)])
         else:
             step = np.minimum(np.searchsorted(right, ts, side="left"), right.size - 1)
-        mean_a = (n0[step] + va[step] * (ts - left[step])) / ts
-        mean_b = (d0[step] + vb[step] * (ts - left[step])) / ts
-        ratio = (mean_a ** (1.0 / a) / mean_b ** (1.0 / b)) ** a
-    lowest = np.min(np.minimum(mean_a, mean_b))
-    if not (np.isfinite(np.max(ratio)) and lowest >= _RESOLVED):
+            mean_a = _mean_in(n0, va, left, step, ts)
+            mean_b = _mean_in(d0, vb, left, step, ts)
+        ratio = _power(_power(mean_a, 1.0 / a) / _power(mean_b, 1.0 / b), a)
+        lowest = np.minimum(mean_a.min(), mean_b.min())
+    if not (np.isfinite(ratio.max()) and lowest >= _RESOLVED):
         return None
     return ts, ratio
+
+
+def _power(x: np.ndarray, q: float) -> np.ndarray:
+    """x**q, with q = 1 left out: it is exact and would only copy x."""
+    return x if q == 1.0 else x ** q
+
+
+def _integrals(vq: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """[0, cumsum(vq * width)]: add.accumulate sums in order, so entry i + 1
+    equals entry i + vq[i]*width[i] bit for bit."""
+    out = np.empty(vq.size + 1)
+    out[0] = 0.0
+    np.multiply(vq, width, out=out[1:])
+    np.cumsum(out[1:], out=out[1:])
+    return out
+
+
+def _mean_in(n0: np.ndarray, vq: np.ndarray, left: np.ndarray,
+             step: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Average of h**q over (0, ts] with ts inside the steps `step`."""
+    return (n0[step] + vq[step] * (ts - left[step])) / ts
 
 
 def _prefix_sup(h: StepFunction, p: float, dual: bool) -> PrefixReport:

@@ -23,8 +23,8 @@ REL_TOL = 1e-12
 # Smallest power average trusted to full precision: underflow drops less than
 # tiny from any average, which is under one ulp of a value this large.
 _RESOLVED = np.finfo(np.float64).tiny * 2.0**52
-# Constants are tried on the values as they are, then rescaled by an exact
-# power of two; a power average out of range in both is refused with this.
+# Constants are tried on the values as they are, then rescaled by exact powers
+# of two (_scalings); a power average out of range in all is refused with this.
 _RANGE_ERROR = "power averages at p={p} leave the double range even after rescaling"
 
 
@@ -42,9 +42,16 @@ def _power_pair(p: float, dual: bool) -> tuple[float, float]:
     return (1.0, -1.0 / (p - 1.0)) if dual else (p, 1.0)
 
 
-def _rescaled(values: np.ndarray) -> np.ndarray:
-    """values * 2**-e, exact, with the largest value brought into [1/2, 1)."""
-    return np.ldexp(values, -np.frexp(values.max())[1])
+def _scalings(values: np.ndarray):
+    """values as they are, then times exact powers of two 2**-e: first with
+    the largest value brought into [1/2, 1), then with the geometric middle
+    of the smallest positive value and the largest brought near 1, which
+    keeps large negative powers of small values in range."""
+    yield values
+    top = np.frexp(values.max())[1]
+    yield np.ldexp(values, -top)
+    bottom = np.frexp(values[values > 0].min())[1]
+    yield np.ldexp(values, -((top + bottom) // 2))
 
 
 @dataclass(frozen=True)
@@ -71,7 +78,7 @@ class DyadicWeight:
     """Non-negative leaf values on a TreeSpace with cached per-node sums.
 
     Immutable after construction: the value array is marked read-only and
-    the per-exponent sum caches are append-only.
+    the caches of sums and derived results are append-only.
     """
 
     def __init__(self, space: TreeSpace, leaf_values) -> None:
@@ -88,6 +95,10 @@ class DyadicWeight:
         self.space = space
         self.values = values
         self._sums: dict[float, list[np.ndarray]] = {}
+        # results the tracer asks for at every (p, t): the node sups by
+        # (p, dual) and rearrange.rearrangement(self)
+        self._sups: dict[tuple[float, bool], RhiReport] = {}
+        self._rearranged = None
 
     @classmethod
     def from_leaves(cls, k: int, depth: int, values) -> "DyadicWeight":
@@ -142,12 +153,17 @@ class DyadicWeight:
             raise ValueError("weight is identically zero")
         if min(a, b) < 0 and np.any(self.values == 0):
             raise ValueError(f"a negative power at p={p} needs strictly positive values")
-        found = self._ratio_sup(a, b) or DyadicWeight(
-            self.space, _rescaled(self.values)
-        )._ratio_sup(a, b)
-        if found is None:
-            raise ValueError(_RANGE_ERROR.format(p=p))
-        return RhiReport(exponent=p, constant=found[0], witness=found[1])
+        key = (p, dual)
+        if key not in self._sups:
+            for values in _scalings(self.values):
+                scaled = self if values is self.values else DyadicWeight(self.space, values)
+                found = scaled._ratio_sup(a, b)
+                if found is not None:
+                    break
+            else:
+                raise ValueError(_RANGE_ERROR.format(p=p))
+            self._sups[key] = RhiReport(exponent=p, constant=found[0], witness=found[1])
+        return self._sups[key]
 
     def _ratio_sup(self, a: float, b: float) -> tuple[float, NodeId] | None:
         """Sup and witness of _node_sup, or None when out of double range."""
@@ -159,12 +175,17 @@ class DyadicWeight:
             for level in range(self.space.depth + 1):
                 num, den = nums[level], dens[level]
                 powered = den ** abs(y)
-                live = den > 0
-                ratio = np.where(live, num / powered if y < 0 else num * powered, -np.inf)
+                ratio = num / powered if y < 0 else num * powered
+                lowest = den.min()
+                if lowest > 0:
+                    lowest = min(lowest, num.min(), powered.min())
+                else:
+                    live = den > 0
+                    ratio = np.where(live, ratio, -np.inf)
+                    lowest = np.minimum(np.minimum(num, den), powered)
+                    lowest = np.min(lowest, where=live, initial=np.inf)
                 i = int(np.argmax(ratio))
                 # argmax returns the first NaN, so this also catches overflow
-                lowest = np.minimum(np.minimum(num, den), powered)
-                lowest = np.min(lowest, where=live, initial=np.inf)
                 if not (np.isfinite(ratio[i]) and lowest >= _RESOLVED):
                     return None
                 if ratio[i] > best:

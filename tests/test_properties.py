@@ -135,6 +135,20 @@ def test_prefix_rhi_at_p120_is_computed():
     )
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_muckenhoupt_near_p1_of_scaled_weight_is_computed(scale):
+    # at p = 1 + 2**-6 the dual power is -64: after max-scaling value**-64
+    # spans 1e384, so this takes the retry centred on the geometric middle
+    p = 1 + 2.0**-6
+    w = gen_random(TreeSpace(2, 6), 3)
+    scaled = DyadicWeight(w.space, w.values * scale)
+    dyadic = scaled.dyadic_muckenhoupt_constant(p).constant
+    prefix = prefix_muckenhoupt_constant(rearrangement(scaled), p).constant
+    assert dyadic == pytest.approx(335805.8038097311, rel=1e-12)
+    assert prefix == pytest.approx(42125.32351549546, rel=1e-12)
+    assert dyadic == pytest.approx(w.dyadic_muckenhoupt_constant(p).constant, rel=1e-12)
+
+
 @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, 1.0])
 def test_non_finite_exponent_refused(p):
     w = gen_random(TreeSpace(2, 3), 1)
