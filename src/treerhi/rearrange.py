@@ -7,6 +7,9 @@ reverse-Holder / Muckenhoupt constants over prefix intervals are computed
 as a sup over t of a power-mean ratio: every breakpoint is evaluated, and
 inside each step the single interior stationary point of the ratio is
 solved in closed form (the log-derivative equation there is linear in t).
+The power integrals are running sums over the steps, so at the breakpoints
+the means are read straight off them; only the interior stationary points,
+and the arbitrary grid of ratio_curve, are gathered back to their steps.
 """
 from __future__ import annotations
 
@@ -129,9 +132,11 @@ def _ratios_at(
     width = right - left
     with np.errstate(all="ignore"):
         va, vb = _power(v, a), _power(v, b)
-        # N and D, the integrals of h**a and h**b over (0, right[i - 1]]:
-        # n[i] up to the start of step i, n[i + 1] up to its end
-        n, d = _integrals(va, width), _integrals(vb, width)
+        # N and D, the integrals of h**a and h**b: n[i] up to the start of
+        # step i, n[i + 1] up to its end.  cumsum adds in order, so n[i + 1]
+        # is n[i] + va[i]*width[i] bit for bit.
+        n = np.concatenate(([0.0], np.cumsum(va * width)))
+        d = np.concatenate(([0.0], np.cumsum(vb * width)))
         n0, d0 = n[:-1], d[:-1]
         if ts is None:
             # Within a step N = alpha + va*t and D = gamma + vb*t.  The ratio
@@ -144,9 +149,8 @@ def _ratios_at(
             step = np.flatnonzero((t_in > left) & (t_in < right))
             t_in = t_in[step]
             ts = np.concatenate([right, t_in])
-            # At a breakpoint n0 + va*width is the running sum itself, so the
-            # means there are read off n and d; only the few interior points
-            # are gathered by step.
+            # At breakpoint i, n0 + va*width is n[i + 1] itself, so the means
+            # there are read off n and d; only interior points are gathered.
             mean_a = np.concatenate([n[1:] / right, _mean_in(n0, va, left, step, t_in)])
             mean_b = np.concatenate([d[1:] / right, _mean_in(d0, vb, left, step, t_in)])
         else:
@@ -163,16 +167,6 @@ def _ratios_at(
 def _power(x: np.ndarray, q: float) -> np.ndarray:
     """x**q, with q = 1 left out: it is exact and would only copy x."""
     return x if q == 1.0 else x ** q
-
-
-def _integrals(vq: np.ndarray, width: np.ndarray) -> np.ndarray:
-    """[0, cumsum(vq * width)]: add.accumulate sums in order, so entry i + 1
-    equals entry i + vq[i]*width[i] bit for bit."""
-    out = np.empty(vq.size + 1)
-    out[0] = 0.0
-    np.multiply(vq, width, out=out[1:])
-    np.cumsum(out[1:], out=out[1:])
-    return out
 
 
 def _mean_in(n0: np.ndarray, vq: np.ndarray, left: np.ndarray,
