@@ -160,3 +160,61 @@ def exact_log_constants(weight: DyadicWeight, a: int, b: int, y: Fraction):
         cum_a += va
         cum_b += vb
     return dyadic, prefix
+
+
+def trace_to_dict(trace) -> dict:
+    """A trace as plain JSON values; ``json.dumps(..., indent=2)`` of this
+    dict is the reference for ``DecompositionTrace.to_json``."""
+    def node(n: NodeId) -> list[int]:
+        return [n.level, n.index]
+
+    def fset(s) -> dict:
+        return {str(leaf): frac for leaf, frac in s.fractions.items()}
+
+    return {
+        "k": trace.k,
+        "depth": trace.depth,
+        "p": trace.p,
+        "t": trace.t,
+        "threshold": trace.threshold,
+        "degenerate": trace.degenerate,
+        "rhi_constant": trace.rhi_constant,
+        "rhi_witness": node(trace.rhi_witness),
+        "bound_factor": trace.bound_factor,
+        "bound_value": trace.bound_value,
+        "prefix_power_average": trace.prefix_power_average,
+        "gamma_power_average": trace.gamma_power_average,
+        "gamma_measure": trace.gamma_measure,
+        "father_union_measure": trace.father_union_measure,
+        "exceedance_leaves": list(trace.exceedance_leaves),
+        "stopping_nodes": [node(n) for n in trace.stopping_nodes],
+        "fathers": [node(n) for n in trace.fathers],
+        "records": [
+            {
+                "father": node(r.father),
+                "members": [node(n) for n in r.members],
+                "kernel": fset(r.kernel),
+                "filler": fset(r.filler),
+                "gamma": fset(r.gamma),
+                "delta": fset(r.delta),
+                "father_average": r.father_average,
+                "kernel_average": r.kernel_average,
+                "gamma_average": r.gamma_average,
+            }
+            for r in trace.records
+        ],
+        "lemma": None
+        if trace.lemma is None
+        else {
+            "hypotheses_hold": trace.lemma.hypotheses_hold,
+            "conclusion_holds": trace.lemma.conclusion_holds,
+            "lhs": trace.lemma.lhs,
+            "rhs": trace.lemma.rhs,
+            "average": trace.lemma.average,
+            "failures": list(trace.lemma.failures),
+        },
+        "assertions": [
+            {"name": a.name, "lhs": a.lhs, "rhs": a.rhs, "holds": a.holds}
+            for a in trace.assertions
+        ],
+    }
