@@ -242,10 +242,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     w = weight_mod.load_weight(args.weight)
     tr = trace_mod.trace_theorem1(w, args.p, args.t)
-    doc = tr.to_dict()
-    doc["config"] = _echo_config(args)
     if args.output:
-        Path(args.output).write_text(json.dumps(doc, indent=2) + "\n")
+        Path(args.output).write_text(tr.to_json(_echo_config(args)) + "\n")
     branch = "degenerate" if tr.degenerate else f"{len(tr.fathers)} fathers"
     status = "all hold" if tr.all_hold else "ASSERTION FAILURES"
     print(f"threshold A = {tr.threshold:.12g}, {branch}, "

@@ -18,9 +18,12 @@ one greedy pass over its father's block.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -140,6 +143,7 @@ class FatherRecord:
 
 @dataclass
 class DecompositionTrace:
+    # the field order is the key order of to_json
     k: int
     depth: int
     p: float
@@ -151,13 +155,13 @@ class DecompositionTrace:
     bound_factor: float
     bound_value: float
     prefix_power_average: float
+    gamma_power_average: float = math.nan
+    gamma_measure: float = 0.0
+    father_union_measure: float = 0.0
     exceedance_leaves: list[int] = field(default_factory=list)
     stopping_nodes: list[NodeId] = field(default_factory=list)
     fathers: list[NodeId] = field(default_factory=list)
     records: list[FatherRecord] = field(default_factory=list)
-    gamma_measure: float = 0.0
-    father_union_measure: float = 0.0
-    gamma_power_average: float = math.nan
     lemma: Lemma21Result | None = None
     assertions: list[Assertion] = field(default_factory=list)
 
@@ -165,63 +169,92 @@ class DecompositionTrace:
     def all_hold(self) -> bool:
         return all(a.holds for a in self.assertions)
 
-    def to_dict(self) -> dict:
-        def node(n: NodeId) -> list[int]:
-            return [n.level, n.index]
+    def to_json(self, config: dict | None = None) -> str:
+        """The text ``json.dumps(..., indent=2)`` writes for this trace as a
+        dict: its fields in declaration order, then ``config`` when given."""
+        text = _items([self], 0)[0]
+        if config is None:
+            return text
+        config_text = json.dumps(config, indent=2).replace("\n", _NL[1])
+        return f'{text[:-2]},{_NL[1]}"config": {config_text}\n}}'  # before the final "\n}"
 
-        def fset(s: FractionalSet) -> dict:
-            return {str(leaf): frac for leaf, frac in s.fractions.items()}
 
-        return {
-            "k": self.k,
-            "depth": self.depth,
-            "p": self.p,
-            "t": self.t,
-            "threshold": self.threshold,
-            "degenerate": self.degenerate,
-            "rhi_constant": self.rhi_constant,
-            "rhi_witness": node(self.rhi_witness),
-            "bound_factor": self.bound_factor,
-            "bound_value": self.bound_value,
-            "prefix_power_average": self.prefix_power_average,
-            "gamma_power_average": self.gamma_power_average,
-            "gamma_measure": self.gamma_measure,
-            "father_union_measure": self.father_union_measure,
-            "exceedance_leaves": list(self.exceedance_leaves),
-            "stopping_nodes": [node(n) for n in self.stopping_nodes],
-            "fathers": [node(n) for n in self.fathers],
-            "records": [
-                {
-                    "father": node(r.father),
-                    "members": [node(n) for n in r.members],
-                    "kernel": fset(r.kernel),
-                    "filler": fset(r.filler),
-                    "gamma": fset(r.gamma),
-                    "delta": fset(r.delta),
-                    "father_average": r.father_average,
-                    "kernel_average": r.kernel_average,
-                    "gamma_average": r.gamma_average,
-                }
-                for r in self.records
-            ],
-            "lemma": None
-            if self.lemma is None
-            else {
-                "hypotheses_hold": self.lemma.hypotheses_hold,
-                "conclusion_holds": self.lemma.conclusion_holds,
-                "lhs": self.lemma.lhs,
-                "rhs": self.lemma.rhs,
-                "average": self.lemma.average,
-                "failures": list(self.lemma.failures),
-            },
-            "assertions": [
-                {"name": a.name, "lhs": a.lhs, "rhs": a.rhs, "holds": a.holds}
-                for a in self.assertions
-            ],
-        }
+# ---------------------------------------------------------------------------
+# JSON text.  json.dumps with an indent runs the pure-Python encoder, which
+# costs more than the trace itself; here each list is written a column at a
+# time, so numbers and strings go through C-level maps.
+# ---------------------------------------------------------------------------
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+_NL = tuple("\n" + "  " * d for d in range(8))  # line break and indent at depth d
+_BOOL = {True: "true", False: "false"}
+
+
+@functools.cache
+def _template(kind: type, d: int) -> tuple[tuple[str, ...], str]:
+    """Field names of a dataclass and a %-template of its JSON at depth d:
+    [level, index] for a NodeId, an object of the fields otherwise."""
+    names = tuple(f.name for f in fields(kind))
+    if issubclass(kind, NodeId):
+        return names, "[" + ",".join(_NL[d + 1] + "%s" for _ in names) + _NL[d] + "]"
+    keys = [_NL[d + 1] + encode_basestring_ascii(n) + ": %s" for n in names]
+    return names, "{" + ",".join(keys) + _NL[d] + "}"
+
+
+def _container(open_: str, items: list[str], close: str, d: int) -> str:
+    if not items:
+        return open_ + close
+    return open_ + _NL[d + 1] + ("," + _NL[d + 1]).join(items) + _NL[d] + close
+
+
+def _float(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _fractions(s: FractionalSet, d: int) -> str:
+    # the constructor keeps fractions in [0, 1], so each is finite; most are 1
+    items = [f'"{s.first + i}": {"1.0" if f == 1.0 else float.__repr__(f)}'
+             for i, f in enumerate(s.window.tolist()) if f]
+    return _container("{", items, "}", d)
+
+
+def _items(values: list, d: int) -> list[str]:
+    """Each value as ``json.dumps(..., indent=2)`` writes it at nesting depth d.
+
+    A dataclass is an object of its fields in declaration order, a NodeId is
+    [level, index] and a FractionalSet maps each leaf in the set to its
+    fraction.  Numbers are spelled by float.__repr__ and int.__repr__, as json
+    spells them; repr() would spell a numpy float as np.float64(...).  Other
+    types, such as numpy integers and bools, raise TypeError as in json.
+    """
+    kinds = set(map(type, values))
+    if len(kinds) != 1:
+        return [_items([v], d)[0] for v in values]
+    kind = kinds.pop()
+    if kind is bool:
+        return list(map(_BOOL.__getitem__, values))
+    if kind is type(None):
+        return ["null"] * len(values)
+    if issubclass(kind, int):
+        return list(map(int.__repr__, values))
+    if issubclass(kind, float):
+        if math.isfinite(sum(values)):  # else some value is NaN or infinite
+            return list(map(float.__repr__, values))
+        return list(map(_float, values))
+    if issubclass(kind, str):
+        return list(map(encode_basestring_ascii, values))
+    if issubclass(kind, (list, tuple)):  # all lists at once, then split
+        flat = _items([x for v in values for x in v], d + 1)
+        ends = list(itertools.accumulate(map(len, values)))
+        return [_container("[", flat[end - len(v):end], "]", d) for v, end in zip(values, ends)]
+    if issubclass(kind, FractionalSet):
+        return [_fractions(s, d) for s in values]
+    if is_dataclass(kind):
+        names, template = _template(kind, d)
+        columns = [_items([getattr(v, n) for v in values], d + 1) for n in names]
+        return list(map(template.__mod__, zip(*columns)))
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------

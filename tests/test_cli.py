@@ -5,8 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from treerhi import DyadicWeight, TreeSpace, cli, gen_random, save_weight
+from treerhi import (
+    DyadicWeight, TreeSpace, cli, gen_random, load_weight, save_weight, trace_theorem1,
+)
 from treerhi.cli import main
+from helpers import trace_to_dict
 
 
 def run(*argv):
@@ -106,6 +109,24 @@ def test_trace_cmd(tmp_path, capsys):
     assert doc["threshold"] == 5.0
     assert doc["records"][0]["gamma"] == {"0": 1.0, "1": 1.0}
     assert all(a["holds"] for a in doc["assertions"])
+
+
+@pytest.mark.parametrize("weight", ["readme", "random"])
+def test_trace_output_is_reference_json(tmp_path, weight):
+    """The -o file is json.dumps(..., indent=2) of the trace's dict encoding
+    with the config echo last."""
+    if weight == "readme":
+        w = DyadicWeight.from_leaves(2, 2, [8, 2, 1, 1])
+    else:
+        w = gen_random(TreeSpace(2, 8), 5)
+    wfile, out = tmp_path / "w.json", tmp_path / "trace.json"
+    save_weight(w, wfile)
+    assert run("trace", str(wfile), "--p", "2", "--t", "0.5", "-o", str(out)) == 0
+    text = out.read_text()
+    doc = trace_to_dict(trace_theorem1(load_weight(wfile), 2.0, 0.5))
+    doc["config"] = json.loads(text)["config"]
+    assert doc["config"]["weight"] == str(wfile)
+    assert text == json.dumps(doc, indent=2) + "\n"
 
 
 def test_trace_degenerate(tmp_path):
