@@ -38,12 +38,13 @@ class StepFunction:
         vals = np.array(self.values, dtype=np.float64)
         if bp.ndim != 1 or bp.shape != vals.shape or bp.size == 0:
             raise ValueError("breakpoints and values must be equal-length 1-d arrays")
-        if bp[0] <= 0 or np.any(np.diff(bp) <= 0):
+        # negated comparisons, so that NaN fails each check
+        if not (bp[0] > 0 and (bp[1:] > bp[:-1]).all()):
             raise ValueError("breakpoints must be strictly increasing and positive")
-        if abs(bp[-1] - 1.0) > T_SLACK:
+        if not abs(bp[-1] - 1.0) <= T_SLACK:
             raise ValueError(f"last breakpoint must be 1, got {bp[-1]}")
-        if np.any(vals < 0) or np.any(np.diff(vals) > 0):
-            raise ValueError("values must be non-negative and non-increasing")
+        if not (np.isfinite(vals[0]) and vals[-1] >= 0 and (vals[1:] <= vals[:-1]).all()):
+            raise ValueError("values must be finite, non-negative and non-increasing")
         bp.setflags(write=False)
         vals.setflags(write=False)
         object.__setattr__(self, "breakpoints", bp)

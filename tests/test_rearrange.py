@@ -39,6 +39,20 @@ def test_step_function_validation():
         StepFunction(breakpoints=[0.5, 1.0], values=[3, -1])
 
 
+@pytest.mark.parametrize("breakpoints, values, message", [
+    ([np.nan, 1.0], [2.0, 1.0], "breakpoints"),
+    ([0.5, np.nan], [2.0, 1.0], "breakpoints"),
+    ([0.5, np.inf], [2.0, 1.0], "last breakpoint"),
+    ([0.5, 1.0], [np.nan, 1.0], "values"),
+    ([0.5, 1.0], [1.0, np.nan], "values"),
+    ([0.5, 1.0], [np.inf, 1.0], "values"),
+    ([0.5, 1.0], [1.0, -np.inf], "values"),
+])
+def test_step_function_refuses_non_finite(breakpoints, values, message):
+    with pytest.raises(ValueError, match=message):
+        StepFunction(breakpoints=breakpoints, values=values)
+
+
 def test_rearrangement_sort_and_merge():
     h = rearrangement(DyadicWeight.from_leaves(2, 2, [1, 3, 2, 2]))
     assert list(h.breakpoints) == [0.25, 0.75, 1.0]
