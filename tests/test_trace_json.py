@@ -65,10 +65,6 @@ def _trace(**fields) -> DecompositionTrace:
 
 
 HAND_BUILT = {
-    "plain": _trace(),
-    "degenerate": _trace(degenerate=True, exceedance_leaves=[], stopping_nodes=[],
-                         fathers=[], records=[], lemma=None,
-                         gamma_power_average=math.nan, assertions=[]),
     "non_finite_assertions": _trace(assertions=[
         Assertion("nan_lhs", math.nan, math.inf, False),
         Assertion("neg_inf_lhs", -math.inf, -0.0, True),
