@@ -12,9 +12,13 @@ Sets are fraction arrays over contiguous leaf windows: a father's block for
 the per-father sets, the whole tree for the top set and the union of the
 Gamma sets.  Maximal fathers are disjoint, so a trace stores O(n) fractions
 for n leaves and costs O(n log n): the stopping family is picked level by
-level, a father is kept while its first leaf is unclaimed, each stopping node
-joins the father labelled at its first leaf, and each filler is one sort and
-one greedy pass over its father's block.
+level, the fathers are walked as (level, index) pairs root first and kept
+while their first leaf is unclaimed, and each stopping node joins the father
+labelled at its first leaf.  The per-father stage runs once per level of
+fathers: maximal fathers at one level have equal blocks, so their kernels,
+fillers, Gamma and delta sets are F x span arrays, filled by a fixed number
+of numpy calls per level (one stable sort per row; the greedy filler's
+running sums are seeded cumsums, which add in the filler's own order).
 """
 from __future__ import annotations
 
@@ -49,13 +53,18 @@ class FractionalSet:
         window = np.array(fractions, dtype=np.float64)
         if window.ndim != 1 or not 0 <= first <= space.n_leaves - window.size:
             raise ValueError(f"window of {window.size} leaves at leaf {first} out of range")
-        if not (np.minimum.reduce(window, initial=0.0) >= 0.0
-                and np.maximum.reduce(window, initial=0.0) <= 1.0 + EQ_REL_TOL):
-            raise ValueError("fractions must lie in [0, 1]")
+        _check_fractions(window)
         window.setflags(write=False)
         self.space = space
         self.first = first
         self.window = window
+
+    @classmethod
+    def _checked(cls, space: TreeSpace, first: int, window: np.ndarray) -> "FractionalSet":
+        """A set over a read-only window whose range the caller has checked."""
+        s = cls.__new__(cls)
+        s.space, s.first, s.window = space, first, window
+        return s
 
     @classmethod
     def from_node(cls, space: TreeSpace, node: NodeId) -> "FractionalSet":
@@ -70,11 +79,6 @@ class FractionalSet:
             block = fractions[part.first:part.first + part.window.size]
             np.minimum(block + part.window, 1.0, out=block)
         return cls(space, 0, fractions)
-
-    @property
-    def fractions(self) -> dict[int, float]:
-        """Leaf -> fraction for the leaves in the set, in leaf order."""
-        return {self.first + i: f for i, f in enumerate(self.window.tolist()) if f}
 
     @property
     def measure(self) -> float:
@@ -101,13 +105,21 @@ class FractionalSet:
         if count is None:
             count = self.space.n_leaves - first
         out = np.zeros(count)
+        end = self.first + self.window.size
         lo = max(first, self.first)
-        hi = min(first + count, self.first + self.window.size)
+        hi = min(first + count, end)
         if lo < hi:
             out[lo - first:hi - first] = self.window[lo - self.first:hi - self.first]
-        if np.count_nonzero(out) < np.count_nonzero(self.window):
+        # a window that sticks out must have nothing in the part cut off
+        if (lo, hi) != (self.first, end) and np.count_nonzero(out) < np.count_nonzero(self.window):
             raise ValueError(f"set reaches outside leaves [{first}, {first + count})")
         return out
+
+
+def _check_fractions(window: np.ndarray) -> None:
+    if not (np.minimum.reduce(window, axis=None, initial=0.0) >= 0.0
+            and np.maximum.reduce(window, axis=None, initial=0.0) <= 1.0 + EQ_REL_TOL):
+        raise ValueError("fractions must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -278,8 +290,8 @@ def stopping_decomposition(weight: DyadicWeight, threshold: float) -> list[NodeI
     selected: list[NodeId] = []
     for level, avg in enumerate(avgs):
         if level:
-            blocked = np.repeat(blocked, weight.space.k)
-        picked = (avg > threshold) & ~blocked
+            blocked = blocked.repeat(weight.space.k)
+        picked = (avg > threshold) > blocked  # above the threshold and not blocked
         selected += [NodeId(level, i) for i in picked.nonzero()[0].tolist()]
         blocked |= picked
     return selected
@@ -288,21 +300,93 @@ def stopping_decomposition(weight: DyadicWeight, threshold: float) -> list[NodeI
 def select_fathers(space: TreeSpace, stopping_nodes: list[NodeId]) -> list[NodeId]:
     """Fathers of the stopping family, deduplicated and reduced to maximal ones.
 
-    Walks the fathers root first and keeps one when no kept father has
-    claimed its first leaf yet.
+    Walks the fathers as (level, index) pairs, root first, and keeps one
+    when no kept father has claimed its first leaf yet.
     """
     if not stopping_nodes:
         raise ValueError("stopping family is empty")
     if any(n.level == 0 for n in stopping_nodes):
         raise ValueError("stopping family contains the root, which has no father")
-    claimed = np.zeros(space.n_leaves, dtype=bool)
+    k, depth = space.k, space.depth
+    claimed = bytearray(space.n_leaves)  # 1 on the blocks of the kept fathers
     kept: list[NodeId] = []
-    for father in sorted({space.father(n) for n in stopping_nodes}):
-        first, count = space.leaf_range(father)
-        if not claimed[first]:
-            claimed[first:first + count] = True
-            kept.append(father)
+    for level, index in sorted({(n.level - 1, n.index // k) for n in stopping_nodes}):
+        # a father inside the tree above the leaves means its child is a valid node
+        if not (0 <= level < depth and 0 <= index < k ** level):
+            raise ValueError(f"a stopping node at level {level + 1} lies outside the tree")
+        span = k ** (depth - level)
+        if not claimed[index * span]:
+            claimed[index * span:(index + 1) * span] = b"\1" * span
+            kept.append(NodeId(level, index))
     return kept
+
+
+def _check_fill(kernel_average: float, father_average: float, threshold: float) -> None:
+    if kernel_average < threshold * (1.0 - EQ_REL_TOL):
+        raise ValueError("kernel average must be at least the threshold")
+    if father_average > threshold * (1.0 + EQ_REL_TOL):
+        raise ValueError("father average must not exceed the threshold")
+
+
+def _fill(values: np.ndarray, sets: np.ndarray, seed, threshold: float, h: float,
+          active: list[bool]) -> None:
+    """Greedy fillers of F equal father blocks at once.
+
+    ``sets`` is a 4 x F x S array whose ``sets[0]`` holds F kernels' leaf
+    fractions over blocks with leaf values ``values``; ``seed`` holds their
+    measures and integrals.  In the rows where ``active``, the free share of
+    the leaves joins in ascending value order (ties by leaf): each leaf whole
+    while the running average stays above the threshold or the leaf is not
+    below it, then the next one fractionally, by the one-variable linear
+    equation that lands the average on the threshold.  The running mass and
+    integral are cumsums seeded with the kernel's; cumsum adds in order, so
+    they equal a sequential ``total + m * value`` bit for bit.  Writes the
+    filler, gamma (kernel plus filler) and delta (the rest of the block) to
+    ``sets[1:]``.
+    """
+    kernel = sets[0]
+    f, s = kernel.shape
+    rem = 1.0 - kernel
+    if not all(active):
+        rem[~np.array(active)] = 0.0
+    free = rem > 0
+    # NaN for the leaves that are not free: they sort last, and every sum and
+    # comparison they enter stays NaN or false
+    key = np.where(free, values, np.nan)
+    flat = key.argsort(axis=1, kind="stable")
+    if f > 1:
+        flat += np.arange(0, f * s, s)[:, None]  # sorted position -> flat leaf index
+    v = key.take(flat)
+    r = rem.take(flat)
+    m = r * h
+    run = np.empty((2, f, s + 1))
+    run[:, :, 0] = seed
+    run[0, :, 1:] = m
+    np.multiply(m, v, out=run[1, :, 1:])
+    mass, total = np.add.accumulate(run, axis=2, out=run)
+    # a leaf joins whole while the average with it stays above the threshold,
+    # or when it is not below the threshold; the first free leaf that fails
+    # joins by the share x with total + x*value = threshold * (mass + x)
+    below = threshold - v
+    joined = np.empty((f, s + 1), dtype=bool)  # column j + 1: leaves up to j join whole
+    joined[:, 0] = True
+    np.greater(total[:, 1:] / mass[:, 1:], threshold, out=joined[:, 1:])
+    joined[:, 1:] |= below <= 0
+    np.logical_and.accumulate(joined, axis=1, out=joined)
+    whole = joined[:, 1:]
+    x = np.divide(total[:, :-1] - threshold * mass[:, :-1], below,
+                  out=np.zeros((f, s)), where=joined[:, :-1] > whole)
+    # fmin and fmax drop the NaN of a leaf that is not free, whose m is at most 0
+    np.fmax(np.fmin(x, m, out=x), 0.0, out=x)
+    x /= h
+    np.copyto(x, r, where=whole)
+    gamma = sets[2]
+    gamma.put(flat, x)
+    gamma += kernel
+    np.subtract(gamma, kernel, out=sets[1])
+    np.subtract(1.0, gamma, out=sets[3])
+    rest = sets[1::2]  # filler and delta: shares at most EQ_REL_TOL are dropped
+    rest[rest <= EQ_REL_TOL] = 0.0
 
 
 def build_gamma(
@@ -314,44 +398,21 @@ def build_gamma(
     """Extend the kernel inside the father until its average equals the threshold.
 
     The filler is chosen greedily from the complement leaves in ascending value
-    order, the last one fractionally by solving the one-variable linear
-    equation; requires avg(kernel) > threshold >= avg(father).  Returns
-    (gamma, delta) with delta the remainder of the father, both over the
-    father's block.
+    order, the last one fractionally (see _fill); requires avg(kernel) >
+    threshold >= avg(father).  Returns (gamma, delta) with delta the remainder
+    of the father, both over the father's block.
     """
     space = weight.space
-    h = space.leaf_measure
     mass, total = kernel.measure, kernel.integral(weight)
     kernel_avg = total / mass
-    father_avg = weight.node_average(father)
-    if kernel_avg < threshold * (1.0 - EQ_REL_TOL):
-        raise ValueError("kernel average must be at least the threshold")
-    if father_avg > threshold * (1.0 + EQ_REL_TOL):
-        raise ValueError("father average must not exceed the threshold")
+    _check_fill(kernel_avg, weight.node_average(father), threshold)
     first, count = space.leaf_range(father)
-    gamma = kernel.fraction_array(first, count)
-
-    if not math.isclose(kernel_avg, threshold, rel_tol=EQ_REL_TOL):
-        block = weight.values[first:first + count]
-        rem = 1.0 - gamma
-        free = (rem > 0).nonzero()[0]
-        free = free[block[free].argsort(kind="stable")]
-        for leaf, value, r in zip(free.tolist(), block[free].tolist(), rem[free].tolist()):
-            m = r * h
-            if (total + m * value) / (mass + m) > threshold or threshold - value <= 0:
-                gamma[leaf] += r
-                mass += m
-                total += m * value
-                continue
-            x = (total - threshold * mass) / (threshold - value)
-            x = min(max(x, 0.0), m)
-            if x > 0:
-                gamma[leaf] += x / h
-            break
-
-    rem = 1.0 - gamma
-    delta = np.where(rem > EQ_REL_TOL, rem, 0.0)
-    return FractionalSet(space, first, gamma), FractionalSet(space, first, delta)
+    sets = np.zeros((4, 1, count))
+    sets[0, 0] = kernel.fraction_array(first, count)
+    active = [not math.isclose(kernel_avg, threshold, rel_tol=EQ_REL_TOL)]
+    _fill(weight.values[None, first:first + count], sets, [[mass], [total]], threshold,
+          space.leaf_measure, active)
+    return FractionalSet(space, first, sets[2, 0]), FractionalSet(space, first, sets[3, 0])
 
 
 def build_top_set(weight: DyadicWeight, t: float) -> FractionalSet:
@@ -371,7 +432,8 @@ def build_top_set(weight: DyadicWeight, t: float) -> FractionalSet:
     rest = quotient - full
     if rest > EQ_REL_TOL and full < space.n_leaves:
         fractions[order[full]] = rest
-    return FractionalSet(space, 0, fractions)
+    fractions.setflags(write=False)
+    return FractionalSet._checked(space, 0, fractions)  # shares 1 and rest < 1
 
 
 def lemma21_check(
@@ -393,8 +455,9 @@ def lemma21_check(
     fh = e_hat.fraction_array()
     if not (fe.any() and fh.any()):
         raise ValueError("both sets must be nonempty")
-    avg_e = e.average(weight)
-    avg_hat = e_hat.average(weight)
+    measure_e, measure_hat = e.measure, e_hat.measure  # average = integral / measure
+    avg_e = e.integral(weight) / measure_e
+    avg_hat = e_hat.integral(weight) / measure_hat
     common = avg_e
     failures: list[str] = []
     if not math.isclose(avg_e, avg_hat, rel_tol=ASSERT_REL_TOL, abs_tol=1e-12):
@@ -409,8 +472,8 @@ def lemma21_check(
         if values[only_hat].max() > values[fe > 0].min() * (1.0 + ASSERT_REL_TOL):
             failures.append("value in e_hat minus e above a value in e")
 
-    lhs = e.average(weight, p)
-    rhs = e_hat.average(weight, p)
+    lhs = e.integral(weight, p) / measure_e
+    rhs = e_hat.integral(weight, p) / measure_hat
     conclusion = lhs <= rhs * (1.0 + EQ_REL_TOL) + 1e-300
     return Lemma21Result(
         hypotheses_hold=not failures,
@@ -485,56 +548,104 @@ def trace_theorem1(weight: DyadicWeight, p: float, t: float) -> DecompositionTra
     trace.stopping_nodes = stopping
     fathers = select_fathers(space, stopping)
     trace.fathers = fathers
-    label = np.empty(space.n_leaves, dtype=np.intp)
-    for s, father in enumerate(fathers):
-        first, count = space.leaf_range(father)
-        label[first:first + count] = s
-    # each stopping node joins the maximal father labelled at its first leaf
-    members: list[list[NodeId]] = [[] for _ in fathers]
-    covered = np.zeros(space.n_leaves)
-    for node in stopping:
-        first, count = space.leaf_range(node)
-        covered[first:first + count] = 1.0
-        members[label[first]].append(node)
+    n, depth = space.n_leaves, space.depth
+    spans = [k ** (depth - level) for level in range(depth + 1)]
+    firsts = [node.index * spans[node.level] for node in stopping]
+    covered = np.zeros(n)
+    for node, first in zip(stopping, firsts):
+        covered[first:first + spans[node.level]] = 1.0
     mismatch = int(np.count_nonzero((covered > 0) != exceeds))
     push(Assertion("stopping_family_covers_exceedance", float(mismatch), 0.0, not mismatch))
 
+    # Maximal fathers at one level have equal blocks of `span` leaves, so each
+    # level is one F x span array.  Every leaf of a father's block is labelled
+    # with the father, and each stopping node joins the father labelled at
+    # its first leaf.
+    label = np.empty(n, dtype=np.intp)
+    levels: dict[int, list[int]] = {}
+    in_blocks = 0
     for s, father in enumerate(fathers):
-        first, count = space.leaf_range(father)
-        # the stopping nodes inside a maximal father's block are its members
-        kernel = FractionalSet(space, first, covered[first:first + count])
-        father_avg = weight.node_average(father)
-        father_measure = space.node_measure(father)
-        kernel_measure = kernel.measure
-        kernel_avg = kernel.integral(weight) / kernel_measure
-        push(_at_most(f"father_average_le_threshold[{s}]", father_avg, threshold))
-        push(Assertion(f"kernel_average_gt_threshold[{s}]", kernel_avg, threshold,
-                       kernel_avg > threshold * (1.0 - ASSERT_REL_TOL)))
-        lower_ok = kernel_measure >= father_measure / k * (1.0 - ASSERT_REL_TOL)
-        upper_ok = kernel_measure < father_measure * (1.0 + ASSERT_REL_TOL)
-        push(Assertion(f"kernel_measure_bounds[{s}]", kernel_measure, father_measure,
-                       lower_ok and upper_ok))
-        gamma_s, delta_s = build_gamma(weight, father, kernel, threshold)
-        gamma_avg = gamma_s.average(weight)
-        push(_pinned(f"gamma_average_matches_threshold[{s}]", gamma_avg, threshold))
-        added = gamma_s.window - kernel.window
-        filler = FractionalSet(space, first, np.where(added > EQ_REL_TOL, added, 0.0))
+        span = spans[father.level]
+        label[father.index * span:(father.index + 1) * span] = s
+        levels.setdefault(father.level, []).append(father.index)
+        in_blocks += span
+    members: list[list[NodeId]] = [[] for _ in fathers]
+    for node, s in zip(stopping, label.take(firsts).tolist()):
+        members[s].append(node)
+
+    h = space.leaf_measure
+    sums = weight.level_sums(1.0)
+    # the fsum of each father's kernel integral runs over its block of these
+    kernel_terms = (covered * weight.values).tolist()
+    # kernel, filler, gamma and delta of every father over its block: a
+    # 4 x F x span slice of one buffer per level, range-checked once
+    buf = np.empty((4, in_blocks))
+    union = np.zeros(n)
+    per_father = []  # (first, span, father measure and average, kernel average and measure, sets)
+    s = start = 0
+    for level, indices in levels.items():
+        span, count = spans[level], len(indices)
+        index = np.array(indices)
+        sets = buf[:, start:start + count * span].reshape(4, count, span)
+        covered.reshape(-1, span).take(index, axis=0, out=sets[0])
+        firsts = [i * span for i in indices]
+        # the stopping nodes in a maximal father's block are its members, so
+        # the kernel is their 0/1 cover and its fsum is their leaf count
+        kernel_measure = [sum(spans[node.level] for node in members[i]) * h
+                          for i in range(s, s + count)]
+        kernel_integral = [math.fsum(kernel_terms[first:first + span]) * h for first in firsts]
+        kernel_avg = [a / m for a, m in zip(kernel_integral, kernel_measure)]
+        father_measure = space.node_measure(fathers[s])
+        # level_averages(1.0)[level] at the fathers
+        father_avg = [a / father_measure for a in sums[level].take(index).tolist()]
+        for ka, fa in zip(kernel_avg, father_avg):
+            _check_fill(ka, fa, threshold)
+        _fill(weight.values.reshape(-1, span).take(index, axis=0), sets,
+              [kernel_measure, kernel_integral], threshold, h,
+              [not math.isclose(ka, threshold, rel_tol=EQ_REL_TOL) for ka in kernel_avg])
+        # the blocks are disjoint and gamma is at most 1 (a kernel leaf is 1, a
+        # free one gets at most its share 1), so the union's fractions are gamma's
+        union.reshape(-1, span)[index] = sets[2]
+        per_father += zip(firsts, [span] * count, [father_measure] * count, father_avg,
+                          kernel_avg, kernel_measure, zip(*sets))
+        s += count
+        start += count * span
+    _check_fractions(buf)
+    buf.setflags(write=False)
+    union.setflags(write=False)
+    # the fsums of gamma's measure and integral, per father and over the union
+    gamma_fractions = union.tolist()
+    gamma_terms = (union * weight.values).tolist()
+
+    checked = FractionalSet._checked
+    for s, (first, span, fm, fa, ka, km, windows) in enumerate(per_father):
+        kernel, filler, gamma_s, delta = windows
+        ga = (math.fsum(gamma_terms[first:first + span]) * h
+              / (math.fsum(gamma_fractions[first:first + span]) * h))
+        push(_at_most(f"father_average_le_threshold[{s}]", fa, threshold))
+        push(Assertion(f"kernel_average_gt_threshold[{s}]", ka, threshold,
+                       ka > threshold * (1.0 - ASSERT_REL_TOL)))
+        lower_ok = km >= fm / k * (1.0 - ASSERT_REL_TOL)
+        upper_ok = km < fm * (1.0 + ASSERT_REL_TOL)
+        push(Assertion(f"kernel_measure_bounds[{s}]", km, fm, lower_ok and upper_ok))
+        push(_pinned(f"gamma_average_matches_threshold[{s}]", ga, threshold))
         trace.records.append(FatherRecord(
-            father=father,
+            father=fathers[s],
             members=tuple(members[s]),
-            kernel=kernel,
-            filler=filler,
-            gamma=gamma_s,
-            delta=delta_s,
-            father_average=father_avg,
-            kernel_average=kernel_avg,
-            gamma_average=gamma_avg,
+            kernel=checked(space, first, kernel),
+            filler=checked(space, first, filler),
+            gamma=checked(space, first, gamma_s),
+            delta=checked(space, first, delta),
+            father_average=fa,
+            kernel_average=ka,
+            gamma_average=ga,
         ))
 
-    gamma = FractionalSet.union(space, [r.gamma for r in trace.records])
-    trace.gamma_measure = gamma.measure
-    trace.father_union_measure = math.fsum(space.node_measure(f) for f in fathers)
-    push(_pinned("gamma_average_matches_threshold", gamma.average(weight), threshold))
+    gamma = checked(space, 0, union)
+    trace.gamma_measure = math.fsum(gamma_fractions) * h  # gamma.measure
+    trace.father_union_measure = math.fsum(fm for _, _, fm, *_ in per_father)
+    push(_pinned("gamma_average_matches_threshold",
+                 math.fsum(gamma_terms) * h / trace.gamma_measure, threshold))
     push(_at_most("gamma_measure_le_t", trace.gamma_measure, t))
 
     lemma = lemma21_check(weight, build_top_set(weight, t), gamma, p)

@@ -10,7 +10,6 @@ ones are refused on construction, before any leaf array exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 MAX_LEAVES = 2**24
 
@@ -97,9 +96,3 @@ class TreeSpace:
         if inner.level < outer.level:
             return False
         return inner.index // self.k ** (inner.level - outer.level) == outer.index
-
-    def iter_nodes(self) -> Iterator[NodeId]:
-        """All nodes in (level, index) order."""
-        for level in range(self.depth + 1):
-            for index in range(self.k ** level):
-                yield NodeId(level, index)

@@ -135,12 +135,9 @@ class DyadicWeight:
     def total_integral(self) -> float:
         return float(self.level_sums(1.0)[0][0])
 
-    def node_integral(self, node: NodeId, q: float = 1.0) -> float:
-        self.space.validate(node)
-        return float(self.level_sums(q)[node.level][node.index])
-
     def node_average(self, node: NodeId, q: float = 1.0) -> float:
-        return self.node_integral(node, q) / self.space.node_measure(node)
+        measure = self.space.node_measure(node)  # validates the node
+        return float(self.level_sums(q)[node.level][node.index]) / measure
 
     def _node_sup(self, p: float, dual: bool) -> RhiReport:
         """sup over all nodes of avg(value**a) * avg(value**b)**(-a/b), the
@@ -206,7 +203,7 @@ class DyadicWeight:
         avgs = self.level_averages(1.0)
         running = avgs[0].copy()
         for level in range(1, self.space.depth + 1):
-            running = np.maximum(np.repeat(running, self.space.k), avgs[level])
+            running = np.maximum(running.repeat(self.space.k), avgs[level])
         return running
 
     def weak_type_check(self, threshold: float) -> WeakTypeResult:

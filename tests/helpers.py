@@ -14,7 +14,14 @@ from fractions import Fraction
 import numpy as np
 
 from treerhi import DyadicWeight, NodeId, StepFunction, TreeSpace
-from treerhi.rearrange import prefix_average
+from treerhi.trace import EQ_REL_TOL
+
+
+def iter_nodes(space: TreeSpace):
+    """All nodes of the tree in (level, index) order."""
+    for level in range(space.depth + 1):
+        for index in range(space.k ** level):
+            yield NodeId(level, index)
 
 
 def node_sum_oracle(leaf_integrals: np.ndarray, space: TreeSpace, node: NodeId):
@@ -34,7 +41,7 @@ def rhi_oracle(weight: DyadicWeight, p: float) -> tuple[float, NodeId]:
     leaf1 = weight.values * space.leaf_measure
     leafp = (weight.values ** p) * space.leaf_measure
     best, witness = -np.inf, None
-    for node in space.iter_nodes():
+    for node in iter_nodes(space):
         measure = space.node_measure(node)
         a1 = node_sum_oracle(leaf1, space, node) / measure
         if a1 <= 0:
@@ -52,7 +59,7 @@ def muckenhoupt_oracle(weight: DyadicWeight, p: float) -> tuple[float, NodeId]:
     leaf1 = weight.values * space.leaf_measure
     leafm = (weight.values ** m) * space.leaf_measure
     best, witness = -np.inf, None
-    for node in space.iter_nodes():
+    for node in iter_nodes(space):
         measure = space.node_measure(node)
         a1 = node_sum_oracle(leaf1, space, node) / measure
         am = node_sum_oracle(leafm, space, node) / measure
@@ -86,24 +93,37 @@ def step_leaf_values(h: StepFunction, n_leaves: int) -> np.ndarray:
     return np.repeat(h.values, np.diff(counts, prepend=0))
 
 
+def _dense_grid(h: StepFunction, n: int) -> np.ndarray:
+    return np.unique(np.concatenate([np.linspace(1.0 / n, 1.0, n), h.breakpoints]))
+
+
+def _prefix_averages(h: StepFunction, ts: np.ndarray, q: float) -> np.ndarray:
+    """prefix_average(h, t, q) at every t of ts, by its own step integrals
+    clip(min(bp, t) - left) * v**q, a chunk of grid points at a time."""
+    bp = h.breakpoints
+    left = np.concatenate(([0.0], bp[:-1]))
+    powered = h.values ** q
+    out = np.empty(ts.size)
+    rows = max(1, 2**20 // bp.size)
+    for start in range(0, ts.size, rows):
+        t = ts[start:start + rows]
+        seg = np.clip(np.minimum(bp, t[:, None]) - left, 0.0, None)
+        out[start:start + rows] = seg @ powered / t
+    out[ts <= bp[0]] = powered[0]  # constant on (0, t], as prefix_average returns it
+    return out
+
+
 def dense_grid_prefix_sup(h: StepFunction, q: float, n: int = 100_000) -> float:
     """Dense-grid sup of the prefix reverse-Holder ratio."""
-    grid = np.unique(np.concatenate([np.linspace(1.0 / n, 1.0, n), h.breakpoints]))
-    best = -np.inf
-    for t in grid:
-        ratio = prefix_average(h, t, q) / prefix_average(h, t, 1.0) ** q
-        best = max(best, ratio)
-    return best
+    grid = _dense_grid(h, n)
+    return float(np.max(_prefix_averages(h, grid, q) / _prefix_averages(h, grid, 1.0) ** q))
 
 
 def dense_grid_muckenhoupt_sup(h: StepFunction, p: float, n: int = 100_000) -> float:
     m = -1.0 / (p - 1.0)
-    grid = np.unique(np.concatenate([np.linspace(1.0 / n, 1.0, n), h.breakpoints]))
-    best = -np.inf
-    for t in grid:
-        ratio = prefix_average(h, t, 1.0) * prefix_average(h, t, m) ** (p - 1.0)
-        best = max(best, ratio)
-    return best
+    grid = _dense_grid(h, n)
+    return float(np.max(_prefix_averages(h, grid, 1.0)
+                        * _prefix_averages(h, grid, m) ** (p - 1.0)))
 
 
 def _integer_powers(values, q: int) -> tuple[list[int], int]:
@@ -162,6 +182,45 @@ def exact_log_constants(weight: DyadicWeight, a: int, b: int, y: Fraction):
     return dyadic, prefix
 
 
+def fractions(s) -> dict[int, float]:
+    """Leaf -> fraction for the leaves in a FractionalSet, in leaf order."""
+    return {s.first + i: f for i, f in enumerate(s.window.tolist()) if f}
+
+
+def greedy_fill(values, kernel, mass: float, total: float, threshold: float, h: float,
+                active: bool):
+    """One father's filler by the scalar greedy loop, as (gamma, filler, delta).
+
+    The free share of each leaf joins in ascending value order (stable, so
+    ties go by leaf): whole while the running average stays above the
+    threshold or the leaf is not below it, then the next leaf fractionally so
+    that the average equals the threshold.  The reference for the tracer's
+    per-level filler.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    gamma = np.array(kernel, dtype=np.float64)
+    if active:
+        rem = 1.0 - gamma
+        free = (rem > 0).nonzero()[0]
+        free = free[values[free].argsort(kind="stable")]
+        for leaf, value, r in zip(free.tolist(), values[free].tolist(), rem[free].tolist()):
+            m = r * h
+            if (total + m * value) / (mass + m) > threshold or threshold - value <= 0:
+                gamma[leaf] += r
+                mass += m
+                total += m * value
+                continue
+            x = (total - threshold * mass) / (threshold - value)
+            x = min(max(x, 0.0), m)
+            if x > 0:
+                gamma[leaf] += x / h
+            break
+    added = gamma - np.asarray(kernel, dtype=np.float64)
+    rest = 1.0 - gamma
+    return (gamma, np.where(added > EQ_REL_TOL, added, 0.0),
+            np.where(rest > EQ_REL_TOL, rest, 0.0))
+
+
 def trace_to_dict(trace) -> dict:
     """A trace as plain JSON values; ``json.dumps(..., indent=2)`` of this
     dict is the reference for ``DecompositionTrace.to_json``."""
@@ -169,7 +228,7 @@ def trace_to_dict(trace) -> dict:
         return [n.level, n.index]
 
     def fset(s) -> dict:
-        return {str(leaf): frac for leaf, frac in s.fractions.items()}
+        return {str(leaf): frac for leaf, frac in fractions(s).items()}
 
     return {
         "k": trace.k,

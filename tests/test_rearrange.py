@@ -202,6 +202,17 @@ def test_prefix_muckenhoupt_two_step():
     assert report.constant >= 4 / 3 - 1e-12  # value at the t=1 breakpoint
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_prefix_muckenhoupt_interior_witness_vs_dense_grid(p):
+    # the sup lies inside the step (0.25, 1], at a stationary point of the ratio
+    h = StepFunction(breakpoints=[0.25, 1.0], values=[4.0, 1.0])
+    report = prefix_muckenhoupt_constant(h, p)
+    assert 0.25 + 1e-3 < report.witness_t < 1.0 - 1e-3
+    oracle = dense_grid_muckenhoupt_sup(h, p)
+    assert report.constant >= oracle - 1e-12 * oracle
+    assert report.constant == pytest.approx(oracle, rel=1e-9)
+
+
 def test_prefix_muckenhoupt_constant_function():
     flat = StepFunction(breakpoints=[1.0], values=[5.0])
     assert prefix_muckenhoupt_constant(flat, 2.0).constant == pytest.approx(1.0, rel=1e-12)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treerhi import (
     DyadicWeight,
@@ -20,6 +22,8 @@ from treerhi import (
     stopping_decomposition,
     trace_theorem1,
 )
+from treerhi.trace import _fill
+from helpers import fractions, greedy_fill
 
 
 def w8211():
@@ -46,13 +50,13 @@ def test_fractional_set_validation():
         FractionalSet(space, 0, [1.5])
     with pytest.raises(ValueError):
         FractionalSet(space, 3, [0.5, 0.5])  # leaf 4 is outside the tree
-    assert FractionalSet(space, 0, [0.0, 0.5]).fractions == {1: 0.5}
+    assert fractions(FractionalSet(space, 0, [0.0, 0.5])) == {1: 0.5}
 
 
 def test_fractional_set_from_node():
     space = TreeSpace(2, 2)
     s = FractionalSet.from_node(space, NodeId(1, 1))
-    assert s.fractions == {2: 1.0, 3: 1.0}
+    assert fractions(s) == {2: 1.0, 3: 1.0}
 
 
 def test_fractional_set_windows():
@@ -63,7 +67,7 @@ def test_fractional_set_windows():
     with pytest.raises(ValueError):
         s.fraction_array(0, 2)  # leaves out leaf 2
     union = FractionalSet.union(w.space, [s, FractionalSet.from_node(w.space, NodeId(2, 3))])
-    assert union.fractions == {1: 0.5, 2: 1.0, 3: 1.0}
+    assert fractions(union) == {1: 0.5, 2: 1.0, 3: 1.0}
     assert union.integral(w, 2.0) == pytest.approx((0.5 * 4 + 1 + 1) * 0.25, rel=1e-15)
 
 
@@ -128,6 +132,12 @@ def test_select_fathers_rejects_root_member():
         select_fathers(TreeSpace(2, 2), [])
 
 
+@pytest.mark.parametrize("node", [NodeId(2, 4), NodeId(2, -1), NodeId(3, 0)])
+def test_select_fathers_rejects_node_outside_tree(node):
+    with pytest.raises(ValueError, match="outside the tree"):
+        select_fathers(TreeSpace(2, 2), [NodeId(2, 0), node])
+
+
 # ---------------------------------------------------------------------------
 # gamma construction
 # ---------------------------------------------------------------------------
@@ -136,8 +146,8 @@ def test_build_gamma_full_filler():
     w = w8211()
     kernel = FractionalSet(w.space, 0, [1.0])
     gamma, delta = build_gamma(w, NodeId(1, 0), kernel, 5.0)
-    assert gamma.fractions == {0: 1.0, 1: 1.0}
-    assert delta.fractions == {}
+    assert fractions(gamma) == {0: 1.0, 1: 1.0}
+    assert fractions(delta) == {}
     assert gamma.average(w) == pytest.approx(5.0, rel=1e-12)
 
 
@@ -145,8 +155,8 @@ def test_build_gamma_boundary_kernel():
     w = w8211()
     kernel = FractionalSet(w.space, 0, [1.0, 1.0])
     gamma, delta = build_gamma(w, NodeId(1, 0), kernel, 5.0)
-    assert gamma.fractions == kernel.fractions
-    assert delta.fractions == {}
+    assert fractions(gamma) == fractions(kernel)
+    assert fractions(delta) == {}
 
 
 def test_build_gamma_fractional_filler():
@@ -154,10 +164,10 @@ def test_build_gamma_fractional_filler():
     kernel = FractionalSet(w.space, 0, [1.0])
     gamma, delta = build_gamma(w, NodeId(1, 0), kernel, 7.0)
     # (9*0.25 + theta*0.25*1) / (0.25 + theta*0.25) = 7  =>  theta = 1/3
-    assert gamma.fractions[0] == 1.0
-    assert gamma.fractions[1] == pytest.approx(1 / 3, rel=1e-12)
+    assert fractions(gamma)[0] == 1.0
+    assert fractions(gamma)[1] == pytest.approx(1 / 3, rel=1e-12)
     assert gamma.average(w) == pytest.approx(7.0, rel=1e-12)
-    assert delta.fractions[1] == pytest.approx(2 / 3, rel=1e-12)
+    assert fractions(delta)[1] == pytest.approx(2 / 3, rel=1e-12)
 
 
 def test_build_gamma_preconditions():
@@ -176,25 +186,83 @@ def test_build_gamma_kernel_outside_father():
         build_gamma(w, NodeId(1, 1), FractionalSet(w.space, 0, [1.0]), 5.0)
 
 
+def _assert_fill_matches_loop(values, kernel, threshold, h, active):
+    """The per-level filler equals the scalar loop on every row, bit for bit."""
+    values = np.array(values, dtype=np.float64)
+    kernel = np.array(kernel, dtype=np.float64)
+    mass = [math.fsum(row) * h for row in kernel.tolist()]
+    total = [math.fsum(row) * h for row in (kernel * values).tolist()]
+    sets = np.zeros((4,) + kernel.shape)
+    sets[0] = kernel
+    _fill(values, sets, [mass, total], threshold, h, active)
+    gamma, filler, delta = sets[2], sets[1], sets[3]
+    for i in range(len(kernel)):
+        want = greedy_fill(values[i], kernel[i], mass[i], total[i], threshold, h, active[i])
+        for g, w in zip((gamma, filler, delta), want):
+            assert g[i].tobytes() == w.tobytes(), (i, g[i], w)
+    return gamma, filler, delta
+
+
+def test_fill_level_branches():
+    # one level of six fathers at threshold 2, leaf measure 1/16, kernel leaf 0:
+    # 0: tied values 1 join in leaf order; the first ends the fill with x = m
+    # 1: kernel average exactly 2, so free leaves at or above the threshold
+    #    join whole only through threshold - value <= 0
+    # 2: kernel average exactly 2 and a free leaf below it: x = 0
+    # 3: needs no filler (inactive)
+    # 4: every free leaf joins whole
+    # 5: two leaves of value 0 tie; the second joins half
+    values = [[3, 1, 1, 1], [2, 2, 5, 3], [2, 2, 1, 0], [4, 0, 0, 0], [9, 3, 2, 2], [5, 1, 0, 0]]
+    kernel = [[1, 0, 0, 0]] * 6
+    active = [True, True, True, False, True, True]
+    gamma, filler, delta = _assert_fill_matches_loop(values, kernel, 2.0, 1 / 16, active)
+    assert gamma.tolist() == [[1, 1, 0, 0], [1, 1, 1, 1], [1, 0, 0, 0],
+                              [1, 0, 0, 0], [1, 1, 1, 1], [1, 0, 1, 0.5]]
+    assert filler[5].tolist() == [0, 0, 1, 0.5] and delta[5].tolist() == [0, 1, 0, 0.5]
+    assert not filler[2].any() and delta[3].tolist() == [0, 1, 1, 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fill_level_matches_scalar_loop(data):
+    f = data.draw(st.integers(2, 5), label="fathers")
+    s = data.draw(st.sampled_from([1, 2, 3, 4, 8]), label="span")
+    # few distinct values give ties; fractional kernels reach the general case
+    value = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 7.0])
+    values = data.draw(st.lists(st.lists(value, min_size=s, max_size=s),
+                                min_size=f, max_size=f), label="values")
+    share = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1.0])
+    kernel = data.draw(st.lists(st.lists(share, min_size=s, max_size=s)
+                                .filter(lambda row: any(row)), min_size=f, max_size=f),
+                       label="kernel")
+    h = data.draw(st.sampled_from([1.0, 1 / 8, 1 / 27, 2.0**-20]), label="h")
+    averages = [sum(k * v for k, v in zip(kr, vr)) / sum(kr) for kr, vr in zip(kernel, values)]
+    # thresholds at leaf values and at kernel averages hit the equality cases
+    threshold = data.draw(st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0] + averages)
+                          .filter(lambda x: x > 0), label="threshold")
+    active = data.draw(st.lists(st.booleans(), min_size=f, max_size=f), label="active")
+    _assert_fill_matches_loop(values, kernel, threshold, h, active)
+
+
 # ---------------------------------------------------------------------------
 # top set
 # ---------------------------------------------------------------------------
 
 def test_build_top_set_full():
     top = build_top_set(w8211(), 1.0)
-    assert top.fractions == {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}
+    assert fractions(top) == {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}
 
 
 def test_build_top_set_quarter():
     top = build_top_set(w8211(), 0.25)
-    assert top.fractions == {0: 1.0}
+    assert fractions(top) == {0: 1.0}
     assert top.average(w8211()) == 8.0
 
 
 def test_build_top_set_fractional():
     w = w8211()
     top = build_top_set(w, 0.375)
-    assert top.fractions == {0: 1.0, 1: 0.5}
+    assert fractions(top) == {0: 1.0, 1: 0.5}
     assert top.average(w) == pytest.approx(6.0, rel=1e-12)
 
 
@@ -264,8 +332,8 @@ def test_trace_8211_half():
     assert tr.exceedance_leaves == [0]
     assert tr.stopping_nodes == [NodeId(2, 0)]
     assert tr.fathers == [NodeId(1, 0)]
-    assert tr.records[0].gamma.fractions == {0: 1.0, 1: 1.0}
-    assert tr.records[0].delta.fractions == {}
+    assert fractions(tr.records[0].gamma) == {0: 1.0, 1: 1.0}
+    assert fractions(tr.records[0].delta) == {}
     assert tr.prefix_power_average == pytest.approx(34.0, rel=1e-12)
     assert tr.gamma_power_average == pytest.approx(34.0, rel=1e-12)
     assert tr.bound_value == pytest.approx((2 * (35 / 18 - 1) + 1) * 25, rel=1e-12)
@@ -282,7 +350,7 @@ def test_trace_nested_fathers_share_one_record():
     assert {w.space.father(n) for n in tr.stopping_nodes} == {NodeId(1, 1), NodeId(2, 2)}
     assert tr.fathers == [NodeId(1, 1)]
     assert [r.members for r in tr.records] == [(NodeId(2, 3), NodeId(3, 5))]
-    assert tr.records[0].kernel.fractions == {5: 1.0, 6: 1.0, 7: 1.0}
+    assert fractions(tr.records[0].kernel) == {5: 1.0, 6: 1.0, 7: 1.0}
     assert tr.all_hold
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from treerhi import NodeId, TreeSpace
 from treerhi.tree import MAX_LEAVES
+from helpers import iter_nodes
 
 
 def test_root_measure_is_one():
@@ -72,7 +73,7 @@ def test_invalid_parameters_rejected():
 @pytest.mark.parametrize("k,depth", [(2, 3), (3, 2), (4, 2)])
 def test_children_partition_father(k, depth):
     space = TreeSpace(k, depth)
-    for node in space.iter_nodes():
+    for node in iter_nodes(space):
         if node.level == depth:
             continue
         kids = space.children(node)
