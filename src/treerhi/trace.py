@@ -588,12 +588,12 @@ def trace_theorem1(weight: DyadicWeight, p: float, t: float) -> DecompositionTra
         index = np.array(indices)
         sets = buf[:, start:start + count * span].reshape(4, count, span)
         covered.reshape(-1, span).take(index, axis=0, out=sets[0])
-        firsts = [i * span for i in indices]
+        starts = [i * span for i in indices]
         # the stopping nodes in a maximal father's block are its members, so
         # the kernel is their 0/1 cover and its fsum is their leaf count
         kernel_measure = [sum(spans[node.level] for node in members[i]) * h
                           for i in range(s, s + count)]
-        kernel_integral = [math.fsum(kernel_terms[first:first + span]) * h for first in firsts]
+        kernel_integral = [math.fsum(kernel_terms[a:a + span]) * h for a in starts]
         kernel_avg = [a / m for a, m in zip(kernel_integral, kernel_measure)]
         father_measure = space.node_measure(fathers[s])
         # level_averages(1.0)[level] at the fathers
@@ -606,7 +606,7 @@ def trace_theorem1(weight: DyadicWeight, p: float, t: float) -> DecompositionTra
         # the blocks are disjoint and gamma is at most 1 (a kernel leaf is 1, a
         # free one gets at most its share 1), so the union's fractions are gamma's
         union.reshape(-1, span)[index] = sets[2]
-        per_father += zip(firsts, [span] * count, [father_measure] * count, father_avg,
+        per_father += zip(starts, [span] * count, [father_measure] * count, father_avg,
                           kernel_avg, kernel_measure, zip(*sets))
         s += count
         start += count * span
