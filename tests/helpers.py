@@ -1,10 +1,11 @@
 """Independent oracles used by the test suite.
 
 Everything here recomputes quantities from first principles: recursive
-per-node summation, plain enumeration over nodes, dense-grid sup searches
-and exact rational arithmetic.  Powers and divisions go through numpy
-elementwise ops, which are value-deterministic, so the node-enumeration
-oracle reproduces the library's cached results bit for bit.
+per-node summation, plain enumeration over nodes, dense-grid sup searches,
+exact rational arithmetic, and the tracer's greedy filler as a plain loop
+per father.  Powers and divisions go through numpy elementwise ops, which
+are value-deterministic, so the node-enumeration oracle reproduces the
+library's cached results bit for bit.
 """
 from __future__ import annotations
 
