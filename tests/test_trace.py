@@ -220,6 +220,13 @@ def test_fill_level_branches():
                               [1, 0, 0, 0], [1, 1, 1, 1], [1, 0, 1, 0.5]]
     assert filler[5].tolist() == [0, 0, 1, 0.5] and delta[5].tolist() == [0, 1, 0, 0.5]
     assert not filler[2].any() and delta[3].tolist() == [0, 1, 1, 1]
+    # with leaf 3 joined whole the average is the threshold itself, so that
+    # leaf takes the fractional branch (the test is strict), which ends the fill
+    h = 0.2
+    threshold = (0.3 * h + h * 0.1) / (h + h)
+    gamma, _, _ = _assert_fill_matches_loop([[0.3, 2.9, 1.3, 0.1]], [[1, 0, 0, 0]], threshold,
+                                            h, [True])
+    assert gamma[0, 1:3].tolist() == [0.0, 0.0]
 
 
 @settings(max_examples=200, deadline=None)
