@@ -9,6 +9,7 @@ the full run configuration so runs are reproducible from the output alone.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -32,17 +33,22 @@ class UsageError(ValueError):
     pass
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x]
+def _float_list(text: str) -> tuple[float, ...]:
+    values = tuple(float(x) for x in text.split(",") if x)
+    if not values:
+        raise argparse.ArgumentTypeError("expected a comma-separated list of numbers")
+    return values
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x]
+def _int_list(text: str) -> tuple[int, ...]:
+    values = tuple(int(x) for x in text.split(",") if x)
+    if not values:
+        raise argparse.ArgumentTypeError("expected a comma-separated list of integers")
+    return values
 
 
 def _echo_config(args: argparse.Namespace) -> dict:
-    config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    return {k: str(v) if isinstance(v, Path) else v for k, v in config.items()}
+    return {k: str(v) if isinstance(v, Path) else v for k, v in sorted(vars(args).items())}
 
 
 def _write_report(path: str | None, doc: dict) -> None:
@@ -125,7 +131,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _corpus(count: int, seed: int, k_list: list[int], depth: int):
+def _corpus(count: int, seed: int, k_list: tuple[int, ...], depth: int):
     """Deterministic stream of random weights cycling over k and depth."""
     for i in range(count):
         k = k_list[i % len(k_list)]
@@ -287,7 +293,22 @@ def cmd_curve(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+# Dispatch goes through this table, not through functions stored on the
+# cached parser, so rebinding an entry (or a cmd_* name) takes effect.
+COMMANDS = {
+    "gen": cmd_gen,
+    "analyze": cmd_analyze,
+    "verify": cmd_verify,
+    "trace": cmd_trace,
+    "p0": cmd_p0,
+    "curve": cmd_curve,
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The treerhi parser, built once per process.  Parsing leaves it
+    unchanged, and its list defaults are tuples, so calls cannot leak state."""
     parser = argparse.ArgumentParser(
         prog="treerhi",
         description="Reverse-Holder constants on homogeneous trees, "
@@ -307,45 +328,39 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--high", type=float, default=1e3)
     gen.add_argument("--alpha", type=float, default=0.25)
     gen.add_argument("-o", "--output", required=True)
-    gen.set_defaults(func=cmd_gen)
 
     analyze = sub.add_parser("analyze", help="constants and bounds for a weight file")
     analyze.add_argument("weight")
     analyze.add_argument("--p", type=float, default=2.0)
     analyze.add_argument("-o", "--output")
-    analyze.set_defaults(func=cmd_analyze)
 
     verify = sub.add_parser("verify", help="run a property suite on random weights")
     verify.add_argument("suite", choices=sorted(VERIFY_SUITES))
     verify.add_argument("--count", type=int, default=50)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--k", type=_int_list, default=[2, 4, 8],
+    verify.add_argument("--k", type=_int_list, default=(2, 4, 8),
                         help="comma-separated branching factors")
     verify.add_argument("--depth", type=int, default=5, help="maximum depth")
-    verify.add_argument("--p", type=_float_list, default=[1.5, 2.0, 3.0],
+    verify.add_argument("--p", type=_float_list, default=(1.5, 2.0, 3.0),
                         help="comma-separated exponents")
     verify.add_argument("--tolerance", type=float, default=1e-9)
-    verify.set_defaults(func=cmd_verify)
 
     tr = sub.add_parser("trace", help="trace the decomposition for a weight file")
     tr.add_argument("weight")
     tr.add_argument("--p", type=float, default=2.0)
     tr.add_argument("--t", type=float, required=True)
     tr.add_argument("-o", "--output")
-    tr.set_defaults(func=cmd_trace)
 
     p0 = sub.add_parser("p0", help="self-improvement exponent for (p, c, k)")
     p0.add_argument("--p", type=float, required=True)
     p0.add_argument("--c", type=float, required=True)
     p0.add_argument("--k", type=int, default=2)
-    p0.set_defaults(func=cmd_p0)
 
     curve = sub.add_parser("curve", help="prefix-ratio curve CSV for a weight file")
     curve.add_argument("weight")
     curve.add_argument("--p", type=float, default=2.0)
     curve.add_argument("--samples", type=int, default=200)
     curve.add_argument("-o", "--output", required=True)
-    curve.set_defaults(func=cmd_curve)
 
     return parser
 
@@ -357,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        return COMMANDS[args.command](args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

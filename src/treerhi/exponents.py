@@ -69,9 +69,15 @@ def p0_solve(p: float, C: float) -> ExponentResult:
 
 
 def improvement_range(p: float, c: float, k: int) -> ExponentResult:
-    """Integrability range [p, p0) for a tree weight: p0_solve at k*c - k + 1."""
+    """Integrability range [p, p0) for a tree weight: p0_solve at k*c - k + 1.
+
+    A reverse-Holder constant is at least 1 (Jensen), so c < 1 is refused
+    here, naming c rather than the effective constant it maps to.
+    """
     if k < 2:
         raise ValueError(f"branching factor must be >= 2, got {k}")
+    if not (math.isfinite(c) and c >= 1):
+        raise ValueError(f"tree constant c must be a finite number >= 1, got {c}")
     return p0_solve(p, k * c - k + 1.0)
 
 

@@ -239,3 +239,91 @@ def test_readme_commands(tmp_path, monkeypatch):
     assert len(commands) >= 10
     for argv in commands:
         assert run(*argv) == 0, argv
+
+
+@pytest.mark.parametrize("flag", ["--k=", "--p=", "--k=,", "--p=,"])
+@pytest.mark.parametrize("suite", ["theorem1", "weaktype", "lemma", "decomposition"])
+def test_verify_empty_list_is_usage_error(suite, flag, capsys):
+    # --k= once exited 3 (ZeroDivisionError in _corpus), lemma --p= exited 3
+    # (IndexError), and theorem1 / decomposition --p= passed having checked
+    # nothing.
+    assert run("verify", suite, "--count", "1", flag) == 2
+    assert f"argument {flag.split('=')[0]}: expected a comma-separated list" in (
+        capsys.readouterr().err)
+
+
+def test_p0_constant_below_one_names_given_value(capsys):
+    assert run("p0", "--p", "2", "--c", "0.5") == 2
+    assert "c must be a finite number >= 1, got 0.5" in capsys.readouterr().err
+
+
+def _call(capsys, argv, out_file=None):
+    """Exit code, stdout, stderr and output file bytes of one main call."""
+    if out_file is not None and out_file.exists():
+        out_file.unlink()
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    data = out_file.read_bytes() if out_file is not None else None
+    return code, captured.out, captured.err, data
+
+
+def test_parser_reuse_matches_fresh_parser(tmp_path, capsys):
+    wfile = tmp_path / "w.json"
+    save_weight(gen_random(TreeSpace(2, 4), 3), wfile)
+    out = tmp_path / "out.json"
+    calls = [
+        (["verify", "theorem1", "--count", "2", "--k="], None),
+        (["verify", "theorem1", "--count", "3", "--depth", "2"], None),
+        (["verify", "theorem1", "--count", "3", "--depth", "2", "--k", "2", "--p", "3"],
+         None),
+        (["verify", "theorem1", "--count", "3", "--depth", "2"], None),
+        (["analyze", str(wfile), "-o", str(out)], out),
+        (["trace", str(wfile), "--t", "0.5", "-o", str(out)], out),
+        (["--help"], None),
+        (["verify", "--help"], None),
+    ]
+    cli.build_parser.cache_clear()
+    reused = [_call(capsys, argv, f) for argv, f in calls]
+    fresh = []
+    for argv, f in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(_call(capsys, argv, f))
+    assert reused == fresh
+    assert [r[0] for r in reused] == [2, 0, 0, 0, 0, 0, 0, 0]
+    assert "usage: treerhi" in reused[6][1]
+
+
+def test_parser_built_once(monkeypatch):
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    assert run("p0", "--p", "2", "--c", "1.125") == 0
+    assert len(built) == 7  # the top parser and its six subcommands
+    built.clear()
+    assert run("p0", "--p", "2", "--c", "1.125") == 0
+    assert run("verify", "theorem1", "--count", "1", "--depth", "1") == 0
+    assert run("frobnicate") == 2
+    assert built == []
+
+
+def test_verify_list_defaults_are_immutable():
+    args = cli.build_parser().parse_args(["verify", "theorem1"])
+    assert args.k == (2, 4, 8) and args.p == (1.5, 2.0, 3.0)
+
+
+def test_dispatch_follows_rebound_command(monkeypatch):
+    # Dispatch reads COMMANDS at call time, so a rebound entry is reached
+    # even through a parser built before the rebinding.
+    cli.build_parser()
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, "p0", lambda args: seen.append(args.c) or 0)
+    assert run("p0", "--p", "2", "--c", "1.5") == 0
+    assert seen == [1.5]

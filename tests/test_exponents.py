@@ -75,8 +75,9 @@ def test_improvement_range_k2_c2():
 def test_improvement_range_validation():
     with pytest.raises(ValueError):
         improvement_range(2.0, 1.5, 1)
-    with pytest.raises(ValueError):
-        improvement_range(2.0, 0.9, 2)
+    for c in (0.9, 0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=rf"tree constant c must be .* got {c}$"):
+            improvement_range(2.0, c, 2)
 
 
 def test_power_weight_constant_values():
