@@ -293,8 +293,9 @@ def cmd_curve(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-# Dispatch goes through this table, not through functions stored on the
-# cached parser, so rebinding an entry (or a cmd_* name) takes effect.
+# main looks the command up here at call time, not in functions stored on
+# the cached parser, so an entry rebound later (as perfbench's per-layer
+# tracer does) is the one called.
 COMMANDS = {
     "gen": cmd_gen,
     "analyze": cmd_analyze,

@@ -1,3 +1,4 @@
+import argparse
 import json
 import shlex
 from pathlib import Path
@@ -149,6 +150,8 @@ def test_p0_cmd(capsys):
     assert "3.2360679" in out
     assert run("p0", "--p", "2", "--c", "1", "--k", "8") == 0
     assert "infinity" in capsys.readouterr().out
+    assert run("p0", "--p", "2", "--c", "0.5") == 2
+    assert "c must be a finite number >= 1, got 0.5" in capsys.readouterr().err
 
 
 def test_curve_cmd(tmp_path):
@@ -252,11 +255,6 @@ def test_verify_empty_list_is_usage_error(suite, flag, capsys):
         capsys.readouterr().err)
 
 
-def test_p0_constant_below_one_names_given_value(capsys):
-    assert run("p0", "--p", "2", "--c", "0.5") == 2
-    assert "c must be a finite number >= 1, got 0.5" in capsys.readouterr().err
-
-
 def _call(capsys, argv, out_file=None):
     """Exit code, stdout, stderr and output file bytes of one main call."""
     if out_file is not None and out_file.exists():
@@ -276,6 +274,7 @@ def test_parser_reuse_matches_fresh_parser(tmp_path, capsys):
         (["verify", "theorem1", "--count", "3", "--depth", "2"], None),
         (["verify", "theorem1", "--count", "3", "--depth", "2", "--k", "2", "--p", "3"],
          None),
+        # defaults again: the explicit lists above must not have changed them
         (["verify", "theorem1", "--count", "3", "--depth", "2"], None),
         (["analyze", str(wfile), "-o", str(out)], out),
         (["trace", str(wfile), "--t", "0.5", "-o", str(out)], out),
@@ -294,8 +293,6 @@ def test_parser_reuse_matches_fresh_parser(tmp_path, capsys):
 
 
 def test_parser_built_once(monkeypatch):
-    import argparse
-
     built = []
     init = argparse.ArgumentParser.__init__
 
