@@ -10,10 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 ROOT_CAP = 1e9
-RESIDUAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -42,6 +39,58 @@ def _log_f(s: float, p: float, C: float) -> float:
     return s + (p - 1.0) * math.log(p + gap) - p * math.log((p - 1.0) + gap) + math.log(C)
 
 
+def _brent_root(lo: float, hi: float, p: float, C: float) -> float:
+    """Root of _log_f on the sign-changing bracket [lo, hi] by Brent's method.
+
+    Brent (1973), Algorithms for Minimization without Derivatives, ch. 4, in
+    the step order of the common ``brentq`` routine with xtol = 1e-15,
+    rtol = 8.9e-16 and 200 iterations, so the root is that routine's double
+    (tests/test_exponents.py compares them bit for bit): a secant step when
+    the last two points bracket the root, inverse quadratic interpolation
+    otherwise, and a bisection whenever the step would not shrink the
+    bracket fast enough.  No step is shorter than the tolerance delta.
+    """
+    xtol, rtol = 1e-15, 8.9e-16
+    xpre, xcur = lo, hi
+    fpre, fcur = _log_f(xpre, p, C), _log_f(xcur, p, C)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(lo) and f(hi) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(200):
+        # fpre is never zero here; a zero fcur is returned below either way
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre  # xcur and xblk bracket the root
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # xcur is the better end
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = _log_f(xcur, p, C)
+    raise RuntimeError("p0 root did not converge in 200 iterations")
+
+
 def p0_solve(p: float, C: float) -> ExponentResult:
     """Smallest root q > p of ((q-p)/q) * (q/(q-1))**p * C = 1.
 
@@ -63,7 +112,7 @@ def p0_solve(p: float, C: float) -> ExponentResult:
         if hi > ROOT_CAP:
             return ExponentResult(p=p, C=C, p0=math.inf, residual=math.nan)
     hi = math.log(hi - p)
-    root = brentq(_log_f, lo, hi, args=(p, C), xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    root = _brent_root(lo, hi, p, C)
     residual = abs(math.expm1(_log_f(root, p, C)))
     return ExponentResult(p=p, C=C, p0=p + math.exp(root), residual=residual)
 

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from treerhi import improvement_range, p0_solve, power_weight_constant
+from treerhi import exponents, improvement_range, p0_solve, power_weight_constant
 
 
 def crossing(q, p, C):
@@ -124,3 +128,68 @@ def test_p0_residual_small_for_large_constant():
 def test_p0_rejects_non_finite(p, C):
     with pytest.raises(ValueError):
         p0_solve(p, C)
+
+
+# ---------------------------------------------------------------------------
+# The in-package Brent iteration against scipy.optimize.brentq
+# ---------------------------------------------------------------------------
+
+def _brentq_root(lo, hi, p, C):
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    return brentq(exponents._log_f, lo, hi, args=(p, C), xtol=1e-15, rtol=8.9e-16, maxiter=200)
+
+
+def _solve_all(monkeypatch, root, pairs):
+    """p0_solve over the pairs with ``root`` as its root finder: the bits of
+    every root it returned and of every (p0, residual)."""
+    roots = []
+
+    def recording(lo, hi, p, C):
+        roots.append(root(lo, hi, p, C))
+        return roots[-1]
+
+    monkeypatch.setattr(exponents, "_brent_root", recording)
+    results = [p0_solve(p, C) for p, C in pairs]
+    return [s.hex() for s in roots], [(r.p0.hex(), r.residual.hex()) for r in results]
+
+
+def test_p0_bits_match_scipy_brentq(monkeypatch):
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(20240)
+    n = 20_000
+    ps = 1.0 + np.exp(rng.uniform(math.log(1e-7), math.log(399.0), n))
+    cs = 1.0 + np.exp(rng.uniform(math.log(1e-15), math.log(1e300), n))
+    pairs = list(zip(ps.tolist(), cs.tolist()))
+    pairs += [(p, C) for p in (1.0 + 1e-7, 1.5, 2.0, 3.0, 400.0) for C in (1.0, 1.0 + 1e-15, 1e300)]
+    ours = _solve_all(monkeypatch, exponents._brent_root, pairs)
+    theirs = _solve_all(monkeypatch, _brentq_root, pairs)
+    assert len(ours[0]) > 0.99 * len(pairs)  # nearly every pair reaches the root finder
+    assert ours == theirs
+
+
+@pytest.mark.parametrize("f, lo, hi, expected", [
+    (lambda s, p, C: s - 0.25, 0.25, 1.0, "root"),  # zero at the low end
+    (lambda s, p, C: s - 1.0, 0.25, 1.0, "root"),  # zero at the high end
+    (lambda s, p, C: s * s - 2.0, 0.0, 2.0, "root"),
+    (lambda s, p, C: s - 3.0, 0.25, 1.0, ValueError),  # equal signs
+    # a sign-only function bisects; 200 halvings of 1e300 do not reach xtol
+    (lambda s, p, C: math.copysign(1.0, s - 0.3), 0.0, 1e300, RuntimeError),
+])
+def test_brent_root_ends_and_failures_match_brentq(monkeypatch, f, lo, hi, expected):
+    pytest.importorskip("scipy")
+    monkeypatch.setattr(exponents, "_log_f", f)
+    if expected == "root":
+        assert exponents._brent_root(lo, hi, 2.0, 2.0) == _brentq_root(lo, hi, 2.0, 2.0)
+    else:
+        for root in (exponents._brent_root, _brentq_root):
+            with pytest.raises(expected):
+                root(lo, hi, 2.0, 2.0)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, treerhi.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
