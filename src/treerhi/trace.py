@@ -598,8 +598,6 @@ def trace_theorem1(weight: DyadicWeight, p: float, t: float) -> DecompositionTra
         father_measure = space.node_measure(fathers[s])
         # level_averages(1.0)[level] at the fathers
         father_avg = [a / father_measure for a in sums[level].take(index).tolist()]
-        for ka, fa in zip(kernel_avg, father_avg):
-            _check_fill(ka, fa, threshold)
         _fill(weight.values.reshape(-1, span).take(index, axis=0), sets,
               [kernel_measure, kernel_integral], threshold, h,
               [not math.isclose(ka, threshold, rel_tol=EQ_REL_TOL) for ka in kernel_avg])
