@@ -273,8 +273,19 @@ def _items(values: list, d: int) -> list[str]:
 # Construction steps
 # ---------------------------------------------------------------------------
 
+def _exceeds(average, threshold: float):
+    """Whether a node average (or an array of them) exceeds the threshold.
+
+    The threshold is a prefix average of the rearrangement, summed in another
+    order than the node sums, so an average equal to it in exact arithmetic
+    may land a few ulp either side; only an excess beyond EQ_REL_TOL counts.
+    The stopping rule and the exceedance set both use this test.
+    """
+    return average > threshold * (1.0 + EQ_REL_TOL)
+
+
 def stopping_decomposition(weight: DyadicWeight, threshold: float) -> list[NodeId]:
-    """Maximal nodes whose average strictly exceeds the threshold.
+    """Maximal nodes whose average exceeds the threshold (see _exceeds).
 
     The result is pairwise disjoint and its leaves are exactly the set where
     the maximal function exceeds the threshold.  The root must not qualify.
@@ -284,14 +295,14 @@ def stopping_decomposition(weight: DyadicWeight, threshold: float) -> list[NodeI
     if threshold <= 0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
     avgs = weight.level_averages(1.0)
-    if avgs[0][0] > threshold:
+    if _exceeds(avgs[0][0], threshold):
         raise ValueError("root average exceeds the threshold")
     blocked = np.zeros(1, dtype=bool)
     selected: list[NodeId] = []
     for level, avg in enumerate(avgs):
         if level:
             blocked = blocked.repeat(weight.space.k)
-        picked = (avg > threshold) > blocked  # above the threshold and not blocked
+        picked = _exceeds(avg, threshold) > blocked  # above the threshold and not blocked
         selected += [NodeId(level, i) for i in picked.nonzero()[0].tolist()]
         blocked |= picked
     return selected
@@ -533,7 +544,7 @@ def trace_theorem1(weight: DyadicWeight, p: float, t: float) -> DecompositionTra
     )
     push = trace.assertions.append
 
-    exceeds = weight.maximal_function() > threshold
+    exceeds = _exceeds(weight.maximal_function(), threshold)
     trace.exceedance_leaves = exceeds.nonzero()[0].tolist()
 
     if not trace.exceedance_leaves:

@@ -86,6 +86,18 @@ def maximal_oracle(weight: DyadicWeight) -> np.ndarray:
     return out
 
 
+def sorted_leaf_prefix_average(weight: DyadicWeight, t: float) -> float:
+    """Average over (0, t] of the leaf values sorted in descending order:
+    whole leaves while they fit, then the share of the next one, by fsum."""
+    h = weight.space.leaf_measure
+    values = sorted(weight.values.tolist(), reverse=True)
+    whole = min(int(t / h), len(values))
+    terms = [v * h for v in values[:whole]]
+    if whole < len(values):
+        terms.append(values[whole] * (t - whole * h))
+    return math.fsum(terms) / t
+
+
 def step_leaf_values(h: StepFunction, n_leaves: int) -> np.ndarray:
     """Expand a step function whose breakpoints sit on the grid j/n_leaves."""
     counts = np.rint(h.breakpoints * n_leaves).astype(int)

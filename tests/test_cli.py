@@ -86,6 +86,15 @@ def test_analyze_malformed_file(tmp_path):
     assert run("analyze", str(tmp_path / "missing.json")) == 2
 
 
+def test_trace_constant_weight_file(tmp_path, capsys):
+    # the prefix average at t = 0.5 lands below the node averages of 0.3
+    wfile = tmp_path / "c.json"
+    assert run("gen", "constant", "--k", "3", "--depth", "2", "--value", "0.3",
+               "-o", str(wfile)) == 0
+    assert run("trace", str(wfile), "--t", "0.5") == 0
+    assert "degenerate, 2 assertions: all hold" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("suite", ["theorem1", "weaktype", "lemma", "decomposition"])
 def test_verify_suites_pass(suite):
     assert run("verify", suite, "--count", "6", "--seed", "1",

@@ -15,6 +15,7 @@ from treerhi import (
     build_top_set,
     gen_constant,
     gen_random,
+    gen_two_value,
     lemma21_check,
     prefix_average,
     rearrangement,
@@ -23,7 +24,7 @@ from treerhi import (
     trace_theorem1,
 )
 from treerhi.trace import _fill
-from helpers import fractions, greedy_fill
+from helpers import fractions, greedy_fill, maximal_oracle, sorted_leaf_prefix_average
 
 
 def w8211():
@@ -373,6 +374,44 @@ def test_trace_constant_weight_degenerate():
     assert tr.degenerate
     assert tr.threshold == 4.0
     assert tr.all_hold
+
+
+def _assert_matches_oracles(w, tr):
+    """The threshold against the sorted-leaf prefix average, the exceedance
+    set against the maximal function by direct walk (a leaf whose maximal
+    average ties the threshold to 1e-9 does not exceed it), and every
+    assertion holding."""
+    assert tr.threshold == pytest.approx(sorted_leaf_prefix_average(w, tr.t), rel=1e-12)
+    m = maximal_oracle(w)
+    tie = np.isclose(m, tr.threshold, rtol=1e-9, atol=0.0)
+    assert tr.exceedance_leaves == np.flatnonzero((m > tr.threshold) & ~tie).tolist()
+    assert tr.all_hold, [a.name for a in tr.assertions if not a.holds]
+
+
+# golden-corpus weights whose t = 1 traces were refused: the prefix average at
+# t = 1 landed an ulp or two below the root average
+T1_ONCE_REFUSED = [(2, 3, 2), (2, 3, 3), (2, 8, 1), (3, 4, 2), (3, 4, 3), (4, 4, 1)]
+
+
+@pytest.mark.parametrize("k, depth, seed", T1_ONCE_REFUSED)
+def test_trace_at_t1_matches_oracles(k, depth, seed):
+    w = gen_random(TreeSpace(k, depth), seed)
+    for p in (1.5, 2.0, 3.0):
+        tr = trace_theorem1(w, p, 1.0)
+        assert not tr.degenerate
+        _assert_matches_oracles(w, tr)
+
+
+@pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize("k", [2, 3, 5, 8])
+def test_trace_constant_and_two_value_weights_pass(k, t):
+    # node averages equal to the threshold in exact arithmetic: rounding once
+    # refused the root or put a node above the threshold
+    for depth in range(1, 5 if k < 8 else 4):
+        space = TreeSpace(k, depth)
+        for v in (0.3, 1 / 3, 7.0):
+            for w in (gen_constant(space, v), gen_two_value(space, v, 3 * v)):
+                _assert_matches_oracles(w, trace_theorem1(w, 2.0, t))
 
 
 def test_trace_validation():
