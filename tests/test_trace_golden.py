@@ -47,18 +47,18 @@ def _digest(case) -> str:
 GOLDEN = {
     (2, 3, 0): "89a56771ae637ca5e5a501410c3537659c4cf68431b72b8528c35e70415f69e9",
     (2, 3, 1): "dedb520acf997ee8dcfccb9864ff99373fd3f95b5bc68c5068e7b97ebe8cff1e",
-    (2, 3, 2): "58efadd53e8a84643f01396c61702551bad38e5f6c10ee65e94a06a64d3d61bc",
-    (2, 3, 3): "eeea5302a59bb9e24a2b577c3782ba20bf12753145fc8c8cad62be39314a901b",
+    (2, 3, 2): "f00f4817a991a2256fb25843d7dca00b6c4b9e59932861cd919d1fd33e79a94d",
+    (2, 3, 3): "5e5b1e67bb658bbbec264dcc28194bc3e48af8cceda6a988ceac41d087b9a2bf",
     (2, 8, 0): "1f3de3ac58a5c12d748fa8c8c65d1b9febf0791092e90f2e6b33115ff922d29a",
-    (2, 8, 1): "58a39773be848a1767d2a5ec8a28ee701322b76ecabc57bce1dd18d082c7427d",
+    (2, 8, 1): "08adc459b68216cc753a07b577646ae02b9743e5699efc1463936798cc369cef",
     (2, 8, 2): "74def619125b7487aa66a91fa4f77e1c91013f67efaf4e0bf91f2d67c2f168dd",
     (2, 8, 3): "d796f06418ecd1daa1c435d9bfc4464d3c6c3aca60c281b3c1c4bd5a10230369",
     (3, 4, 0): "007f1c379207cd3794727e81d0ae39ee9184ec1eead9b1fdd8e646d4e35ec401",
     (3, 4, 1): "11e6557ec508f339317f94fcc8ddca60a6b307fde994b21212ca3bf07552e9bf",
-    (3, 4, 2): "028c870a819842ef3758e1b2226f0dcb13285c5eb19c330b6a0b73da5b7e163b",
-    (3, 4, 3): "f7df5afd7d9b3ed7cef258fc8b3f64df37d9d5317bdfcf3da6254530fbc9c401",
+    (3, 4, 2): "36e2f5d3cc64884c2058b91fafa910492642fa678e82af3d77f905c017d92d0d",
+    (3, 4, 3): "342789318f91d0b08c7702ae648b99ddf730625db23cf206b073deaff191b35e",
     (4, 4, 0): "58d9f487e215a820501445caa447b15cbb14ae374bdff903de04848751109960",
-    (4, 4, 1): "990463077ac6764f5459ac9fbd7330fe5ad853553e6f372b322e5e2e0ef1cd3c",
+    (4, 4, 1): "af797c9dd1f8c88838f359c64716e4c7247f93f109b6ade4df47075c89dd8b30",
     (4, 4, 2): "72ef61213c821362260a70abb8916c9b58316014b87d4a82cc4332fff488df36",
     (4, 4, 3): "2402ddfaeba3cc3287562f00c79e77700de70840a951de3309c22f1bfd6f3c63",
     (8, 3, 0): "047357af007a5589ff02d7bccacadb812c5f08d9e97c09cb8fa2a557cbc4c662",
