@@ -291,6 +291,10 @@ def load_weight(path: str | Path) -> DyadicWeight:
     k, depth, leaves = doc["k"], doc["depth"], doc["leaves"]
     if not isinstance(k, int) or not isinstance(depth, int):
         raise ValueError("k and depth must be integers")
-    if not isinstance(leaves, list):
-        raise ValueError("leaves must be a list of reals")
-    return DyadicWeight.from_leaves(k, depth, leaves)
+    # a JSON number parses to int or float; bool, str, null, list and object do not
+    if not (isinstance(leaves, list) and all(type(v) in (int, float) for v in leaves)):
+        raise ValueError("leaves must be a list of JSON numbers")
+    try:
+        return DyadicWeight.from_leaves(k, depth, leaves)
+    except OverflowError as exc:  # an integer leaf beyond the double range
+        raise ValueError(f"leaf values must be finite: {exc}") from exc

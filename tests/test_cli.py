@@ -95,6 +95,22 @@ def test_trace_constant_weight_file(tmp_path, capsys):
     assert "degenerate, 2 assertions: all hold" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("leaves, message", [
+    ("[{}, 1]", "list of JSON numbers"),  # exited 3 with a TypeError
+    ('["1", 2]', "list of JSON numbers"),  # was read as [1.0, 2.0]
+    ("[true, 1]", "list of JSON numbers"),
+    ("[null, 1]", "list of JSON numbers"),
+    ("[1" + "0" * 400 + ", 1]", "must be finite"),  # exited 3 with an OverflowError
+], ids=["object", "string", "bool", "null", "huge-int"])
+@pytest.mark.parametrize("argv", [["analyze", "w.json"], ["trace", "w.json", "--t", "0.5"],
+                                  ["curve", "w.json", "-o", "c.csv"]], ids=lambda a: a[0])
+def test_non_numeric_leaves_refused(tmp_path, monkeypatch, capsys, leaves, message, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("w.json").write_text(f'{{"k": 2, "depth": 1, "leaves": {leaves}}}')
+    assert run(*argv) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("suite", ["theorem1", "weaktype", "lemma", "decomposition"])
 def test_verify_suites_pass(suite):
     assert run("verify", suite, "--count", "6", "--seed", "1",
