@@ -46,9 +46,10 @@ def _brent_root(lo: float, hi: float, p: float, C: float) -> float:
     the step order of the common ``brentq`` routine with xtol = 1e-15,
     rtol = 8.9e-16 and 200 iterations, so the root is that routine's double
     (tests/test_exponents.py compares them bit for bit): a secant step when
-    the last two points bracket the root, inverse quadratic interpolation
-    otherwise, and a bisection whenever the step would not shrink the
-    bracket fast enough.  No step is shorter than the tolerance delta.
+    the previous point is the far end of the bracket, inverse quadratic
+    interpolation otherwise, and a bisection whenever the step would not
+    shrink the bracket fast enough.  No step is shorter than the tolerance
+    delta.
     """
     xtol, rtol = 1e-15, 8.9e-16
     xpre, xcur = lo, hi
