@@ -99,13 +99,17 @@ def p0_solve(p: float, C: float) -> ExponentResult:
     p(p-1) / (q(q-1)(q-p)) > 0.  So the root is unique, and below
     s = log(q-p) = -(log C - log p + p log(p/(p-1))) - 1 the left side is
     under 1.  Bracket expansion doubles the right end until it exceeds 1; past
-    ROOT_CAP the root is classified as +inf, which covers C = 1 exactly (the
-    function stays below 1 on every finite bracket).
+    ROOT_CAP the root is classified as +inf.  At C = 1 the left side stays
+    below 1 for every finite q, so p0 is +inf without a search: far out its
+    gap to 1, about p(p-1)/(2q^2), sinks into the rounding of _log_f, and the
+    bracket would find a spurious crossing.
     """
     if not (math.isfinite(p) and p > 1):
         raise ValueError(f"base exponent must be a finite number > 1, got {p}")
     if not (math.isfinite(C) and C >= 1):
         raise ValueError(f"constant must be a finite number >= 1, got {C}")
+    if C == 1:
+        return ExponentResult(p=p, C=C, p0=math.inf, residual=math.nan)
     lo = -(math.log(C) - math.log(p) + p * math.log(p / (p - 1.0))) - 1.0
     hi = max(2.0 * p, 4.0)
     while _log_f(math.log(hi - p), p, C) <= 0.0:

@@ -10,6 +10,8 @@ solved in closed form (the log-derivative equation there is linear in t).
 The power integrals are running sums over the steps, so at the breakpoints
 the means are read straight off them; only the interior stationary points,
 and the arbitrary grid of ratio_curve, are gathered back to their steps.
+One loop runs over chunks of steps and carries the running sums from chunk
+to chunk, so the sums keep the bits of one pass over all steps.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weight import _RANGE_ERROR, _RESOLVED, DyadicWeight, _power_pair, _scalings
+from .weight import _CHUNK, _RANGE_ERROR, _RESOLVED, DyadicWeight, _power_pair, _scalings
 
 T_SLACK = 1e-12
 
@@ -34,8 +36,7 @@ class StepFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        bp = np.array(self.breakpoints, dtype=np.float64)
-        vals = np.array(self.values, dtype=np.float64)
+        bp, vals = _frozen(self.breakpoints), _frozen(self.values)
         if bp.ndim != 1 or bp.shape != vals.shape or bp.size == 0:
             raise ValueError("breakpoints and values must be equal-length 1-d arrays")
         # negated comparisons, so that NaN fails each check
@@ -45,8 +46,6 @@ class StepFunction:
             raise ValueError(f"last breakpoint must be 1, got {bp[-1]}")
         if not (np.isfinite(vals[0]) and vals[-1] >= 0 and (vals[1:] <= vals[:-1]).all()):
             raise ValueError("values must be finite, non-negative and non-increasing")
-        bp.setflags(write=False)
-        vals.setflags(write=False)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
 
@@ -55,6 +54,18 @@ class StepFunction:
         t = _check_t(t)
         i = int(np.searchsorted(self.breakpoints, t, side="left"))
         return float(self.values[i])
+
+
+def _frozen(x) -> np.ndarray:
+    """x as a read-only float64 array: x itself when it already is one that
+    owns its data (as rearrangement builds them), else a read-only copy, so
+    a caller's writable array is never frozen and never shared."""
+    if (isinstance(x, np.ndarray) and x.dtype == np.float64
+            and not x.flags.writeable and x.flags.owndata):
+        return x
+    x = np.array(x, dtype=np.float64)
+    x.setflags(write=False)
+    return x
 
 
 @dataclass(frozen=True)
@@ -84,10 +95,13 @@ def rearrangement(weight: DyadicWeight) -> StepFunction:
     """
     if weight._rearranged is None:
         n = weight.space.n_leaves
-        sorted_vals = np.sort(weight.values)[::-1]
-        ends = np.append(np.flatnonzero(np.diff(sorted_vals) != 0), n - 1)
-        breakpoints = (ends + 1).astype(np.float64) / n
-        weight._rearranged = StepFunction(breakpoints=breakpoints, values=sorted_vals[ends])
+        desc = np.sort(weight.values)[::-1]
+        ends = np.append(np.flatnonzero(desc[1:] != desc[:-1]), n - 1)
+        breakpoints, values = (ends + 1).astype(np.float64) / n, desc[ends]
+        # frozen here, so that StepFunction keeps them without a copy
+        breakpoints.setflags(write=False)
+        values.setflags(write=False)
+        weight._rearranged = StepFunction(breakpoints=breakpoints, values=values)
     return weight._rearranged
 
 
@@ -106,13 +120,11 @@ def prefix_average(h: StepFunction, t: float, q: float = 1.0) -> float:
     return float(np.dot(powered, seg)) / t
 
 
-def _prefix_ratios(
-    h: StepFunction, p: float, dual: bool, ts: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(t, ratio): the power-mean ratio (M_a / M_b)**a of _power_pair over
-    (0, t], at ts or, by default, at every breakpoint and every stationary
-    point inside a step.  Values out of range are rescaled (see _RANGE_ERROR).
-    """
+def _prefix_ratios(h: StepFunction, p: float, dual: bool,
+                   ts: np.ndarray | None = None) -> tuple[float, float] | np.ndarray:
+    """_ratios_at on the values of h as they are or else rescaled (see
+    _RANGE_ERROR): the sup over t of the power-mean ratio of _power_pair with
+    its witness t, or, given the grid ts, the ratios at ts."""
     a, b = _power_pair(p, dual)
     if h.values[0] == 0:
         raise ValueError("function is identically zero")
@@ -125,44 +137,74 @@ def _prefix_ratios(
     raise ValueError(_RANGE_ERROR.format(p=p))
 
 
-def _ratios_at(
-    right: np.ndarray, v: np.ndarray, a: float, b: float, ts: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """_prefix_ratios on the step values v, or None when out of double range."""
-    left = np.concatenate(([0.0], right[:-1]))
-    width = right - left
-    with np.errstate(all="ignore"):
-        va, vb = _power(v, a), _power(v, b)
-        # N and D, the integrals of h**a and h**b: n[i] up to the start of
-        # step i, n[i + 1] up to its end.  cumsum adds in order, so n[i + 1]
-        # is n[i] + va[i]*width[i] bit for bit.
-        n = np.concatenate(([0.0], np.cumsum(va * width)))
-        d = np.concatenate(([0.0], np.cumsum(vb * width)))
-        n0, d0 = n[:-1], d[:-1]
-        if ts is None:
-            # Within a step N = alpha + va*t and D = gamma + vb*t.  The ratio
-            # is N * D**y * t**z with 1 + y + z = 0, so the quadratic term of
-            # its log-derivative equation cancels and leaves one linear root.
-            y = -a / b
-            z = -1.0 - y
-            alpha, gamma = n0 - va * left, d0 - vb * left
-            t_in = z * alpha * gamma / (y * va * gamma + alpha * vb)
-            step = np.flatnonzero((t_in > left) & (t_in < right))
-            t_in = t_in[step]
-            ts = np.concatenate([right, t_in])
-            # At breakpoint i, n0 + va*width is n[i + 1] itself, so the means
-            # there are read off n and d; only interior points are gathered.
-            mean_a = np.concatenate([n[1:] / right, _mean_in(n0, va, left, step, t_in)])
-            mean_b = np.concatenate([d[1:] / right, _mean_in(d0, vb, left, step, t_in)])
-        else:
-            step = np.minimum(np.searchsorted(right, ts, side="left"), right.size - 1)
-            mean_a = _mean_in(n0, va, left, step, ts)
-            mean_b = _mean_in(d0, vb, left, step, ts)
-        ratio = _power(_power(mean_a, 1.0 / a) / _power(mean_b, 1.0 / b), a)
-        lowest = np.minimum(mean_a.min(), mean_b.min())
-    if not (np.isfinite(ratio.max()) and lowest >= _RESOLVED):
-        return None
-    return ts, ratio
+def _ratios_at(right: np.ndarray, v: np.ndarray, a: float, b: float,
+               ts: np.ndarray | None) -> tuple[float, float] | np.ndarray | None:
+    """Over the chunks of _ratio_chunks: without ts, (sup, t) with ties broken
+    toward the largest t; with ts, the ratios at ts.  None when a power mean
+    or the ratio leaves the double range."""
+    best, witness, curve = -np.inf, 0.0, []
+    for t, ratio, lowest in _ratio_chunks(right, v, a, b, ts):
+        top = ratio.max()
+        if not (np.isfinite(top) and lowest >= _RESOLVED):
+            return None
+        if ts is not None:
+            curve.append(ratio)
+        elif top >= best:  # a later chunk's t are all larger, so a tie moves right
+            best, witness = top, t[ratio == top].max()
+    return (best, witness) if ts is None else np.concatenate(curve)
+
+
+def _ratio_chunks(right: np.ndarray, v: np.ndarray, a: float, b: float,
+                  ts: np.ndarray | None):
+    """(t, ratio, lowest mean) for _CHUNK steps at a time: the power-mean ratio
+    (M_a / M_b)**a over (0, t] for t at every breakpoint and every stationary
+    point inside a step, or at the points of the sorted grid ts (which holds
+    every breakpoint) that fall in the chunk's steps.
+
+    A chunk's temporaries stay in cache.  The integrals N and D of h**a and
+    h**b are running sums seeded with the previous chunk's totals: add.accumulate
+    adds in order, so every N and D, and so every mean and ratio, has the bits
+    of one whole-array cumsum.
+    """
+    y = -a / b
+    z = -1.0 - y
+    n_end = d_end = end = 0.0  # N, D and the breakpoint where the last chunk ended
+    hi = 0
+    for s in range(0, right.size, _CHUNK):
+        r, vc = right[s:s + _CHUNK], v[s:s + _CHUNK]
+        left = np.concatenate(([end], r[:-1]))
+        width = r - left
+        with np.errstate(all="ignore"):
+            va, vb = _power(vc, a), _power(vc, b)
+            # n[i] is N up to the start of step i, n[i + 1] up to its end
+            n = np.add.accumulate(np.concatenate(([n_end], va * width)))
+            d = np.add.accumulate(np.concatenate(([d_end], vb * width)))
+            n0, d0 = n[:-1], d[:-1]
+            if ts is None:
+                # Within a step N = alpha + va*t and D = gamma + vb*t.  The ratio
+                # is N * D**y * t**z with 1 + y + z = 0, so the quadratic term of
+                # its log-derivative equation cancels and leaves one linear root.
+                alpha, gamma = n0 - va * left, d0 - vb * left
+                t_in = z * alpha * gamma / (y * va * gamma + alpha * vb)
+                step = np.flatnonzero((t_in > left) & (t_in < r))
+                t_in = t_in[step]
+                t = np.concatenate([r, t_in])
+                # At breakpoint i, n0 + va*width is n[i + 1] itself, so the means
+                # there are read off n and d; only interior points are gathered.
+                mean_a = np.concatenate([n[1:] / r, _mean_in(n0, va, left, step, t_in)])
+                mean_b = np.concatenate([d[1:] / r, _mean_in(d0, vb, left, step, t_in)])
+            else:
+                # the grid points in (end, r[-1]], and the last chunk takes the rest
+                lo, hi = hi, (ts.size if s + _CHUNK >= right.size
+                              else int(np.searchsorted(ts, r[-1], side="right")))
+                t = ts[lo:hi]
+                step = np.minimum(np.searchsorted(r, t, side="left"), r.size - 1)
+                mean_a = _mean_in(n0, va, left, step, t)
+                mean_b = _mean_in(d0, vb, left, step, t)
+            ratio = _power(_power(mean_a, 1.0 / a) / _power(mean_b, 1.0 / b), a)
+            lowest = np.minimum(mean_a.min(), mean_b.min())
+        yield t, ratio, lowest
+        n_end, d_end, end = n[-1], d[-1], r[-1]
 
 
 def _power(x: np.ndarray, q: float) -> np.ndarray:
@@ -177,10 +219,8 @@ def _mean_in(n0: np.ndarray, vq: np.ndarray, left: np.ndarray,
 
 
 def _prefix_sup(h: StepFunction, p: float, dual: bool) -> PrefixReport:
-    """Max of _prefix_ratios with ties resolved toward the largest t."""
-    ts, vals = _prefix_ratios(h, p, dual)
-    best = np.max(vals)
-    witness = np.max(ts[vals == best])
+    """The sup of the prefix ratio, with ties resolved toward the largest t."""
+    best, witness = _prefix_ratios(h, p, dual)
     return PrefixReport(exponent=p, constant=float(best), witness_t=float(witness))
 
 
@@ -201,4 +241,4 @@ def ratio_curve(h: StepFunction, q: float, n_samples: int) -> np.ndarray:
     grid = np.unique(
         np.concatenate([np.linspace(1.0 / n_samples, 1.0, n_samples), h.breakpoints])
     )
-    return np.column_stack(_prefix_ratios(h, q, False, grid))
+    return np.column_stack((grid, _prefix_ratios(h, q, False, grid)))

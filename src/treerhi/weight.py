@@ -26,6 +26,9 @@ _RESOLVED = np.finfo(np.float64).tiny * 2.0**52
 # Constants are tried on the values as they are, then rescaled by exact powers
 # of two (_scalings); a power average out of range in all is refused with this.
 _RANGE_ERROR = "power averages at p={p} leave the double range even after rescaling"
+# Nodes of one level, or steps of the rearrangement, per pass of the constant
+# kernels: a pass's temporaries then stay in a core's L2 cache.
+_CHUNK = 1 << 15
 
 
 def _check_exponent(p: float) -> float:
@@ -46,12 +49,16 @@ def _scalings(values: np.ndarray):
     """values as they are, then times exact powers of two 2**-e: first with
     the largest value brought into [1/2, 1), then with the geometric middle
     of the smallest positive value and the largest brought near 1, which
-    keeps large negative powers of small values in range."""
+    keeps large negative powers of small values in range.  A scaling that
+    would send a positive value to 0 or the largest value past the double
+    range is skipped: a negative power of that 0 would be infinite."""
     yield values
-    top = np.frexp(values.max())[1]
-    yield np.ldexp(values, -top)
-    bottom = np.frexp(values[values > 0].min())[1]
-    yield np.ldexp(values, -((top + bottom) // 2))
+    smallest, largest = values[values > 0].min(), values.max()
+    top = np.frexp(largest)[1]
+    for e in (top, (top + np.frexp(smallest)[1]) // 2):
+        low, high = np.ldexp([smallest, largest], -e)
+        if low > 0 and np.isfinite(high):
+            yield np.ldexp(values, -e)
 
 
 @dataclass(frozen=True)
@@ -163,31 +170,46 @@ class DyadicWeight:
         return self._sups[key]
 
     def _ratio_sup(self, a: float, b: float) -> tuple[float, NodeId] | None:
-        """Sup and witness of _node_sup, or None when out of double range."""
+        """Sup and witness of _node_sup, or None when out of double range.
+
+        The node sums of a level are divided by the node measure _CHUNK nodes
+        at a time, as level_averages divides them.  Every level needs a live
+        node (nonzero b-average); a chunk without one is skipped.
+        """
         y = -a / b
         best = -np.inf
         witness = self.space.root
+        k = float(self.space.k)
         with np.errstate(all="ignore"):
-            nums, dens = self.level_averages(a), self.level_averages(b)
+            nums, dens = self.level_sums(a), self.level_sums(b)
             for level in range(self.space.depth + 1):
-                num, den = nums[level], dens[level]
-                powered = den ** abs(y)
-                ratio = num / powered if y < 0 else num * powered
-                lowest = den.min()
-                if lowest > 0:
-                    lowest = min(lowest, num.min(), powered.min())
-                else:
-                    live = den > 0
-                    ratio = np.where(live, ratio, -np.inf)
-                    lowest = np.minimum(np.minimum(num, den), powered)
-                    lowest = np.min(lowest, where=live, initial=np.inf)
-                i = int(np.argmax(ratio))
-                # argmax returns the first NaN, so this also catches overflow
-                if not (np.isfinite(ratio[i]) and lowest >= _RESOLVED):
+                measure = k ** (-level)
+                any_live = False
+                for s in range(0, nums[level].size, _CHUNK):
+                    num = nums[level][s:s + _CHUNK] / measure
+                    den = dens[level][s:s + _CHUNK] / measure
+                    powered = den ** abs(y)
+                    ratio = num / powered if y < 0 else num * powered
+                    lowest = den.min()
+                    if lowest > 0:
+                        lowest = min(lowest, num.min(), powered.min())
+                    else:
+                        live = den > 0
+                        if not live.any():
+                            continue
+                        ratio = np.where(live, ratio, -np.inf)
+                        lowest = np.minimum(np.minimum(num, den), powered)
+                        lowest = np.min(lowest, where=live, initial=np.inf)
+                    i = int(np.argmax(ratio))
+                    # argmax returns the first NaN, so this also catches overflow
+                    if not (np.isfinite(ratio[i]) and lowest >= _RESOLVED):
+                        return None
+                    any_live = True
+                    if ratio[i] > best:
+                        best = float(ratio[i])
+                        witness = NodeId(level, s + i)
+                if not any_live:
                     return None
-                if ratio[i] > best:
-                    best = float(ratio[i])
-                    witness = NodeId(level, i)
         return best, witness
 
     def dyadic_rhi_constant(self, p: float) -> RhiReport:

@@ -2,9 +2,10 @@
 
 Everything here recomputes quantities from first principles: recursive
 per-node summation, plain enumeration over nodes, dense-grid sup searches,
-exact rational arithmetic, and the tracer's greedy filler as a plain loop
-per father.  Powers and divisions go through numpy elementwise ops, which
-are value-deterministic, so the node-enumeration oracle reproduces the
+exact rational arithmetic, the tracer's greedy filler as a plain loop per
+father, and both constant kernels as single passes over whole arrays.
+Powers and divisions go through numpy elementwise ops, which are
+value-deterministic, so the node-enumeration oracle reproduces the
 library's cached results bit for bit.
 """
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 from treerhi import DyadicWeight, NodeId, StepFunction, TreeSpace
 from treerhi.trace import EQ_REL_TOL
+from treerhi.weight import _RANGE_ERROR, _RESOLVED, _power_pair, _scalings
 
 
 def iter_nodes(space: TreeSpace):
@@ -137,6 +139,111 @@ def dense_grid_muckenhoupt_sup(h: StepFunction, p: float, n: int = 100_000) -> f
     grid = _dense_grid(h, n)
     return float(np.max(_prefix_averages(h, grid, 1.0)
                         * _prefix_averages(h, grid, m) ** (p - 1.0)))
+
+
+def _power(x: np.ndarray, q: float) -> np.ndarray:
+    return x if q == 1.0 else x ** q
+
+
+def whole_prefix_ratios(right: np.ndarray, v: np.ndarray, a: float, b: float,
+                        ts: np.ndarray | None):
+    """(t, ratio) of the prefix kernel in one pass over all steps, or None out
+    of double range: at every breakpoint and interior stationary point, or at
+    ts.  The reference for rearrange._ratios_at, which runs in chunks."""
+    left = np.concatenate(([0.0], right[:-1]))
+    width = right - left
+
+    def mean_in(n0, vq, step, t):
+        return (n0[step] + vq[step] * (t - left[step])) / t
+
+    with np.errstate(all="ignore"):
+        va, vb = _power(v, a), _power(v, b)
+        n = np.concatenate(([0.0], np.cumsum(va * width)))
+        d = np.concatenate(([0.0], np.cumsum(vb * width)))
+        n0, d0 = n[:-1], d[:-1]
+        if ts is None:
+            y = -a / b
+            z = -1.0 - y
+            alpha, gamma = n0 - va * left, d0 - vb * left
+            t_in = z * alpha * gamma / (y * va * gamma + alpha * vb)
+            step = np.flatnonzero((t_in > left) & (t_in < right))
+            t_in = t_in[step]
+            ts = np.concatenate([right, t_in])
+            mean_a = np.concatenate([n[1:] / right, mean_in(n0, va, step, t_in)])
+            mean_b = np.concatenate([d[1:] / right, mean_in(d0, vb, step, t_in)])
+        else:
+            step = np.minimum(np.searchsorted(right, ts, side="left"), right.size - 1)
+            mean_a = mean_in(n0, va, step, ts)
+            mean_b = mean_in(d0, vb, step, ts)
+        ratio = _power(_power(mean_a, 1.0 / a) / _power(mean_b, 1.0 / b), a)
+        lowest = np.minimum(mean_a.min(), mean_b.min())
+    if not (np.isfinite(ratio.max()) and lowest >= _RESOLVED):
+        return None
+    return ts, ratio
+
+
+def _whole_prefix_retried(h: StepFunction, p: float, dual: bool, ts=None):
+    a, b = _power_pair(p, dual)
+    for values in _scalings(h.values):
+        found = whole_prefix_ratios(h.breakpoints, values, a, b, ts)
+        if found is not None:
+            return found
+    raise ValueError(_RANGE_ERROR.format(p=p))
+
+
+def whole_prefix_sup(h: StepFunction, p: float, dual: bool) -> tuple[float, float]:
+    """(constant, witness t) of the prefix sup from whole_prefix_ratios."""
+    ts, vals = _whole_prefix_retried(h, p, dual)
+    best = np.max(vals)
+    return float(best), float(np.max(ts[vals == best]))
+
+
+def whole_ratio_curve(h: StepFunction, q: float, n_samples: int) -> np.ndarray:
+    """rearrange.ratio_curve from whole_prefix_ratios."""
+    grid = np.unique(
+        np.concatenate([np.linspace(1.0 / n_samples, 1.0, n_samples), h.breakpoints]))
+    return np.column_stack(_whole_prefix_retried(h, q, False, grid))
+
+
+def whole_node_ratio_sup(weight: DyadicWeight, a: float, b: float):
+    """Sup and witness of the node kernel, one whole level at a time over
+    level_averages, or None out of double range.  The reference for
+    DyadicWeight._ratio_sup, which runs in chunks of a level."""
+    y = -a / b
+    best = -np.inf
+    witness = weight.space.root
+    with np.errstate(all="ignore"):
+        nums, dens = weight.level_averages(a), weight.level_averages(b)
+        for level in range(weight.space.depth + 1):
+            num, den = nums[level], dens[level]
+            powered = den ** abs(y)
+            ratio = num / powered if y < 0 else num * powered
+            lowest = den.min()
+            if lowest > 0:
+                lowest = min(lowest, num.min(), powered.min())
+            else:
+                live = den > 0
+                ratio = np.where(live, ratio, -np.inf)
+                lowest = np.minimum(np.minimum(num, den), powered)
+                lowest = np.min(lowest, where=live, initial=np.inf)
+            i = int(np.argmax(ratio))
+            if not (np.isfinite(ratio[i]) and lowest >= _RESOLVED):
+                return None
+            if ratio[i] > best:
+                best = float(ratio[i])
+                witness = NodeId(level, i)
+    return best, witness
+
+
+def whole_node_sup(weight: DyadicWeight, p: float, dual: bool) -> tuple[float, NodeId]:
+    """(constant, witness) of the node sup from whole_node_ratio_sup, with
+    DyadicWeight._node_sup's rescaled retries."""
+    a, b = _power_pair(p, dual)
+    for values in _scalings(weight.values):
+        found = whole_node_ratio_sup(DyadicWeight(weight.space, values), a, b)
+        if found is not None:
+            return found
+    raise ValueError(_RANGE_ERROR.format(p=p))
 
 
 def _integer_powers(values, q: int) -> tuple[list[int], int]:

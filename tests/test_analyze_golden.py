@@ -4,7 +4,9 @@ Each digest covers ``json.dumps(analyze_weight(w, p), sort_keys=True)`` and
 ``ratio_curve(star, p, 50).tobytes()``; a call that refuses contributes its
 error message instead.  The corpus reaches every branch of both kernels:
 interior stationary points, merged steps, zero-average nodes and the rescaled
-retries (see test_golden_corpus_covers_every_branch).
+retries (see test_golden_corpus_covers_every_branch).  Its weights have at
+most 2^10 leaves, so the kernels run them in one chunk; the digests are also
+required at chunk sizes that cut every level and every step list.
 """
 import hashlib
 import json
@@ -13,9 +15,10 @@ import numpy as np
 import pytest
 
 from treerhi import DyadicWeight, TreeSpace, gen_power, gen_random, rearrangement
+from treerhi import rearrange, weight
 from treerhi.cli import analyze_weight
-from treerhi.rearrange import _prefix_ratios, _ratios_at, ratio_curve
-from treerhi.weight import _power_pair
+from treerhi.rearrange import _prefix_ratios, _ratio_chunks, _ratios_at, ratio_curve
+from treerhi.weight import _power_pair, _scalings
 
 PS = (1.5, 2.0, 3.0, 120.0)
 RANDOM_SHAPES = ((2, 3), (2, 8), (3, 4), (4, 4), (8, 3), (2, 10))
@@ -58,9 +61,9 @@ def _outputs(w: DyadicWeight, p: float):
         yield f"ValueError: {exc}"
 
 
-def _digest(name: str, p: float) -> str:
+def _digest(name: str, p: float, corpus: dict[str, DyadicWeight] = CORPUS) -> str:
     h = hashlib.sha256()
-    for out in _outputs(CORPUS[name], p):
+    for out in _outputs(corpus[name], p):
         h.update(out if isinstance(out, bytes) else out.encode())
     return h.hexdigest()
 
@@ -171,6 +174,17 @@ def test_analyze_output_matches_golden(key):
     assert _digest(name, p) == GOLDEN[key]
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+def test_analyze_output_matches_golden_in_chunks(chunk, monkeypatch):
+    """Every digest again with both kernels cut into chunks of a few nodes or
+    steps, on fresh weights (the node sups are cached per weight)."""
+    monkeypatch.setattr(weight, "_CHUNK", chunk)
+    monkeypatch.setattr(rearrange, "_CHUNK", chunk)
+    corpus = _corpus()
+    changed = [key for key in sorted(GOLDEN) if _digest(*key, corpus) != GOLDEN[key]]
+    assert changed == []
+
+
 def test_golden_corpus_covers_every_branch():
     """Interior stationary points on both prefix sides, zero-average nodes,
     and rescaled retries on both kernels."""
@@ -186,9 +200,14 @@ def test_golden_corpus_covers_every_branch():
                 a, b = _power_pair(p, dual)
                 try:
                     w._node_sup(p, dual)
-                    ts, _ = _prefix_ratios(star, p, dual)
+                    _prefix_ratios(star, p, dual)
                 except ValueError:
                     continue
+                # the values the prefix sup was taken on, and the points it tried
+                values = next(v for v in _scalings(star.values)
+                              if _ratios_at(star.breakpoints, v, a, b, None) is not None)
+                ts = np.concatenate([t for t, _, _ in _ratio_chunks(
+                    star.breakpoints, values, a, b, None)])
                 side = "interior_ap" if dual else "interior_rh"
                 seen[side] += not np.all(np.isin(ts, star.breakpoints))
                 seen["dyadic_retry"] += w._ratio_sup(a, b) is None

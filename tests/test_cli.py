@@ -79,6 +79,30 @@ def test_analyze_constant_weight(tmp_path):
     assert report["p0_bound"] == float("inf")
 
 
+def test_analyze_constant_weight_p0_infinite_at_p3(tmp_path):
+    # p0_solve at C = 1 used to return a rounding-noise root (402653184)
+    wfile = tmp_path / "w.json"
+    wfile.write_text('{"k": 2, "depth": 2, "leaves": [3, 3, 3, 3]}')
+    out = tmp_path / "r.json"
+    assert run("analyze", str(wfile), "--p", "3", "-o", str(out)) == 0
+    report = json.loads(out.read_text())
+    assert report["p0_dyadic"] == report["p0_bound"] == float("inf")
+
+
+def test_analyze_subnormal_leaf(tmp_path, capsys):
+    # max-scaling halves 5e-324 to 0, so that retry is skipped for the centred one
+    wfile = tmp_path / "w.json"
+    wfile.write_text('{"k": 2, "depth": 1, "leaves": [5e-324, 1]}')
+    out = tmp_path / "r.json"
+    assert run("analyze", str(wfile), "--p", "100", "-o", str(out)) == 0
+    report = json.loads(out.read_text())
+    assert report["muckenhoupt_constant"] == pytest.approx(1.684720775019316e293, rel=1e-12)
+    capsys.readouterr()
+    # at p = 2 the constant, about 5e322, is past the double range
+    assert run("analyze", str(wfile), "--p", "2") == 2
+    assert "at p=2.0 leave the double range" in capsys.readouterr().err
+
+
 def test_analyze_malformed_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
@@ -173,8 +197,9 @@ def test_p0_cmd(capsys):
     assert run("p0", "--p", "2", "--c", "1.125", "--k", "2") == 0
     out = capsys.readouterr().out
     assert "3.2360679" in out
-    assert run("p0", "--p", "2", "--c", "1", "--k", "8") == 0
-    assert "infinity" in capsys.readouterr().out
+    for p in ("2", "3", "400"):
+        assert run("p0", "--p", p, "--c", "1", "--k", "8") == 0
+        assert "infinity" in capsys.readouterr().out
     assert run("p0", "--p", "2", "--c", "0.5") == 2
     assert "c must be a finite number >= 1, got 0.5" in capsys.readouterr().err
 

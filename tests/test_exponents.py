@@ -27,9 +27,13 @@ def test_p0_closed_form_sqrt5():
 
 
 def test_p0_infinite_for_constant_one():
-    result = p0_solve(2.0, 1.0)
-    assert math.isinf(result.p0)
-    assert not result.finite
+    # at p = 3, 400 and 1 + 1e-7 the doubling bracket used to land on a
+    # rounding-noise crossing (p0 = 402653184 at p = 3)
+    for p in (1.0 + 1e-7, 1.5, 2.0, 3.0, 400.0):
+        result = p0_solve(p, 1.0)
+        assert math.isinf(result.p0), p
+        assert not result.finite
+        assert math.isnan(result.residual)
 
 
 def test_p0_residual_small_on_grid():

@@ -53,6 +53,22 @@ def test_step_function_refuses_non_finite(breakpoints, values, message):
         StepFunction(breakpoints=breakpoints, values=values)
 
 
+def test_step_function_keeps_frozen_arrays_and_copies_the_rest():
+    frozen = np.array([0.5, 1.0])
+    frozen.setflags(write=False)
+    writable = np.array([3.0, 1.0])
+    view = writable[:]
+    view.setflags(write=False)  # read-only, but its owner is not
+    h = StepFunction(breakpoints=frozen, values=writable)
+    assert h.breakpoints is frozen
+    assert h.values is not writable and writable.flags.writeable
+    assert not h.values.flags.writeable
+    writable[0] = 9.0
+    assert h.values[0] == 3.0
+    g = StepFunction(breakpoints=frozen, values=view)
+    assert g.values is not view and writable.flags.writeable
+
+
 def test_rearrangement_sort_and_merge():
     h = rearrangement(DyadicWeight.from_leaves(2, 2, [1, 3, 2, 2]))
     assert list(h.breakpoints) == [0.25, 0.75, 1.0]
