@@ -56,7 +56,8 @@ def _scalings(values: np.ndarray):
     smallest, largest = values[values > 0].min(), values.max()
     top = np.frexp(largest)[1]
     for e in (top, (top + np.frexp(smallest)[1]) // 2):
-        low, high = np.ldexp([smallest, largest], -e)
+        with np.errstate(over="ignore"):
+            low, high = np.ldexp([smallest, largest], -e)
         if low > 0 and np.isfinite(high):
             yield np.ldexp(values, -e)
 

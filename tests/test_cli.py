@@ -101,6 +101,10 @@ def test_analyze_subnormal_leaf(tmp_path, capsys):
     # at p = 2 the constant, about 5e322, is past the double range
     assert run("analyze", str(wfile), "--p", "2") == 2
     assert "at p=2.0 leave the double range" in capsys.readouterr().err
+    # centring 5e-324 and 1e300 would push 1e300 past the double range
+    wfile.write_text('{"k": 2, "depth": 1, "leaves": [5e-324, 1e300]}')
+    assert run("analyze", str(wfile), "--p", "100") == 2
+    assert "at p=100.0 leave the double range" in capsys.readouterr().err
 
 
 def test_analyze_malformed_file(tmp_path):
