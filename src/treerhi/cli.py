@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -183,37 +184,42 @@ def verify_weaktype(args) -> int:
 
 
 def verify_lemma(args) -> int:
-    """The trace's own two-set check (one threshold, one Gamma); degenerate
-    traces and failed hypotheses are skipped, up to LEMMA_ATTEMPTS each."""
+    """The trace's own two-set check (one threshold, one Gamma) at every p;
+    degenerate traces and failed hypotheses, which do not depend on p, are
+    skipped, up to LEMMA_ATTEMPTS each."""
     rng = np.random.default_rng(args.seed)
     checked = skipped = 0
     for i, w in _corpus(LEMMA_ATTEMPTS * args.count, args.seed, args.k, args.depth):
         t = float(rng.uniform(0.05, 1.0))
-        result = trace_mod.trace_theorem1(w, args.p[0], t).lemma
-        if result is None or not result.hypotheses_hold:
+        traces = trace_mod._traces(w, args.p, t)
+        first = next(traces)
+        if first.lemma is None or not first.lemma.hypotheses_hold:
             skipped += 1
             continue
         checked += 1
-        if not result.conclusion_holds:
-            return _fail(
-                args, i, w,
-                f"lemma conclusion fails: {result.lhs} > {result.rhs} at t={t}",
-            )
+        for tr in itertools.chain([first], traces):
+            if not tr.lemma.conclusion_holds:
+                return _fail(
+                    args, i, w,
+                    f"lemma conclusion fails: {tr.lemma.lhs} > {tr.lemma.rhs} "
+                    f"at t={t}, p={tr.p}",
+                )
         if checked == args.count:
             break
-    print(f"lemma: {checked} instances checked, {skipped} skipped, all conclusions hold")
+    print(f"lemma: {checked} instances checked at p={','.join(map(str, args.p))}, "
+          f"{skipped} skipped, all conclusions hold")
     return EXIT_OK
 
 
 def verify_decomposition(args) -> int:
+    """Traces at five prefix lengths; each length is decomposed once for all p."""
     t_grid = [0.1, 0.3, 0.5, 0.7, 0.9]
     for i, w in _corpus(args.count, args.seed, args.k, args.depth):
         for t in t_grid:
-            for p in args.p:
-                tr = trace_mod.trace_theorem1(w, p, t)
+            for tr in trace_mod._traces(w, args.p, t):
                 if not tr.all_hold:
                     bad = [a.name for a in tr.assertions if not a.holds]
-                    return _fail(args, i, w, f"assertions failed at t={t}, p={p}: {bad}")
+                    return _fail(args, i, w, f"assertions failed at t={t}, p={tr.p}: {bad}")
     print(
         f"decomposition: {args.count} weights x {len(t_grid)} prefixes x "
         f"{len(args.p)} exponents, all assertions hold"

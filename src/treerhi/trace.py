@@ -6,7 +6,9 @@ fathers, the per-father kernels, the fractional fillers that pin each union's
 average exactly at the threshold, and the top set of measure t.  Every
 inequality the construction relies on is evaluated numerically and recorded,
 ending with the bound k*(c-1)+1 on the power average, where c is the
-reverse-Holder constant over the tree nodes.
+reverse-Holder constant over the tree nodes.  Everything up to the power
+averages is built from the threshold alone, so a caller tracing one weight
+at several exponents decomposes each prefix length once (_traces).
 
 Sets are fraction arrays over contiguous leaf windows: a father's block for
 the per-father sets, the whole tree for the top set and the union of the
@@ -28,12 +30,13 @@ import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
 from .rearrange import _check_t, prefix_average, rearrangement
 from .tree import NodeId, TreeSpace
-from .weight import _RESOLVED, DyadicWeight, _check_exponent
+from .weight import _RESOLVED, DyadicWeight, RhiReport, _check_exponent
 
 GAMMA_REL_TOL = 1e-10
 ASSERT_REL_TOL = 1e-9
@@ -462,13 +465,32 @@ def lemma21_check(
     attainable since fractions model non-atomic portions.
     """
     _check_exponent(p)
-    fe = e.fraction_array()
-    fh = e_hat.fraction_array()
+    sides = _lemma_sides(weight, e, e.fraction_array(), e_hat, e_hat.fraction_array())
+    return _lemma_conclusion(weight, sides, p)
+
+
+class _LemmaSides(NamedTuple):
+    """The half of lemma21_check that does not depend on p."""
+    e: FractionalSet
+    e_hat: FractionalSet
+    measure_e: float
+    measure_hat: float
+    average: float
+    failures: tuple[str, ...]
+
+
+def _lemma_sides(weight: DyadicWeight, e: FractionalSet, fe: np.ndarray,
+                 e_hat: FractionalSet, fh: np.ndarray,
+                 hat_sums: tuple[float, float] | None = None) -> _LemmaSides:
+    """The common average and the failed hypotheses of lemma21_check, from
+    the sets' fractions over the whole tree, fe and fh.  ``hat_sums`` is
+    e_hat's (measure, integral) when the caller has summed them already."""
     if not (fe.any() and fh.any()):
         raise ValueError("both sets must be nonempty")
-    measure_e, measure_hat = e.measure, e_hat.measure  # average = integral / measure
+    measure_e = e.measure  # average = integral / measure
+    measure_hat, integral_hat = hat_sums or (e_hat.measure, e_hat.integral(weight))
     avg_e = e.integral(weight) / measure_e
-    avg_hat = e_hat.integral(weight) / measure_hat
+    avg_hat = integral_hat / measure_hat
     common = avg_e
     failures: list[str] = []
     if not math.isclose(avg_e, avg_hat, rel_tol=ASSERT_REL_TOL, abs_tol=1e-12):
@@ -482,17 +504,20 @@ def lemma21_check(
     if only_hat.any():  # e is nonempty, checked above
         if values[only_hat].max() > values[fe > 0].min() * (1.0 + ASSERT_REL_TOL):
             failures.append("value in e_hat minus e above a value in e")
+    return _LemmaSides(e, e_hat, measure_e, measure_hat, common, tuple(failures))
 
-    lhs = e.integral(weight, p) / measure_e
-    rhs = e_hat.integral(weight, p) / measure_hat
-    conclusion = lhs <= rhs * (1.0 + EQ_REL_TOL) + 1e-300
+
+def _lemma_conclusion(weight: DyadicWeight, sides: _LemmaSides, p: float) -> Lemma21Result:
+    """The power averages over e and e_hat at p, compared."""
+    lhs = sides.e.integral(weight, p) / sides.measure_e
+    rhs = sides.e_hat.integral(weight, p) / sides.measure_hat
     return Lemma21Result(
-        hypotheses_hold=not failures,
-        conclusion_holds=conclusion,
+        hypotheses_hold=not sides.failures,
+        conclusion_holds=lhs <= rhs * (1.0 + EQ_REL_TOL) + 1e-300,
         lhs=lhs,
         rhs=rhs,
-        average=common,
-        failures=tuple(failures),
+        average=sides.average,
+        failures=sides.failures,
     )
 
 
@@ -511,54 +536,114 @@ def _pinned(name: str, average: float, threshold: float) -> Assertion:
 
 def trace_theorem1(weight: DyadicWeight, p: float, t: float) -> DecompositionTrace:
     """Run the whole decomposition at prefix length t and record every check."""
-    _check_exponent(p)
-    t = _check_t(t)
-    if weight.total_integral == 0:
-        raise ValueError("weight is identically zero")
+    return next(_traces(weight, (p,), t))
 
-    space = weight.space
-    k = space.k
-    star = rearrangement(weight)
-    threshold = prefix_average(star, t, 1.0)
-    # every power average the trace sums from leaf powers lies in [A**p, max**p]
-    for v in (threshold, star.values[0]):
-        if not math.log2(_RESOLVED) <= p * math.log2(v) < 1024:
-            raise ValueError(f"threshold**p or max**p leaves the double range at p={p}")
-    prefix_power = prefix_average(star, t, p)
-    rhi = weight.dyadic_rhi_constant(p)
+
+@dataclass(frozen=True)
+class _Decomposition:
+    """The part of a trace at prefix length t that does not depend on p: it
+    is built from the threshold alone.  ``lemma`` is None when the trace is
+    degenerate (nothing exceeds the threshold)."""
+    exceedance_leaves: tuple[int, ...]
+    stopping_nodes: tuple[NodeId, ...] = ()
+    fathers: tuple[NodeId, ...] = ()
+    records: tuple[FatherRecord, ...] = ()
+    assertions: tuple[Assertion, ...] = ()  # the first ones of every trace, in order
+    gamma_measure: float = 0.0
+    father_union_measure: float = 0.0
+    lemma: _LemmaSides | None = None
+
+
+def _traces(weight: DyadicWeight, ps, t: float):
+    """trace_theorem1(weight, p, t) for each p of ps in turn.
+
+    The decomposition is built once, after the first exponent's range check,
+    and shared: each exponent adds its power averages, its bound and the
+    checks that read them.  Each trace owns its lists.  A refusal comes where
+    separate calls would raise it, and ends the traces.
+    """
+    threshold = decomposition = None
+    for p in ps:
+        _check_exponent(p)
+        if threshold is None:
+            t = _check_t(t)
+            if weight.total_integral == 0 and not weight.values.any():  # see _node_sup
+                raise ValueError("weight is identically zero")
+            star = rearrangement(weight)
+            threshold = prefix_average(star, t, 1.0)
+        # every power average the trace sums from leaf powers lies in [A**p, max**p]
+        for v in (threshold, star.values[0]):
+            if not (v > 0 and math.log2(_RESOLVED) <= p * math.log2(v) < 1024):
+                raise ValueError(f"threshold**p or max**p leaves the double range at p={p}")
+        prefix_power = prefix_average(star, t, p)
+        rhi = weight.dyadic_rhi_constant(p)
+        if decomposition is None:
+            decomposition = _decompose(weight, t, threshold)
+        yield _trace_at(decomposition, weight, p, t, threshold, prefix_power, rhi)
+
+
+def _trace_at(d: _Decomposition, weight: DyadicWeight, p: float, t: float, threshold: float,
+              prefix_power: float, rhi: RhiReport) -> DecompositionTrace:
+    """The trace at exponent p, from the shared decomposition."""
+    k = weight.space.k
     bound_factor = k * (rhi.constant - 1.0) + 1.0
     bound_value = bound_factor * threshold ** p
-
     trace = DecompositionTrace(
         k=k,
-        depth=space.depth,
+        depth=weight.space.depth,
         p=p,
         t=t,
         threshold=threshold,
-        degenerate=False,
+        degenerate=d.lemma is None,
         rhi_constant=rhi.constant,
         rhi_witness=rhi.witness,
         bound_factor=bound_factor,
         bound_value=bound_value,
         prefix_power_average=prefix_power,
+        gamma_measure=d.gamma_measure,
+        father_union_measure=d.father_union_measure,
+        exceedance_leaves=list(d.exceedance_leaves),
+        stopping_nodes=list(d.stopping_nodes),
+        fathers=list(d.fathers),
+        records=list(d.records),
+        assertions=list(d.assertions),
     )
     push = trace.assertions.append
-
-    exceeds = _exceeds(weight.maximal_function(), threshold)
-    trace.exceedance_leaves = exceeds.nonzero()[0].tolist()
-
-    if not trace.exceedance_leaves:
-        # Nothing exceeds the threshold, so the rearrangement is at most the
-        # threshold on (0, t] and the bound follows directly.
-        trace.degenerate = True
-        push(_at_most("max_value_le_threshold", float(weight.values.max()), threshold))
+    if d.lemma is None:
         push(_at_most("prefix_power_le_bound", prefix_power, bound_value))
         return trace
 
+    lemma = _lemma_conclusion(weight, d.lemma, p)
+    trace.lemma = lemma
+    push(Assertion("lemma_hypotheses_hold", float(lemma.hypotheses_hold), 1.0,
+                   lemma.hypotheses_hold))
+    trace.gamma_power_average = lemma.rhs  # the power average over Gamma
+    push(_at_most("prefix_power_le_gamma_power", prefix_power, trace.gamma_power_average))
+    push(_at_most("father_union_measure_le_k_gamma", trace.father_union_measure,
+                  k * trace.gamma_measure))
+    push(_at_most("gamma_power_le_bound", trace.gamma_power_average, bound_value))
+    push(_at_most("prefix_power_le_bound", prefix_power, bound_value))
+    return trace
+
+
+def _decompose(weight: DyadicWeight, t: float, threshold: float) -> _Decomposition:
+    """Stopping family, fathers, fills, Gamma and top set at this threshold,
+    with the checks that do not read p."""
+    space = weight.space
+    k = space.k
+    exceeds = _exceeds(weight.maximal_function(), threshold)
+    exceedance_leaves = tuple(exceeds.nonzero()[0].tolist())
+
+    if not exceedance_leaves:
+        # Nothing exceeds the threshold, so the rearrangement is at most the
+        # threshold on (0, t] and the bound follows directly.
+        return _Decomposition(exceedance_leaves, assertions=(
+            _at_most("max_value_le_threshold", float(weight.values.max()), threshold),))
+
+    assertions: list[Assertion] = []
+    push = assertions.append
     stopping = stopping_decomposition(weight, threshold)
-    trace.stopping_nodes = stopping
     fathers = select_fathers(space, stopping)
-    trace.fathers = fathers
     n, depth = space.n_leaves, space.depth
     spans = [k ** (depth - level) for level in range(depth + 1)]
     firsts = [node.index * spans[node.level] for node in stopping]
@@ -627,6 +712,7 @@ def trace_theorem1(weight: DyadicWeight, p: float, t: float) -> DecompositionTra
     gamma_terms = (union * weight.values).tolist()
 
     checked = FractionalSet._checked
+    records = []
     for s, (first, span, fm, fa, ka, km, windows) in enumerate(per_father):
         kernel, filler, gamma_s, delta = windows
         ga = (math.fsum(gamma_terms[first:first + span]) * h
@@ -638,7 +724,7 @@ def trace_theorem1(weight: DyadicWeight, p: float, t: float) -> DecompositionTra
         upper_ok = km < fm * (1.0 + ASSERT_REL_TOL)
         push(Assertion(f"kernel_measure_bounds[{s}]", km, fm, lower_ok and upper_ok))
         push(_pinned(f"gamma_average_matches_threshold[{s}]", ga, threshold))
-        trace.records.append(FatherRecord(
+        records.append(FatherRecord(
             father=fathers[s],
             members=tuple(members[s]),
             kernel=checked(space, first, kernel),
@@ -650,21 +736,21 @@ def trace_theorem1(weight: DyadicWeight, p: float, t: float) -> DecompositionTra
             gamma_average=ga,
         ))
 
-    gamma = checked(space, 0, union)
-    trace.gamma_measure = math.fsum(gamma_fractions) * h  # gamma.measure
-    trace.father_union_measure = math.fsum(fm for _, _, fm, *_ in per_father)
-    push(_pinned("gamma_average_matches_threshold",
-                 math.fsum(gamma_terms) * h / trace.gamma_measure, threshold))
-    push(_at_most("gamma_measure_le_t", trace.gamma_measure, t))
-
-    lemma = lemma21_check(weight, build_top_set(weight, t), gamma, p)
-    trace.lemma = lemma
-    push(Assertion("lemma_hypotheses_hold", float(lemma.hypotheses_hold), 1.0,
-                   lemma.hypotheses_hold))
-    trace.gamma_power_average = lemma.rhs  # the power average over Gamma
-    push(_at_most("prefix_power_le_gamma_power", prefix_power, trace.gamma_power_average))
-    push(_at_most("father_union_measure_le_k_gamma", trace.father_union_measure,
-                  k * trace.gamma_measure))
-    push(_at_most("gamma_power_le_bound", trace.gamma_power_average, bound_value))
-    push(_at_most("prefix_power_le_bound", prefix_power, bound_value))
-    return trace
+    gamma_measure = math.fsum(gamma_fractions) * h  # gamma.measure
+    gamma_integral = math.fsum(gamma_terms) * h  # gamma.integral(weight)
+    push(_pinned("gamma_average_matches_threshold", gamma_integral / gamma_measure, threshold))
+    push(_at_most("gamma_measure_le_t", gamma_measure, t))
+    # both sets span the whole tree, so their windows are their fraction arrays
+    top = build_top_set(weight, t)
+    lemma = _lemma_sides(weight, top, top.window, checked(space, 0, union), union,
+                         (gamma_measure, gamma_integral))
+    return _Decomposition(
+        exceedance_leaves=exceedance_leaves,
+        stopping_nodes=tuple(stopping),
+        fathers=tuple(fathers),
+        records=tuple(records),
+        assertions=tuple(assertions),
+        gamma_measure=gamma_measure,
+        father_union_measure=math.fsum(fm for _, _, fm, *_ in per_father),
+        lemma=lemma,
+    )

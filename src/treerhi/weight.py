@@ -154,7 +154,8 @@ class DyadicWeight:
         carry an identically zero weight and are skipped, not taken as 0/0.
         """
         a, b = _power_pair(p, dual)
-        if self.total_integral == 0:
+        # the total underflows to 0 when every positive leaf is subnormal
+        if self.total_integral == 0 and not self.values.any():
             raise ValueError("weight is identically zero")
         if min(a, b) < 0 and np.any(self.values == 0):
             raise ValueError(f"a negative power at p={p} needs strictly positive values")

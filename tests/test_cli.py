@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import shlex
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from treerhi import (
     DyadicWeight, TreeSpace, cli, gen_random, load_weight, save_weight, trace_theorem1,
 )
+from treerhi import trace as trace_mod
 from treerhi.cli import main
 from helpers import trace_to_dict
 
@@ -105,6 +107,28 @@ def test_analyze_subnormal_leaf(tmp_path, capsys):
     wfile.write_text('{"k": 2, "depth": 1, "leaves": [5e-324, 1e300]}')
     assert run("analyze", str(wfile), "--p", "100") == 2
     assert "at p=100.0 leave the double range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exponent", [1.5, 2.0, 100.0])
+def test_analyze_subnormal_only_leaf(tmp_path, exponent):
+    # the total 5e-324 * 1/2 underflows to 0, which was refused as a zero weight
+    wfile = tmp_path / "w.json"
+    wfile.write_text('{"k": 2, "depth": 1, "leaves": [5e-324, 0]}')
+    out = tmp_path / "r.json"
+    assert run("analyze", str(wfile), "--p", repr(exponent), "-o", str(out)) == 0
+    report = json.loads(out.read_text())
+    assert report["dyadic_constant"] == pytest.approx(2.0 ** (exponent - 1.0), rel=1e-12)
+    assert report["dyadic_witness"] == [0, 0]
+
+
+@pytest.mark.parametrize("t", ["0.5", "1"])
+def test_trace_subnormal_only_leaf_out_of_range(tmp_path, capsys, t):
+    # at t = 1 the threshold underflows to 0, whose log2 once raised
+    # "math domain error"
+    wfile = tmp_path / "w.json"
+    wfile.write_text('{"k": 2, "depth": 1, "leaves": [5e-324, 0]}')
+    assert run("trace", str(wfile), "--p", "2", "--t", t) == 2
+    assert "threshold**p or max**p leaves the double range at p=2" in capsys.readouterr().err
 
 
 def test_analyze_malformed_file(tmp_path):
@@ -273,7 +297,24 @@ def test_verify_lemma_threshold_one_ulp_apart(capsys):
     # another such case).  Degenerate traces are skipped, so 60 checks run
     # past weight 55.
     assert run("verify", "lemma", "--count", "60", "--depth", "1") == 0
-    assert capsys.readouterr().out.startswith("lemma: 60 instances")
+    assert capsys.readouterr().out.startswith("lemma: 60 instances checked at p=1.5,2.0,3.0,")
+
+
+def test_verify_lemma_checks_every_exponent(monkeypatch, capsys):
+    # a conclusion made to fail at the last --p only is reported
+    conclude = trace_mod._lemma_conclusion
+    seen = []
+
+    def fail_at_3(weight, sides, p):
+        seen.append(p)
+        result = conclude(weight, sides, p)
+        return dataclasses.replace(result, conclusion_holds=p != 3.0)
+
+    monkeypatch.setattr(trace_mod, "_lemma_conclusion", fail_at_3)
+    assert run("verify", "lemma", "--count", "3", "--p", "1.5,2,3") == 1
+    assert seen == [1.5, 2.0, 3.0]
+    out = capsys.readouterr().out
+    assert "lemma conclusion fails" in out and "p=3.0" in out
 
 
 README_COUNTS = {"decomposition": "2", "lemma": "2"}  # README's take minutes

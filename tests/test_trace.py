@@ -23,8 +23,11 @@ from treerhi import (
     stopping_decomposition,
     trace_theorem1,
 )
-from treerhi.trace import _fill
+from treerhi import trace as trace_mod
+from treerhi.cli import main
+from treerhi.trace import Assertion, _fill, _traces
 from helpers import fractions, greedy_fill, maximal_oracle, sorted_leaf_prefix_average
+from test_trace_golden import CASES as GOLDEN_CASES, _weight as golden_weight
 
 
 def w8211():
@@ -467,3 +470,72 @@ def test_trace_serialization_stable():
     assert all(a["holds"] for a in doc["assertions"])
     # identical run serializes identically
     assert trace_theorem1(w8211(), 2.0, 0.5).to_json() == tr.to_json()
+
+
+# ---------------------------------------------------------------------------
+# one decomposition shared by the traces at several exponents
+# ---------------------------------------------------------------------------
+
+SHARED_PS = (1.5, 2.0, 3.0)
+
+
+def test_shared_traces_match_separate_traces():
+    # the golden corpus at every t, degenerate traces included; the separate
+    # traces run on a fresh copy of the weight, so no cache is shared
+    kinds = set()
+    for case in GOLDEN_CASES:
+        w, ts = golden_weight(case)
+        for t in ts:
+            shared = list(_traces(w, SHARED_PS, t))
+            fresh = DyadicWeight(w.space, w.values)
+            assert [tr.to_json() for tr in shared] == [
+                trace_theorem1(fresh, p, t).to_json() for p in SHARED_PS]
+            kinds |= {tr.degenerate for tr in shared}
+    assert kinds == {True, False}
+
+
+def test_shared_traces_refuse_where_separate_calls_do():
+    # max is about 2**410: max**1.5 is in range, max**3 is not
+    w = gen_random(TreeSpace(2, 4), 1)
+    w = DyadicWeight(w.space, np.ldexp(w.values, 400))
+    traces = _traces(w, (1.5, 3.0), 0.5)
+    assert next(traces).to_json() == trace_theorem1(w, 1.5, 0.5).to_json()
+    with pytest.raises(ValueError) as shared:
+        next(traces)
+    with pytest.raises(ValueError) as separate:
+        trace_theorem1(w, 3.0, 0.5)
+    assert str(shared.value) == str(separate.value)
+    assert "leaves the double range at p=3.0" in str(shared.value)
+    # a first exponent out of range refuses before anything is decomposed
+    with pytest.raises(ValueError, match="at p=3.0"):
+        next(_traces(w, (3.0, 1.5), 0.5))
+
+
+def test_shared_traces_own_their_lists():
+    w = gen_random(TreeSpace(2, 4), 3)
+    traces = list(_traces(w, SHARED_PS, 0.5))
+    assert not traces[0].degenerate
+    others = [tr.to_json() for tr in traces[1:]]
+    first = traces[0]
+    first.assertions.append(Assertion("extra", 0.0, 0.0, False))
+    first.records.append(first.records[0])
+    first.stopping_nodes.append(NodeId(0, 0))
+    first.fathers.append(NodeId(0, 0))
+    first.exceedance_leaves.append(0)
+    assert [tr.to_json() for tr in traces[1:]] == others
+    assert all(tr.all_hold for tr in traces[1:])
+
+
+def test_verify_decomposition_decomposes_each_prefix_once(monkeypatch):
+    # five prefix lengths x three exponents: one stopping family per length
+    # (the weight, 2 leaves, is degenerate at the first three), where a
+    # trace per exponent picked six
+    calls = []
+
+    def counted(weight, threshold):
+        calls.append(threshold)
+        return stopping_decomposition(weight, threshold)
+
+    monkeypatch.setattr(trace_mod, "stopping_decomposition", counted)
+    assert main(["verify", "decomposition", "--count", "1"]) == 0
+    assert 0 < len(calls) <= 5
