@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import sys
@@ -184,28 +183,25 @@ def verify_weaktype(args) -> int:
 
 
 def verify_lemma(args) -> int:
-    """The trace's own two-set check (one threshold, one Gamma) at every p;
-    degenerate traces and failed hypotheses, which do not depend on p, are
-    skipped, up to LEMMA_ATTEMPTS each."""
+    """The trace's own two-set check (one threshold, one Gamma) at every p,
+    from the decomposition alone; degenerate traces and failed hypotheses,
+    which do not depend on p, are skipped, up to LEMMA_ATTEMPTS each."""
     rng = np.random.default_rng(args.seed)
     checked = skipped = 0
     for i, w in _corpus(LEMMA_ATTEMPTS * args.count, args.seed, args.k, args.depth):
         t = float(rng.uniform(0.05, 1.0))
-        traces = trace_mod._traces(w, args.p, t)
-        first = next(traces)
-        if first.lemma is None or not first.lemma.hypotheses_hold:
-            skipped += 1
-            continue
-        checked += 1
-        for tr in itertools.chain([first], traces):
-            if not tr.lemma.conclusion_holds:
-                return _fail(
-                    args, i, w,
-                    f"lemma conclusion fails: {tr.lemma.lhs} > {tr.lemma.rhs} "
-                    f"at t={t}, p={tr.p}",
-                )
-        if checked == args.count:
-            break
+        for p, _, d in trace_mod._decompositions(w, args.p, (t,)):
+            if d.lemma is None or d.lemma.failures:
+                skipped += 1
+                break
+            lemma = trace_mod._lemma_conclusion(w, d.lemma, p)
+            if not lemma.conclusion_holds:
+                return _fail(args, i, w, f"lemma conclusion fails: {lemma.lhs} > {lemma.rhs} "
+                             f"at t={t}, p={p}")
+        else:  # the conclusion held at every p
+            checked += 1
+            if checked == args.count:
+                break
     print(f"lemma: {checked} instances checked at p={','.join(map(str, args.p))}, "
           f"{skipped} skipped, all conclusions hold")
     return EXIT_OK
@@ -215,11 +211,10 @@ def verify_decomposition(args) -> int:
     """Traces at five prefix lengths; each length is decomposed once for all p."""
     t_grid = [0.1, 0.3, 0.5, 0.7, 0.9]
     for i, w in _corpus(args.count, args.seed, args.k, args.depth):
-        for t in t_grid:
-            for tr in trace_mod._traces(w, args.p, t):
-                if not tr.all_hold:
-                    bad = [a.name for a in tr.assertions if not a.holds]
-                    return _fail(args, i, w, f"assertions failed at t={t}, p={tr.p}: {bad}")
+        for tr in trace_mod._traces(w, args.p, t_grid):
+            if not tr.all_hold:
+                bad = [a.name for a in tr.assertions if not a.holds]
+                return _fail(args, i, w, f"assertions failed at t={tr.t}, p={tr.p}: {bad}")
     print(
         f"decomposition: {args.count} weights x {len(t_grid)} prefixes x "
         f"{len(args.p)} exponents, all assertions hold"
@@ -242,6 +237,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         weight_mod._check_exponent(p)
     if args.depth < 1:
         raise UsageError("depth must be >= 1")
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise UsageError(f"tolerance must be a finite number >= 0, got {args.tolerance}")
     for k in args.k:
         TreeSpace(k, args.depth)  # refuses k < 2 and oversized trees up front
     return VERIFY_SUITES[args.suite](args)

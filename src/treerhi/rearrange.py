@@ -91,18 +91,16 @@ def rearrangement(weight: DyadicWeight) -> StepFunction:
 
     Breakpoints are cumulative leaf counts divided by the leaf count, so
     level-set lengths of the result match level-set measures of the weight
-    exactly.  Computed once per weight and kept on it.
+    exactly.
     """
-    if weight._rearranged is None:
-        n = weight.space.n_leaves
-        desc = np.sort(weight.values)[::-1]
-        ends = np.append(np.flatnonzero(desc[1:] != desc[:-1]), n - 1)
-        breakpoints, values = (ends + 1).astype(np.float64) / n, desc[ends]
-        # frozen here, so that StepFunction keeps them without a copy
-        breakpoints.setflags(write=False)
-        values.setflags(write=False)
-        weight._rearranged = StepFunction(breakpoints=breakpoints, values=values)
-    return weight._rearranged
+    n = weight.space.n_leaves
+    desc = np.sort(weight.values)[::-1]
+    ends = np.append(np.flatnonzero(desc[1:] != desc[:-1]), n - 1)
+    breakpoints, values = (ends + 1).astype(np.float64) / n, desc[ends]
+    # frozen here, so that StepFunction keeps them without a copy
+    breakpoints.setflags(write=False)
+    values.setflags(write=False)
+    return StepFunction(breakpoints=breakpoints, values=values)
 
 
 def prefix_average(h: StepFunction, t: float, q: float = 1.0) -> float:

@@ -8,7 +8,8 @@ inequality the construction relies on is evaluated numerically and recorded,
 ending with the bound k*(c-1)+1 on the power average, where c is the
 reverse-Holder constant over the tree nodes.  Everything up to the power
 averages is built from the threshold alone, so a caller tracing one weight
-at several exponents decomposes each prefix length once (_traces).
+at several prefix lengths and exponents decomposes each length once, and
+computes the rearrangement once and each exponent's node sup once (_traces).
 
 Sets are fraction arrays over contiguous leaf windows: a father's block for
 the per-father sets, the whole tree for the top set and the union of the
@@ -465,7 +466,8 @@ def lemma21_check(
     attainable since fractions model non-atomic portions.
     """
     _check_exponent(p)
-    sides = _lemma_sides(weight, e, e.fraction_array(), e_hat, e_hat.fraction_array())
+    sides = _lemma_sides(weight, e, e.fraction_array(), e_hat, e_hat.fraction_array(),
+                         e_hat.measure, e_hat.integral(weight))
     return _lemma_conclusion(weight, sides, p)
 
 
@@ -481,14 +483,13 @@ class _LemmaSides(NamedTuple):
 
 def _lemma_sides(weight: DyadicWeight, e: FractionalSet, fe: np.ndarray,
                  e_hat: FractionalSet, fh: np.ndarray,
-                 hat_sums: tuple[float, float] | None = None) -> _LemmaSides:
+                 measure_hat: float, integral_hat: float) -> _LemmaSides:
     """The common average and the failed hypotheses of lemma21_check, from
-    the sets' fractions over the whole tree, fe and fh.  ``hat_sums`` is
-    e_hat's (measure, integral) when the caller has summed them already."""
+    the sets' fractions over the whole tree, fe and fh, and e_hat's measure
+    and integral."""
     if not (fe.any() and fh.any()):
         raise ValueError("both sets must be nonempty")
     measure_e = e.measure  # average = integral / measure
-    measure_hat, integral_hat = hat_sums or (e_hat.measure, e_hat.integral(weight))
     avg_e = e.integral(weight) / measure_e
     avg_hat = integral_hat / measure_hat
     common = avg_e
@@ -536,7 +537,7 @@ def _pinned(name: str, average: float, threshold: float) -> Assertion:
 
 def trace_theorem1(weight: DyadicWeight, p: float, t: float) -> DecompositionTrace:
     """Run the whole decomposition at prefix length t and record every check."""
-    return next(_traces(weight, (p,), t))
+    return next(_traces(weight, (p,), (t,)))
 
 
 @dataclass(frozen=True)
@@ -544,6 +545,8 @@ class _Decomposition:
     """The part of a trace at prefix length t that does not depend on p: it
     is built from the threshold alone.  ``lemma`` is None when the trace is
     degenerate (nothing exceeds the threshold)."""
+    t: float
+    threshold: float
     exceedance_leaves: tuple[int, ...]
     stopping_nodes: tuple[NodeId, ...] = ()
     fathers: tuple[NodeId, ...] = ()
@@ -554,46 +557,55 @@ class _Decomposition:
     lemma: _LemmaSides | None = None
 
 
-def _traces(weight: DyadicWeight, ps, t: float):
-    """trace_theorem1(weight, p, t) for each p of ps in turn.
-
-    The decomposition is built once, after the first exponent's range check,
-    and shared: each exponent adds its power averages, its bound and the
-    checks that read them.  Each trace owns its lists.  A refusal comes where
-    separate calls would raise it, and ends the traces.
-    """
-    threshold = decomposition = None
-    for p in ps:
-        _check_exponent(p)
-        if threshold is None:
-            t = _check_t(t)
-            if weight.total_integral == 0 and not weight.values.any():  # see _node_sup
-                raise ValueError("weight is identically zero")
-            star = rearrangement(weight)
-            threshold = prefix_average(star, t, 1.0)
-        # every power average the trace sums from leaf powers lies in [A**p, max**p]
-        for v in (threshold, star.values[0]):
-            if not (v > 0 and math.log2(_RESOLVED) <= p * math.log2(v) < 1024):
-                raise ValueError(f"threshold**p or max**p leaves the double range at p={p}")
-        prefix_power = prefix_average(star, t, p)
-        rhi = weight.dyadic_rhi_constant(p)
-        if decomposition is None:
-            decomposition = _decompose(weight, t, threshold)
-        yield _trace_at(decomposition, weight, p, t, threshold, prefix_power, rhi)
+def _decompositions(weight: DyadicWeight, ps, ts):
+    """(p, star, d) for each t of ts and, within it, each p of ps, once p
+    passes its checks: d is the decomposition at t, built at t's first p,
+    and star the rearrangement.  A refusal comes where separate traces
+    would raise it, and ends the run."""
+    star = None
+    for t in ts:
+        d = None
+        for p in ps:
+            _check_exponent(p)
+            if d is None:
+                t = _check_t(t)
+                if star is None:
+                    if weight.total_integral == 0 and not weight.values.any():  # see _node_sup
+                        raise ValueError("weight is identically zero")
+                    star = rearrangement(weight)
+                threshold = prefix_average(star, t, 1.0)
+            # every power average the trace sums from leaf powers lies in [A**p, max**p]
+            for v in (threshold, star.values[0]):
+                if not (v > 0 and math.log2(_RESOLVED) <= p * math.log2(v) < 1024):
+                    raise ValueError(f"threshold**p or max**p leaves the double range at p={p}")
+            if d is None:
+                d = _decompose(weight, t, threshold)
+            yield p, star, d
 
 
-def _trace_at(d: _Decomposition, weight: DyadicWeight, p: float, t: float, threshold: float,
-              prefix_power: float, rhi: RhiReport) -> DecompositionTrace:
+def _traces(weight: DyadicWeight, ps, ts):
+    """trace_theorem1(weight, p, t) for each (t, p) of _decompositions; the
+    node sup at p is computed at p's first trace.  Each trace owns its lists."""
+    rhis: dict[float, RhiReport] = {}
+    for p, star, d in _decompositions(weight, ps, ts):
+        prefix_power = prefix_average(star, d.t, p)
+        if p not in rhis:
+            rhis[p] = weight.dyadic_rhi_constant(p)
+        yield _trace_at(d, weight, p, prefix_power, rhis[p])
+
+
+def _trace_at(d: _Decomposition, weight: DyadicWeight, p: float, prefix_power: float,
+              rhi: RhiReport) -> DecompositionTrace:
     """The trace at exponent p, from the shared decomposition."""
     k = weight.space.k
     bound_factor = k * (rhi.constant - 1.0) + 1.0
-    bound_value = bound_factor * threshold ** p
+    bound_value = bound_factor * d.threshold ** p
     trace = DecompositionTrace(
         k=k,
         depth=weight.space.depth,
         p=p,
-        t=t,
-        threshold=threshold,
+        t=d.t,
+        threshold=d.threshold,
         degenerate=d.lemma is None,
         rhi_constant=rhi.constant,
         rhi_witness=rhi.witness,
@@ -609,19 +621,15 @@ def _trace_at(d: _Decomposition, weight: DyadicWeight, p: float, t: float, thres
         assertions=list(d.assertions),
     )
     push = trace.assertions.append
-    if d.lemma is None:
-        push(_at_most("prefix_power_le_bound", prefix_power, bound_value))
-        return trace
-
-    lemma = _lemma_conclusion(weight, d.lemma, p)
-    trace.lemma = lemma
-    push(Assertion("lemma_hypotheses_hold", float(lemma.hypotheses_hold), 1.0,
-                   lemma.hypotheses_hold))
-    trace.gamma_power_average = lemma.rhs  # the power average over Gamma
-    push(_at_most("prefix_power_le_gamma_power", prefix_power, trace.gamma_power_average))
-    push(_at_most("father_union_measure_le_k_gamma", trace.father_union_measure,
-                  k * trace.gamma_measure))
-    push(_at_most("gamma_power_le_bound", trace.gamma_power_average, bound_value))
+    if d.lemma is not None:  # else nothing exceeds the threshold
+        lemma = trace.lemma = _lemma_conclusion(weight, d.lemma, p)
+        push(Assertion("lemma_hypotheses_hold", float(lemma.hypotheses_hold), 1.0,
+                       lemma.hypotheses_hold))
+        trace.gamma_power_average = lemma.rhs  # the power average over Gamma
+        push(_at_most("prefix_power_le_gamma_power", prefix_power, lemma.rhs))
+        push(_at_most("father_union_measure_le_k_gamma", trace.father_union_measure,
+                      k * trace.gamma_measure))
+        push(_at_most("gamma_power_le_bound", lemma.rhs, bound_value))
     push(_at_most("prefix_power_le_bound", prefix_power, bound_value))
     return trace
 
@@ -637,7 +645,7 @@ def _decompose(weight: DyadicWeight, t: float, threshold: float) -> _Decompositi
     if not exceedance_leaves:
         # Nothing exceeds the threshold, so the rearrangement is at most the
         # threshold on (0, t] and the bound follows directly.
-        return _Decomposition(exceedance_leaves, assertions=(
+        return _Decomposition(t, threshold, exceedance_leaves, assertions=(
             _at_most("max_value_le_threshold", float(weight.values.max()), threshold),))
 
     assertions: list[Assertion] = []
@@ -658,99 +666,94 @@ def _decompose(weight: DyadicWeight, t: float, threshold: float) -> _Decompositi
     # with the father, and each stopping node joins the father labelled at
     # its first leaf.
     label = np.empty(n, dtype=np.intp)
-    levels: dict[int, list[int]] = {}
-    in_blocks = 0
     for s, father in enumerate(fathers):
         span = spans[father.level]
         label[father.index * span:(father.index + 1) * span] = s
-        levels.setdefault(father.level, []).append(father.index)
-        in_blocks += span
     members: list[list[NodeId]] = [[] for _ in fathers]
     for node, s in zip(stopping, label.take(firsts).tolist()):
         members[s].append(node)
 
     h = space.leaf_measure
     sums = weight.level_sums(1.0)
-    # the fsum of each father's kernel integral runs over its block of these
-    kernel_terms = (covered * weight.values).tolist()
-    # kernel, filler, gamma and delta of every father over its block: a
-    # 4 x F x span slice of one buffer per level, range-checked once
-    buf = np.empty((4, in_blocks))
+    checked = FractionalSet._checked
     union = np.zeros(n)
-    per_father = []  # (first, span, father measure and average, kernel average and measure, sets)
-    s = start = 0
-    for level, indices in levels.items():
+    records: list[FatherRecord] = []
+    # per father, gamma's fractions and leaf terms over its block: the fsums
+    # of gamma's measure and integral, per father and over the union
+    gamma_fractions: list[list[float]] = []
+    gamma_terms: list[list[float]] = []
+    s = 0
+    for level, group in itertools.groupby(fathers, lambda father: father.level):
+        indices = [father.index for father in group]
         span, count = spans[level], len(indices)
         index = np.array(indices)
-        sets = buf[:, start:start + count * span].reshape(4, count, span)
+        # kernel, filler, gamma and delta of the level's fathers over their blocks
+        sets = np.empty((4, count, span))
         covered.reshape(-1, span).take(index, axis=0, out=sets[0])
-        starts = [i * span for i in indices]
+        values = weight.values.reshape(-1, span).take(index, axis=0)
         # the stopping nodes in a maximal father's block are its members, so
         # the kernel is their 0/1 cover and its fsum is their leaf count
         kernel_measure = [sum(spans[node.level] for node in members[i]) * h
                           for i in range(s, s + count)]
-        kernel_integral = [math.fsum(kernel_terms[a:a + span]) * h for a in starts]
+        kernel_integral = [math.fsum(row) * h for row in (sets[0] * values).tolist()]
         kernel_avg = [a / m for a, m in zip(kernel_integral, kernel_measure)]
         father_measure = space.node_measure(fathers[s])
         # level_averages(1.0)[level] at the fathers
         father_avg = [a / father_measure for a in sums[level].take(index).tolist()]
-        _fill(weight.values.reshape(-1, span).take(index, axis=0), sets,
-              [kernel_measure, kernel_integral], threshold, h,
+        _fill(values, sets, [kernel_measure, kernel_integral], threshold, h,
               [not math.isclose(ka, threshold, rel_tol=EQ_REL_TOL) for ka in kernel_avg])
+        # checked and frozen before the records take read-only views of it
+        _check_fractions(sets)
+        sets.setflags(write=False)
         # the blocks are disjoint and gamma is at most 1 (a kernel leaf is 1, a
         # free one gets at most its share 1), so the union's fractions are gamma's
         union.reshape(-1, span)[index] = sets[2]
-        per_father += zip(starts, [span] * count, [father_measure] * count, father_avg,
-                          kernel_avg, kernel_measure, zip(*sets))
-        s += count
-        start += count * span
-    _check_fractions(buf)
-    buf.setflags(write=False)
+        gamma_fractions += sets[2].tolist()
+        gamma_terms += (sets[2] * values).tolist()
+        for i, fa, ka, km, kernel, filler, gamma_s, delta in zip(
+                indices, father_avg, kernel_avg, kernel_measure, *sets):
+            first = i * span
+            ga = math.fsum(gamma_terms[s]) * h / (math.fsum(gamma_fractions[s]) * h)
+            push(_at_most(f"father_average_le_threshold[{s}]", fa, threshold))
+            push(Assertion(f"kernel_average_gt_threshold[{s}]", ka, threshold,
+                           ka > threshold * (1.0 - ASSERT_REL_TOL)))
+            lower_ok = km >= father_measure / k * (1.0 - ASSERT_REL_TOL)
+            upper_ok = km < father_measure * (1.0 + ASSERT_REL_TOL)
+            push(Assertion(f"kernel_measure_bounds[{s}]", km, father_measure,
+                           lower_ok and upper_ok))
+            push(_pinned(f"gamma_average_matches_threshold[{s}]", ga, threshold))
+            records.append(FatherRecord(
+                father=fathers[s],
+                members=tuple(members[s]),
+                kernel=checked(space, first, kernel),
+                filler=checked(space, first, filler),
+                gamma=checked(space, first, gamma_s),
+                delta=checked(space, first, delta),
+                father_average=fa,
+                kernel_average=ka,
+                gamma_average=ga,
+            ))
+            s += 1
     union.setflags(write=False)
-    # the fsums of gamma's measure and integral, per father and over the union
-    gamma_fractions = union.tolist()
-    gamma_terms = (union * weight.values).tolist()
 
-    checked = FractionalSet._checked
-    records = []
-    for s, (first, span, fm, fa, ka, km, windows) in enumerate(per_father):
-        kernel, filler, gamma_s, delta = windows
-        ga = (math.fsum(gamma_terms[first:first + span]) * h
-              / (math.fsum(gamma_fractions[first:first + span]) * h))
-        push(_at_most(f"father_average_le_threshold[{s}]", fa, threshold))
-        push(Assertion(f"kernel_average_gt_threshold[{s}]", ka, threshold,
-                       ka > threshold * (1.0 - ASSERT_REL_TOL)))
-        lower_ok = km >= fm / k * (1.0 - ASSERT_REL_TOL)
-        upper_ok = km < fm * (1.0 + ASSERT_REL_TOL)
-        push(Assertion(f"kernel_measure_bounds[{s}]", km, fm, lower_ok and upper_ok))
-        push(_pinned(f"gamma_average_matches_threshold[{s}]", ga, threshold))
-        records.append(FatherRecord(
-            father=fathers[s],
-            members=tuple(members[s]),
-            kernel=checked(space, first, kernel),
-            filler=checked(space, first, filler),
-            gamma=checked(space, first, gamma_s),
-            delta=checked(space, first, delta),
-            father_average=fa,
-            kernel_average=ka,
-            gamma_average=ga,
-        ))
-
-    gamma_measure = math.fsum(gamma_fractions) * h  # gamma.measure
-    gamma_integral = math.fsum(gamma_terms) * h  # gamma.integral(weight)
+    # fsum is correctly rounded, so these equal the fsums over the whole tree
+    gamma_measure = math.fsum(itertools.chain.from_iterable(gamma_fractions)) * h
+    gamma_integral = math.fsum(itertools.chain.from_iterable(gamma_terms)) * h
     push(_pinned("gamma_average_matches_threshold", gamma_integral / gamma_measure, threshold))
     push(_at_most("gamma_measure_le_t", gamma_measure, t))
     # both sets span the whole tree, so their windows are their fraction arrays
     top = build_top_set(weight, t)
     lemma = _lemma_sides(weight, top, top.window, checked(space, 0, union), union,
-                         (gamma_measure, gamma_integral))
+                         gamma_measure, gamma_integral)
     return _Decomposition(
+        t=t,
+        threshold=threshold,
         exceedance_leaves=exceedance_leaves,
         stopping_nodes=tuple(stopping),
         fathers=tuple(fathers),
         records=tuple(records),
         assertions=tuple(assertions),
         gamma_measure=gamma_measure,
-        father_union_measure=math.fsum(fm for _, _, fm, *_ in per_father),
+        father_union_measure=math.fsum(map(space.node_measure, fathers)),
         lemma=lemma,
     )

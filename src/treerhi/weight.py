@@ -86,7 +86,7 @@ class DyadicWeight:
     """Non-negative leaf values on a TreeSpace with cached per-node sums.
 
     Immutable after construction: the value array is marked read-only and
-    the caches of sums and derived results are append-only.
+    the cache of sums is append-only.
     """
 
     def __init__(self, space: TreeSpace, leaf_values) -> None:
@@ -103,10 +103,6 @@ class DyadicWeight:
         self.space = space
         self.values = values
         self._sums: dict[float, list[np.ndarray]] = {}
-        # results the tracer asks for at every (p, t): the node sups by
-        # (p, dual) and rearrange.rearrangement(self)
-        self._sups: dict[tuple[float, bool], RhiReport] = {}
-        self._rearranged = None
 
     @classmethod
     def from_leaves(cls, k: int, depth: int, values) -> "DyadicWeight":
@@ -159,17 +155,12 @@ class DyadicWeight:
             raise ValueError("weight is identically zero")
         if min(a, b) < 0 and np.any(self.values == 0):
             raise ValueError(f"a negative power at p={p} needs strictly positive values")
-        key = (p, dual)
-        if key not in self._sups:
-            for values in _scalings(self.values):
-                scaled = self if values is self.values else DyadicWeight(self.space, values)
-                found = scaled._ratio_sup(a, b)
-                if found is not None:
-                    break
-            else:
-                raise ValueError(_RANGE_ERROR.format(p=p))
-            self._sups[key] = RhiReport(exponent=p, constant=found[0], witness=found[1])
-        return self._sups[key]
+        for values in _scalings(self.values):
+            scaled = self if values is self.values else DyadicWeight(self.space, values)
+            found = scaled._ratio_sup(a, b)
+            if found is not None:
+                return RhiReport(exponent=p, constant=found[0], witness=found[1])
+        raise ValueError(_RANGE_ERROR.format(p=p))
 
     def _ratio_sup(self, a: float, b: float) -> tuple[float, NodeId] | None:
         """Sup and witness of _node_sup, or None when out of double range.

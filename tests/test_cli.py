@@ -178,6 +178,19 @@ def test_verify_bad_params():
     assert run("verify", "theorem1", "--count", "5", "--k", "1") == 2
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+def test_verify_tolerance_must_be_finite_and_nonnegative(tolerance, capsys):
+    # nan and inf once checked nothing and passed; -1 reported a failure of
+    # a bound that held
+    assert run("verify", "theorem1", "--count", "5", "--tolerance", tolerance) == 2
+    assert "tolerance must be a finite number >= 0" in capsys.readouterr().err
+
+
+def test_verify_tolerance_zero_passes(capsys):
+    assert run("verify", "theorem1", "--tolerance", "0") == 0
+    assert "all bounded" in capsys.readouterr().out
+
+
 def test_trace_cmd(tmp_path, capsys):
     wfile = tmp_path / "w.json"
     wfile.write_text('{"k": 2, "depth": 2, "leaves": [8, 2, 1, 1]}')

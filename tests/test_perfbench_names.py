@@ -1,0 +1,47 @@
+"""The names that perfbench/spans.py rebinds for its per-layer spans.
+
+The spans module is read and run here without writing anything next to it.
+Its install() raises on the first name that is gone, so a rename in treerhi
+breaks every traced benchmark run; this test names the missing entry.
+"""
+import importlib
+import types
+from pathlib import Path
+
+import treerhi
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _spans() -> types.ModuleType:
+    module = types.ModuleType("spans")
+    exec(compile(SPANS.read_text(), str(SPANS), "exec"), module.__dict__)
+    return module
+
+
+def _member(cls: type, attr: str):
+    """The function spans wraps for a class attribute, which must be the
+    class's own: the function of a classmethod, the getter of a property."""
+    member = cls.__dict__.get(attr)
+    if isinstance(member, classmethod):
+        return member.__func__
+    if isinstance(member, property):
+        return member.fget
+    return member
+
+
+def test_every_traced_name_is_callable():
+    spans = _spans()
+    missing = []
+    for module, owner, attr, name in spans.TARGETS:
+        mod = importlib.import_module(f"{treerhi.__name__}.{module}")
+        if owner is None:
+            found = getattr(mod, attr, None)
+        else:
+            found = _member(getattr(mod, owner), attr)
+        if not callable(found):
+            missing.append(name)
+    for attr in spans.FRACTIONAL_SET_MEMBERS:
+        if not callable(_member(treerhi.FractionalSet, attr)):
+            missing.append(f"FractionalSet.{attr}")
+    assert missing == []

@@ -480,17 +480,15 @@ SHARED_PS = (1.5, 2.0, 3.0)
 
 
 def test_shared_traces_match_separate_traces():
-    # the golden corpus at every t, degenerate traces included; the separate
-    # traces run on a fresh copy of the weight, so no cache is shared
+    # the golden corpus, all its prefix lengths in one run, degenerate traces
+    # included
     kinds = set()
     for case in GOLDEN_CASES:
         w, ts = golden_weight(case)
-        for t in ts:
-            shared = list(_traces(w, SHARED_PS, t))
-            fresh = DyadicWeight(w.space, w.values)
-            assert [tr.to_json() for tr in shared] == [
-                trace_theorem1(fresh, p, t).to_json() for p in SHARED_PS]
-            kinds |= {tr.degenerate for tr in shared}
+        shared = list(_traces(w, SHARED_PS, ts))
+        assert [tr.to_json() for tr in shared] == [
+            trace_theorem1(w, p, t).to_json() for t in ts for p in SHARED_PS]
+        kinds |= {tr.degenerate for tr in shared}
     assert kinds == {True, False}
 
 
@@ -498,7 +496,7 @@ def test_shared_traces_refuse_where_separate_calls_do():
     # max is about 2**410: max**1.5 is in range, max**3 is not
     w = gen_random(TreeSpace(2, 4), 1)
     w = DyadicWeight(w.space, np.ldexp(w.values, 400))
-    traces = _traces(w, (1.5, 3.0), 0.5)
+    traces = _traces(w, (1.5, 3.0), (0.5,))
     assert next(traces).to_json() == trace_theorem1(w, 1.5, 0.5).to_json()
     with pytest.raises(ValueError) as shared:
         next(traces)
@@ -508,12 +506,12 @@ def test_shared_traces_refuse_where_separate_calls_do():
     assert "leaves the double range at p=3.0" in str(shared.value)
     # a first exponent out of range refuses before anything is decomposed
     with pytest.raises(ValueError, match="at p=3.0"):
-        next(_traces(w, (3.0, 1.5), 0.5))
+        next(_traces(w, (3.0, 1.5), (0.5,)))
 
 
 def test_shared_traces_own_their_lists():
     w = gen_random(TreeSpace(2, 4), 3)
-    traces = list(_traces(w, SHARED_PS, 0.5))
+    traces = list(_traces(w, SHARED_PS, (0.5,)))
     assert not traces[0].degenerate
     others = [tr.to_json() for tr in traces[1:]]
     first = traces[0]
@@ -539,3 +537,33 @@ def test_verify_decomposition_decomposes_each_prefix_once(monkeypatch):
     monkeypatch.setattr(trace_mod, "stopping_decomposition", counted)
     assert main(["verify", "decomposition", "--count", "1"]) == 0
     assert 0 < len(calls) <= 5
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Calls of owner.name from now on, by the arguments after any self."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_verify_decomposition_shares_node_sup_and_rearrangement(monkeypatch):
+    # one weight at five prefix lengths x three exponents: one node sup per
+    # exponent and one rearrangement, where every trace made its own
+    sups = _count_calls(monkeypatch, DyadicWeight, "dyadic_rhi_constant")
+    rearranged = _count_calls(monkeypatch, trace_mod, "rearrangement")
+    assert main(["verify", "decomposition", "--count", "1"]) == 0
+    assert sups == [1.5, 2.0, 3.0]
+    assert len(rearranged) == 1
+
+
+def test_verify_lemma_computes_no_node_sup(monkeypatch, capsys):
+    sups = _count_calls(monkeypatch, DyadicWeight, "dyadic_rhi_constant")
+    assert main(["verify", "lemma", "--count", "3"]) == 0
+    assert "all conclusions hold" in capsys.readouterr().out
+    assert sups == []
