@@ -213,7 +213,8 @@ def verify_decomposition(args) -> int:
     for i, w in _corpus(args.count, args.seed, args.k, args.depth):
         for tr in trace_mod._traces(w, args.p, t_grid):
             if not tr.all_hold:
-                bad = [a.name for a in tr.assertions if not a.holds]
+                table = tr.assertion_table()
+                bad = [name for name, holds in zip(table["name"], table["holds"]) if not holds]
                 return _fail(args, i, w, f"assertions failed at t={tr.t}, p={tr.p}: {bad}")
     print(
         f"decomposition: {args.count} weights x {len(t_grid)} prefixes x "
@@ -255,11 +256,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
         Path(args.output).write_text(tr.to_json(_echo_config(args)) + "\n")
     branch = "degenerate" if tr.degenerate else f"{len(tr.fathers)} fathers"
     status = "all hold" if tr.all_hold else "ASSERTION FAILURES"
+    table = tr.assertion_table()
     print(f"threshold A = {tr.threshold:.12g}, {branch}, "
-          f"{len(tr.assertions)} assertions: {status}")
-    for a in tr.assertions:
-        if not a.holds:
-            print(f"  FAILED {a.name}: lhs={a.lhs!r} rhs={a.rhs!r}")
+          f"{len(table['name'])} assertions: {status}")
+    for name, lhs, rhs, holds in zip(*table.values()):
+        if not holds:
+            print(f"  FAILED {name}: lhs={lhs!r} rhs={rhs!r}")
     return EXIT_OK if tr.all_hold else EXIT_FAIL
 
 

@@ -8,20 +8,20 @@ inequality the construction relies on is evaluated numerically and recorded,
 ending with the bound k*(c-1)+1 on the power average, where c is the
 reverse-Holder constant over the tree nodes.  Everything up to the power
 averages is built from the threshold alone, so a caller tracing one weight
-at several prefix lengths and exponents decomposes each length once, and
-computes the rearrangement once and each exponent's node sup once (_traces).
+at several prefix lengths and exponents decomposes each length once and
+computes the rearrangement, the top set's leaf order, each exponent's node
+sup and each leaf's power once (_traces).
 
-Sets are fraction arrays over contiguous leaf windows: a father's block for
-the per-father sets, the whole tree for the top set and the union of the
-Gamma sets.  Maximal fathers are disjoint, so a trace stores O(n) fractions
-for n leaves and costs O(n log n): the stopping family is picked level by
-level, the fathers are walked as (level, index) pairs root first and kept
-while their first leaf is unclaimed, and each stopping node joins the father
-labelled at its first leaf.  The per-father stage runs once per level of
-fathers: maximal fathers at one level have equal blocks, so their kernels,
-fillers, Gamma and delta sets are F x span arrays, filled by a fixed number
-of numpy calls per level (one stable sort per row; the greedy filler's
-running sums are seeded cumsums, which add in the filler's own order).
+Maximal fathers are disjoint, so a trace stores O(n) fractions for n leaves
+and costs O(n log n).  The decomposition is kept as columns: each level of
+fathers, whose blocks are equal, fills its kernels, fillers, Gamma and delta
+sets as F x span rows of one frozen array, with a fixed number of numpy calls
+(one stable sort per row; the greedy filler's running sums are seeded
+cumsums, which add in the filler's own order), and the four per-father
+checks are decided on whole columns of averages and measures.  A trace's
+``records`` and ``assertions`` are built from the columns on first read;
+``to_json``, ``all_hold`` and ``assertion_table`` read the columns, so
+tracing, checking and writing a trace make no per-father objects.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -42,6 +42,11 @@ from .weight import _RESOLVED, DyadicWeight, RhiReport, _check_exponent
 GAMMA_REL_TOL = 1e-10
 ASSERT_REL_TOL = 1e-9
 EQ_REL_TOL = 1e-12
+
+
+def _powers(values: np.ndarray, q: float) -> np.ndarray:
+    # Python's float power: np.power can differ from it in the last bit
+    return np.fromiter(map(pow, values.tolist(), itertools.repeat(q)), np.float64, values.size)
 
 
 class FractionalSet:
@@ -96,9 +101,8 @@ class FractionalSet:
         values = weight.values[inside + self.first]
         if q < 0 and (values == 0).any():
             raise ValueError("negative exponent requires strictly positive values")
-        # Python's float power: np.power can differ from it in the last bit
-        terms = [f * v ** q for f, v in zip(self.window[inside].tolist(), values.tolist())]
-        return math.fsum(terms) * self.space.leaf_measure
+        terms = self.window[inside] * _powers(values, q)
+        return math.fsum(terms.tolist()) * self.space.leaf_measure
 
     def average(self, weight: DyadicWeight, q: float = 1.0) -> float:
         return self.integral(weight, q) / self.measure
@@ -157,6 +161,26 @@ class FatherRecord:
     gamma_average: float
 
 
+class _BuiltOnRead:
+    """A list field of DecompositionTrace that a traced run leaves unbuilt
+    (None, also the field's default): it is built from the trace's columns
+    on first read, and is from then on, as when the constructor is given a
+    list, a list that the trace owns."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, trace, owner=None):
+        if trace is None:
+            return None
+        if trace.__dict__[self.name] is None:
+            trace.__dict__[self.name] = trace._build(self.name)
+        return trace.__dict__[self.name]
+
+    def __set__(self, trace, value) -> None:
+        trace.__dict__[self.name] = value
+
+
 @dataclass
 class DecompositionTrace:
     # the field order is the key order of to_json
@@ -177,18 +201,47 @@ class DecompositionTrace:
     exceedance_leaves: list[int] = field(default_factory=list)
     stopping_nodes: list[NodeId] = field(default_factory=list)
     fathers: list[NodeId] = field(default_factory=list)
-    records: list[FatherRecord] = field(default_factory=list)
+    records: list[FatherRecord] = _BuiltOnRead()
     lemma: Lemma21Result | None = None
-    assertions: list[Assertion] = field(default_factory=list)
+    assertions: list[Assertion] = _BuiltOnRead()
+    # a traced run's (decomposition, rows of its checks at p)
+    _source: ClassVar[tuple | None] = None
+
+    def _unbuilt(self, name: str) -> bool:
+        return self._source is not None and self.__dict__[name] is None
+
+    def _build(self, name: str) -> list:
+        if self._source is None:
+            return []
+        if name == "records":
+            return self._source[0].records()
+        return list(itertools.starmap(Assertion, zip(*self.assertion_table().values())))
 
     @property
     def all_hold(self) -> bool:
+        if self._unbuilt("assertions"):
+            d, tail = self._source
+            return d.all_hold and all(row[3] for row in tail)
         return all(a.holds for a in self.assertions)
+
+    def assertion_table(self) -> dict[str, list]:
+        """The assertions as the columns name, lhs, rhs and holds, built
+        without Assertion objects until the list is read, and then from it."""
+        if self._unbuilt("assertions"):
+            return self._source[0].assertion_table(self._source[1])
+        return {n: [getattr(a, n) for a in self.assertions] for n in _template(Assertion, 0)[0]}
 
     def to_json(self, config: dict | None = None) -> str:
         """The text ``json.dumps(..., indent=2)`` writes for this trace as a
         dict: its fields in declaration order, then ``config`` when given."""
-        text = _items([self], 0)[0]
+        unbuilt = {}
+        if self._unbuilt("records"):
+            unbuilt["records"] = _Table(FatherRecord, self._source[0].record_table())
+        if self._unbuilt("assertions"):
+            unbuilt["assertions"] = _Table(Assertion, self.assertion_table())
+        names = _template(DecompositionTrace, 0)[0]
+        columns = {n: [unbuilt[n] if n in unbuilt else getattr(self, n)] for n in names}
+        text = _Writer().rows(DecompositionTrace, columns, 0)[0]
         if config is None:
             return text
         config_text = json.dumps(config, indent=2).replace("\n", _NL[1])
@@ -202,7 +255,30 @@ class DecompositionTrace:
 # ---------------------------------------------------------------------------
 
 _NL = tuple("\n" + "  " * d for d in range(8))  # line break and indent at depth d
+_SEP = tuple("," + nl for nl in _NL)
 _BOOL = {True: "true", False: "false"}
+
+
+class _Table(NamedTuple):
+    """A list of ``kind`` objects held as one column per field."""
+    kind: type
+    columns: dict
+
+
+class _Sets(NamedTuple):
+    """Rows of fractional sets over a tree of ``n_leaves`` leaves: in each
+    row of ``flat``, set i holds leaves from ``firsts[i]`` on, its
+    ``sizes[i]`` fractions following those of the sets before it."""
+    firsts: np.ndarray
+    sizes: np.ndarray
+    flat: np.ndarray
+    n_leaves: int
+
+
+class _SetColumn(NamedTuple):
+    """The sets of one row of ``sets``, written together with its other rows."""
+    sets: _Sets
+    row: int
 
 
 @functools.cache
@@ -216,10 +292,17 @@ def _template(kind: type, d: int) -> tuple[tuple[str, ...], str]:
     return names, "{" + ",".join(keys) + _NL[d] + "}"
 
 
+@functools.lru_cache(maxsize=4)
+def _whole_leaves(n_leaves: int) -> list[str]:
+    """The JSON item of each leaf held whole, the commonest share, for the
+    last few tree sizes written."""
+    return list(map('"{}": 1.0'.format, range(n_leaves)))
+
+
 def _container(open_: str, items: list[str], close: str, d: int) -> str:
     if not items:
         return open_ + close
-    return open_ + _NL[d + 1] + ("," + _NL[d + 1]).join(items) + _NL[d] + close
+    return open_ + _NL[d + 1] + _SEP[d + 1].join(items) + _NL[d] + close
 
 
 def _float(x: float) -> str:
@@ -228,49 +311,98 @@ def _float(x: float) -> str:
     return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
-def _fractions(s: FractionalSet, d: int) -> str:
-    # the constructor keeps fractions in [0, 1], so each is finite; most are 1
-    items = [f'"{s.first + i}": {"1.0" if f == 1.0 else float.__repr__(f)}'
-             for i, f in enumerate(s.window.tolist()) if f]
-    return _container("{", items, "}", d)
-
-
-def _items(values: list, d: int) -> list[str]:
-    """Each value as ``json.dumps(..., indent=2)`` writes it at nesting depth d.
+class _Writer:
+    """Values as ``json.dumps(..., indent=2)`` writes them, a column at a time.
 
     A dataclass is an object of its fields in declaration order, a NodeId is
-    [level, index] and a FractionalSet maps each leaf in the set to its
-    fraction.  Numbers are spelled by float.__repr__ and int.__repr__, as json
-    spells them; repr() would spell a numpy float as np.float64(...).  Other
-    types, such as numpy integers and bools, raise TypeError as in json.
+    [level, index], a _Table is the list of its rows and a FractionalSet maps
+    each leaf in the set to its fraction.  Numbers are spelled by
+    float.__repr__ and int.__repr__, as json spells them; repr() would spell
+    a numpy float as np.float64(...).  Other types, such as numpy integers
+    and bools, raise TypeError as in json.  A trace repeats its threshold,
+    averages and measures across records and assertions, and spelling a
+    float takes about a microsecond, so a column of many floats spells each
+    distinct nonzero one once per writer.
     """
-    kinds = set(map(type, values))
-    if len(kinds) != 1:
-        return [_items([v], d)[0] for v in values]
-    kind = kinds.pop()
-    if kind is bool:
-        return list(map(_BOOL.__getitem__, values))
-    if kind is type(None):
-        return ["null"] * len(values)
-    if issubclass(kind, int):
-        return list(map(int.__repr__, values))
-    if issubclass(kind, float):
-        if math.isfinite(sum(values)):  # else some value is NaN or infinite
-            return list(map(float.__repr__, values))
-        return list(map(_float, values))
-    if issubclass(kind, str):
-        return list(map(encode_basestring_ascii, values))
-    if issubclass(kind, (list, tuple)):  # all lists at once, then split
-        flat = _items([x for v in values for x in v], d + 1)
-        ends = list(itertools.accumulate(map(len, values)))
-        return [_container("[", flat[end - len(v):end], "]", d) for v, end in zip(values, ends)]
-    if issubclass(kind, FractionalSet):
-        return [_fractions(s, d) for s in values]
-    if is_dataclass(kind):
+
+    def __init__(self) -> None:
+        self.texts: dict[float, str] = {}
+        self.maps: dict[int, list[list[str]]] = {}  # by id of the _Sets written
+
+    def floats(self, values: list) -> list[str]:
+        texts = self.texts
+        new = [x for x in dict.fromkeys(values) if x and x not in texts]
+        texts.update(zip(new, map(_float, new)))
+        out = list(map(texts.get, values))
+        if None in out:  # zeros: 0.0 and -0.0 are equal keys but spelled apart
+            out = [_float(x) if text is None else text for text, x in zip(out, values)]
+        return out
+
+    def fraction_maps(self, sets: _Sets, d: int) -> list[list[str]]:
+        """The leaf -> fraction map of each set of each row at depth d, from
+        one pass over the nonzero fractions of all rows and a join per set."""
+        firsts, sizes, flat, n_leaves = sets
+        if not flat.size:
+            return [["{}"] * len(sizes)] * len(flat)
+        ends = sizes.cumsum()
+        inside = flat.ravel().nonzero()[0]
+        at = inside % flat.shape[1]
+        leaves = at + (firsts - ends + sizes)[ends.searchsorted(at, side="right")]
+        items = list(map(_whole_leaves(n_leaves).__getitem__, leaves.tolist()))
+        fractions = flat.ravel()[inside]
+        part = (fractions != 1.0).nonzero()[0]
+        for i, leaf, text in zip(part.tolist(), leaves[part].tolist(),
+                                 self.floats(fractions[part].tolist())):
+            items[i] = f'"{leaf}": {text}'
+        cuts = inside.searchsorted(np.add.outer(np.arange(0, flat.size, flat.shape[1]), ends))
+        cuts = cuts.ravel().tolist()
+        maps = [_container("{", items[lo:hi], "}", d) for lo, hi in zip([0] + cuts, cuts)]
+        return [maps[j:j + len(sizes)] for j in range(0, len(maps), len(sizes))]
+
+    def rows(self, kind: type, columns: dict, d: int) -> list[str]:
+        """The JSON objects of ``kind`` at depth d whose fields hold the columns."""
         names, template = _template(kind, d)
-        columns = [_items([getattr(v, n) for v in values], d + 1) for n in names]
-        return list(map(template.__mod__, zip(*columns)))
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        return list(map(template.__mod__, zip(*[self.items(columns[n], d + 1) for n in names])))
+
+    def items(self, values: list, d: int) -> list[str]:
+        """Each value of the list, or each set of a _SetColumn, at depth d."""
+        if isinstance(values, _SetColumn):
+            key = id(values.sets)  # the table that holds the column keeps it alive
+            if key not in self.maps:
+                self.maps[key] = self.fraction_maps(values.sets, d)
+            return self.maps[key][values.row]
+        kinds = set(map(type, values))
+        if len(kinds) != 1:
+            return [self.items([v], d)[0] for v in values]
+        kind = kinds.pop()
+        if kind is bool:
+            return list(map(_BOOL.__getitem__, values))
+        if kind is type(None):
+            return ["null"] * len(values)
+        if issubclass(kind, int):
+            return list(map(int.__repr__, values))
+        if issubclass(kind, float):
+            if len(values) < 16:  # too few to pay for the lookups of floats()
+                return list(map(float.__repr__ if math.isfinite(sum(values)) else _float, values))
+            return self.floats(values)
+        if issubclass(kind, str):
+            return list(map(encode_basestring_ascii, values))
+        if kind is _Table:
+            return [_container("[", self.rows(v.kind, v.columns, d + 1), "]", d) for v in values]
+        if issubclass(kind, (list, tuple)):  # all lists at once, then split
+            flat = self.items([x for v in values for x in v], d + 1)
+            ends = list(itertools.accumulate(map(len, values)))
+            return [_container("[", flat[end - len(v):end], "]", d)
+                    for v, end in zip(values, ends)]
+        if issubclass(kind, FractionalSet):
+            windows = [s.window for s in values]
+            return self.fraction_maps(_Sets(
+                np.array([s.first for s in values]), np.array([w.size for w in windows]),
+                np.concatenate(windows)[None], max(s.space.n_leaves for s in values)), d)[0]
+        if is_dataclass(kind):
+            names = _template(kind, d)[0]
+            return self.rows(kind, {n: [getattr(v, n) for v in values] for n in names}, d)
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +418,20 @@ def _exceeds(average, threshold: float):
     The stopping rule and the exceedance set both use this test.
     """
     return average > threshold * (1.0 + EQ_REL_TOL)
+
+
+def _at_most(lhs, rhs):
+    """Whether lhs is at most rhs up to ASSERT_REL_TOL, for floats or arrays."""
+    return lhs <= rhs * (1.0 + ASSERT_REL_TOL)
+
+
+def _isclose(a: np.ndarray, b: float, rel_tol: float) -> np.ndarray:
+    """math.isclose(x, b, rel_tol=rel_tol) for each x of a: a finite
+    difference within rel_tol of either side (or equal infinite b)."""
+    if not math.isfinite(b):
+        return a == b
+    diff = abs(b - a)  # infinite or NaN when x is
+    return np.isfinite(diff) & (diff <= np.maximum(abs(rel_tol * b), abs(rel_tol * a)))
 
 
 def stopping_decomposition(weight: DyadicWeight, threshold: float) -> list[NodeId]:
@@ -430,15 +576,14 @@ def build_gamma(
     return FractionalSet(space, first, sets[2, 0]), FractionalSet(space, first, sets[3, 0])
 
 
-def build_top_set(weight: DyadicWeight, t: float) -> FractionalSet:
-    """Greedy top set of measure t: leaves by descending value, one fractional.
+def _descending_order(values: np.ndarray) -> np.ndarray:
+    """Leaf indices by descending value, ties by leaf: the top sets' order."""
+    return np.argsort(-values, kind="stable")
 
-    Its average equals the prefix average of the rearrangement over (0, t].
-    """
-    t = _check_t(t)
-    space = weight.space
+
+def _top_fractions(order: np.ndarray, space: TreeSpace, t: float) -> np.ndarray:
+    """Read-only fractions of the greedy top set of measure t over the tree."""
     h = space.leaf_measure
-    order = np.argsort(-weight.values, kind="stable")
     quotient = t / h
     full = int(round(quotient)) if abs(quotient - round(quotient)) < 1e-9 else int(quotient)
     full = min(full, space.n_leaves)
@@ -448,7 +593,16 @@ def build_top_set(weight: DyadicWeight, t: float) -> FractionalSet:
     if rest > EQ_REL_TOL and full < space.n_leaves:
         fractions[order[full]] = rest
     fractions.setflags(write=False)
-    return FractionalSet._checked(space, 0, fractions)  # shares 1 and rest < 1
+    return fractions
+
+
+def build_top_set(weight: DyadicWeight, t: float) -> FractionalSet:
+    """Greedy top set of measure t: leaves by descending value, one fractional.
+
+    Its average equals the prefix average of the rearrangement over (0, t].
+    """
+    fractions = _top_fractions(_descending_order(weight.values), weight.space, _check_t(t))
+    return FractionalSet._checked(weight.space, 0, fractions)  # shares 1 and rest < 1
 
 
 def lemma21_check(
@@ -466,38 +620,44 @@ def lemma21_check(
     attainable since fractions model non-atomic portions.
     """
     _check_exponent(p)
-    sides = _lemma_sides(weight, e, e.fraction_array(), e_hat, e_hat.fraction_array(),
+    sides = _lemma_sides(weight, e.fraction_array(), e_hat.fraction_array(),
                          e_hat.measure, e_hat.integral(weight))
     return _lemma_conclusion(weight, sides, p)
 
 
 class _LemmaSides(NamedTuple):
-    """The half of lemma21_check that does not depend on p."""
-    e: FractionalSet
-    e_hat: FractionalSet
+    """The half of lemma21_check that does not depend on p; ``fe`` and
+    ``fh`` are the sets' fractions at the leaves either set holds,
+    ``support``."""
+    support: np.ndarray
+    fe: np.ndarray
+    fh: np.ndarray
     measure_e: float
     measure_hat: float
     average: float
     failures: tuple[str, ...]
 
 
-def _lemma_sides(weight: DyadicWeight, e: FractionalSet, fe: np.ndarray,
-                 e_hat: FractionalSet, fh: np.ndarray,
+def _lemma_sides(weight: DyadicWeight, fe: np.ndarray, fh: np.ndarray,
                  measure_hat: float, integral_hat: float) -> _LemmaSides:
     """The common average and the failed hypotheses of lemma21_check, from
     the sets' fractions over the whole tree, fe and fh, and e_hat's measure
     and integral."""
     if not (fe.any() and fh.any()):
         raise ValueError("both sets must be nonempty")
-    measure_e = e.measure  # average = integral / measure
-    avg_e = e.integral(weight) / measure_e
+    values = weight.values
+    h = weight.space.leaf_measure
+    support = np.logical_or(fe, fh).nonzero()[0]
+    fe_in = fe[support]
+    # fsum is correctly rounded, so the leaves outside e change no bit
+    measure_e = math.fsum(fe_in.tolist()) * h  # average = integral / measure
+    avg_e = math.fsum((fe_in * values[support]).tolist()) * h / measure_e
     avg_hat = integral_hat / measure_hat
     common = avg_e
     failures: list[str] = []
     if not math.isclose(avg_e, avg_hat, rel_tol=ASSERT_REL_TOL, abs_tol=1e-12):
         failures.append("averages differ")
 
-    values = weight.values
     outside = np.minimum(fe, fh) < 1.0 - EQ_REL_TOL
     if (values[outside] > common * (1.0 + ASSERT_REL_TOL) + 1e-300).any():
         failures.append("value above the common average outside the overlap")
@@ -505,13 +665,26 @@ def _lemma_sides(weight: DyadicWeight, e: FractionalSet, fe: np.ndarray,
     if only_hat.any():  # e is nonempty, checked above
         if values[only_hat].max() > values[fe > 0].min() * (1.0 + ASSERT_REL_TOL):
             failures.append("value in e_hat minus e above a value in e")
-    return _LemmaSides(e, e_hat, measure_e, measure_hat, common, tuple(failures))
+    return _LemmaSides(support, fe_in, fh[support], measure_e, measure_hat, common,
+                       tuple(failures))
 
 
-def _lemma_conclusion(weight: DyadicWeight, sides: _LemmaSides, p: float) -> Lemma21Result:
-    """The power averages over e and e_hat at p, compared."""
-    lhs = sides.e.integral(weight, p) / sides.measure_e
-    rhs = sides.e_hat.integral(weight, p) / sides.measure_hat
+def _lemma_conclusion(weight: DyadicWeight, sides: _LemmaSides, p: float,
+                      powers: np.ndarray | None = None) -> Lemma21Result:
+    """The power averages over e and e_hat at p, compared.  ``powers``, when
+    given, holds value**p over the whole tree, NaN where not yet computed;
+    the support's missing powers are computed into it."""
+    if powers is None:
+        vp = _powers(weight.values[sides.support], p)
+    else:
+        vp = powers[sides.support]
+        missing = np.isnan(vp)
+        if missing.any():
+            vp[missing] = _powers(weight.values[sides.support[missing]], p)
+            powers[sides.support] = vp
+    h = weight.space.leaf_measure
+    lhs = math.fsum((sides.fe * vp).tolist()) * h / sides.measure_e
+    rhs = math.fsum((sides.fh * vp).tolist()) * h / sides.measure_hat
     return Lemma21Result(
         hypotheses_hold=not sides.failures,
         conclusion_holds=lhs <= rhs * (1.0 + EQ_REL_TOL) + 1e-300,
@@ -526,13 +699,9 @@ def _lemma_conclusion(weight: DyadicWeight, sides: _LemmaSides, p: float) -> Lem
 # Full trace
 # ---------------------------------------------------------------------------
 
-def _at_most(name: str, lhs: float, rhs: float) -> Assertion:
-    return Assertion(name, lhs, rhs, lhs <= rhs * (1.0 + ASSERT_REL_TOL))
-
-
-def _pinned(name: str, average: float, threshold: float) -> Assertion:
-    return Assertion(name, average, threshold,
-                     math.isclose(average, threshold, rel_tol=GAMMA_REL_TOL))
+# the checks of each father, in the order of its assertions
+FAMILIES = ("father_average_le_threshold", "kernel_average_gt_threshold",
+            "kernel_measure_bounds", "gamma_average_matches_threshold")
 
 
 def trace_theorem1(weight: DyadicWeight, p: float, t: float) -> DecompositionTrace:
@@ -540,21 +709,75 @@ def trace_theorem1(weight: DyadicWeight, p: float, t: float) -> DecompositionTra
     return next(_traces(weight, (p,), (t,)))
 
 
-@dataclass(frozen=True)
-class _Decomposition:
+class _Decomposition(NamedTuple):
     """The part of a trace at prefix length t that does not depend on p: it
     is built from the threshold alone.  ``lemma`` is None when the trace is
-    degenerate (nothing exceeds the threshold)."""
+    degenerate (nothing exceeds the threshold).
+
+    ``checks`` are the rows (name, lhs, rhs, holds) of the checks, but for
+    the per-father ones, which follow the first row.  Father s owns
+    ``sizes[s]`` leaves from ``firsts[s]`` on, and its kernel, filler, Gamma
+    and delta are its slices of the rows of ``sets``.  Its FAMILIES compare
+    ``values[:4, s]`` (its father average, kernel average, kernel measure and
+    Gamma average) with the threshold, the kernel measure with its measure
+    ``values[4, s]``; ``holds[:, s]`` are the verdicts.
+    """
+    space: TreeSpace
     t: float
     threshold: float
     exceedance_leaves: tuple[int, ...]
+    checks: tuple[tuple, ...]
     stopping_nodes: tuple[NodeId, ...] = ()
     fathers: tuple[NodeId, ...] = ()
-    records: tuple[FatherRecord, ...] = ()
-    assertions: tuple[Assertion, ...] = ()  # the first ones of every trace, in order
+    members: tuple[list[NodeId], ...] = ()
+    firsts: np.ndarray | None = None
+    sizes: np.ndarray | None = None
+    sets: np.ndarray | None = None
+    values: np.ndarray | None = None
+    holds: np.ndarray | None = None
     gamma_measure: float = 0.0
     father_union_measure: float = 0.0
     lemma: _LemmaSides | None = None
+
+    @property
+    def all_hold(self) -> bool:
+        return all(row[3] for row in self.checks) and bool(self.holds is None or self.holds.all())
+
+    def assertion_table(self, tail: tuple[tuple, ...]) -> dict[str, list]:
+        """The columns of the assertions: these checks, then the rows of tail."""
+        columns = [list(c) for c in zip(self.checks[0])]
+        if self.holds is not None:
+            rhs = np.full((len(self.fathers), 4), self.threshold)
+            rhs[:, 2] = self.values[4]
+            for column, family in zip(columns, (
+                    [f"{name}[{s}]" for s in range(len(rhs)) for name in FAMILIES],
+                    self.values[:4].T.ravel().tolist(), rhs.ravel().tolist(),
+                    self.holds.T.ravel().tolist())):
+                column += family
+        for column, rest in zip(columns, zip(*self.checks[1:] + tail)):
+            column += rest
+        return dict(zip(_template(Assertion, 0)[0], columns))
+
+    def record_table(self) -> dict[str, list]:
+        """The columns of the father records."""
+        names = _template(FatherRecord, 0)[0]
+        if self.holds is None:
+            return dict.fromkeys(names, [])
+        fa, ka, _, ga, _ = self.values.tolist()
+        sets = _Sets(self.firsts, self.sizes, self.sets, self.space.n_leaves)
+        return dict(zip(names, [list(self.fathers), list(self.members),
+                                *[_SetColumn(sets, j) for j in range(4)], fa, ka, ga]))
+
+    def records(self) -> list[FatherRecord]:
+        """The father records; each set is a read-only view of ``sets``."""
+        if self.holds is None:
+            return []
+        fa, ka, _, ga, _ = self.values.tolist()
+        return [FatherRecord(father, tuple(members), *[FractionalSet._checked(
+                    self.space, first, row[end - size:end]) for row in self.sets], *averages)
+                for father, members, first, size, end, *averages in zip(
+                    self.fathers, self.members, self.firsts.tolist(), self.sizes.tolist(),
+                    self.sizes.cumsum().tolist(), fa, ka, ga)]
 
 
 def _decompositions(weight: DyadicWeight, ps, ts):
@@ -562,7 +785,7 @@ def _decompositions(weight: DyadicWeight, ps, ts):
     passes its checks: d is the decomposition at t, built at t's first p,
     and star the rearrangement.  A refusal comes where separate traces
     would raise it, and ends the run."""
-    star = None
+    star = order = None
     for t in ts:
         d = None
         for p in ps:
@@ -573,70 +796,65 @@ def _decompositions(weight: DyadicWeight, ps, ts):
                     if weight.total_integral == 0 and not weight.values.any():  # see _node_sup
                         raise ValueError("weight is identically zero")
                     star = rearrangement(weight)
+                    order = _descending_order(weight.values)
                 threshold = prefix_average(star, t, 1.0)
             # every power average the trace sums from leaf powers lies in [A**p, max**p]
             for v in (threshold, star.values[0]):
                 if not (v > 0 and math.log2(_RESOLVED) <= p * math.log2(v) < 1024):
                     raise ValueError(f"threshold**p or max**p leaves the double range at p={p}")
             if d is None:
-                d = _decompose(weight, t, threshold)
+                d = _decompose(weight, t, threshold, order)
             yield p, star, d
 
 
 def _traces(weight: DyadicWeight, ps, ts):
     """trace_theorem1(weight, p, t) for each (t, p) of _decompositions; the
-    node sup at p is computed at p's first trace.  Each trace owns its lists."""
+    node sup at p is computed at p's first trace, and each leaf's value**p
+    at the first trace whose two-set check reads it."""
     rhis: dict[float, RhiReport] = {}
+    powers: dict[float, np.ndarray] = {}
     for p, star, d in _decompositions(weight, ps, ts):
         prefix_power = prefix_average(star, d.t, p)
         if p not in rhis:
             rhis[p] = weight.dyadic_rhi_constant(p)
-        yield _trace_at(d, weight, p, prefix_power, rhis[p])
+            powers[p] = np.full(weight.space.n_leaves, np.nan)
+        yield _trace_at(d, weight, p, prefix_power, rhis[p], powers[p])
 
 
 def _trace_at(d: _Decomposition, weight: DyadicWeight, p: float, prefix_power: float,
-              rhi: RhiReport) -> DecompositionTrace:
+              rhi: RhiReport, powers: np.ndarray) -> DecompositionTrace:
     """The trace at exponent p, from the shared decomposition."""
     k = weight.space.k
     bound_factor = k * (rhi.constant - 1.0) + 1.0
     bound_value = bound_factor * d.threshold ** p
     trace = DecompositionTrace(
-        k=k,
-        depth=weight.space.depth,
-        p=p,
-        t=d.t,
-        threshold=d.threshold,
-        degenerate=d.lemma is None,
-        rhi_constant=rhi.constant,
-        rhi_witness=rhi.witness,
-        bound_factor=bound_factor,
-        bound_value=bound_value,
-        prefix_power_average=prefix_power,
-        gamma_measure=d.gamma_measure,
-        father_union_measure=d.father_union_measure,
-        exceedance_leaves=list(d.exceedance_leaves),
-        stopping_nodes=list(d.stopping_nodes),
-        fathers=list(d.fathers),
-        records=list(d.records),
-        assertions=list(d.assertions),
-    )
-    push = trace.assertions.append
+        k=k, depth=weight.space.depth, p=p, t=d.t, threshold=d.threshold,
+        degenerate=d.lemma is None, rhi_constant=rhi.constant, rhi_witness=rhi.witness,
+        bound_factor=bound_factor, bound_value=bound_value, prefix_power_average=prefix_power,
+        gamma_measure=d.gamma_measure, father_union_measure=d.father_union_measure,
+        exceedance_leaves=list(d.exceedance_leaves), stopping_nodes=list(d.stopping_nodes),
+        fathers=list(d.fathers))
+    tail = []
     if d.lemma is not None:  # else nothing exceeds the threshold
-        lemma = trace.lemma = _lemma_conclusion(weight, d.lemma, p)
-        push(Assertion("lemma_hypotheses_hold", float(lemma.hypotheses_hold), 1.0,
-                       lemma.hypotheses_hold))
-        trace.gamma_power_average = lemma.rhs  # the power average over Gamma
-        push(_at_most("prefix_power_le_gamma_power", prefix_power, lemma.rhs))
-        push(_at_most("father_union_measure_le_k_gamma", trace.father_union_measure,
-                      k * trace.gamma_measure))
-        push(_at_most("gamma_power_le_bound", lemma.rhs, bound_value))
-    push(_at_most("prefix_power_le_bound", prefix_power, bound_value))
+        lemma = trace.lemma = _lemma_conclusion(weight, d.lemma, p, powers)
+        trace.gamma_power_average = gamma = lemma.rhs  # the power average over Gamma
+        union, k_gamma = d.father_union_measure, k * d.gamma_measure
+        tail = [("lemma_hypotheses_hold", float(lemma.hypotheses_hold), 1.0,
+                 lemma.hypotheses_hold),
+                ("prefix_power_le_gamma_power", prefix_power, gamma,
+                 _at_most(prefix_power, gamma)),
+                ("father_union_measure_le_k_gamma", union, k_gamma, _at_most(union, k_gamma)),
+                ("gamma_power_le_bound", gamma, bound_value, _at_most(gamma, bound_value))]
+    tail.append(("prefix_power_le_bound", prefix_power, bound_value,
+                 _at_most(prefix_power, bound_value)))
+    trace._source = (d, tuple(tail))
     return trace
 
 
-def _decompose(weight: DyadicWeight, t: float, threshold: float) -> _Decomposition:
+def _decompose(weight: DyadicWeight, t: float, threshold: float,
+               order: np.ndarray) -> _Decomposition:
     """Stopping family, fathers, fills, Gamma and top set at this threshold,
-    with the checks that do not read p."""
+    with the checks that do not read p; ``order`` is _descending_order's."""
     space = weight.space
     k = space.k
     exceeds = _exceeds(weight.maximal_function(), threshold)
@@ -645,115 +863,89 @@ def _decompose(weight: DyadicWeight, t: float, threshold: float) -> _Decompositi
     if not exceedance_leaves:
         # Nothing exceeds the threshold, so the rearrangement is at most the
         # threshold on (0, t] and the bound follows directly.
-        return _Decomposition(t, threshold, exceedance_leaves, assertions=(
-            _at_most("max_value_le_threshold", float(weight.values.max()), threshold),))
+        top = float(weight.values.max())
+        return _Decomposition(space, t, threshold, exceedance_leaves, checks=(
+            ("max_value_le_threshold", top, threshold, _at_most(top, threshold)),))
 
-    assertions: list[Assertion] = []
-    push = assertions.append
     stopping = stopping_decomposition(weight, threshold)
     fathers = select_fathers(space, stopping)
     n, depth = space.n_leaves, space.depth
     spans = [k ** (depth - level) for level in range(depth + 1)]
-    firsts = [node.index * spans[node.level] for node in stopping]
+    node_spans = [spans[node.level] for node in stopping]
+    node_firsts = [node.index * span for node, span in zip(stopping, node_spans)]
     covered = np.zeros(n)
-    for node, first in zip(stopping, firsts):
-        covered[first:first + spans[node.level]] = 1.0
+    for first, span in zip(node_firsts, node_spans):
+        covered[first:first + span] = 1.0
     mismatch = int(np.count_nonzero((covered > 0) != exceeds))
-    push(Assertion("stopping_family_covers_exceedance", float(mismatch), 0.0, not mismatch))
 
-    # Maximal fathers at one level have equal blocks of `span` leaves, so each
-    # level is one F x span array.  Every leaf of a father's block is labelled
-    # with the father, and each stopping node joins the father labelled at
-    # its first leaf.
-    label = np.empty(n, dtype=np.intp)
-    for s, father in enumerate(fathers):
-        span = spans[father.level]
-        label[father.index * span:(father.index + 1) * span] = s
+    # each stopping node joins the father whose block holds its first leaf:
+    # the blocks are disjoint, so the last one starting at or before it
+    f = len(fathers)
+    sizes = np.array([spans[father.level] for father in fathers])
+    firsts = np.array([father.index for father in fathers]) * sizes
+    by_leaf = firsts.argsort()
+    owner = by_leaf[firsts[by_leaf].searchsorted(node_firsts, side="right") - 1]
     members: list[list[NodeId]] = [[] for _ in fathers]
-    for node, s in zip(stopping, label.take(firsts).tolist()):
+    for node, s in zip(stopping, owner.tolist()):
         members[s].append(node)
 
     h = space.leaf_measure
     sums = weight.level_sums(1.0)
-    checked = FractionalSet._checked
     union = np.zeros(n)
-    records: list[FatherRecord] = []
+    # father average, kernel average, kernel measure, Gamma average and father
+    # measure; the kernel is the members' 0/1 cover, so its fsum is their leaf count
+    values = np.empty((5, f))
+    fa, ka, km, ga, fm = values
+    km[:] = np.bincount(owner, weights=node_spans, minlength=f) * h
+    ends = sizes.cumsum()
+    sets = np.empty((4, int(ends[-1])))  # kernel, filler, gamma and delta
     # per father, gamma's fractions and leaf terms over its block: the fsums
     # of gamma's measure and integral, per father and over the union
     gamma_fractions: list[list[float]] = []
     gamma_terms: list[list[float]] = []
     s = 0
     for level, group in itertools.groupby(fathers, lambda father: father.level):
-        indices = [father.index for father in group]
-        span, count = spans[level], len(indices)
-        index = np.array(indices)
-        # kernel, filler, gamma and delta of the level's fathers over their blocks
-        sets = np.empty((4, count, span))
-        covered.reshape(-1, span).take(index, axis=0, out=sets[0])
-        values = weight.values.reshape(-1, span).take(index, axis=0)
-        # the stopping nodes in a maximal father's block are its members, so
-        # the kernel is their 0/1 cover and its fsum is their leaf count
-        kernel_measure = [sum(spans[node.level] for node in members[i]) * h
-                          for i in range(s, s + count)]
-        kernel_integral = [math.fsum(row) * h for row in (sets[0] * values).tolist()]
-        kernel_avg = [a / m for a, m in zip(kernel_integral, kernel_measure)]
-        father_measure = space.node_measure(fathers[s])
-        # level_averages(1.0)[level] at the fathers
-        father_avg = [a / father_measure for a in sums[level].take(index).tolist()]
-        _fill(values, sets, [kernel_measure, kernel_integral], threshold, h,
-              [not math.isclose(ka, threshold, rel_tol=EQ_REL_TOL) for ka in kernel_avg])
-        # checked and frozen before the records take read-only views of it
-        _check_fractions(sets)
-        sets.setflags(write=False)
+        index = np.array([father.index for father in group])
+        span, count = spans[level], len(index)
+        part = slice(s, s + count)
+        start = int(ends[s]) - span
+        level_sets = sets[:, start:start + count * span].reshape(4, count, span)
+        covered.reshape(-1, span).take(index, axis=0, out=level_sets[0])
+        leaf_values = weight.values.reshape(-1, span).take(index, axis=0)
+        kernel_integral = np.fromiter(map(math.fsum, (level_sets[0] * leaf_values).tolist()),
+                                      np.float64, count) * h
+        np.divide(kernel_integral, km[part], out=ka[part])
+        fm[part] = space.node_measure(fathers[s])
+        np.divide(sums[level].take(index), fm[part], out=fa[part])  # level_averages(1.0)
+        _fill(leaf_values, level_sets, [km[part], kernel_integral], threshold, h,
+              [not math.isclose(a, threshold, rel_tol=EQ_REL_TOL) for a in ka[part].tolist()])
         # the blocks are disjoint and gamma is at most 1 (a kernel leaf is 1, a
         # free one gets at most its share 1), so the union's fractions are gamma's
-        union.reshape(-1, span)[index] = sets[2]
-        gamma_fractions += sets[2].tolist()
-        gamma_terms += (sets[2] * values).tolist()
-        for i, fa, ka, km, kernel, filler, gamma_s, delta in zip(
-                indices, father_avg, kernel_avg, kernel_measure, *sets):
-            first = i * span
-            ga = math.fsum(gamma_terms[s]) * h / (math.fsum(gamma_fractions[s]) * h)
-            push(_at_most(f"father_average_le_threshold[{s}]", fa, threshold))
-            push(Assertion(f"kernel_average_gt_threshold[{s}]", ka, threshold,
-                           ka > threshold * (1.0 - ASSERT_REL_TOL)))
-            lower_ok = km >= father_measure / k * (1.0 - ASSERT_REL_TOL)
-            upper_ok = km < father_measure * (1.0 + ASSERT_REL_TOL)
-            push(Assertion(f"kernel_measure_bounds[{s}]", km, father_measure,
-                           lower_ok and upper_ok))
-            push(_pinned(f"gamma_average_matches_threshold[{s}]", ga, threshold))
-            records.append(FatherRecord(
-                father=fathers[s],
-                members=tuple(members[s]),
-                kernel=checked(space, first, kernel),
-                filler=checked(space, first, filler),
-                gamma=checked(space, first, gamma_s),
-                delta=checked(space, first, delta),
-                father_average=fa,
-                kernel_average=ka,
-                gamma_average=ga,
-            ))
-            s += 1
+        union.reshape(-1, span)[index] = level_sets[2]
+        rows, terms = level_sets[2].tolist(), (level_sets[2] * leaf_values).tolist()
+        gamma_fractions += rows
+        gamma_terms += terms
+        np.divide(np.fromiter(map(math.fsum, terms), np.float64, count) * h,
+                  np.fromiter(map(math.fsum, rows), np.float64, count) * h, out=ga[part])
+        s += count
+    _check_fractions(sets)
+    sets.setflags(write=False)
     union.setflags(write=False)
+    holds = np.array([_at_most(fa, threshold), ka > threshold * (1.0 - ASSERT_REL_TOL),
+                      (km >= fm / k * (1.0 - ASSERT_REL_TOL)) & (km < fm * (1.0 + ASSERT_REL_TOL)),
+                      _isclose(ga, threshold, GAMMA_REL_TOL)])
 
     # fsum is correctly rounded, so these equal the fsums over the whole tree
     gamma_measure = math.fsum(itertools.chain.from_iterable(gamma_fractions)) * h
     gamma_integral = math.fsum(itertools.chain.from_iterable(gamma_terms)) * h
-    push(_pinned("gamma_average_matches_threshold", gamma_integral / gamma_measure, threshold))
-    push(_at_most("gamma_measure_le_t", gamma_measure, t))
-    # both sets span the whole tree, so their windows are their fraction arrays
-    top = build_top_set(weight, t)
-    lemma = _lemma_sides(weight, top, top.window, checked(space, 0, union), union,
-                         gamma_measure, gamma_integral)
+    gamma_average = gamma_integral / gamma_measure
+    checks = (("stopping_family_covers_exceedance", float(mismatch), 0.0, not mismatch),
+              ("gamma_average_matches_threshold", gamma_average, threshold,
+               math.isclose(gamma_average, threshold, rel_tol=GAMMA_REL_TOL)),
+              ("gamma_measure_le_t", gamma_measure, t, _at_most(gamma_measure, t)))
+    lemma = _lemma_sides(weight, _top_fractions(order, space, t), union, gamma_measure,
+                         gamma_integral)
     return _Decomposition(
-        t=t,
-        threshold=threshold,
-        exceedance_leaves=exceedance_leaves,
-        stopping_nodes=tuple(stopping),
-        fathers=tuple(fathers),
-        records=tuple(records),
-        assertions=tuple(assertions),
-        gamma_measure=gamma_measure,
-        father_union_measure=math.fsum(map(space.node_measure, fathers)),
-        lemma=lemma,
-    )
+        space, t, threshold, exceedance_leaves, checks, tuple(stopping), tuple(fathers),
+        tuple(members), firsts, sizes, sets, values, holds, gamma_measure,
+        math.fsum(fm.tolist()), lemma)

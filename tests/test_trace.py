@@ -23,11 +23,28 @@ from treerhi import (
     stopping_decomposition,
     trace_theorem1,
 )
+from treerhi import save_weight
 from treerhi import trace as trace_mod
 from treerhi.cli import main
-from treerhi.trace import Assertion, _fill, _traces
-from helpers import fractions, greedy_fill, maximal_oracle, sorted_leaf_prefix_average
-from test_trace_golden import CASES as GOLDEN_CASES, _weight as golden_weight
+from treerhi.trace import (
+    ASSERT_REL_TOL,
+    GAMMA_REL_TOL,
+    Assertion,
+    FatherRecord,
+    _at_most,
+    _fill,
+    _isclose,
+    _traces,
+)
+from helpers import (
+    fractions,
+    greedy_fill,
+    maximal_oracle,
+    sorted_leaf_prefix_average,
+    trace_to_dict,
+)
+from test_trace_golden import CASES as GOLDEN_CASES, _traces as golden_traces
+from test_trace_golden import _weight as golden_weight
 
 
 def w8211():
@@ -522,6 +539,95 @@ def test_shared_traces_own_their_lists():
     first.exceedance_leaves.append(0)
     assert [tr.to_json() for tr in traces[1:]] == others
     assert all(tr.all_hold for tr in traces[1:])
+    # the mutated lists are what the trace now writes and checks
+    doc = json.loads(first.to_json())
+    assert doc["assertions"][-1] == {"name": "extra", "lhs": 0.0, "rhs": 0.0, "holds": False}
+    assert len(doc["assertions"]) == len(json.loads(others[0])["assertions"]) + 1
+    assert doc["records"][-1] == doc["records"][0]
+    assert len(doc["records"]) == len(traces[1].records) + 1
+    assert not first.all_hold
+    assert first.assertion_table()["name"][-1] == "extra"
+    first.assertions.pop()
+    assert first.all_hold
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES)
+def test_json_from_columns_equals_json_from_objects(case):
+    # a trace writes its records and assertions from the decomposition's
+    # columns until they are read, then from the objects read
+    for tr in golden_traces(case):
+        if isinstance(tr, ValueError):
+            continue
+        table, holds = tr.assertion_table(), tr.all_hold
+        text = tr.to_json()
+        assert tr.records is tr.records and tr.assertions is tr.assertions  # built once
+        assert tr.to_json() == text
+        assert json.dumps(trace_to_dict(tr), indent=2) == text
+        assert tr.assertion_table() == table
+        assert tr.all_hold == holds == all(table["holds"])
+
+
+def test_failed_checks_read_the_same_from_columns_and_objects():
+    # the tracer's checks hold on real weights, so the verdict columns are
+    # edited: a per-father check of the second father, then a check at p
+    w = gen_random(TreeSpace(2, 6), 0)
+    for father_check in (True, False):
+        tr = trace_theorem1(w, 2.0, 0.3)
+        d, tail = tr._source
+        assert len(tr.fathers) > 1 and tr.all_hold
+        if father_check:
+            holds = d.holds.copy()
+            holds[2, 1] = False  # kernel_measure_bounds[1]
+            tr._source = d._replace(holds=holds), tail
+            failed = "kernel_measure_bounds[1]"
+        else:
+            tr._source = d, tail[:-1] + (tail[-1][:3] + (False,),)
+            failed = "prefix_power_le_bound"
+        table = tr.assertion_table()
+        assert not tr.all_hold
+        assert [n for n, holds in zip(table["name"], table["holds"]) if not holds] == [failed]
+        text = tr.to_json()
+        assert [a.name for a in tr.assertions if not a.holds] == [failed]
+        assert not tr.all_hold and tr.to_json() == text
+
+
+def _up(x):
+    return float(np.nextafter(x, math.inf))
+
+
+def _last_pinned(rhs):
+    """The largest float GAMMA_REL_TOL-close to rhs > 0."""
+    x = rhs * (1.0 + GAMMA_REL_TOL)
+    while math.isclose(_up(x), rhs, rel_tol=GAMMA_REL_TOL):
+        x = _up(x)
+    while not math.isclose(x, rhs, rel_tol=GAMMA_REL_TOL):
+        x = float(np.nextafter(x, -math.inf))
+    return x
+
+
+def _verdict_cases():
+    for rhs in (1.0, 3.7, 1e-300, 5e-324, 1e300):
+        # the last lhs that holds, then one ulp above it
+        edges = [rhs * (1.0 + ASSERT_REL_TOL), _last_pinned(rhs)]
+        lhs = [x for edge in edges for x in (edge, _up(edge))]
+        lhs += [rhs * (1.0 - GAMMA_REL_TOL), rhs, 0.0, -0.0, math.nan, math.inf, -math.inf]
+        yield lhs, rhs, True
+    for rhs in (-2.5, 0.0, math.nan, math.inf, -math.inf):
+        yield [1.0, -2.5, 0.0, math.inf, -math.inf, math.nan], rhs, False
+
+
+@pytest.mark.parametrize("lhs, rhs, edges", list(_verdict_cases()))
+def test_elementwise_verdicts_match_scalar(lhs, rhs, edges):
+    # the per-father families decide on arrays what the other checks decide
+    # on floats
+    at_most = [_at_most(x, rhs) for x in lhs]
+    pinned = [math.isclose(x, rhs, rel_tol=GAMMA_REL_TOL) for x in lhs]
+    assert at_most == [x <= rhs * (1.0 + ASSERT_REL_TOL) for x in lhs]
+    assert _at_most(np.array(lhs), rhs).tolist() == at_most
+    assert _isclose(np.array(lhs), rhs, GAMMA_REL_TOL).tolist() == pinned
+    if edges and rhs > 1e-300:  # above the subnormals, where an ulp is large
+        assert at_most[:2] == [True, False]
+        assert pinned[2:4] == [True, False]
 
 
 def test_verify_decomposition_decomposes_each_prefix_once(monkeypatch):
@@ -567,3 +673,62 @@ def test_verify_lemma_computes_no_node_sup(monkeypatch, capsys):
     assert main(["verify", "lemma", "--count", "3"]) == 0
     assert "all conclusions hold" in capsys.readouterr().out
     assert sups == []
+
+
+def test_verify_decomposition_sorts_top_order_once(monkeypatch):
+    # the top sets at five prefix lengths share one descending order of the
+    # leaves, where each prefix length sorted the weight again
+    sorts = _count_calls(monkeypatch, trace_mod, "_descending_order")
+    assert main(["verify", "decomposition", "--count", "1"]) == 0
+    assert len(sorts) == 1
+
+
+def _count_constructions(monkeypatch):
+    """Objects of the per-father types made from now on, by type name: every
+    constructor call, and every FractionalSet._checked view."""
+    made = {}
+
+    def count(cls):
+        made[cls.__name__] = made.get(cls.__name__, 0) + 1
+
+    for kind in (Assertion, FatherRecord, FractionalSet):
+        def counted(self, *args, _init=kind.__init__, **kwargs):
+            count(type(self))
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(kind, "__init__", counted)
+    view = FractionalSet._checked
+
+    def counted_view(cls, *args):
+        count(cls)
+        return view(*args)
+
+    monkeypatch.setattr(FractionalSet, "_checked", classmethod(counted_view))
+    return made
+
+
+def test_trace_json_and_checks_build_no_per_father_objects(monkeypatch):
+    # what trace_mid times and then reads: the trace, its JSON, its verdict
+    # and its stopping family
+    w = gen_random(TreeSpace(2, 12), 0)
+    made = _count_constructions(monkeypatch)
+    tr = trace_theorem1(w, 2.0, 0.5)
+    text = tr.to_json()
+    assert tr.all_hold and len(tr.stopping_nodes) > 100 and len(tr.fathers) > 100
+    assert made == {}
+    # reading the lists builds them, from the same columns
+    assert len(tr.records) == len(tr.fathers)
+    assert made == {"FatherRecord": len(tr.fathers), "FractionalSet": 4 * len(tr.fathers)}
+    assert len(tr.assertions) == 4 * len(tr.fathers) + 8
+    assert tr.to_json() == text
+
+
+def test_cli_trace_and_verify_build_no_per_father_objects(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "w.json"
+    save_weight(gen_random(TreeSpace(4, 5), 2), path)
+    made = _count_constructions(monkeypatch)
+    assert main(["trace", str(path), "--t", "0.4", "-o", str(tmp_path / "t.json")]) == 0
+    assert main(["verify", "decomposition", "--count", "12"]) == 0
+    out = capsys.readouterr().out
+    assert "fathers" in out and "assertions: all hold" in out
+    assert made == {}

@@ -82,6 +82,9 @@ HAND_BUILT = {
         ("averages differ", "value in e_hat minus e above a value in e"))),
     "empty_members": _trace(records=[_record(members=()), _record()]),
     "only_fractional": _trace(records=[_record(kernel=(0.25, 0.75), filler=(0.0, -0.0))]),
+    "empty_windows": _trace(records=[_record(kernel=(), filler=()), _record()]),
+    "all_windows_empty": _trace(records=[FatherRecord(
+        NodeId(1, 0), (), *[FractionalSet(SPACE, 3, [])] * 4, 3.0, 4.0, 3.5)]),
     "escaped_strings": _trace(
         lemma=Lemma21Result(False, False, 1.0, 2.0, 3.0, ('quote " and \\ and \n', "Γ ∖ E")),
         assertions=[Assertion("Γ_average[0]\t\"x\"", 1.0, 1.0, True)],
