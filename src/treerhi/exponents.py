@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 ROOT_CAP = 1e9
+NEAR_ONE = 2.0**-20  # below this C - 1, _log_f uses its log1p form
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,12 @@ def _log_f(s: float, p: float, C: float) -> float:
     # s = log(q - p) keeps the root resolved when it lies within an ulp of p
     # (large C), and log space keeps (q/(q-1))**p from overflowing near 1.
     gap = math.exp(s)
+    if C - 1.0 < NEAR_ONE:
+        # The root is far out, where the two logs of about log q below cancel
+        # down to p(p-1)/(2q^2) and their rounding swamps it; the log1p terms
+        # are each accurate to an ulp of p/q.
+        q = p + gap
+        return math.log1p(-p / q) - p * math.log1p(-1.0 / q) + math.log(C)
     return s + (p - 1.0) * math.log(p + gap) - p * math.log((p - 1.0) + gap) + math.log(C)
 
 
@@ -98,11 +105,14 @@ def p0_solve(p: float, C: float) -> ExponentResult:
     The left side increases in q: its log-derivative is
     p(p-1) / (q(q-1)(q-p)) > 0.  So the root is unique, and below
     s = log(q-p) = -(log C - log p + p log(p/(p-1))) - 1 the left side is
-    under 1.  Bracket expansion doubles the right end until it exceeds 1; past
-    ROOT_CAP the root is classified as +inf.  At C = 1 the left side stays
-    below 1 for every finite q, so p0 is +inf without a search: far out its
-    gap to 1, about p(p-1)/(2q^2), sinks into the rounding of _log_f, and the
-    bracket would find a spurious crossing.
+    under 1.  Bracket expansion doubles the right end until it exceeds 1; a
+    root above ROOT_CAP reports p0 = +inf, and so does one above the last
+    doubled end below ROOT_CAP (at least ROOT_CAP / 2): at p = 400 that holds
+    from about C - 1 = 1e-13 down.  At C = 1 the left side stays below 1 for
+    every finite q, so p0 is +inf without a search.  Near C = 1 the gap of
+    the left side to 1, about p(p-1)/(2q^2), is below the rounding of the
+    plain log form, so _log_f takes its log1p form below C - 1 = NEAR_ONE;
+    above that cut the roots are brentq's on the plain form, bit for bit.
     """
     if not (math.isfinite(p) and p > 1):
         raise ValueError(f"base exponent must be a finite number > 1, got {p}")

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,54 @@ def test_p0_residual_small_for_large_constant():
         result = p0_solve(2.0, C)
         assert result.residual <= 1e-12
         assert result.p0 >= 2.0
+
+
+def _decimal_root(p: float, C: float) -> float:
+    """The root q > p of log((q-p)/q) + p log(q/(q-1)) + log C = 0 by
+    bisection in 50-digit decimal arithmetic, from a bracket around the
+    asymptote sqrt(p(p-1)/(2 log C))."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        big_p, log_c = Decimal(p), Decimal(C).ln()
+
+        def f(q):
+            return ((q - big_p) / q).ln() + big_p * (q / (q - 1)).ln() + log_c
+
+        asymptote = Decimal(math.sqrt(p * (p - 1) / (2 * math.log(C))))
+        lo, hi = big_p + asymptote / 4, big_p + asymptote * 4
+        assert f(lo) < 0 < f(hi)
+        for _ in range(100):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if f(mid) < 0 else (lo, mid)
+        return float(mid)
+
+
+# (p, C - 1, the root the roadmap's table gives, to four digits)
+NEAR_ONE_TABLE = [(1.5, 2.0**-52, 4.110e7), (1.5, 1e-12, 6.123e5), (3.0, 1e-13, 5.479e6),
+                  (400.0, 1e-12, 2.825e8)]
+
+
+@pytest.mark.parametrize("p, gap, table", NEAR_ONE_TABLE)
+def test_p0_near_one_matches_table_and_asymptote(p, gap, table):
+    # the plain log form gave 1.678e7, 6.120e5, 5.322e6 and 3.043e8 here
+    C = 1.0 + gap
+    p0 = p0_solve(p, C).p0
+    assert p0 == pytest.approx(table, rel=1e-3)
+    assert p0 == pytest.approx(_decimal_root(p, C), rel=1e-8)
+    # the asymptote and its next term, (p + 1) / 3
+    assert p0 == pytest.approx(math.sqrt(p * (p - 1) / (2 * math.log(C))) + (p + 1) / 3, rel=1e-8)
+
+
+@pytest.mark.parametrize("p, gap", [(2.0, 2.0**-21), (1.5, 1e-10), (50.0, 1e-9),
+                                    (1.0001, 1e-7), (1.0 + 2.0**-10, 2.0**-21)])
+def test_p0_near_one_matches_decimal_root(p, gap):
+    assert p0_solve(p, 1.0 + gap).p0 == pytest.approx(_decimal_root(p, 1.0 + gap), rel=1e-9)
+
+
+def test_p0_near_one_beyond_the_bracket_is_infinite():
+    # the root, 8.937e8, lies above the last doubled end below ROOT_CAP
+    assert _decimal_root(400.0, 1.0 + 1e-13) == pytest.approx(8.937e8, rel=1e-3)
+    assert p0_solve(400.0, 1.0 + 1e-13).p0 == math.inf
 
 
 @pytest.mark.parametrize("p, C", [(math.nan, 2.0), (math.inf, 2.0), (2.0, math.nan), (2.0, math.inf)])
