@@ -20,114 +20,28 @@ sets as F x span rows of one frozen array, with a fixed number of numpy calls
 cumsums, which add in the filler's own order), and the four per-father
 checks are decided on whole columns of averages and measures.  A trace's
 ``records`` and ``assertions`` are built from the columns on first read;
-``to_json``, ``all_hold`` and ``assertion_table`` read the columns, so
-tracing, checking and writing a trace make no per-father objects.
+``to_json`` (through the writer in jsontext.py), ``all_hold`` and
+``assertion_table`` read the columns, so tracing, checking and writing a
+trace make no per-father objects.  The sets are sets.FractionalSet.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
-from json.encoder import encode_basestring_ascii
+from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple
 
 import numpy as np
 
+from .jsontext import _NL, _SetColumn, _Sets, _Table, _template, _Writer
 from .rearrange import _check_t, prefix_average, rearrangement
+from .sets import EQ_REL_TOL, FractionalSet, _check_fractions, _powers
 from .tree import NodeId, TreeSpace
 from .weight import _RESOLVED, DyadicWeight, RhiReport, _check_exponent
 
 GAMMA_REL_TOL = 1e-10
 ASSERT_REL_TOL = 1e-9
-EQ_REL_TOL = 1e-12
-
-
-def _powers(values: np.ndarray, q: float) -> np.ndarray:
-    # Python's float power: np.power can differ from it in the last bit
-    return np.fromiter(map(pow, values.tolist(), itertools.repeat(q)), np.float64, values.size)
-
-
-class FractionalSet:
-    """Measurable subset as per-leaf fractions in [0, 1] over a leaf window.
-
-    ``window[i]`` is the share of leaf ``first + i`` in the set; a leaf with
-    share 0, or outside the window, is not in the set.  Models
-    non-atomicity: a leaf may contribute any fraction of its measure,
-    carrying the leaf's value on that fraction.
-    """
-
-    def __init__(self, space: TreeSpace, first: int, fractions) -> None:
-        window = np.array(fractions, dtype=np.float64)
-        if window.ndim != 1 or not 0 <= first <= space.n_leaves - window.size:
-            raise ValueError(f"window of {window.size} leaves at leaf {first} out of range")
-        _check_fractions(window)
-        window.setflags(write=False)
-        self.space = space
-        self.first = first
-        self.window = window
-
-    @classmethod
-    def _checked(cls, space: TreeSpace, first: int, window: np.ndarray) -> "FractionalSet":
-        """A set over a read-only window whose range the caller has checked."""
-        s = cls.__new__(cls)
-        s.space, s.first, s.window = space, first, window
-        return s
-
-    @classmethod
-    def from_node(cls, space: TreeSpace, node: NodeId) -> "FractionalSet":
-        first, count = space.leaf_range(node)
-        return cls(space, first, np.ones(count))
-
-    @classmethod
-    def union(cls, space: TreeSpace, parts) -> "FractionalSet":
-        """Union of pairwise disjoint parts over the whole tree (fractions capped at 1)."""
-        fractions = np.zeros(space.n_leaves)
-        for part in parts:
-            block = fractions[part.first:part.first + part.window.size]
-            np.minimum(block + part.window, 1.0, out=block)
-        return cls(space, 0, fractions)
-
-    @property
-    def measure(self) -> float:
-        return math.fsum(self.window.tolist()) * self.space.leaf_measure
-
-    def integral(self, weight: DyadicWeight, q: float = 1.0) -> float:
-        if q == 1.0:
-            values = weight.values[self.first:self.first + self.window.size]
-            return math.fsum((self.window * values).tolist()) * self.space.leaf_measure
-        inside = self.window.nonzero()[0]  # value**q only where the set has mass
-        values = weight.values[inside + self.first]
-        if q < 0 and (values == 0).any():
-            raise ValueError("negative exponent requires strictly positive values")
-        terms = self.window[inside] * _powers(values, q)
-        return math.fsum(terms.tolist()) * self.space.leaf_measure
-
-    def average(self, weight: DyadicWeight, q: float = 1.0) -> float:
-        return self.integral(weight, q) / self.measure
-
-    def fraction_array(self, first: int = 0, count: int | None = None) -> np.ndarray:
-        """Fractions over leaves [first, first + count), by default the whole
-        tree; a window that leaves out part of the set is refused."""
-        if count is None:
-            count = self.space.n_leaves - first
-        out = np.zeros(count)
-        end = self.first + self.window.size
-        lo = max(first, self.first)
-        hi = min(first + count, end)
-        if lo < hi:
-            out[lo - first:hi - first] = self.window[lo - self.first:hi - self.first]
-        # a window that sticks out must have nothing in the part cut off
-        if (lo, hi) != (self.first, end) and np.count_nonzero(out) < np.count_nonzero(self.window):
-            raise ValueError(f"set reaches outside leaves [{first}, {first + count})")
-        return out
-
-
-def _check_fractions(window: np.ndarray) -> None:
-    if not (np.minimum.reduce(window, axis=None, initial=0.0) >= 0.0
-            and np.maximum.reduce(window, axis=None, initial=0.0) <= 1.0 + EQ_REL_TOL):
-        raise ValueError("fractions must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -249,163 +163,6 @@ class DecompositionTrace:
 
 
 # ---------------------------------------------------------------------------
-# JSON text.  json.dumps with an indent runs the pure-Python encoder, which
-# costs more than the trace itself; here each list is written a column at a
-# time, so numbers and strings go through C-level maps.
-# ---------------------------------------------------------------------------
-
-_NL = tuple("\n" + "  " * d for d in range(8))  # line break and indent at depth d
-_SEP = tuple("," + nl for nl in _NL)
-_BOOL = {True: "true", False: "false"}
-
-
-class _Table(NamedTuple):
-    """A list of ``kind`` objects held as one column per field."""
-    kind: type
-    columns: dict
-
-
-class _Sets(NamedTuple):
-    """Rows of fractional sets over a tree of ``n_leaves`` leaves: in each
-    row of ``flat``, set i holds leaves from ``firsts[i]`` on, its
-    ``sizes[i]`` fractions following those of the sets before it."""
-    firsts: np.ndarray
-    sizes: np.ndarray
-    flat: np.ndarray
-    n_leaves: int
-
-
-class _SetColumn(NamedTuple):
-    """The sets of one row of ``sets``, written together with its other rows."""
-    sets: _Sets
-    row: int
-
-
-@functools.cache
-def _template(kind: type, d: int) -> tuple[tuple[str, ...], str]:
-    """Field names of a dataclass and a %-template of its JSON at depth d:
-    [level, index] for a NodeId, an object of the fields otherwise."""
-    names = tuple(f.name for f in fields(kind))
-    if issubclass(kind, NodeId):
-        return names, "[" + ",".join(_NL[d + 1] + "%s" for _ in names) + _NL[d] + "]"
-    keys = [_NL[d + 1] + encode_basestring_ascii(n) + ": %s" for n in names]
-    return names, "{" + ",".join(keys) + _NL[d] + "}"
-
-
-@functools.lru_cache(maxsize=4)
-def _whole_leaves(n_leaves: int) -> list[str]:
-    """The JSON item of each leaf held whole, the commonest share, for the
-    last few tree sizes written."""
-    return list(map('"{}": 1.0'.format, range(n_leaves)))
-
-
-def _container(open_: str, items: list[str], close: str, d: int) -> str:
-    if not items:
-        return open_ + close
-    return open_ + _NL[d + 1] + _SEP[d + 1].join(items) + _NL[d] + close
-
-
-def _float(x: float) -> str:
-    if math.isfinite(x):
-        return float.__repr__(x)
-    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
-
-
-class _Writer:
-    """Values as ``json.dumps(..., indent=2)`` writes them, a column at a time.
-
-    A dataclass is an object of its fields in declaration order, a NodeId is
-    [level, index], a _Table is the list of its rows and a FractionalSet maps
-    each leaf in the set to its fraction.  Numbers are spelled by
-    float.__repr__ and int.__repr__, as json spells them; repr() would spell
-    a numpy float as np.float64(...).  Other types, such as numpy integers
-    and bools, raise TypeError as in json.  A trace repeats its threshold,
-    averages and measures across records and assertions, and spelling a
-    float takes about a microsecond, so a column of many floats spells each
-    distinct nonzero one once per writer.
-    """
-
-    def __init__(self) -> None:
-        self.texts: dict[float, str] = {}
-        self.maps: dict[int, list[list[str]]] = {}  # by id of the _Sets written
-
-    def floats(self, values: list) -> list[str]:
-        texts = self.texts
-        new = [x for x in dict.fromkeys(values) if x and x not in texts]
-        texts.update(zip(new, map(_float, new)))
-        out = list(map(texts.get, values))
-        if None in out:  # zeros: 0.0 and -0.0 are equal keys but spelled apart
-            out = [_float(x) if text is None else text for text, x in zip(out, values)]
-        return out
-
-    def fraction_maps(self, sets: _Sets, d: int) -> list[list[str]]:
-        """The leaf -> fraction map of each set of each row at depth d, from
-        one pass over the nonzero fractions of all rows and a join per set."""
-        firsts, sizes, flat, n_leaves = sets
-        if not flat.size:
-            return [["{}"] * len(sizes)] * len(flat)
-        ends = sizes.cumsum()
-        inside = flat.ravel().nonzero()[0]
-        at = inside % flat.shape[1]
-        leaves = at + (firsts - ends + sizes)[ends.searchsorted(at, side="right")]
-        items = list(map(_whole_leaves(n_leaves).__getitem__, leaves.tolist()))
-        fractions = flat.ravel()[inside]
-        part = (fractions != 1.0).nonzero()[0]
-        for i, leaf, text in zip(part.tolist(), leaves[part].tolist(),
-                                 self.floats(fractions[part].tolist())):
-            items[i] = f'"{leaf}": {text}'
-        cuts = inside.searchsorted(np.add.outer(np.arange(0, flat.size, flat.shape[1]), ends))
-        cuts = cuts.ravel().tolist()
-        maps = [_container("{", items[lo:hi], "}", d) for lo, hi in zip([0] + cuts, cuts)]
-        return [maps[j:j + len(sizes)] for j in range(0, len(maps), len(sizes))]
-
-    def rows(self, kind: type, columns: dict, d: int) -> list[str]:
-        """The JSON objects of ``kind`` at depth d whose fields hold the columns."""
-        names, template = _template(kind, d)
-        return list(map(template.__mod__, zip(*[self.items(columns[n], d + 1) for n in names])))
-
-    def items(self, values: list, d: int) -> list[str]:
-        """Each value of the list, or each set of a _SetColumn, at depth d."""
-        if isinstance(values, _SetColumn):
-            key = id(values.sets)  # the table that holds the column keeps it alive
-            if key not in self.maps:
-                self.maps[key] = self.fraction_maps(values.sets, d)
-            return self.maps[key][values.row]
-        kinds = set(map(type, values))
-        if len(kinds) != 1:
-            return [self.items([v], d)[0] for v in values]
-        kind = kinds.pop()
-        if kind is bool:
-            return list(map(_BOOL.__getitem__, values))
-        if kind is type(None):
-            return ["null"] * len(values)
-        if issubclass(kind, int):
-            return list(map(int.__repr__, values))
-        if issubclass(kind, float):
-            if len(values) < 16:  # too few to pay for the lookups of floats()
-                return list(map(float.__repr__ if math.isfinite(sum(values)) else _float, values))
-            return self.floats(values)
-        if issubclass(kind, str):
-            return list(map(encode_basestring_ascii, values))
-        if kind is _Table:
-            return [_container("[", self.rows(v.kind, v.columns, d + 1), "]", d) for v in values]
-        if issubclass(kind, (list, tuple)):  # all lists at once, then split
-            flat = self.items([x for v in values for x in v], d + 1)
-            ends = list(itertools.accumulate(map(len, values)))
-            return [_container("[", flat[end - len(v):end], "]", d)
-                    for v, end in zip(values, ends)]
-        if issubclass(kind, FractionalSet):
-            windows = [s.window for s in values]
-            return self.fraction_maps(_Sets(
-                np.array([s.first for s in values]), np.array([w.size for w in windows]),
-                np.concatenate(windows)[None], max(s.space.n_leaves for s in values)), d)[0]
-        if is_dataclass(kind):
-            names = _template(kind, d)[0]
-            return self.rows(kind, {n: [getattr(v, n) for v in values] for n in names}, d)
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-
-
-# ---------------------------------------------------------------------------
 # Construction steps
 # ---------------------------------------------------------------------------
 
@@ -427,7 +184,8 @@ def _at_most(lhs, rhs):
 
 def _isclose(a: np.ndarray, b: float, rel_tol: float) -> np.ndarray:
     """math.isclose(x, b, rel_tol=rel_tol) for each x of a: a finite
-    difference within rel_tol of either side (or equal infinite b)."""
+    difference within rel_tol of either side; an infinite b is close only
+    to itself."""
     if not math.isfinite(b):
         return a == b
     diff = abs(b - a)  # infinite or NaN when x is
