@@ -194,7 +194,7 @@ def verify_lemma(args) -> int:
             if d.lemma is None or d.lemma.failures:
                 skipped += 1
                 break
-            lemma = trace_mod._lemma_conclusion(w, d.lemma, p)
+            lemma = trace_mod._lemma_conclusion(w, d.lemma, p, np.full(w.space.n_leaves, np.nan))
             if not lemma.conclusion_holds:
                 return _fail(args, i, w, f"lemma conclusion fails: {lemma.lhs} > {lemma.rhs} "
                              f"at t={t}, p={p}")

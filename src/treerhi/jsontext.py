@@ -30,13 +30,12 @@ class _Table(NamedTuple):
 
 
 class _Sets(NamedTuple):
-    """Rows of fractional sets over a tree of ``n_leaves`` leaves: in each
-    row of ``flat``, set i holds leaves from ``firsts[i]`` on, its
-    ``sizes[i]`` fractions following those of the sets before it."""
+    """Rows of fractional sets: in each row of ``flat``, set i holds leaves
+    from ``firsts[i]`` on, its ``sizes[i]`` fractions following those of
+    the sets before it."""
     firsts: np.ndarray
     sizes: np.ndarray
     flat: np.ndarray
-    n_leaves: int
 
 
 class _SetColumn(NamedTuple):
@@ -56,12 +55,10 @@ def _template(kind: type, d: int) -> tuple[tuple[str, ...], str]:
     return names, "{" + ",".join(keys) + _NL[d] + "}"
 
 
-@functools.lru_cache(maxsize=4)
-def _whole_leaves(n_leaves: int) -> np.ndarray:
-    """The JSON item of each leaf held whole, the commonest share, for the
-    last few tree sizes written; an object array, so that taking the items
-    of many leaves makes no int objects."""
-    return np.array(list(map('"{}": 1.0'.format, range(n_leaves))), dtype=object)
+def _whole_items(leaves: np.ndarray) -> list[str]:
+    """The JSON item of each leaf held whole, the commonest share, spelled
+    by one %-format of all of them."""
+    return ('"%d": 1.0\n' * leaves.size % tuple(leaves.tolist())).split("\n")[:-1]
 
 
 def _container(open_: str, items: list[str], close: str, d: int) -> str:
@@ -86,8 +83,8 @@ class _Writer:
     a numpy float as np.float64(...).  Other types, such as numpy integers
     and bools, raise TypeError as in json.  A trace repeats its threshold,
     averages and measures across records and assertions, and spelling a
-    float takes about a microsecond, so a column of many floats spells each
-    distinct nonzero one once per writer.
+    float takes about a microsecond, so each distinct nonzero float is
+    spelled once per writer.
     """
 
     def __init__(self) -> None:
@@ -106,14 +103,14 @@ class _Writer:
     def fraction_maps(self, sets: _Sets, d: int) -> list[list[str]]:
         """The leaf -> fraction map of each set of each row at depth d, from
         one pass over the nonzero fractions of all rows and a join per set."""
-        firsts, sizes, flat, n_leaves = sets
+        firsts, sizes, flat = sets
         if not flat.size:
             return [["{}"] * len(sizes)] * len(flat)
         ends = sizes.cumsum()
         inside = flat.ravel().nonzero()[0]
         at = inside % flat.shape[1]
         leaves = at + (firsts - ends + sizes)[ends.searchsorted(at, side="right")]
-        items = _whole_leaves(n_leaves)[leaves].tolist()
+        items = _whole_items(leaves)
         fractions = flat.ravel()[inside]
         part = (fractions != 1.0).nonzero()[0]
         for i, leaf, text in zip(part.tolist(), leaves[part].tolist(),
@@ -152,8 +149,6 @@ class _Writer:
         if issubclass(kind, int):
             return list(map(int.__repr__, values))
         if issubclass(kind, float):
-            if len(values) < 16:  # too few to pay for the lookups of floats()
-                return list(map(float.__repr__ if math.isfinite(sum(values)) else _float, values))
             return self.floats(values)
         if issubclass(kind, str):
             return list(map(encode_basestring_ascii, values))
@@ -170,7 +165,7 @@ class _Writer:
             windows = [s.window for s in values]
             return self.fraction_maps(_Sets(
                 np.array([s.first for s in values]), np.array([w.size for w in windows]),
-                np.concatenate(windows)[None], max(s.space.n_leaves for s in values)), d)[0]
+                np.concatenate(windows)[None]), d)[0]
         if is_dataclass(kind):
             names = _template(kind, d)[0]
             return self.rows(kind, {n: [getattr(v, n) for v in values] for n in names}, d)

@@ -380,7 +380,7 @@ def lemma21_check(
     _check_exponent(p)
     sides = _lemma_sides(weight, e.fraction_array(), e_hat.fraction_array(),
                          e_hat.measure, e_hat.integral(weight))
-    return _lemma_conclusion(weight, sides, p)
+    return _lemma_conclusion(weight, sides, p, np.full(weight.space.n_leaves, np.nan))
 
 
 class _LemmaSides(NamedTuple):
@@ -428,18 +428,15 @@ def _lemma_sides(weight: DyadicWeight, fe: np.ndarray, fh: np.ndarray,
 
 
 def _lemma_conclusion(weight: DyadicWeight, sides: _LemmaSides, p: float,
-                      powers: np.ndarray | None = None) -> Lemma21Result:
-    """The power averages over e and e_hat at p, compared.  ``powers``, when
-    given, holds value**p over the whole tree, NaN where not yet computed;
-    the support's missing powers are computed into it."""
-    if powers is None:
-        vp = _powers(weight.values[sides.support], p)
-    else:
-        vp = powers[sides.support]
-        missing = np.isnan(vp)
-        if missing.any():
-            vp[missing] = _powers(weight.values[sides.support[missing]], p)
-            powers[sides.support] = vp
+                      powers: np.ndarray) -> Lemma21Result:
+    """The power averages over e and e_hat at p, compared.  ``powers`` holds
+    value**p over the whole tree, NaN where not yet computed; the support's
+    missing powers are computed into it."""
+    vp = powers[sides.support]
+    missing = np.isnan(vp)
+    if missing.any():
+        vp[missing] = _powers(weight.values[sides.support[missing]], p)
+        powers[sides.support] = vp
     h = weight.space.leaf_measure
     lhs = math.fsum((sides.fe * vp).tolist()) * h / sides.measure_e
     rhs = math.fsum((sides.fh * vp).tolist()) * h / sides.measure_hat
@@ -522,7 +519,7 @@ class _Decomposition(NamedTuple):
         if self.holds is None:
             return dict.fromkeys(names, [])
         fa, ka, _, ga, _ = self.values.tolist()
-        sets = _Sets(self.firsts, self.sizes, self.sets, self.space.n_leaves)
+        sets = _Sets(self.firsts, self.sizes, self.sets)
         return dict(zip(names, [list(self.fathers), list(self.members),
                                 *[_SetColumn(sets, j) for j in range(4)], fa, ka, ga]))
 

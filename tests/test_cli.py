@@ -318,9 +318,9 @@ def test_verify_lemma_checks_every_exponent(monkeypatch, capsys):
     conclude = trace_mod._lemma_conclusion
     seen = []
 
-    def fail_at_3(weight, sides, p):
+    def fail_at_3(weight, sides, p, powers):
         seen.append(p)
-        result = conclude(weight, sides, p)
+        result = conclude(weight, sides, p, powers)
         return dataclasses.replace(result, conclusion_holds=p != 3.0)
 
     monkeypatch.setattr(trace_mod, "_lemma_conclusion", fail_at_3)

@@ -112,3 +112,11 @@ def test_unencodable_field_raises_type_error(fields):
         reference(tr)
     with pytest.raises(TypeError):
         tr.to_json()
+
+
+def test_whole_leaf_items_at_digit_boundaries():
+    from treerhi.jsontext import _whole_items
+
+    leaves = [0, 1, 9, 10, 11, 99, 100, 101, 109, 1000, 4095, 99999, 100000, 10**9 + 7]
+    for chosen in ([], [0], leaves, leaves[::-1], leaves[:5]):
+        assert _whole_items(np.array(chosen, dtype=np.int64)) == [f'"{x}": 1.0' for x in chosen]
