@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sets import FractionalSet
 from .tree import NodeId
 
 _NL = tuple("\n" + "  " * d for d in range(8))  # line break and indent at depth d
@@ -77,8 +76,8 @@ class _Writer:
     """Values as ``json.dumps(..., indent=2)`` writes them, a column at a time.
 
     A dataclass is an object of its fields in declaration order, a NodeId is
-    [level, index], a _Table is the list of its rows and a FractionalSet maps
-    each leaf in the set to its fraction.  Numbers are spelled by
+    [level, index], a _Table is the list of its rows and a _SetColumn's set
+    maps each leaf in the set to its fraction.  Numbers are spelled by
     float.__repr__ and int.__repr__, as json spells them; repr() would spell
     a numpy float as np.float64(...).  Other types, such as numpy integers
     and bools, raise TypeError as in json.  A trace repeats its threshold,
@@ -161,11 +160,6 @@ class _Writer:
             ends = list(itertools.accumulate(map(len, values)))
             return [_container("[", flat[end - len(v):end], "]", d)
                     for v, end in zip(values, ends)]
-        if issubclass(kind, FractionalSet):
-            windows = [s.window for s in values]
-            return self.fraction_maps(_Sets(
-                np.array([s.first for s in values]), np.array([w.size for w in windows]),
-                np.concatenate(windows)[None]), d)[0]
         if is_dataclass(kind):
             names = _template(kind, d)[0]
             return self.rows(kind, {n: [getattr(v, n) for v in values] for n in names}, d)

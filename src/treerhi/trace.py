@@ -18,11 +18,12 @@ fathers, whose blocks are equal, fills its kernels, fillers, Gamma and delta
 sets as F x span rows of one frozen array, with a fixed number of numpy calls
 (one stable sort per row; the greedy filler's running sums are seeded
 cumsums, which add in the filler's own order), and the four per-father
-checks are decided on whole columns of averages and measures.  A trace's
-``records`` and ``assertions`` are built from the columns on first read;
-``to_json`` (through the writer in jsontext.py), ``all_hold`` and
-``assertion_table`` read the columns, so tracing, checking and writing a
-trace make no per-father objects.  The sets are sets.FractionalSet.
+checks are decided on whole columns of averages and measures (a degenerate
+trace's have no fathers).  ``to_json`` (through the writer in jsontext.py),
+``all_hold`` and ``assertion_table`` read only the columns, so tracing,
+checking and writing a trace make no per-father objects; ``records`` and
+``assertions`` are read-only tuples built from them on first read.  The
+sets are sets.FractionalSet.
 """
 from __future__ import annotations
 
@@ -75,29 +76,9 @@ class FatherRecord:
     gamma_average: float
 
 
-class _BuiltOnRead:
-    """A list field of DecompositionTrace that a traced run leaves unbuilt
-    (None, also the field's default): it is built from the trace's columns
-    on first read, and is from then on, as when the constructor is given a
-    list, a list that the trace owns."""
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, trace, owner=None):
-        if trace is None:
-            return None
-        if trace.__dict__[self.name] is None:
-            trace.__dict__[self.name] = trace._build(self.name)
-        return trace.__dict__[self.name]
-
-    def __set__(self, trace, value) -> None:
-        trace.__dict__[self.name] = value
-
-
 @dataclass
 class DecompositionTrace:
-    # the field order is the key order of to_json
+    # the field order is the key order of to_json; a trace is made by _trace_at
     k: int
     depth: int
     p: float
@@ -115,46 +96,39 @@ class DecompositionTrace:
     exceedance_leaves: list[int] = field(default_factory=list)
     stopping_nodes: list[NodeId] = field(default_factory=list)
     fathers: list[NodeId] = field(default_factory=list)
-    records: list[FatherRecord] = _BuiltOnRead()
+    records: tuple[FatherRecord, ...] = field(init=False)  # built on read: __getattr__
     lemma: Lemma21Result | None = None
-    assertions: list[Assertion] = _BuiltOnRead()
-    # a traced run's (decomposition, rows of its checks at p)
-    _source: ClassVar[tuple | None] = None
+    assertions: tuple[Assertion, ...] = field(init=False)
+    # the decomposition and the rows of its checks at p
+    _source: ClassVar[tuple[_Decomposition, tuple[tuple, ...]]]
 
-    def _unbuilt(self, name: str) -> bool:
-        return self._source is not None and self.__dict__[name] is None
-
-    def _build(self, name: str) -> list:
-        if self._source is None:
-            return []
+    def __getattr__(self, name: str):
+        """``records`` or ``assertions``, read for the first time."""
         if name == "records":
-            return self._source[0].records()
-        return list(itertools.starmap(Assertion, zip(*self.assertion_table().values())))
+            built = self._source[0].records()
+        elif name == "assertions":
+            built = tuple(itertools.starmap(Assertion, zip(*self.assertion_table().values())))
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__[name] = built
+        return built
 
     @property
     def all_hold(self) -> bool:
-        if self._unbuilt("assertions"):
-            d, tail = self._source
-            return d.all_hold and all(row[3] for row in tail)
-        return all(a.holds for a in self.assertions)
+        d, tail = self._source
+        return all(row[3] for row in d.checks + tail) and bool(d.holds.all())
 
     def assertion_table(self) -> dict[str, list]:
-        """The assertions as the columns name, lhs, rhs and holds, built
-        without Assertion objects until the list is read, and then from it."""
-        if self._unbuilt("assertions"):
-            return self._source[0].assertion_table(self._source[1])
-        return {n: [getattr(a, n) for a in self.assertions] for n in _template(Assertion, 0)[0]}
+        """The assertions as the columns name, lhs, rhs and holds."""
+        return self._source[0].assertion_table(self._source[1])
 
     def to_json(self, config: dict | None = None) -> str:
         """The text ``json.dumps(..., indent=2)`` writes for this trace as a
         dict: its fields in declaration order, then ``config`` when given."""
-        unbuilt = {}
-        if self._unbuilt("records"):
-            unbuilt["records"] = _Table(FatherRecord, self._source[0].record_table())
-        if self._unbuilt("assertions"):
-            unbuilt["assertions"] = _Table(Assertion, self.assertion_table())
+        tables = {"records": _Table(FatherRecord, self._source[0].record_table()),
+                  "assertions": _Table(Assertion, self.assertion_table())}
         names = _template(DecompositionTrace, 0)[0]
-        columns = {n: [unbuilt[n] if n in unbuilt else getattr(self, n)] for n in names}
+        columns = {n: [tables[n] if n in tables else getattr(self, n)] for n in names}
         text = _Writer().rows(DecompositionTrace, columns, 0)[0]
         if config is None:
             return text
@@ -466,8 +440,8 @@ def trace_theorem1(weight: DyadicWeight, p: float, t: float) -> DecompositionTra
 
 class _Decomposition(NamedTuple):
     """The part of a trace at prefix length t that does not depend on p: it
-    is built from the threshold alone.  ``lemma`` is None when the trace is
-    degenerate (nothing exceeds the threshold).
+    is built from the threshold alone.  When the trace is degenerate
+    (nothing exceeds the threshold) it has no fathers and ``lemma`` is None.
 
     ``checks`` are the rows (name, lhs, rhs, holds) of the checks, but for
     the per-father ones, which follow the first row.  Father s owns
@@ -482,33 +456,28 @@ class _Decomposition(NamedTuple):
     threshold: float
     exceedance_leaves: tuple[int, ...]
     checks: tuple[tuple, ...]
-    stopping_nodes: tuple[NodeId, ...] = ()
-    fathers: tuple[NodeId, ...] = ()
-    members: tuple[list[NodeId], ...] = ()
-    firsts: np.ndarray | None = None
-    sizes: np.ndarray | None = None
-    sets: np.ndarray | None = None
-    values: np.ndarray | None = None
-    holds: np.ndarray | None = None
+    stopping_nodes: tuple[NodeId, ...]
+    fathers: tuple[NodeId, ...]
+    members: tuple[list[NodeId], ...]
+    firsts: np.ndarray
+    sizes: np.ndarray
+    sets: np.ndarray
+    values: np.ndarray
+    holds: np.ndarray
     gamma_measure: float = 0.0
     father_union_measure: float = 0.0
     lemma: _LemmaSides | None = None
 
-    @property
-    def all_hold(self) -> bool:
-        return all(row[3] for row in self.checks) and bool(self.holds is None or self.holds.all())
-
     def assertion_table(self, tail: tuple[tuple, ...]) -> dict[str, list]:
         """The columns of the assertions: these checks, then the rows of tail."""
         columns = [list(c) for c in zip(self.checks[0])]
-        if self.holds is not None:
-            rhs = np.full((len(self.fathers), 4), self.threshold)
-            rhs[:, 2] = self.values[4]
-            for column, family in zip(columns, (
-                    [f"{name}[{s}]" for s in range(len(rhs)) for name in FAMILIES],
-                    self.values[:4].T.ravel().tolist(), rhs.ravel().tolist(),
-                    self.holds.T.ravel().tolist())):
-                column += family
+        rhs = np.full((len(self.fathers), 4), self.threshold)
+        rhs[:, 2] = self.values[4]
+        for column, family in zip(columns, (
+                [f"{name}[{s}]" for s in range(len(rhs)) for name in FAMILIES],
+                self.values[:4].T.ravel().tolist(), rhs.ravel().tolist(),
+                self.holds.T.ravel().tolist())):
+            column += family
         for column, rest in zip(columns, zip(*self.checks[1:] + tail)):
             column += rest
         return dict(zip(_template(Assertion, 0)[0], columns))
@@ -516,23 +485,26 @@ class _Decomposition(NamedTuple):
     def record_table(self) -> dict[str, list]:
         """The columns of the father records."""
         names = _template(FatherRecord, 0)[0]
-        if self.holds is None:
-            return dict.fromkeys(names, [])
         fa, ka, _, ga, _ = self.values.tolist()
         sets = _Sets(self.firsts, self.sizes, self.sets)
         return dict(zip(names, [list(self.fathers), list(self.members),
                                 *[_SetColumn(sets, j) for j in range(4)], fa, ka, ga]))
 
-    def records(self) -> list[FatherRecord]:
+    def records(self) -> tuple[FatherRecord, ...]:
         """The father records; each set is a read-only view of ``sets``."""
-        if self.holds is None:
-            return []
         fa, ka, _, ga, _ = self.values.tolist()
-        return [FatherRecord(father, tuple(members), *[FractionalSet._checked(
-                    self.space, first, row[end - size:end]) for row in self.sets], *averages)
-                for father, members, first, size, end, *averages in zip(
-                    self.fathers, self.members, self.firsts.tolist(), self.sizes.tolist(),
-                    self.sizes.cumsum().tolist(), fa, ka, ga)]
+        return tuple(FatherRecord(father, tuple(members), *[FractionalSet._checked(
+                         self.space, first, row[end - size:end]) for row in self.sets], *averages)
+                     for father, members, first, size, end, *averages in zip(
+                         self.fathers, self.members, self.firsts.tolist(), self.sizes.tolist(),
+                         self.sizes.cumsum().tolist(), fa, ka, ga))
+
+
+# the firsts, sizes, sets, values and holds of a decomposition without fathers
+_NO_FATHERS = (np.zeros(0, int), np.zeros(0, int), np.zeros((4, 0)), np.zeros((5, 0)),
+               np.zeros((4, 0), bool))
+for _column in _NO_FATHERS:
+    _column.setflags(write=False)
 
 
 def _decompositions(weight: DyadicWeight, ps, ts):
@@ -619,8 +591,9 @@ def _decompose(weight: DyadicWeight, t: float, threshold: float,
         # Nothing exceeds the threshold, so the rearrangement is at most the
         # threshold on (0, t] and the bound follows directly.
         top = float(weight.values.max())
-        return _Decomposition(space, t, threshold, exceedance_leaves, checks=(
-            ("max_value_le_threshold", top, threshold, _at_most(top, threshold)),))
+        checks = (("max_value_le_threshold", top, threshold, _at_most(top, threshold)),)
+        return _Decomposition(space, t, threshold, exceedance_leaves, checks, (), (), (),
+                              *_NO_FATHERS)
 
     stopping = stopping_decomposition(weight, threshold)
     fathers = select_fathers(space, stopping)

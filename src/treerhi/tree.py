@@ -68,21 +68,6 @@ class TreeSpace:
         self.validate(node)
         return float(self.k) ** (-node.level)
 
-    def children(self, node: NodeId) -> list[NodeId]:
-        """The k disjoint children of a non-leaf node, in index order."""
-        self.validate(node)
-        if node.level >= self.depth:
-            raise ValueError(f"{node} is a leaf and has no children")
-        base = self.k * node.index
-        return [NodeId(node.level + 1, base + j) for j in range(self.k)]
-
-    def father(self, node: NodeId) -> NodeId:
-        """The unique node whose children contain the given node."""
-        self.validate(node)
-        if node.level == 0:
-            raise ValueError("the root has no father")
-        return NodeId(node.level - 1, node.index // self.k)
-
     def leaf_range(self, node: NodeId) -> tuple[int, int]:
         """Contiguous block of leaves under the node, as (first, count)."""
         self.validate(node)

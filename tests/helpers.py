@@ -1,7 +1,8 @@
 """Independent oracles used by the test suite.
 
-Everything here recomputes quantities from first principles: recursive
-per-node summation, plain enumeration over nodes, dense-grid sup searches,
+Everything here recomputes quantities from first principles: node
+children and fathers by index arithmetic, recursive per-node summation,
+plain enumeration over nodes, dense-grid sup searches,
 exact rational arithmetic, the tracer's greedy filler as a plain loop per
 father, and both constant kernels as single passes over whole arrays.
 Powers and divisions go through numpy elementwise ops, which are
@@ -15,9 +16,26 @@ from fractions import Fraction
 
 import numpy as np
 
-from treerhi import DyadicWeight, NodeId, StepFunction, TreeSpace
-from treerhi.trace import EQ_REL_TOL
+from treerhi import DecompositionTrace, DyadicWeight, NodeId, StepFunction, TreeSpace
+from treerhi.trace import EQ_REL_TOL, _Decomposition
 from treerhi.weight import _RANGE_ERROR, _RESOLVED, _power_pair, _scalings
+
+
+def children(space: TreeSpace, node: NodeId) -> list[NodeId]:
+    """The k disjoint children of a non-leaf node, in index order."""
+    space.validate(node)
+    if node.level >= space.depth:
+        raise ValueError(f"{node} is a leaf and has no children")
+    base = space.k * node.index
+    return [NodeId(node.level + 1, base + j) for j in range(space.k)]
+
+
+def father(space: TreeSpace, node: NodeId) -> NodeId:
+    """The unique node whose children contain the given node."""
+    space.validate(node)
+    if node.level == 0:
+        raise ValueError("the root has no father")
+    return NodeId(node.level - 1, node.index // space.k)
 
 
 def iter_nodes(space: TreeSpace):
@@ -32,7 +50,7 @@ def node_sum_oracle(leaf_integrals: np.ndarray, space: TreeSpace, node: NodeId):
     if node.level == space.depth:
         return leaf_integrals[node.index]
     acc = None
-    for child in space.children(node):
+    for child in children(space, node):
         part = node_sum_oracle(leaf_integrals, space, child)
         acc = part if acc is None else acc + part
     return acc
@@ -83,7 +101,7 @@ def maximal_oracle(weight: DyadicWeight) -> np.ndarray:
             best = max(best, weight.node_average(node))
             if node.level == 0:
                 break
-            node = space.father(node)
+            node = father(space, node)
         out[leaf] = best
     return out
 
@@ -339,6 +357,15 @@ def greedy_fill(values, kernel, mass: float, total: float, threshold: float, h: 
     rest = 1.0 - gamma
     return (gamma, np.where(added > EQ_REL_TOL, added, 0.0),
             np.where(rest > EQ_REL_TOL, rest, 0.0))
+
+
+def trace_from_columns(decomposition: _Decomposition, tail, **fields) -> DecompositionTrace:
+    """A trace of the given fields over a hand-built decomposition and the
+    rows (name, lhs, rhs, holds) of its checks at p, ``tail``: it reads them
+    as the tracer's traces read theirs."""
+    trace = DecompositionTrace(**fields)
+    trace._source = decomposition, tuple(tail)
+    return trace
 
 
 def trace_to_dict(trace) -> dict:

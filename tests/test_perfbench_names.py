@@ -2,13 +2,16 @@
 
 The spans module is read and run here without writing anything next to it.
 Its install() raises on the first name that is gone, so a rename in treerhi
-breaks every traced benchmark run; this test names the missing entry.
+breaks every traced benchmark run; this test names the missing entry.  The
+trace hook's counts are what traced runs report of each trace.
 """
 import importlib
 import types
+from collections import Counter
 from pathlib import Path
 
 import treerhi
+from treerhi import DyadicWeight, TreeSpace, gen_random, trace_theorem1
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -45,3 +48,16 @@ def test_every_traced_name_is_callable():
         if not callable(_member(treerhi.FractionalSet, attr)):
             missing.append(f"FractionalSet.{attr}")
     assert missing == []
+
+
+def test_trace_hook_counts_what_the_trace_holds():
+    after_trace = _spans()._after_trace
+    traces = [trace_theorem1(gen_random(TreeSpace(2, 6), 0), 2.0, 0.3),
+              trace_theorem1(DyadicWeight.from_leaves(2, 2, [8, 2, 1, 1]), 2.0, 0.25)]
+    assert [tr.degenerate for tr in traces] == [False, True]
+    for tr in traces:
+        counts = Counter()
+        after_trace(counts, None, tr)
+        assert dict(counts) == {
+            "trace.stopping_nodes": len(tr.stopping_nodes), "trace.fathers": len(tr.fathers),
+            "trace.assertions": len(tr.assertions), "trace.degenerate": tr.degenerate}

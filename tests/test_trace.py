@@ -37,6 +37,7 @@ from treerhi.trace import (
     _traces,
 )
 from helpers import (
+    father,
     fractions,
     greedy_fill,
     maximal_oracle,
@@ -375,7 +376,7 @@ def test_trace_nested_fathers_share_one_record():
     tr = trace_theorem1(w, 2.0, 0.5)
     assert tr.threshold == 1.75
     assert tr.stopping_nodes == [NodeId(2, 3), NodeId(3, 5)]
-    assert {w.space.father(n) for n in tr.stopping_nodes} == {NodeId(1, 1), NodeId(2, 2)}
+    assert {father(w.space, n) for n in tr.stopping_nodes} == {NodeId(1, 1), NodeId(2, 2)}
     assert tr.fathers == [NodeId(1, 1)]
     assert [r.members for r in tr.records] == [(NodeId(2, 3), NodeId(3, 5))]
     assert fractions(tr.records[0].kernel) == {5: 1.0, 6: 1.0, 7: 1.0}
@@ -527,34 +528,32 @@ def test_shared_traces_refuse_where_separate_calls_do():
 
 
 def test_shared_traces_own_their_lists():
+    # records and assertions are tuples, which cannot change; the edited
+    # verdicts are in test_failed_checks_read_the_same_from_columns_and_objects
     w = gen_random(TreeSpace(2, 4), 3)
     traces = list(_traces(w, SHARED_PS, (0.5,)))
     assert not traces[0].degenerate
     others = [tr.to_json() for tr in traces[1:]]
     first = traces[0]
-    first.assertions.append(Assertion("extra", 0.0, 0.0, False))
-    first.records.append(first.records[0])
     first.stopping_nodes.append(NodeId(0, 0))
     first.fathers.append(NodeId(0, 0))
     first.exceedance_leaves.append(0)
     assert [tr.to_json() for tr in traces[1:]] == others
     assert all(tr.all_hold for tr in traces[1:])
-    # the mutated lists are what the trace now writes and checks
+    # the mutated lists are what the trace now writes
     doc = json.loads(first.to_json())
-    assert doc["assertions"][-1] == {"name": "extra", "lhs": 0.0, "rhs": 0.0, "holds": False}
-    assert len(doc["assertions"]) == len(json.loads(others[0])["assertions"]) + 1
-    assert doc["records"][-1] == doc["records"][0]
-    assert len(doc["records"]) == len(traces[1].records) + 1
-    assert not first.all_hold
-    assert first.assertion_table()["name"][-1] == "extra"
-    first.assertions.pop()
-    assert first.all_hold
+    assert doc["stopping_nodes"][-1] == doc["fathers"][-1] == [0, 0]
+    assert doc["exceedance_leaves"][-1] == 0
+    assert len(doc["fathers"]) == len(traces[1].fathers) + 1
+    assert isinstance(first.records, tuple) and isinstance(first.assertions, tuple)
+    with pytest.raises(AttributeError):
+        first.assertions.append(Assertion("extra", 0.0, 0.0, False))
 
 
 @pytest.mark.parametrize("case", GOLDEN_CASES)
 def test_json_from_columns_equals_json_from_objects(case):
-    # a trace writes its records and assertions from the decomposition's
-    # columns until they are read, then from the objects read
+    # a trace writes from the decomposition's columns before and after its
+    # records and assertions are built, and json writes the same text of them
     for tr in golden_traces(case):
         if isinstance(tr, ValueError):
             continue
@@ -567,28 +566,40 @@ def test_json_from_columns_equals_json_from_objects(case):
         assert tr.all_hold == holds == all(table["holds"])
 
 
+def _failed_check(tr, failed: str) -> None:
+    """Edit the verdict of one check of the trace to false."""
+    d, tail = tr._source
+    if failed == "kernel_measure_bounds[1]":
+        holds = d.holds.copy()
+        holds[2, 1] = False
+        tr._source = d._replace(holds=holds), tail
+    elif failed == "prefix_power_le_bound":
+        tr._source = d, tail[:-1] + (tail[-1][:3] + (False,),)
+    else:  # the first check, before the per-father ones
+        tr._source = d._replace(checks=(d.checks[0][:3] + (False,),) + d.checks[1:]), tail
+
+
 def test_failed_checks_read_the_same_from_columns_and_objects():
     # the tracer's checks hold on real weights, so the verdict columns are
-    # edited: a per-father check of the second father, then a check at p
-    w = gen_random(TreeSpace(2, 6), 0)
-    for father_check in (True, False):
-        tr = trace_theorem1(w, 2.0, 0.3)
-        d, tail = tr._source
-        assert len(tr.fathers) > 1 and tr.all_hold
-        if father_check:
-            holds = d.holds.copy()
-            holds[2, 1] = False  # kernel_measure_bounds[1]
-            tr._source = d._replace(holds=holds), tail
-            failed = "kernel_measure_bounds[1]"
-        else:
-            tr._source = d, tail[:-1] + (tail[-1][:3] + (False,),)
-            failed = "prefix_power_le_bound"
+    # edited: a per-father check of the second father, a check at p, and the
+    # first check of a trace with fathers and of a degenerate one
+    many = gen_random(TreeSpace(2, 6), 0)  # with more than one father at t = 0.3
+    for w, t, failed in ((many, 0.3, "kernel_measure_bounds[1]"),
+                         (many, 0.3, "prefix_power_le_bound"),
+                         (many, 0.3, "stopping_family_covers_exceedance"),
+                         (w8211(), 0.25, "max_value_le_threshold")):
+        tr = trace_theorem1(w, 2.0, t)
+        assert tr.all_hold and (len(tr.fathers) > 1 or tr.degenerate)
+        _failed_check(tr, failed)
         table = tr.assertion_table()
         assert not tr.all_hold
         assert [n for n, holds in zip(table["name"], table["holds"]) if not holds] == [failed]
         text = tr.to_json()
+        assert [a["name"] for a in json.loads(text)["assertions"] if not a["holds"]] == [failed]
         assert [a.name for a in tr.assertions if not a.holds] == [failed]
         assert not tr.all_hold and tr.to_json() == text
+        assert len(tr.records) == len(tr.fathers)
+    assert tr.degenerate and tr.records == ()
 
 
 def _up(x):

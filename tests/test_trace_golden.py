@@ -10,7 +10,7 @@ import hashlib
 import pytest
 
 from treerhi import DyadicWeight, TreeSpace, gen_random, trace_theorem1
-from helpers import fractions
+from helpers import father, fractions
 
 PS = (1.5, 2.0, 3.0)
 TS = (0.1, 0.35, 0.5, 0.8, 1.0)
@@ -86,6 +86,6 @@ def test_golden_corpus_covers_every_branch():
             seen["fractional_filler"] += any(
                 f != 1.0 for r in tr.records for f in fractions(r.filler).values()
             )
-            distinct = {w.space.father(n) for n in tr.stopping_nodes}
+            distinct = {father(w.space, n) for n in tr.stopping_nodes}
             seen["nested_fathers"] += len(distinct) > len(tr.fathers)
     assert all(seen.values()), seen

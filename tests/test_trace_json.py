@@ -1,10 +1,11 @@
 """``DecompositionTrace.to_json`` against its reference encoding.
 
 The reference is ``json.dumps(trace_to_dict(trace), indent=2)``: every trace
-of the golden corpus and hand-built traces for the cases the corpus lacks
-(non-finite and numpy floats, lemma failures, empty and all-fractional sets,
-strings that need escaping) must give the same text, and a field json cannot
-encode must raise TypeError from both.
+of the golden corpus and traces over hand-built columns for the cases the
+corpus lacks (non-finite and numpy floats, lemma failures, fathers without
+members, all-fractional and empty sets, strings that need escaping) must
+give the same text, and a field json cannot encode must raise TypeError
+from both.
 """
 import json
 import math
@@ -12,9 +13,9 @@ import math
 import numpy as np
 import pytest
 
-from treerhi import DecompositionTrace, FractionalSet, NodeId, TreeSpace
-from treerhi.trace import Assertion, FatherRecord, Lemma21Result
-from helpers import trace_to_dict
+from treerhi import DecompositionTrace, NodeId, TreeSpace
+from treerhi.trace import Lemma21Result, _Decomposition
+from helpers import trace_from_columns, trace_to_dict
 from test_trace_golden import CASES, _traces
 
 SPACE = TreeSpace(2, 3)
@@ -31,63 +32,56 @@ def test_golden_corpus_matches_reference(case):
             assert tr.to_json() == reference(tr)
 
 
-def _record(members=(NodeId(2, 0),), kernel=(1.0, 1.0), filler=(0.0, 0.0, 0.5),
-            average=4.0) -> FatherRecord:
-    def fset(fractions):
-        return FractionalSet(SPACE, 0, fractions)
-
-    return FatherRecord(
-        father=NodeId(1, 0),
-        members=tuple(members),
-        kernel=fset(kernel),
-        filler=fset(filler),
-        gamma=fset([1.0, 1.0, 0.5, 0.0]),
-        delta=FractionalSet(SPACE, 2, [0.5, 1.0]),
-        father_average=3.0,
-        kernel_average=average,
-        gamma_average=3.5,
-    )
+def _father(index=0, members=(NodeId(2, 0),), kernel=(1.0, 1.0, 0.0, 0.0),
+            filler=(0.0, 0.0, 0.5, 0.0), values=(3.0, 4.0, 0.25, 3.5, 0.5)) -> tuple:
+    """One father's columns: the father at level 1, its members, its four
+    sets over its block of four leaves, its values and its verdicts."""
+    gamma = np.add(kernel, filler)
+    return (NodeId(1, index), list(members), [kernel, filler, gamma, 1.0 - gamma], values,
+            [True] * 4)
 
 
-def _trace(**fields) -> DecompositionTrace:
+def _trace(fathers=(_father(),), checks=(("gamma_measure_le_t", 0.3125, 0.5, True),),
+           tail=(), **fields) -> DecompositionTrace:
+    """A trace over a decomposition of the given fathers and checks."""
+    nodes, members, sets, values, holds = zip(*fathers)
+    firsts = np.array([node.index * 4 for node in nodes])
+    d = _Decomposition(SPACE, 0.5, 3.5, (0, 1, 2), tuple(checks), (NodeId(2, 0), NodeId(3, 2)),
+                       nodes, members, firsts, np.full(len(nodes), 4),
+                       np.concatenate(sets, axis=1), np.array(values).T, np.array(holds).T)
     base = dict(
         k=2, depth=3, p=2.0, t=0.5, threshold=3.5, degenerate=False,
         rhi_constant=1.25, rhi_witness=NodeId(0, 0), bound_factor=1.5,
         bound_value=18.375, prefix_power_average=14.0,
         exceedance_leaves=[0, 1, 2], stopping_nodes=[NodeId(2, 0), NodeId(3, 2)],
-        fathers=[NodeId(1, 0)], records=[_record()], gamma_measure=0.3125,
+        fathers=list(nodes), gamma_measure=0.3125,
         father_union_measure=0.5, gamma_power_average=13.0,
         lemma=Lemma21Result(True, True, 14.0, 13.0, 3.5),
-        assertions=[Assertion("gamma_measure_le_t", 0.3125, 0.5, True)],
     )
     base.update(fields)
-    return DecompositionTrace(**base)
+    return trace_from_columns(d, tail, **base)
 
 
 HAND_BUILT = {
-    "non_finite_assertions": _trace(assertions=[
-        Assertion("nan_lhs", math.nan, math.inf, False),
-        Assertion("neg_inf_lhs", -math.inf, -0.0, True),
-        Assertion("inf_rhs", 1e-320, math.inf, True),
-    ]),
+    "non_finite_assertions": _trace(
+        fathers=[_father(values=(3.0, math.inf, -0.0, math.nan, 0.5))],
+        checks=[("nan_lhs", math.nan, math.inf, False)],
+        tail=[("neg_inf_lhs", -math.inf, -0.0, True), ("inf_rhs", 1e-320, math.inf, True)]),
     "numpy_floats": _trace(
         p=np.float64(2.5), t=np.float64(0.1), threshold=np.float64(1 / 3),
         gamma_power_average=np.float64(math.nan), bound_value=np.float64(math.inf),
-        records=[_record(average=np.float64(4.000000000000001))],
         lemma=Lemma21Result(True, False, np.float64(2.0), np.float64(-math.inf), 1.5),
-        assertions=[Assertion("np", np.float64(0.1), np.float64(1e300), True)],
+        checks=[("np", np.float64(0.1), np.float64(1e300), True)],
     ),
     "lemma_failures": _trace(lemma=Lemma21Result(
         False, True, 1.0, 2.0, 3.0,
         ("averages differ", "value in e_hat minus e above a value in e"))),
-    "empty_members": _trace(records=[_record(members=()), _record()]),
-    "only_fractional": _trace(records=[_record(kernel=(0.25, 0.75), filler=(0.0, -0.0))]),
-    "empty_windows": _trace(records=[_record(kernel=(), filler=()), _record()]),
-    "all_windows_empty": _trace(records=[FatherRecord(
-        NodeId(1, 0), (), *[FractionalSet(SPACE, 3, [])] * 4, 3.0, 4.0, 3.5)]),
+    "empty_members": _trace(fathers=[_father(members=()), _father(index=1)]),
+    "only_fractional": _trace(fathers=[_father(kernel=(0.25, 0.75, 0.0, 0.0),
+                                               filler=(0.0, -0.0, 0.0, 0.0))]),
     "escaped_strings": _trace(
         lemma=Lemma21Result(False, False, 1.0, 2.0, 3.0, ('quote " and \\ and \n', "Γ ∖ E")),
-        assertions=[Assertion("Γ_average[0]\t\"x\"", 1.0, 1.0, True)],
+        checks=[("Γ_average[0]\t\"x\"", 1.0, 1.0, True)],
     ),
 }
 
@@ -103,7 +97,7 @@ def test_hand_built_trace_matches_reference(name):
     {"degenerate": np.bool_(False)},
     {"rhi_witness": NodeId(np.int64(0), 0)},
     {"exceedance_leaves": [0, np.int64(1)]},
-    {"assertions": [Assertion("np_bool", 1.0, 2.0, np.bool_(True))]},
+    {"checks": [("np_bool", 1.0, 2.0, np.bool_(True))]},
 ], ids=["np_int64_k", "np_bool_degenerate", "np_int64_node", "np_int64_leaf",
         "np_bool_holds"])
 def test_unencodable_field_raises_type_error(fields):

@@ -4,7 +4,7 @@ import pytest
 
 from treerhi import NodeId, TreeSpace
 from treerhi.tree import MAX_LEAVES
-from helpers import iter_nodes
+from helpers import children, father, iter_nodes
 
 
 def test_root_measure_is_one():
@@ -20,12 +20,12 @@ def test_measure_k4_depth3():
 
 
 def test_children_of_root():
-    assert TreeSpace(2, 2).children(NodeId(0, 0)) == [NodeId(1, 0), NodeId(1, 1)]
+    assert children(TreeSpace(2, 2), NodeId(0, 0)) == [NodeId(1, 0), NodeId(1, 1)]
 
 
 def test_children_index_formula():
-    assert TreeSpace(2, 2).children(NodeId(1, 1)) == [NodeId(2, 2), NodeId(2, 3)]
-    assert TreeSpace(3, 2).children(NodeId(1, 2)) == [
+    assert children(TreeSpace(2, 2), NodeId(1, 1)) == [NodeId(2, 2), NodeId(2, 3)]
+    assert children(TreeSpace(3, 2), NodeId(1, 2)) == [
         NodeId(2, 6),
         NodeId(2, 7),
         NodeId(2, 8),
@@ -33,19 +33,19 @@ def test_children_index_formula():
 
 
 def test_father():
-    assert TreeSpace(2, 2).father(NodeId(2, 3)) == NodeId(1, 1)
-    assert TreeSpace(2, 2).father(NodeId(1, 0)) == NodeId(0, 0)
-    assert TreeSpace(4, 2).father(NodeId(2, 13)) == NodeId(1, 3)
+    assert father(TreeSpace(2, 2), NodeId(2, 3)) == NodeId(1, 1)
+    assert father(TreeSpace(2, 2), NodeId(1, 0)) == NodeId(0, 0)
+    assert father(TreeSpace(4, 2), NodeId(2, 13)) == NodeId(1, 3)
 
 
 def test_father_of_root_errors():
     with pytest.raises(ValueError):
-        TreeSpace(2, 2).father(NodeId(0, 0))
+        father(TreeSpace(2, 2), NodeId(0, 0))
 
 
 def test_children_of_leaf_errors():
     with pytest.raises(ValueError):
-        TreeSpace(2, 1).children(NodeId(1, 0))
+        children(TreeSpace(2, 1), NodeId(1, 0))
 
 
 def test_leaf_range():
@@ -76,12 +76,12 @@ def test_children_partition_father(k, depth):
     for node in iter_nodes(space):
         if node.level == depth:
             continue
-        kids = space.children(node)
+        kids = children(space, node)
         assert len(kids) == k
         first, count = space.leaf_range(node)
         leaves = []
         for child in kids:
-            assert space.father(child) == node
+            assert father(space, child) == node
             cf, cc = space.leaf_range(child)
             assert space.node_measure(child) == space.node_measure(node) / k
             leaves.extend(range(cf, cf + cc))
