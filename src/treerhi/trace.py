@@ -105,7 +105,7 @@ class DecompositionTrace:
     def __getattr__(self, name: str):
         """``records`` or ``assertions``, read for the first time."""
         if name == "records":
-            built = self._source[0].records()
+            built = self._source[0].father_records()
         elif name == "assertions":
             built = tuple(itertools.starmap(Assertion, zip(*self.assertion_table().values())))
         else:
@@ -490,7 +490,7 @@ class _Decomposition(NamedTuple):
         return dict(zip(names, [list(self.fathers), list(self.members),
                                 *[_SetColumn(sets, j) for j in range(4)], fa, ka, ga]))
 
-    def records(self) -> tuple[FatherRecord, ...]:
+    def father_records(self) -> tuple[FatherRecord, ...]:
         """The father records; each set is a read-only view of ``sets``."""
         fa, ka, _, ga, _ = self.values.tolist()
         return tuple(FatherRecord(father, tuple(members), *[FractionalSet._checked(
