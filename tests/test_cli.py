@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from treerhi import (
-    DyadicWeight, TreeSpace, cli, gen_random, load_weight, save_weight, trace_theorem1,
+    DyadicWeight, TreeSpace, cli, gen_power, gen_random, load_weight, save_weight,
+    trace_theorem1,
 )
 from treerhi import trace as trace_mod
 from treerhi.cli import main
@@ -253,6 +255,31 @@ def test_curve_cmd(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "t,ratio"
     assert all(float(line.split(",")[1]) == pytest.approx(1.0) for line in lines[1:])
+
+
+_BASE = gen_random(TreeSpace(2, 6), 1)
+CURVE_CASES = {
+    "random": (_BASE, ["--p", "2"]),
+    "power": (gen_power(TreeSpace(4, 4), 0.5), ["--p", "3", "--samples", "57"]),
+    "scaled_up": (DyadicWeight(_BASE.space, _BASE.values * 1e100), ["--p", "1.5"]),
+    "scaled_down": (DyadicWeight(_BASE.space, _BASE.values * 1e-100), ["--p", "1.5"]),
+}
+CURVE_SHA256 = {
+    "random": "174f82a51c7b647ce9beae40ef7fd2f1c12172aa5fc16915bdee223c284cbca9",
+    "power": "82730ec044b685b929d8a936c93a9254d23b66efb0ee90ad3bcbf5210072dde9",
+    "scaled_up": "8f8a0f8d7bfd4ea38c246bb0ea9f226dd60229e8a73bf4cb9e5561d513d9aaf8",
+    "scaled_down": "6b4af17316a69d4dde20ec2a0c017878732843b7f0897e64cb8a46f63e7bd65f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CURVE_CASES))
+def test_curve_csv_bytes_pinned(tmp_path, name):
+    """The bytes `treerhi curve` writes: 17 significant digits per number."""
+    w, options = CURVE_CASES[name]
+    wfile, out = tmp_path / "w.json", tmp_path / "c.csv"
+    save_weight(w, wfile)
+    assert run("curve", str(wfile), *options, "-o", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CURVE_SHA256[name]
 
 
 def test_unknown_command_is_usage_error():
