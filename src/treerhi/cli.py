@@ -90,7 +90,7 @@ def analyze_weight(w: DyadicWeight, p: float) -> dict:
         "depth": w.space.depth,
         "p": p,
         "dyadic_constant": rhi.constant,
-        "dyadic_witness": [rhi.witness.level, rhi.witness.index],
+        "dyadic_witness": list(rhi.witness),
         "prefix_constant": prefix.constant,
         "prefix_witness_t": prefix.witness_t,
         "bound": bound,
@@ -102,7 +102,7 @@ def analyze_weight(w: DyadicWeight, p: float) -> dict:
         muck = w.dyadic_muckenhoupt_constant(p)
         prefix_muck = rearrange.prefix_muckenhoupt_constant(star, p)
         report["muckenhoupt_constant"] = muck.constant
-        report["muckenhoupt_witness"] = [muck.witness.level, muck.witness.index]
+        report["muckenhoupt_witness"] = list(muck.witness)
         report["prefix_muckenhoupt_constant"] = prefix_muck.constant
         report["muckenhoupt_bound"] = k * muck.constant - k + 1.0
     return report
@@ -281,7 +281,7 @@ def cmd_p0(args: argparse.Namespace) -> int:
 
 def write_curve_csv(path, curve: np.ndarray) -> None:
     lines = ["t,ratio"]
-    lines += [f"{t:.17g},{r:.17g}" for t, r in curve]
+    lines += [f"{t:.17g},{r:.17g}" for t, r in curve.tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -15,8 +15,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tree import NodeId
-
 _NL = tuple("\n" + "  " * d for d in range(8))  # line break and indent at depth d
 _SEP = tuple("," + nl for nl in _NL)
 _BOOL = {True: "true", False: "false"}
@@ -46,10 +44,8 @@ class _SetColumn(NamedTuple):
 @functools.cache
 def _template(kind: type, d: int) -> tuple[tuple[str, ...], str]:
     """Field names of a dataclass and a %-template of its JSON at depth d:
-    [level, index] for a NodeId, an object of the fields otherwise."""
+    an object of the fields."""
     names = tuple(f.name for f in fields(kind))
-    if issubclass(kind, NodeId):
-        return names, "[" + ",".join(_NL[d + 1] + "%s" for _ in names) + _NL[d] + "]"
     keys = [_NL[d + 1] + encode_basestring_ascii(n) + ": %s" for n in names]
     return names, "{" + ",".join(keys) + _NL[d] + "}"
 
@@ -75,15 +71,15 @@ def _float(x: float) -> str:
 class _Writer:
     """Values as ``json.dumps(..., indent=2)`` writes them, a column at a time.
 
-    A dataclass is an object of its fields in declaration order, a NodeId is
-    [level, index], a _Table is the list of its rows and a _SetColumn's set
-    maps each leaf in the set to its fraction.  Numbers are spelled by
-    float.__repr__ and int.__repr__, as json spells them; repr() would spell
-    a numpy float as np.float64(...).  Other types, such as numpy integers
-    and bools, raise TypeError as in json.  A trace repeats its threshold,
-    averages and measures across records and assertions, and spelling a
-    float takes about a microsecond, so each distinct nonzero float is
-    spelled once per writer.
+    A dataclass is an object of its fields in declaration order, a list or
+    tuple (a NodeId too) is a list, a _Table is the list of its rows and a
+    _SetColumn's set maps each leaf in the set to its fraction.  Numbers are
+    spelled by float.__repr__ and int.__repr__, as json spells them; repr()
+    would spell a numpy float as np.float64(...).  Other types, such as numpy
+    integers and bools, raise TypeError as in json.  A trace repeats its
+    threshold, averages and measures across records and assertions, and
+    spelling a float takes about a microsecond, so each distinct nonzero
+    float is spelled once per writer.
     """
 
     def __init__(self) -> None:

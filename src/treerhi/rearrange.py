@@ -49,12 +49,6 @@ class StepFunction:
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
 
-    def __call__(self, t: float) -> float:
-        """Value at t in (0, 1] (left-continuous)."""
-        t = _check_t(t)
-        i = int(np.searchsorted(self.breakpoints, t, side="left"))
-        return float(self.values[i])
-
 
 def _frozen(x) -> np.ndarray:
     """x as a read-only float64 array: x itself when it already is one that

@@ -10,13 +10,16 @@ ones are refused on construction, before any leaf array exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 MAX_LEAVES = 2**24
 
 
-@dataclass(frozen=True, order=True)
-class NodeId:
-    """Address of a tree element: level below the root, index within the level."""
+class NodeId(NamedTuple):
+    """Address of a tree element: level below the root, index within the level.
+
+    A tuple, so it orders by level, then index, and JSON writes it as a list.
+    """
 
     level: int
     index: int

@@ -6,7 +6,7 @@ operator, and the weak-type (1,1) check.
 
 Node integrals of value**q are accumulated child-to-parent, left to right,
 so rounding error grows O(depth) per node and a recursive re-summation
-reproduces every cached node sum bit for bit.
+reproduces every node sum bit for bit.
 """
 from __future__ import annotations
 
@@ -83,10 +83,10 @@ class WeakTypeResult:
 
 
 class DyadicWeight:
-    """Non-negative leaf values on a TreeSpace with cached per-node sums.
+    """Non-negative leaf values on a TreeSpace.
 
-    Immutable after construction: the value array is marked read-only and
-    the cache of sums is append-only.
+    Immutable after construction: the value array is marked read-only.  The
+    node sums at q = 1 are built once and kept (see level_sums).
     """
 
     def __init__(self, space: TreeSpace, leaf_values) -> None:
@@ -109,11 +109,11 @@ class DyadicWeight:
         return cls(TreeSpace(k, depth), values)
 
     def level_sums(self, q: float = 1.0) -> list[np.ndarray]:
-        """sums[level][i] = integral of value**q over node (level, i)."""
+        """sums[level][i] = integral of value**q over node (level, i); kept on
+        the weight at q = 1 only, the one exponent that callers read again."""
         key = float(q)
-        cached = self._sums.get(key)
-        if cached is not None:
-            return cached
+        if key in self._sums:
+            return self._sums[key]
         if key < 0 and np.any(self.values == 0):
             raise ValueError("negative exponent requires strictly positive values")
         powered = self.values if key == 1.0 else self.values ** key
@@ -127,7 +127,8 @@ class DyadicWeight:
             sums.insert(0, acc)
         for arr in sums:
             arr.setflags(write=False)
-        self._sums[key] = sums
+        if key == 1.0:
+            self._sums[key] = sums
         return sums
 
     def level_averages(self, q: float = 1.0) -> list[np.ndarray]:

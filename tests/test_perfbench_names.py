@@ -61,3 +61,14 @@ def test_trace_hook_counts_what_the_trace_holds():
         assert dict(counts) == {
             "trace.stopping_nodes": len(tr.stopping_nodes), "trace.fathers": len(tr.fathers),
             "trace.assertions": len(tr.assertions), "trace.degenerate": tr.degenerate}
+
+
+def test_level_sums_hook_counts_only_unit_sums_as_hits():
+    before = _spans()._before_level_sums
+    w = gen_random(TreeSpace(2, 6), 0)
+    assert before((w,), {}) is False
+    w.level_sums()
+    assert before((w,), {}) is True and before((w, 1.0), {}) is True
+    assert before((w, 2.0), {}) is False
+    w.level_sums(2.0)
+    assert before((w,), {"q": 2.0}) is False and before((w, 2), {}) is False

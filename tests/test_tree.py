@@ -19,6 +19,17 @@ def test_measure_k4_depth3():
     assert TreeSpace(4, 3).node_measure(NodeId(3, 17)) == pytest.approx(1 / 64, rel=0)
 
 
+def test_node_id_is_an_ordered_immutable_pair():
+    node = NodeId(level=2, index=3)
+    assert NodeId._fields == ("level", "index")
+    assert (node.level, node.index) == tuple(node) == (2, 3)
+    assert sorted([NodeId(2, 0), NodeId(1, 5), NodeId(1, 2)]) == [
+        NodeId(1, 2), NodeId(1, 5), NodeId(2, 0)]
+    with pytest.raises(AttributeError):
+        node.level = 0
+    assert {node: 1}[NodeId(2, 3)] == 1
+
+
 def test_children_of_root():
     assert children(TreeSpace(2, 2), NodeId(0, 0)) == [NodeId(1, 0), NodeId(1, 1)]
 

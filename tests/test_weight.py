@@ -13,7 +13,9 @@ from treerhi import (
     gen_two_value,
     load_weight,
     save_weight,
+    trace_theorem1,
 )
+from treerhi.cli import analyze_weight
 from helpers import maximal_oracle, muckenhoupt_oracle, rhi_oracle
 
 
@@ -45,6 +47,28 @@ def test_node_average():
     assert w.node_average(NodeId(0, 0)) == 2.0
     assert w.node_average(NodeId(0, 0), 2.0) == 5.0
     assert w8211().node_average(NodeId(1, 0)) == 5.0
+
+
+def test_only_unit_node_sums_are_kept():
+    w = gen_random(TreeSpace(2, 6), 0)
+    assert w.level_sums(1.0) is w.level_sums()
+    first = w.level_sums(2.0)
+    for call in (lambda: None, lambda: analyze_weight(w, 2.0),
+                 lambda: trace_theorem1(w, 2.0, 0.5)):
+        call()
+        again = w.level_sums(2.0)
+        assert again is not first
+        assert [a.tobytes() for a in again] == [a.tobytes() for a in first]
+        assert list(w._sums) == [1.0]
+
+
+def test_analyze_witnesses_are_level_index_lists():
+    w = gen_random(TreeSpace(2, 6), 0)
+    report = analyze_weight(w, 2.0)
+    for key, found in (("dyadic_witness", w.dyadic_rhi_constant(2.0)),
+                       ("muckenhoupt_witness", w.dyadic_muckenhoupt_constant(2.0))):
+        assert type(report[key]) is list
+        assert report[key] == [found.witness.level, found.witness.index]
 
 
 def test_negative_exponent_requires_positive_values():
