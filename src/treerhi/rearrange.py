@@ -85,12 +85,21 @@ def rearrangement(weight: DyadicWeight) -> StepFunction:
 
     Breakpoints are cumulative leaf counts divided by the leaf count, so
     level-set lengths of the result match level-set measures of the weight
-    exactly.
+    exactly.  The negated values are sorted in place in one copy, which
+    becomes the values when no two leaves tie, so no leaf-sized array is
+    made beyond the two outputs.
     """
     n = weight.space.n_leaves
-    desc = np.sort(weight.values)[::-1]
-    ends = np.append(np.flatnonzero(desc[1:] != desc[:-1]), n - 1)
-    breakpoints, values = (ends + 1).astype(np.float64) / n, desc[ends]
+    desc = np.negative(weight.values)
+    desc.sort()
+    change = desc[1:] != desc[:-1]
+    if change.all():
+        values, breakpoints = desc, np.arange(1, n + 1, dtype=np.float64)
+    else:
+        ends = np.append(np.flatnonzero(change), n - 1)
+        values, breakpoints = desc[ends], (ends + 1).astype(np.float64)
+    np.negative(values, out=values)
+    breakpoints /= n
     # frozen here, so that StepFunction keeps them without a copy
     breakpoints.setflags(write=False)
     values.setflags(write=False)

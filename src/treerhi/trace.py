@@ -520,7 +520,7 @@ def _decompositions(weight: DyadicWeight, ps, ts):
             if d is None:
                 t = _check_t(t)
                 if star is None:
-                    if weight.total_integral == 0 and not weight.values.any():  # see _node_sup
+                    if not weight.values.any():
                         raise ValueError("weight is identically zero")
                     star = rearrangement(weight)
                     order = _descending_order(weight.values)

@@ -6,7 +6,9 @@ operator, and the weak-type (1,1) check.
 
 Node integrals of value**q are accumulated child-to-parent, left to right,
 so rounding error grows O(depth) per node and a recursive re-summation
-reproduces every node sum bit for bit.
+reproduces every node sum bit for bit.  The node sups sum their two
+exponents' node sums in one bottom-up pass over blocks of leaves and compare
+each level as it is formed, so they hold no whole tree of node sums.
 """
 from __future__ import annotations
 
@@ -26,8 +28,9 @@ _RESOLVED = np.finfo(np.float64).tiny * 2.0**52
 # Constants are tried on the values as they are, then rescaled by exact powers
 # of two (_scalings); a power average out of range in all is refused with this.
 _RANGE_ERROR = "power averages at p={p} leave the double range even after rescaling"
-# Nodes of one level, or steps of the rearrangement, per pass of the constant
-# kernels: a pass's temporaries then stay in a core's L2 cache.
+# Leaves per block of the node sups' bottom-up pass, and steps of the
+# rearrangement per pass of the prefix kernel: a pass's temporaries then stay
+# in a core's L2 cache.
 _CHUNK = 1 << 15
 
 
@@ -62,6 +65,48 @@ def _scalings(values: np.ndarray):
             yield np.ldexp(values, -e)
 
 
+def _leaf_sums(values: np.ndarray, q: float, h: float, out=None) -> np.ndarray:
+    """Integrals of value**q over leaves of measure h: the power, then times h."""
+    return np.multiply(values if q == 1.0 else values ** q, h, out=out)
+
+
+def _parent_sums(sums: np.ndarray, k: int) -> np.ndarray:
+    """Node sums one level up, along the last axis: each node's k children
+    added left to right, which keeps the summation order reproducible."""
+    children = sums.reshape(sums.shape[:-1] + (-1, k))
+    acc = children[..., 0].copy()
+    for j in range(1, k):
+        acc += children[..., j]
+    return acc
+
+
+def _best_node(num: np.ndarray, den: np.ndarray, measure: float,
+               y: float) -> tuple[float, int] | None:
+    """The largest ratio avg_a * avg_b**y over a run of nodes of one level,
+    given their a- and b-power sums, and the first node attaining it;
+    (-inf, 0) when no node has a nonzero b-average, None when a live node's
+    ratio or power average leaves the double range."""
+    num = num / measure
+    den = den / measure
+    powered = den ** abs(y)
+    ratio = num / powered if y < 0 else num * powered
+    lowest = den.min()
+    if lowest > 0:
+        lowest = min(lowest, num.min(), powered.min())
+    else:
+        live = den > 0
+        if not live.any():
+            return -np.inf, 0
+        ratio = np.where(live, ratio, -np.inf)
+        lowest = np.minimum(np.minimum(num, den), powered)
+        lowest = np.min(lowest, where=live, initial=np.inf)
+    i = int(np.argmax(ratio))
+    # argmax returns the first NaN, so this also catches overflow
+    if not (np.isfinite(ratio[i]) and lowest >= _RESOLVED):
+        return None
+    return float(ratio[i]), i
+
+
 @dataclass(frozen=True)
 class RhiReport:
     """A sup-over-nodes constant with the node attaining it.
@@ -86,7 +131,8 @@ class DyadicWeight:
     """Non-negative leaf values on a TreeSpace.
 
     Immutable after construction: the value array is marked read-only.  The
-    node sums at q = 1 are built once and kept (see level_sums).
+    node sums at q = 1 are built on first read and kept (see level_sums); the
+    node sups never read them.
     """
 
     def __init__(self, space: TreeSpace, leaf_values) -> None:
@@ -116,15 +162,9 @@ class DyadicWeight:
             return self._sums[key]
         if key < 0 and np.any(self.values == 0):
             raise ValueError("negative exponent requires strictly positive values")
-        powered = self.values if key == 1.0 else self.values ** key
-        sums = [powered * self.space.leaf_measure]
-        k = self.space.k
+        sums = [_leaf_sums(self.values, key, self.space.leaf_measure)]
         for _ in range(self.space.depth):
-            child = sums[0].reshape(-1, k)
-            acc = child[:, 0].copy()
-            for j in range(1, k):  # left-to-right keeps the summation order reproducible
-                acc += child[:, j]
-            sums.insert(0, acc)
+            sums.insert(0, _parent_sums(sums[0], self.space.k))
         for arr in sums:
             arr.setflags(write=False)
         if key == 1.0:
@@ -151,8 +191,7 @@ class DyadicWeight:
         carry an identically zero weight and are skipped, not taken as 0/0.
         """
         a, b = _power_pair(p, dual)
-        # the total underflows to 0 when every positive leaf is subnormal
-        if self.total_integral == 0 and not self.values.any():
+        if not self.values.any():
             raise ValueError("weight is identically zero")
         if min(a, b) < 0 and np.any(self.values == 0):
             raise ValueError(f"a negative power at p={p} needs strictly positive values")
@@ -166,45 +205,58 @@ class DyadicWeight:
     def _ratio_sup(self, a: float, b: float) -> tuple[float, NodeId] | None:
         """Sup and witness of _node_sup, or None when out of double range.
 
-        The node sums of a level are divided by the node measure _CHUNK nodes
-        at a time, as level_averages divides them.  Every level needs a live
-        node (nonzero b-average); a chunk without one is skipped.
+        One bottom-up pass sums the a- and b-powers together and compares
+        each level's nodes (_best_node) as the level is formed.  Let L be the
+        deepest level of at most _CHUNK nodes: the levels below it are formed
+        and compared a block of leaves at a time, where a block holds the most
+        whole nodes of level L that fit in _CHUNK leaves, and at least one.
+        The blocks' sums fill level L, and L and the levels above it are formed
+        and compared whole.  Every level needs a live node (nonzero
+        b-average).  The best ratio of a level goes to its lowest index, and
+        the sup to the lowest level attaining it.
         """
+        k, depth = self.space.k, self.space.depth
         y = -a / b
-        best = -np.inf
-        witness = self.space.root
-        k = float(self.space.k)
+        best, index = [-np.inf] * (depth + 1), [0] * (depth + 1)
         with np.errstate(all="ignore"):
-            nums, dens = self.level_sums(a), self.level_sums(b)
-            for level in range(self.space.depth + 1):
-                measure = k ** (-level)
-                any_live = False
-                for s in range(0, nums[level].size, _CHUNK):
-                    num = nums[level][s:s + _CHUNK] / measure
-                    den = dens[level][s:s + _CHUNK] / measure
-                    powered = den ** abs(y)
-                    ratio = num / powered if y < 0 else num * powered
-                    lowest = den.min()
-                    if lowest > 0:
-                        lowest = min(lowest, num.min(), powered.min())
-                    else:
-                        live = den > 0
-                        if not live.any():
-                            continue
-                        ratio = np.where(live, ratio, -np.inf)
-                        lowest = np.minimum(np.minimum(num, den), powered)
-                        lowest = np.min(lowest, where=live, initial=np.inf)
-                    i = int(np.argmax(ratio))
-                    # argmax returns the first NaN, so this also catches overflow
-                    if not (np.isfinite(ratio[i]) and lowest >= _RESOLVED):
-                        return None
-                    any_live = True
-                    if ratio[i] > best:
-                        best = float(ratio[i])
-                        witness = NodeId(level, s + i)
-                if not any_live:
+            for level, first, (num, den) in self._node_sums(a, b):
+                found = _best_node(num, den, float(k) ** (-level), y)
+                if found is None:
                     return None
-        return best, witness
+                if found[0] > best[level]:
+                    best[level], index[level] = found[0], first + found[1]
+        if -np.inf in best:
+            return None
+        level = best.index(max(best))
+        return best[level], NodeId(level, index[level])
+
+    def _node_sums(self, a: float, b: float):
+        """(level, index of the first node, 2 x m array of the a- and b-power
+        sums of m nodes) for each run of nodes in _ratio_sup's order: the
+        levels below L block by block, then the levels from L up to the root
+        whole."""
+        space = self.space
+        k, depth, h = space.k, space.depth, space.leaf_measure
+        top = depth
+        while k ** top > _CHUNK:
+            top -= 1
+        span = k ** (depth - top)  # leaves under a node of level top
+        block = max(1, _CHUNK // span) * span
+        heads = []
+        for start in range(0, space.n_leaves, block):
+            leaves = self.values[start:start + block]
+            sums = np.empty((2, leaves.size))
+            _leaf_sums(leaves, a, h, sums[0])
+            _leaf_sums(leaves, b, h, sums[1])
+            for level in range(depth, top, -1):
+                yield level, start // k ** (depth - level), sums
+                sums = _parent_sums(sums, k)
+            heads.append(sums)
+        sums = np.concatenate(heads, axis=1)
+        for level in range(top, -1, -1):
+            yield level, 0, sums
+            if level:
+                sums = _parent_sums(sums, k)
 
     def dyadic_rhi_constant(self, p: float) -> RhiReport:
         """sup over all nodes I of avg(value**p, I) / avg(value, I)**p."""

@@ -4,7 +4,8 @@ Everything here recomputes quantities from first principles: node
 children and fathers by index arithmetic, recursive per-node summation,
 plain enumeration over nodes, dense-grid sup searches,
 exact rational arithmetic, the tracer's greedy filler as a plain loop per
-father, and both constant kernels as single passes over whole arrays.
+father, both constant kernels as single passes over whole arrays, and the
+rearrangement as a descending copy merged at each change of value.
 Powers and divisions go through numpy elementwise ops, which are
 value-deterministic, so the node-enumeration oracle reproduces the
 library's cached results bit for bit.
@@ -118,6 +119,16 @@ def sorted_leaf_prefix_average(weight: DyadicWeight, t: float) -> float:
     return math.fsum(terms) / t
 
 
+def sorted_merge_rearrangement(weight: DyadicWeight) -> tuple[np.ndarray, np.ndarray]:
+    """(breakpoints, values) of the rearrangement from a descending copy of
+    the leaves, merged at every change of value: the reference for
+    rearrangement, which sorts the negated leaves in place."""
+    n = weight.space.n_leaves
+    desc = np.sort(weight.values)[::-1]
+    ends = np.append(np.flatnonzero(desc[1:] != desc[:-1]), n - 1)
+    return (ends + 1).astype(np.float64) / n, desc[ends]
+
+
 def step_leaf_values(h: StepFunction, n_leaves: int) -> np.ndarray:
     """Expand a step function whose breakpoints sit on the grid j/n_leaves."""
     counts = np.rint(h.breakpoints * n_leaves).astype(int)
@@ -226,7 +237,7 @@ def whole_ratio_curve(h: StepFunction, q: float, n_samples: int) -> np.ndarray:
 def whole_node_ratio_sup(weight: DyadicWeight, a: float, b: float):
     """Sup and witness of the node kernel, one whole level at a time over
     level_averages, or None out of double range.  The reference for
-    DyadicWeight._ratio_sup, which runs in chunks of a level."""
+    DyadicWeight._ratio_sup, which sums and compares blocks of leaves."""
     y = -a / b
     best = -np.inf
     witness = weight.space.root

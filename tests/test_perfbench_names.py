@@ -3,7 +3,7 @@
 The spans module is read and run here without writing anything next to it.
 Its install() raises on the first name that is gone, so a rename in treerhi
 breaks every traced benchmark run; this test names the missing entry.  The
-trace hook's counts are what traced runs report of each trace.
+hooks' counts are what traced runs report of each trace and rearrangement.
 """
 import importlib
 import types
@@ -11,7 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 import treerhi
-from treerhi import DyadicWeight, TreeSpace, gen_random, trace_theorem1
+from treerhi import DyadicWeight, TreeSpace, gen_random, rearrangement, trace_theorem1
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -61,6 +61,17 @@ def test_trace_hook_counts_what_the_trace_holds():
         assert dict(counts) == {
             "trace.stopping_nodes": len(tr.stopping_nodes), "trace.fathers": len(tr.fathers),
             "trace.assertions": len(tr.assertions), "trace.degenerate": tr.degenerate}
+
+
+def test_rearrangement_hook_counts_the_steps():
+    after_rearrangement = _spans()._after_rearrangement
+    untied = rearrangement(gen_random(TreeSpace(2, 6), 0))
+    tied = rearrangement(DyadicWeight.from_leaves(2, 2, [8, 2, 2, 1]))
+    assert (untied.breakpoints.size, tied.breakpoints.size) == (64, 3)
+    for star in (untied, tied):
+        counts = Counter()
+        after_rearrangement(counts, None, star)
+        assert dict(counts) == {"rearrange.steps": len(star.breakpoints)}
 
 
 def test_level_sums_hook_counts_only_unit_sums_as_hits():

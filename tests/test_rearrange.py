@@ -17,7 +17,8 @@ from treerhi import (
 )
 from treerhi.cli import write_curve_csv
 from treerhi.trace import build_top_set
-from helpers import dense_grid_muckenhoupt_sup, dense_grid_prefix_sup, step_leaf_values
+from helpers import (dense_grid_muckenhoupt_sup, dense_grid_prefix_sup,
+                     sorted_merge_rearrangement, step_leaf_values)
 
 
 def two_step():
@@ -79,6 +80,28 @@ def test_rearrangement_sorted_input_identity():
     h = rearrangement(DyadicWeight.from_leaves(2, 2, [9, 4, 2, 1]))
     assert list(h.breakpoints) == [0.25, 0.5, 0.75, 1.0]
     assert list(h.values) == [9, 4, 2, 1]
+
+
+def _rearrangement_cases() -> dict[str, DyadicWeight]:
+    w = gen_random(TreeSpace(2, 10), 4)
+    tied = np.round(w.values, -2)  # many leaves round to the same hundred
+    zeros = w.values.copy()
+    zeros[::3] = 0.0
+    return {
+        "untied": w,
+        "tied": DyadicWeight(w.space, tied),
+        "zeros": DyadicWeight(w.space, zeros),
+        "all-equal": gen_constant(TreeSpace(3, 4), 2.5),
+        "one-leaf": DyadicWeight.from_leaves(2, 0, [7.0]),
+    }
+
+
+@pytest.mark.parametrize("name, w", sorted(_rearrangement_cases().items()))
+def test_rearrangement_matches_sort_and_merge(name, w):
+    h = rearrangement(w)
+    breakpoints, values = sorted_merge_rearrangement(w)
+    assert h.breakpoints.tobytes() == breakpoints.tobytes()
+    assert h.values.tobytes() == values.tobytes()
 
 
 def test_rearrangement_preserves_integral():
