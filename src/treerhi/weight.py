@@ -205,15 +205,9 @@ class DyadicWeight:
     def _ratio_sup(self, a: float, b: float) -> tuple[float, NodeId] | None:
         """Sup and witness of _node_sup, or None when out of double range.
 
-        One bottom-up pass sums the a- and b-powers together and compares
-        each level's nodes (_best_node) as the level is formed.  Let L be the
-        deepest level of at most _CHUNK nodes: the levels below it are formed
-        and compared a block of leaves at a time, where a block holds the most
-        whole nodes of level L that fit in _CHUNK leaves, and at least one.
-        The blocks' sums fill level L, and L and the levels above it are formed
-        and compared whole.  Every level needs a live node (nonzero
-        b-average).  The best ratio of a level goes to its lowest index, and
-        the sup to the lowest level attaining it.
+        Each run of nodes is compared (_best_node) as _node_sums forms it.
+        Every level needs a live node (nonzero b-average).  A level's best
+        ratio goes to its lowest index, and the sup to the lowest level.
         """
         k, depth = self.space.k, self.space.depth
         y = -a / b
@@ -231,10 +225,12 @@ class DyadicWeight:
         return best[level], NodeId(level, index[level])
 
     def _node_sums(self, a: float, b: float):
-        """(level, index of the first node, 2 x m array of the a- and b-power
-        sums of m nodes) for each run of nodes in _ratio_sup's order: the
-        levels below L block by block, then the levels from L up to the root
-        whole."""
+        """(level, index of its first node, 2 x m array of the a- and b-power
+        sums) for each run of m nodes of one bottom-up pass.  Let L be the
+        deepest level of at most _CHUNK nodes: the levels below it are formed
+        a block of leaves at a time, a block holding the most whole nodes of
+        level L that fit in _CHUNK leaves, and at least one.  The blocks fill
+        level L, and L and the levels above it are formed whole."""
         space = self.space
         k, depth, h = space.k, space.depth, space.leaf_measure
         top = depth
