@@ -65,7 +65,8 @@ def _scalings(values: np.ndarray):
             yield np.ldexp(values, -e)
 
 
-def _leaf_sums(values: np.ndarray, q: float, h: float, out=None) -> np.ndarray:
+def _leaf_sums(values: np.ndarray, q: float, h: float,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Integrals of value**q over leaves of measure h: the power, then times h."""
     return np.multiply(values if q == 1.0 else values ** q, h, out=out)
 

@@ -76,7 +76,7 @@ def _node_weights() -> dict[str, DyadicWeight]:
     half = gen_two_value(TreeSpace(2, 15), 5.0, 0.25).values
     cases["same-halves-2-16"] = DyadicWeight.from_leaves(2, 16, np.tile(half, 2))
     v = gen_random(TreeSpace(2, 18), 6).values.copy()
-    v[3 * _CHUNK:4 * _CHUNK] = 0.0  # every node of block 3 below level 15 is dead
+    v[3 * _CHUNK:4 * _CHUNK] = 0.0  # block 3 is node (3, 3): it and every node under it are dead
     cases["dead-block-2-18"] = DyadicWeight.from_leaves(2, 18, v)
     v = gen_random(TreeSpace(2, 16), 7).values.copy()
     v[_CHUNK:] *= 1e-200  # the powers of block 1 alone underflow
