@@ -11,15 +11,17 @@ The power integrals are running sums over the steps, so at the breakpoints
 the means are read straight off them; only the interior stationary points,
 and the arbitrary grid of ratio_curve, are gathered back to their steps.
 One loop runs over chunks of steps and carries the running sums from chunk
-to chunk, so the sums keep the bits of one pass over all steps.
+to chunk, so the sums keep the bits of one pass over all steps.  The loop
+runs under weight._retried, the range policy that the node sups share.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .weight import _CHUNK, _RANGE_ERROR, _RESOLVED, DyadicWeight, _power_pair, _scalings
+from .weight import _CHUNK, _RESOLVED, DyadicWeight, _retried
 
 T_SLACK = 1e-12
 
@@ -121,25 +123,8 @@ def prefix_average(h: StepFunction, t: float, q: float = 1.0) -> float:
     return float(np.dot(powered, seg)) / t
 
 
-def _prefix_ratios(h: StepFunction, p: float, dual: bool,
-                   ts: np.ndarray | None = None) -> tuple[float, float] | np.ndarray:
-    """_ratios_at on the values of h as they are or else rescaled (see
-    _RANGE_ERROR): the sup over t of the power-mean ratio of _power_pair with
-    its witness t, or, given the grid ts, the ratios at ts."""
-    a, b = _power_pair(p, dual)
-    if h.values[0] == 0:
-        raise ValueError("function is identically zero")
-    if min(a, b) < 0 and h.values[-1] == 0:
-        raise ValueError(f"a negative power at p={p} needs strictly positive values")
-    for values in _scalings(h.values):
-        found = _ratios_at(h.breakpoints, values, a, b, ts)
-        if found is not None:
-            return found
-    raise ValueError(_RANGE_ERROR.format(p=p))
-
-
 def _ratios_at(right: np.ndarray, v: np.ndarray, a: float, b: float,
-               ts: np.ndarray | None) -> tuple[float, float] | np.ndarray | None:
+               ts: np.ndarray | None = None) -> tuple[float, float] | np.ndarray | None:
     """Over the chunks of _ratio_chunks: without ts, (sup, t) with ties broken
     toward the largest t; with ts, the ratios at ts.  None when a power mean
     or the ratio leaves the double range."""
@@ -221,7 +206,7 @@ def _mean_in(n0: np.ndarray, vq: np.ndarray, left: np.ndarray,
 
 def _prefix_sup(h: StepFunction, p: float, dual: bool) -> PrefixReport:
     """The sup of the prefix ratio, with ties resolved toward the largest t."""
-    best, witness = _prefix_ratios(h, p, dual)
+    best, witness = _retried(h.values, p, dual, "function", partial(_ratios_at, h.breakpoints))
     return PrefixReport(exponent=p, constant=float(best), witness_t=float(witness))
 
 
@@ -242,4 +227,5 @@ def ratio_curve(h: StepFunction, q: float, n_samples: int) -> np.ndarray:
     grid = np.unique(
         np.concatenate([np.linspace(1.0 / n_samples, 1.0, n_samples), h.breakpoints])
     )
-    return np.column_stack((grid, _prefix_ratios(h, q, False, grid)))
+    ratios = _retried(h.values, q, False, "function", partial(_ratios_at, h.breakpoints, ts=grid))
+    return np.column_stack((grid, ratios))

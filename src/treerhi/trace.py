@@ -627,10 +627,6 @@ def _decompose(weight: DyadicWeight, t: float, threshold: float,
     km[:] = np.bincount(owner, weights=node_spans, minlength=f) * h
     ends = sizes.cumsum()
     sets = np.empty((4, int(ends[-1])))  # kernel, filler, gamma and delta
-    # per father, gamma's fractions and leaf terms over its block: the fsums
-    # of gamma's measure and integral, per father and over the union
-    gamma_fractions: list[list[float]] = []
-    gamma_terms: list[list[float]] = []
     s = 0
     for level, group in itertools.groupby(fathers, lambda father: father.level):
         index = np.array([father.index for father in group])
@@ -651,8 +647,6 @@ def _decompose(weight: DyadicWeight, t: float, threshold: float,
         # free one gets at most its share 1), so the union's fractions are gamma's
         union.reshape(-1, span)[index] = level_sets[2]
         rows, terms = level_sets[2].tolist(), (level_sets[2] * leaf_values).tolist()
-        gamma_fractions += rows
-        gamma_terms += terms
         np.divide(np.fromiter(map(math.fsum, terms), np.float64, count) * h,
                   np.fromiter(map(math.fsum, rows), np.float64, count) * h, out=ga[part])
         s += count
@@ -663,9 +657,10 @@ def _decompose(weight: DyadicWeight, t: float, threshold: float,
                       (km >= fm / k * (1.0 - ASSERT_REL_TOL)) & (km < fm * (1.0 + ASSERT_REL_TOL)),
                       _isclose(ga, threshold, GAMMA_REL_TOL)])
 
-    # fsum is correctly rounded, so these equal the fsums over the whole tree
-    gamma_measure = math.fsum(itertools.chain.from_iterable(gamma_fractions)) * h
-    gamma_integral = math.fsum(itertools.chain.from_iterable(gamma_terms)) * h
+    # union holds gamma's fractions and zeros elsewhere: fsum is correctly
+    # rounded, so the zeros change no bit of these fsums over the fathers' blocks
+    gamma_measure = math.fsum(union.tolist()) * h
+    gamma_integral = math.fsum((union * weight.values).tolist()) * h
     gamma_average = gamma_integral / gamma_measure
     checks = (("stopping_family_covers_exceedance", float(mismatch), 0.0, not mismatch),
               ("gamma_average_matches_threshold", gamma_average, threshold,

@@ -9,6 +9,8 @@ so rounding error grows O(depth) per node and a recursive re-summation
 reproduces every node sum bit for bit.  The node sups sum their two
 exponents' node sums in one bottom-up pass over blocks of leaves and compare
 each level as it is formed, so they hold no whole tree of node sums.
+Every constant is a ratio of power means, which no scaling changes, so the
+node and prefix kernels share one range policy: _retried.
 """
 from __future__ import annotations
 
@@ -25,8 +27,8 @@ REL_TOL = 1e-12
 # Smallest power average trusted to full precision: underflow drops less than
 # tiny from any average, which is under one ulp of a value this large.
 _RESOLVED = np.finfo(np.float64).tiny * 2.0**52
-# Constants are tried on the values as they are, then rescaled by exact powers
-# of two (_scalings); a power average out of range in all is refused with this.
+# _retried tries the values as they are, then rescaled by exact powers of two
+# (_scalings); a power average out of range in all is refused with this.
 _RANGE_ERROR = "power averages at p={p} leave the double range even after rescaling"
 # Leaves per block of the node sups' bottom-up pass, and steps of the
 # rearrangement per pass of the prefix kernel: a pass's temporaries then stay
@@ -63,6 +65,22 @@ def _scalings(values: np.ndarray):
             low, high = np.ldexp([smallest, largest], -e)
         if low > 0 and np.isfinite(high):
             yield np.ldexp(values, -e)
+
+
+def _retried(values: np.ndarray, p: float, dual: bool, what: str, kernel):
+    """kernel(scaled, a, b), with (a, b) of _power_pair, on the first of
+    _scalings(values) where it is not None.  Refuses an identically zero `what`,
+    a negative power of a zero value, and (_RANGE_ERROR) None at every scaling."""
+    a, b = _power_pair(p, dual)
+    if not values.any():
+        raise ValueError(f"{what} is identically zero")
+    if min(a, b) < 0 and values.min() == 0:
+        raise ValueError(f"a negative power at p={p} needs strictly positive values")
+    for scaled in _scalings(values):
+        found = kernel(scaled, a, b)
+        if found is not None:
+            return found
+    raise ValueError(_RANGE_ERROR.format(p=p))
 
 
 def _leaf_sums(values: np.ndarray, q: float, h: float,
@@ -187,24 +205,14 @@ class DyadicWeight:
 
     def _node_sup(self, p: float, dual: bool) -> RhiReport:
         """sup over all nodes of avg(value**a) * avg(value**b)**(-a/b), the
-        power-mean ratio (M_a / M_b)**a of _power_pair, on the values as they
-        are or else rescaled (see _RANGE_ERROR).  Nodes with zero b-average
-        carry an identically zero weight and are skipped, not taken as 0/0.
-        """
-        a, b = _power_pair(p, dual)
-        if not self.values.any():
-            raise ValueError("weight is identically zero")
-        if min(a, b) < 0 and np.any(self.values == 0):
-            raise ValueError(f"a negative power at p={p} needs strictly positive values")
-        for values in _scalings(self.values):
-            scaled = self if values is self.values else DyadicWeight(self.space, values)
-            found = scaled._ratio_sup(a, b)
-            if found is not None:
-                return RhiReport(exponent=p, constant=found[0], witness=found[1])
-        raise ValueError(_RANGE_ERROR.format(p=p))
+        power-mean ratio (M_a / M_b)**a of _power_pair, under _retried.  Nodes
+        with zero b-average are skipped, not taken as 0/0."""
+        constant, witness = _retried(self.values, p, dual, "weight", self._ratio_sup)
+        return RhiReport(exponent=p, constant=constant, witness=witness)
 
-    def _ratio_sup(self, a: float, b: float) -> tuple[float, NodeId] | None:
-        """Sup and witness of _node_sup, or None when out of double range.
+    def _ratio_sup(self, values: np.ndarray, a: float, b: float) -> tuple[float, NodeId] | None:
+        """Sup and witness of _node_sup on values, this tree's leaves as they
+        are or rescaled, or None when out of double range.
 
         Each run of nodes is compared (_best_node) as _node_sums forms it.
         Every level needs a live node (nonzero b-average).  A level's best
@@ -214,7 +222,7 @@ class DyadicWeight:
         y = -a / b
         best, index = [-np.inf] * (depth + 1), [0] * (depth + 1)
         with np.errstate(all="ignore"):
-            for level, first, (num, den) in self._node_sums(a, b):
+            for level, first, (num, den) in self._node_sums(values, a, b):
                 found = _best_node(num, den, float(k) ** (-level), y)
                 if found is None:
                     return None
@@ -225,13 +233,13 @@ class DyadicWeight:
         level = best.index(max(best))
         return best[level], NodeId(level, index[level])
 
-    def _node_sums(self, a: float, b: float):
+    def _node_sums(self, values: np.ndarray, a: float, b: float):
         """(level, index of its first node, 2 x m array of the a- and b-power
-        sums) for each run of m nodes of one bottom-up pass.  Let L be the
-        deepest level of at most _CHUNK nodes: the levels below it are formed
-        a block of leaves at a time, a block holding the most whole nodes of
-        level L that fit in _CHUNK leaves, and at least one.  The blocks fill
-        level L, and L and the levels above it are formed whole."""
+        sums of values) for each run of m nodes of one bottom-up pass.  Let L
+        be the deepest level of at most _CHUNK nodes: the levels below it are
+        formed a block of leaves at a time, a block holding the most whole
+        nodes of level L that fit in _CHUNK leaves, and at least one.  The
+        blocks fill level L, and L and the levels above it are formed whole."""
         space = self.space
         k, depth, h = space.k, space.depth, space.leaf_measure
         top = depth
@@ -241,7 +249,7 @@ class DyadicWeight:
         block = max(1, _CHUNK // span) * span
         heads = []
         for start in range(0, space.n_leaves, block):
-            leaves = self.values[start:start + block]
+            leaves = values[start:start + block]
             sums = np.empty((2, leaves.size))
             _leaf_sums(leaves, a, h, sums[0])
             _leaf_sums(leaves, b, h, sums[1])
@@ -273,7 +281,7 @@ class DyadicWeight:
 
     def weak_type_check(self, threshold: float) -> WeakTypeResult:
         """mu({M > t}) against (1/t) * integral of the weight over {M > t}."""
-        if threshold <= 0:
+        if not threshold > 0:  # negated, so that NaN is refused
             raise ValueError(f"threshold must be > 0, got {threshold}")
         mask = self.maximal_function() > threshold
         lhs = float(np.count_nonzero(mask)) * self.space.leaf_measure
@@ -354,9 +362,9 @@ def load_weight(path: str | Path) -> DyadicWeight:
         if field not in doc:
             raise ValueError(f"weight file {path} is missing {field!r}")
     k, depth, leaves = doc["k"], doc["depth"], doc["leaves"]
-    if not isinstance(k, int) or not isinstance(depth, int):
+    # exact types: a JSON number parses to int or float, but true to bool, an int subclass
+    if not (type(k) is int and type(depth) is int):
         raise ValueError("k and depth must be integers")
-    # a JSON number parses to int or float; bool, str, null, list and object do not
     if not (isinstance(leaves, list) and all(type(v) in (int, float) for v in leaves)):
         raise ValueError("leaves must be a list of JSON numbers")
     try:

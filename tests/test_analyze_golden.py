@@ -17,7 +17,7 @@ import pytest
 from treerhi import DyadicWeight, TreeSpace, gen_power, gen_random, rearrangement
 from treerhi import rearrange, weight
 from treerhi.cli import analyze_weight
-from treerhi.rearrange import _prefix_ratios, _ratio_chunks, _ratios_at, ratio_curve
+from treerhi.rearrange import _prefix_sup, _ratio_chunks, _ratios_at, ratio_curve
 from treerhi.weight import _power_pair, _scalings
 
 PS = (1.5, 2.0, 3.0, 120.0)
@@ -200,7 +200,7 @@ def test_golden_corpus_covers_every_branch():
                 a, b = _power_pair(p, dual)
                 try:
                     w._node_sup(p, dual)
-                    _prefix_ratios(star, p, dual)
+                    _prefix_sup(star, p, dual)
                 except ValueError:
                     continue
                 # the values the prefix sup was taken on, and the points it tried
@@ -210,7 +210,7 @@ def test_golden_corpus_covers_every_branch():
                     star.breakpoints, values, a, b, None)])
                 side = "interior_ap" if dual else "interior_rh"
                 seen[side] += not np.all(np.isin(ts, star.breakpoints))
-                seen["dyadic_retry"] += w._ratio_sup(a, b) is None
+                seen["dyadic_retry"] += w._ratio_sup(w.values, a, b) is None
                 seen["prefix_retry"] += _ratios_at(
                     star.breakpoints, star.values, a, b, None) is None
     assert all(seen.values()), seen

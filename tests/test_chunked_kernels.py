@@ -114,7 +114,7 @@ def test_node_sup_matches_whole_levels(name):
             if dual and np.any(w.values == 0):
                 continue
             a, b = _power_pair(p, dual)
-            assert w._ratio_sup(a, b) == whole_node_ratio_sup(w, a, b), (p, dual)
+            assert w._ratio_sup(w.values, a, b) == whole_node_ratio_sup(w, a, b), (p, dual)
             assert _outcome(_node_sup, w, p, dual) == _outcome(whole_node_sup, w, p, dual), \
                 (p, dual)
 
@@ -132,8 +132,8 @@ def test_node_sup_ties_go_to_the_lowest_level_and_index(name, witness):
 def test_one_underflowing_block_forces_the_retry():
     w = NODE_WEIGHTS["underflow-block-2-16"]
     head = DyadicWeight.from_leaves(2, 15, w.values[:_CHUNK])
-    assert head._ratio_sup(2.0, 1.0) is not None
-    assert w._ratio_sup(2.0, 1.0) is None
+    assert head._ratio_sup(head.values, 2.0, 1.0) is not None
+    assert w._ratio_sup(w.values, 2.0, 1.0) is None
     assert _node_sup(w, 2.0, False) == whole_node_sup(w, 2.0, False)
 
 

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from treerhi import (
-    DyadicWeight, TreeSpace, cli, gen_power, gen_random, load_weight, save_weight,
-    trace_theorem1,
+    DyadicWeight, PrefixReport, TreeSpace, WeakTypeResult, cli, gen_power, gen_random,
+    load_weight, rearrange, save_weight, trace_theorem1,
 )
 from treerhi import trace as trace_mod
 from treerhi.cli import main
@@ -45,6 +45,13 @@ def test_gen_power_integral(tmp_path):
     assert len(doc["leaves"]) == 1024
     total = sum(doc["leaves"]) / 1024
     assert total == pytest.approx(4 / 3, rel=1e-12)
+
+
+def test_gen_two_value(tmp_path):
+    out = tmp_path / "w.json"
+    assert run("gen", "two-value", "--first", "3", "--second", "0.5", "--depth", "2",
+               "-o", str(out)) == 0
+    assert json.loads(out.read_text()) == {"k": 2, "depth": 2, "leaves": [3.0, 3.0, 0.5, 0.5]}
 
 
 def test_gen_bad_params(tmp_path):
@@ -165,6 +172,18 @@ def test_non_numeric_leaves_refused(tmp_path, monkeypatch, capsys, leaves, messa
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"k": 2, "depth": true, "leaves": [1.0, 2.0]}', "k and depth must be integers"),
+    ("[1.0, 2.0]", "must hold an object"),
+], ids=["bool-depth", "list"])
+def test_malformed_weight_file_refused(tmp_path, capsys, text, message):
+    # depth true once loaded as depth 1 and analyze exited 0
+    wfile = tmp_path / "w.json"
+    wfile.write_text(text)
+    assert run("analyze", str(wfile)) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("suite", ["theorem1", "weaktype", "lemma", "decomposition"])
 def test_verify_suites_pass(suite):
     assert run("verify", suite, "--count", "6", "--seed", "1",
@@ -175,9 +194,11 @@ def test_verify_empty_run_refused():
     assert run("verify", "theorem1", "--count", "0") == 2
 
 
-def test_verify_bad_params():
+def test_verify_bad_params(capsys):
     assert run("verify", "theorem1", "--count", "5", "--p", "0.5") == 2
     assert run("verify", "theorem1", "--count", "5", "--k", "1") == 2
+    assert run("verify", "theorem1", "--count", "5", "--depth", "0") == 2
+    assert "depth must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
@@ -355,6 +376,55 @@ def test_verify_lemma_checks_every_exponent(monkeypatch, capsys):
     assert seen == [1.5, 2.0, 3.0]
     out = capsys.readouterr().out
     assert "lemma conclusion fails" in out and "p=3.0" in out
+
+
+def _fails_every_comparison(lhs, rhs):
+    """trace._at_most made to fail: False for a float, all False for an array."""
+    return np.asarray(lhs) > np.inf
+
+
+# per suite, the check made to fail (module, name, replacement) and the start
+# of its FAIL detail
+FAILED_CHECKS = {
+    "theorem1": (rearrange, "prefix_rhi_constant", lambda h, p: PrefixReport(p, 1e300, 1.0),
+                 "prefix 1e+300 > bound "),
+    "weaktype": (DyadicWeight, "weak_type_check",
+                 lambda w, lam: WeakTypeResult(lam, 1.0, 0.5, False),
+                 "weak type fails at lambda="),
+    "decomposition": (trace_mod, "_at_most", _fails_every_comparison,
+                      "assertions failed at t=0.1, p=2.0: "),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(FAILED_CHECKS))
+def test_verify_failure_exits_1_with_a_reloadable_weight(tmp_path, monkeypatch, capsys, suite):
+    owner, name, replacement, detail = FAILED_CHECKS[suite]
+    monkeypatch.setattr(owner, name, replacement)
+    argv = ["verify", suite, "--count", "3", "--seed", "1", "--k", "2,3", "--depth", "3",
+            "--p", "2"]
+    assert run(*argv) == 1
+    fail, record = capsys.readouterr().out.splitlines()
+    doc = json.loads(record)
+    assert fail.startswith(f"FAIL at weight {doc['index']}: {detail}")
+    assert doc["detail"] == fail.split(": ", 1)[1]
+    assert doc["config"]["suite"] == suite
+    wfile = tmp_path / "failed.json"
+    wfile.write_text(json.dumps(doc["weight"]))
+    failed = load_weight(wfile)
+    expected = dict(cli._corpus(3, 1, (2, 3), 3))[doc["index"]]
+    assert failed.space == expected.space
+    assert np.array_equal(failed.values, expected.values)
+
+
+def test_trace_failed_assertions_exit_1(tmp_path, monkeypatch, capsys):
+    wfile = tmp_path / "w.json"
+    wfile.write_text('{"k": 2, "depth": 2, "leaves": [8, 2, 1, 1]}')
+    monkeypatch.setattr(trace_mod, "_at_most", _fails_every_comparison)
+    assert run("trace", str(wfile), "--t", "0.5") == 1
+    head, *failed = capsys.readouterr().out.splitlines()
+    assert head.endswith("assertions: ASSERTION FAILURES")
+    assert "  FAILED gamma_measure_le_t: lhs=0.5 rhs=0.5" in failed
+    assert all(line.startswith("  FAILED ") for line in failed)
 
 
 README_COUNTS = {"decomposition": "2", "lemma": "2"}  # README's take minutes

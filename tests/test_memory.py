@@ -49,6 +49,14 @@ def test_node_sup_holds_no_tree_of_node_sums(traced, constant):
     assert peak < 3.0
 
 
+def test_node_sup_retry_makes_one_rescaled_copy(traced):
+    # scaled by 1e-200, the sup retries on one rescaled copy of the leaves (8 MB
+    # here); a retry that builds and validates a whole new weight breaks the bound
+    w = DyadicWeight(TreeSpace(2, 20), LEAVES * 1e-200)
+    _, peak = _peak_above(w.dyadic_rhi_constant, 2.0)
+    assert peak < 12.0
+
+
 def test_rearrangement_makes_no_leaf_sized_temporaries(traced):
     star, peak = _peak_above(rearrangement, _fresh())
     outputs = (star.breakpoints.nbytes + star.values.nbytes) / MB

@@ -223,6 +223,12 @@ def test_weak_type_rejects_nonpositive_threshold():
         w8211().weak_type_check(0.0)
 
 
+def test_weak_type_rejects_nan_threshold():
+    # nan <= 0 is false, so a NaN threshold once gave holds=False, rhs=nan
+    with pytest.raises(ValueError, match="threshold must be > 0, got nan"):
+        w8211().weak_type_check(float("nan"))
+
+
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
@@ -298,3 +304,10 @@ def test_load_rejects_malformed(tmp_path):
     path.write_text('{"k": 2, "depth": 1, "leaves": [1, -2]}')
     with pytest.raises(ValueError):
         load_weight(path)
+    # JSON booleans parse to bool, an int subclass: true once loaded as depth 1
+    for doc in ('{"k": 2, "depth": true, "leaves": [1.0, 2.0]}',
+                '{"k": true, "depth": 1, "leaves": [1.0]}',
+                '{"k": 2, "depth": 1.0, "leaves": [1.0, 2.0]}'):
+        path.write_text(doc)
+        with pytest.raises(ValueError, match="k and depth must be integers"):
+            load_weight(path)
