@@ -5,14 +5,19 @@ whose breakpoints are integer multiples of the leaf measure.  Prefix
 averages over (0, t] are exact piecewise-constant integrals, and the
 reverse-Holder / Muckenhoupt constants over prefix intervals are computed
 as a sup over t of a power-mean ratio: every breakpoint is evaluated, and
-inside each step the single interior stationary point of the ratio is
-solved in closed form (the log-derivative equation there is linear in t).
-The power integrals are running sums over the steps, so at the breakpoints
-the means are read straight off them; only the interior stationary points,
-and the arbitrary grid of ratio_curve, are gathered back to their steps.
-One loop runs over chunks of steps and carries the running sums from chunk
-to chunk, so the sums keep the bits of one pass over all steps.  The loop
-runs under weight._retried, the range policy that the node sups share.
+inside each step that can reach the sup the single interior stationary
+point of the ratio is solved in closed form (the log-derivative equation
+there is linear in t).  A step cannot reach the sup when a bound on the
+ratio over it, its value at the step's end times the chunk's growth bound
+and a rounding margin, stays below the largest breakpoint ratio so far
+(_ratio_chunks); the sup and its witness are then those of solving every
+step, bit for bit.  The power integrals are running sums over the steps,
+so at the breakpoints the means are read straight off them; only the
+interior stationary points, and the arbitrary grid of ratio_curve, are
+gathered back to their steps.  One loop runs over chunks of steps and
+carries the running sums from chunk to chunk, so the sums keep the bits of
+one pass over all steps.  The loop runs under weight._retried, the range
+policy that the node sups share.
 """
 from __future__ import annotations
 
@@ -24,6 +29,10 @@ import numpy as np
 from .weight import _CHUNK, _RESOLVED, DyadicWeight, _retried
 
 T_SLACK = 1e-12
+# The prefix sup's margin per unit exponent (_ratio_chunks), and the smallest
+# normal double.
+_MARGIN = 2.0**-44
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -143,19 +152,44 @@ def _ratios_at(right: np.ndarray, v: np.ndarray, a: float, b: float,
 def _ratio_chunks(right: np.ndarray, v: np.ndarray, a: float, b: float,
                   ts: np.ndarray | None):
     """(t, ratio, lowest mean) for _CHUNK steps at a time: the power-mean ratio
-    (M_a / M_b)**a over (0, t] for t at every breakpoint and every stationary
-    point inside a step, or at the points of the sorted grid ts (which holds
-    every breakpoint) that fall in the chunk's steps.
+    R = (M_a / M_b)**a over (0, t] for t at every breakpoint and at the
+    interior stationary points of the steps that can reach the sup, or at the
+    points of the sorted grid ts (which holds every breakpoint) that fall in
+    the chunk's steps.
 
     A chunk's temporaries stay in cache.  The integrals N and D of h**a and
     h**b are running sums seeded with the previous chunk's totals: add.accumulate
     adds in order, so every N and D, and so every mean and ratio, has the bits
     of one whole-array cumsum.
+
+    Without ts, the interior stationary points are solved (_stationary) only
+    on the steps that can reach `top`, the largest breakpoint ratio so far.
+    R = N * D**y * t**z with N and D non-decreasing in t, so on a step (l, r]
+    R <= R(r) * (D(r)/D(l))**-y when y < 0 (reverse Holder) and
+    R <= R(r) * (r/l)**-z when y > 0 (Muckenhoupt); either exponent is p.  The
+    largest such factor over a chunk's steps is its growth bound G, and a step
+    with R(r) * G * margin < top is skipped.  Here margin = 1 + 2**-44 *
+    (1 + |y| + |z|): the computed R(r), G and interior ratio each round by a
+    few ulp per unit of |y| and |z| (a power multiplies the relative error of
+    its base by its exponent), and the margin covers their sum over ten times.
+    So a skipped point lies strictly below a breakpoint, and the sup, its
+    largest-t tie and the None verdict of _ratios_at are those of the full
+    solve.  That needs every rounding to be relative.  An interior mean lies
+    between its step's end means, and its M_b = M_a / R is at least
+    lowest / top, so a chunk is solved in full when G is not finite, or when a
+    breakpoint mean or the mean carried in from the last chunk is below
+    max(_RESOLVED, top * tiny) * margin.  The first chunk is always solved in
+    full.  Its first step starts at t = 0, where D and t vanish, and even with
+    that step left out (its stationary point is t = 0) the second step about
+    doubles D and t, so G is near 2**p and little would be skipped; a step
+    function of one chunk would pay for the bound and gain nothing.
     """
     y = -a / b
     z = -1.0 - y
+    margin = 1.0 + _MARGIN * (1.0 + abs(y) + abs(z))
     n_end = d_end = end = 0.0  # N, D and the breakpoint where the last chunk ended
     hi = 0
+    top = -np.inf
     for s in range(0, right.size, _CHUNK):
         r, vc = right[s:s + _CHUNK], v[s:s + _CHUNK]
         left = np.concatenate(([end], r[:-1]))
@@ -167,18 +201,27 @@ def _ratio_chunks(right: np.ndarray, v: np.ndarray, a: float, b: float,
             d = np.add.accumulate(np.concatenate(([d_end], vb * width)))
             n0, d0 = n[:-1], d[:-1]
             if ts is None:
-                # Within a step N = alpha + va*t and D = gamma + vb*t.  The ratio
-                # is N * D**y * t**z with 1 + y + z = 0, so the quadratic term of
-                # its log-derivative equation cancels and leaves one linear root.
-                alpha, gamma = n0 - va * left, d0 - vb * left
-                t_in = z * alpha * gamma / (y * va * gamma + alpha * vb)
-                step = np.flatnonzero((t_in > left) & (t_in < r))
-                t_in = t_in[step]
-                t = np.concatenate([r, t_in])
-                # At breakpoint i, n0 + va*width is n[i + 1] itself, so the means
-                # there are read off n and d; only interior points are gathered.
-                mean_a = np.concatenate([n[1:] / r, _mean_in(n0, va, left, step, t_in)])
-                mean_b = np.concatenate([d[1:] / r, _mean_in(d0, vb, left, step, t_in)])
+                # at breakpoint i, n0 + va*width is n[i + 1] itself, so the means
+                # there are read off n and d; only interior points are gathered
+                mean_a, mean_b = n[1:] / r, d[1:] / r
+                ratio = _ratio(mean_a, mean_b, a, b)
+                lowest = min(mean_a.min(), mean_b.min())
+                top = max(top, ratio.max())
+                step = slice(None)
+                if s:
+                    upper, lower = (d[1:], d0) if y < 0 else (r, left)
+                    reach = (upper / lower).max() ** max(-y, -z) * margin
+                    resolved = max(_RESOLVED, top * _TINY) * margin
+                    if np.isfinite(reach) and min(lowest, n_end / end, d_end / end) >= resolved:
+                        step = np.flatnonzero(ratio * reach >= top)
+                step, t_in = _stationary(n0, d0, va, vb, left, r, step, y, z)
+                t = r
+                if step.size:
+                    mean_a = _mean_in(n0, va, left, step, t_in)
+                    mean_b = _mean_in(d0, vb, left, step, t_in)
+                    t = np.concatenate([r, t_in])
+                    ratio = np.concatenate([ratio, _ratio(mean_a, mean_b, a, b)])
+                    lowest = min(lowest, mean_a.min(), mean_b.min())
             else:
                 # the grid points in (end, r[-1]], and the last chunk takes the rest
                 lo, hi = hi, (ts.size if s + _CHUNK >= right.size
@@ -187,10 +230,30 @@ def _ratio_chunks(right: np.ndarray, v: np.ndarray, a: float, b: float,
                 step = np.minimum(np.searchsorted(r, t, side="left"), r.size - 1)
                 mean_a = _mean_in(n0, va, left, step, t)
                 mean_b = _mean_in(d0, vb, left, step, t)
-            ratio = _power(_power(mean_a, 1.0 / a) / _power(mean_b, 1.0 / b), a)
-            lowest = np.minimum(mean_a.min(), mean_b.min())
+                ratio = _ratio(mean_a, mean_b, a, b)
+                lowest = np.minimum(mean_a.min(), mean_b.min())
         yield t, ratio, lowest
         n_end, d_end, end = n[-1], d[-1], r[-1]
+
+
+def _stationary(n0: np.ndarray, d0: np.ndarray, va: np.ndarray, vb: np.ndarray,
+                left: np.ndarray, right: np.ndarray, step: np.ndarray | slice,
+                y: float, z: float) -> tuple[np.ndarray, np.ndarray]:
+    """The steps among `step` (indices, or slice(None) for all) that have a
+    stationary point of the ratio inside, as indices, and those points.
+    Within a step N = alpha + va*t and D = gamma + vb*t.  The ratio is
+    N * D**y * t**z with 1 + y + z = 0, so the quadratic term of its
+    log-derivative equation cancels and leaves one linear root."""
+    lo, va, vb = left[step], va[step], vb[step]
+    alpha, gamma = n0[step] - va * lo, d0[step] - vb * lo
+    t = z * alpha * gamma / (y * va * gamma + alpha * vb)
+    inside = np.flatnonzero((t > lo) & (t < right[step]))
+    return (inside if isinstance(step, slice) else step[inside]), t[inside]
+
+
+def _ratio(mean_a: np.ndarray, mean_b: np.ndarray, a: float, b: float) -> np.ndarray:
+    """(M_a / M_b)**a from the power means of h**a and h**b."""
+    return _power(_power(mean_a, 1.0 / a) / _power(mean_b, 1.0 / b), a)
 
 
 def _power(x: np.ndarray, q: float) -> np.ndarray:

@@ -58,7 +58,8 @@ def _scalings(values: np.ndarray):
     would send a positive value to 0 or the largest value past the double
     range is skipped: a negative power of that 0 would be infinite."""
     yield values
-    smallest, largest = values[values > 0].min(), values.max()
+    smallest = np.min(values, where=values > 0, initial=np.inf)
+    largest = values.max()
     top = np.frexp(largest)[1]
     for e in (top, (top + np.frexp(smallest)[1]) // 2):
         with np.errstate(over="ignore"):
@@ -93,6 +94,10 @@ def _parent_sums(sums: np.ndarray, k: int) -> np.ndarray:
     """Node sums one level up, along the last axis: each node's k children
     added left to right, which keeps the summation order reproducible."""
     children = sums.reshape(sums.shape[:-1] + (-1, k))
+    if children.shape[-2] < k:
+        # fewer parents than children each: one accumulate, which adds in the
+        # same order, beats k - 1 calls; the copy frees the partial sums
+        return np.add.accumulate(children, axis=-1)[..., -1].copy()
     acc = children[..., 0].copy()
     for j in range(1, k):
         acc += children[..., j]

@@ -3,16 +3,18 @@ whole-array references in tests/helpers.py, bit for bit, on weights of
 2^16-2^17 leaves: the deepest levels and the step lists span several chunks.
 The node sup also runs on the shapes and weights that its blocks of leaves
 can get wrong: many blocks, blocks of one node, ties across blocks and
-levels, and dead or underflowing blocks.
+levels, and dead or underflowing blocks.  The prefix sup, which solves the
+interior stationary points only on the steps that can reach the sup, runs
+on small step functions at chunks of 1, 3 and 64 steps as well.
 """
 import numpy as np
 import pytest
 
 from helpers import whole_node_ratio_sup, whole_node_sup, whole_prefix_sup, whole_ratio_curve
 from treerhi import (DyadicWeight, NodeId, StepFunction, TreeSpace, gen_constant, gen_random,
-                     gen_two_value, rearrangement)
+                     gen_two_value, rearrange, rearrangement)
 from treerhi.rearrange import _prefix_sup, _ratio_chunks, ratio_curve
-from treerhi.weight import _CHUNK, _power_pair
+from treerhi.weight import _CHUNK, _RESOLVED, _power_pair
 
 PS = (1.5, 2.0, 3.0, 120.0)
 
@@ -26,6 +28,16 @@ def _ramp(depth: int) -> DyadicWeight:
     return DyadicWeight.from_leaves(2, depth, np.concatenate([head, np.ones(n - head.size)]))
 
 
+def _spike(depth: int, width: int, head: int) -> np.ndarray:
+    """`width` leaves of 40, `head` slowly falling values, then ones: the
+    sup of the reverse Holder prefix ratio is an interior point of the wide
+    last step at p = 2 for (17, 1024, _CHUNK + 100), in the second chunk, and
+    at p = 3 for (9, 1, 100)."""
+    n = 2 ** depth
+    return np.concatenate([np.full(width, 40.0), 2.0 - np.arange(head) * (0.01 / head),
+                           np.ones(n - head - width)])
+
+
 def _weights() -> dict[str, DyadicWeight]:
     cases = {
         "random-2-16": gen_random(TreeSpace(2, 16), 0),
@@ -37,6 +49,7 @@ def _weights() -> dict[str, DyadicWeight]:
         # the sup on every other node of level 16, in both of its chunks
         "periodic-2-17": DyadicWeight.from_leaves(2, 17, np.tile([4.0, 1.0, 2.5, 2.5], 2**15)),
         "ramp-2-17": _ramp(17),
+        "spike-2-17": DyadicWeight.from_leaves(2, 17, _spike(17, 1024, _CHUNK + 100)),
     }
     v = gen_random(TreeSpace(2, 16), 3).values.copy()
     v[: 2 ** 14] = 0.0  # a zero quarter: dead nodes down to level 2
@@ -177,3 +190,93 @@ def test_prefix_tie_goes_to_the_largest_t_across_chunks():
         for dual in (False, True):
             assert _prefix_sup_pair(star, p, dual) == (1.0, 1.0)
             assert whole_prefix_sup(star, p, dual) == (1.0, 1.0)
+
+
+def _small_steps() -> dict[str, StepFunction]:
+    """Step functions of at most 512 steps, for the prefix sup at small chunks."""
+    n = 2 ** 9
+    leaves = {
+        "random": gen_random(TreeSpace(2, 9), 5).values,
+        "ramp": np.concatenate([2.0 - np.arange(300) * 1e-9, np.ones(n - 300)]),
+        "spike": _spike(9, 1, 100),
+        "constant": np.full(n, 3.7),
+        "tied-blocks": np.tile([4.0, 4.0, 1.0, 2.5], n // 4),
+    }
+    for scale in (1e200, 1e-200):
+        leaves[f"random*{scale:g}"] = leaves["random"] * scale
+    cases = {name: rearrangement(DyadicWeight.from_leaves(2, 9, v)) for name, v in leaves.items()}
+    # unmerged equal steps: ties inside and across chunks
+    cases["tied-steps"] = StepFunction(np.arange(1, n + 1) / n, np.repeat([3.0, 2.0, 1.0, 1.0], n // 4))
+    cases["near-resolved"] = _near_resolved(1.0)
+    return cases
+
+
+def _near_resolved(scale: float) -> StepFunction:
+    """64 equal steps whose mean over (0, 1] is _RESOLVED * (1 + 2**-46) * scale,
+    exactly: at scale 1 the last chunk of 16 steps lies within the pruning
+    margin of _RESOLVED on the Muckenhoupt side at p = 2 and 3."""
+    values = np.array([16, 8, 4, 4, 1 + 2.0**-40, 1, 1, 1] + [0.5] * 56)
+    return StepFunction(np.arange(1, 65) / 64, values * (_RESOLVED * scale))
+
+
+SMALL_STEPS = _small_steps()
+
+
+def _solved(monkeypatch) -> list[tuple[int, int]]:
+    """Records (steps solved, steps) of every chunk that solves for interior
+    stationary points."""
+    log = []
+    solve = rearrange._stationary
+
+    def counted(n0, d0, va, vb, left, right, step, y, z):
+        log.append((right.size if isinstance(step, slice) else step.size, right.size))
+        return solve(n0, d0, va, vb, left, right, step, y, z)
+
+    monkeypatch.setattr(rearrange, "_stationary", counted)
+    return log
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64, _CHUNK])
+@pytest.mark.parametrize("name", sorted(SMALL_STEPS))
+def test_pruned_prefix_sup_matches_whole_steps(name, chunk, monkeypatch):
+    monkeypatch.setattr(rearrange, "_CHUNK", chunk)
+    star = SMALL_STEPS[name]
+    for p in PS:
+        for dual in (False, True):
+            assert (_outcome(_prefix_sup_pair, star, p, dual)
+                    == _outcome(whole_prefix_sup, star, p, dual)), (p, dual)
+
+
+@pytest.mark.parametrize("star, p, chunk", [(rearrangement(WEIGHTS["spike-2-17"]), 2.0, _CHUNK),
+                                           (SMALL_STEPS["spike"], 3.0, 3)])
+def test_spike_sup_is_interior_in_a_later_chunk(star, p, chunk, monkeypatch):
+    monkeypatch.setattr(rearrange, "_CHUNK", chunk)
+    assert star.breakpoints.size > chunk
+    t = _prefix_sup(star, p, False).witness_t
+    assert star.breakpoints[-2] < t < 1.0
+    assert _prefix_sup_pair(star, p, False) == whole_prefix_sup(star, p, False)
+
+
+def test_prefix_sup_solves_few_steps_after_the_first_chunk(monkeypatch):
+    star = rearrangement(gen_random(TreeSpace(2, 17), 0))
+    log = _solved(monkeypatch)
+    for p in (1.5, 2.0, 3.0):
+        for dual in (False, True):
+            log.clear()
+            assert _prefix_sup_pair(star, p, dual) == whole_prefix_sup(star, p, dual)
+            (first, _), *rest = log
+            assert first == _CHUNK and len(rest) == 3
+            assert sum(solved for solved, _ in rest) < 10, (p, dual)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_chunk_near_resolved_is_solved_in_full(p, monkeypatch):
+    """Scaled by 2**10 the last chunk skips every step; at _RESOLVED * (1 + 2**-46)
+    its interior means could round below _RESOLVED, so it solves them all."""
+    monkeypatch.setattr(rearrange, "_CHUNK", 16)
+    log = _solved(monkeypatch)
+    for scale, solved in ((2.0**10, 0), (1.0, 16)):
+        star = _near_resolved(scale)
+        log.clear()
+        assert _prefix_sup_pair(star, p, True) == whole_prefix_sup(star, p, True)
+        assert log[-1] == (solved, 16)

@@ -13,6 +13,7 @@ import pytest
 
 from treerhi import DyadicWeight, TreeSpace, gen_random, rearrangement
 from treerhi.cli import analyze_weight
+from treerhi.weight import _scalings
 
 MB = 2 ** 20
 LEAVES = gen_random(TreeSpace(2, 20), 0).values
@@ -51,10 +52,20 @@ def test_node_sup_holds_no_tree_of_node_sums(traced, constant):
 
 def test_node_sup_retry_makes_one_rescaled_copy(traced):
     # scaled by 1e-200, the sup retries on one rescaled copy of the leaves (8 MB
-    # here); a retry that builds and validates a whole new weight breaks the bound
+    # here, 10.0 MB at the peak with the blocks' temporaries); a retry that
+    # builds and validates a whole new weight breaks the bound
     w = DyadicWeight(TreeSpace(2, 20), LEAVES * 1e-200)
     _, peak = _peak_above(w.dyadic_rhi_constant, 2.0)
     assert peak < 12.0
+
+
+def test_rescaling_copies_only_the_rescaled_leaves(traced):
+    # the smallest positive leaf is found without a copy of the positive leaves
+    # (8 MB more), so the rescaled copy it yields is the only leaf-sized array
+    scalings = _scalings(LEAVES * 1e-200)
+    next(scalings)
+    rescaled, peak = _peak_above(next, scalings)
+    assert peak - rescaled.nbytes / MB < 0.5
 
 
 def test_rearrangement_makes_no_leaf_sized_temporaries(traced):
