@@ -208,13 +208,27 @@ def _small_steps() -> dict[str, StepFunction]:
     # unmerged equal steps: ties inside and across chunks
     cases["tied-steps"] = StepFunction(np.arange(1, n + 1) / n, np.repeat([3.0, 2.0, 1.0, 1.0], n // 4))
     cases["near-resolved"] = _near_resolved(1.0)
+    for seed in (7, 10):
+        cases[f"random-steps-{seed}"] = _random_steps(seed)
     return cases
 
 
+def _random_steps(seed: int) -> StepFunction:
+    """12 log-normal steps of very uneven widths: at seeds 7 and 10 a chunk of
+    3 steps holds a step whose growth factor is much larger than the others',
+    and its interior point is the sup (reverse Holder at 7, Muckenhoupt at 10)."""
+    rng = np.random.default_rng(seed)
+    values = np.sort(np.exp(rng.normal(0.0, 3.0, 12)))[::-1]
+    breakpoints = np.cumsum(rng.dirichlet(np.full(12, 0.2)))
+    breakpoints[-1] = 1.0
+    return StepFunction(breakpoints, values)
+
+
 def _near_resolved(scale: float) -> StepFunction:
-    """64 equal steps whose mean over (0, 1] is _RESOLVED * (1 + 2**-46) * scale,
-    exactly: at scale 1 the last chunk of 16 steps lies within the pruning
-    margin of _RESOLVED on the Muckenhoupt side at p = 2 and 3."""
+    """64 steps of equal width whose mean over (0, 1] is exactly
+    _RESOLVED * (1 + 2**-46) * scale: at scale 1 the last chunk of 16 steps
+    lies within the pruning margin of _RESOLVED on the Muckenhoupt side at
+    p = 2 and 3."""
     values = np.array([16, 8, 4, 4, 1 + 2.0**-40, 1, 1, 1] + [0.5] * 56)
     return StepFunction(np.arange(1, 65) / 64, values * (_RESOLVED * scale))
 

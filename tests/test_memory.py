@@ -60,8 +60,9 @@ def test_node_sup_retry_makes_one_rescaled_copy(traced):
 
 
 def test_rescaling_copies_only_the_rescaled_leaves(traced):
-    # the smallest positive leaf is found without a copy of the positive leaves
-    # (8 MB more), so the rescaled copy it yields is the only leaf-sized array
+    # the smallest positive leaf is found without copying the positive leaves
+    # (8 MB, and a 1 MB mask), so the rescaled copy it yields is the largest
+    # array made on the way
     scalings = _scalings(LEAVES * 1e-200)
     next(scalings)
     rescaled, peak = _peak_above(next, scalings)
