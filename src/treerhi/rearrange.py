@@ -4,14 +4,16 @@ The rearrangement of a tree weight is an exact step function on (0, 1]
 whose breakpoints are integer multiples of the leaf measure.  Prefix
 averages over (0, t] are exact piecewise-constant integrals, and the
 reverse-Holder / Muckenhoupt constants over prefix intervals are computed
-as a sup over t of a power-mean ratio: every breakpoint is evaluated, and
-inside each step that can reach the sup the single interior stationary
-point of the ratio is solved in closed form (the log-derivative equation
-there is linear in t).  A step cannot reach the sup when a bound on the
-ratio over it, its value at the step's end times the chunk's growth bound
-and a rounding margin, stays below the largest breakpoint ratio so far
-(_ratio_chunks); the sup and its witness are then those of solving every
-step, bit for bit.  The power integrals are running sums over the steps,
+as a sup over t of a power-mean ratio, taken over the breakpoints and, inside
+each step, the single interior stationary point of the ratio, solved in
+closed form (the log-derivative equation there is linear in t).  The steps
+are taken in blocks, and a block's points are evaluated only when a bound
+on the ratio over it reaches the largest ratio evaluated so far: the ratio
+at the block's end, times the block's growth bound (D(r)/D(l))**p or
+(r/l)**p, times a rounding margin (_ratio_chunks).  A chunk whose means
+could come within the margin of the bottom of the double range is
+evaluated in full.  The sup and its witness are those of evaluating every
+point, bit for bit.  The power integrals are running sums over the steps,
 so at the breakpoints the means are read straight off them; only the
 interior stationary points, and the arbitrary grid of ratio_curve, are
 gathered back to their steps.  One loop runs over chunks of steps and
@@ -26,12 +28,12 @@ from functools import partial
 
 import numpy as np
 
-from .weight import _CHUNK, _RESOLVED, DyadicWeight, _retried
+from .weight import _CHUNK, _MARGIN, _RESOLVED, DyadicWeight, _retried
 
 T_SLACK = 1e-12
-# The prefix sup's margin per unit exponent (_ratio_chunks), and the smallest
+# Steps per block of the prefix sup's bound (_ratio_chunks), and the smallest
 # normal double.
-_MARGIN = 2.0**-44
+_BLOCK = 256
 _TINY = np.finfo(np.float64).tiny
 
 
@@ -152,37 +154,42 @@ def _ratios_at(right: np.ndarray, v: np.ndarray, a: float, b: float,
 def _ratio_chunks(right: np.ndarray, v: np.ndarray, a: float, b: float,
                   ts: np.ndarray | None):
     """(t, ratio, lowest mean) for _CHUNK steps at a time: the power-mean ratio
-    R = (M_a / M_b)**a over (0, t] for t at every breakpoint and at the
-    interior stationary points of the steps that can reach the sup, or at the
-    points of the sorted grid ts (which holds every breakpoint) that fall in
-    the chunk's steps.
+    R = (M_a / M_b)**a over (0, t] for t at the breakpoints and interior
+    stationary points that can reach the sup, or at the points of the sorted
+    grid ts (which holds every breakpoint) that fall in the chunk's steps.
 
     A chunk's temporaries stay in cache.  The integrals N and D of h**a and
     h**b are running sums seeded with the previous chunk's totals: add.accumulate
     adds in order, so every N and D, and so every mean and ratio, has the bits
     of one whole-array cumsum.
 
-    Without ts, the interior stationary points are solved (_stationary) only
-    on the steps that can reach `top`, the largest breakpoint ratio so far.
-    R = N * D**y * t**z with N and D non-decreasing in t, so on a step (l, r]
-    R <= R(r) * (D(r)/D(l))**-y when y < 0 (reverse Holder) and
-    R <= R(r) * (r/l)**-z when y > 0 (Muckenhoupt); either exponent is p.  The
-    largest such factor over a chunk's steps is its growth bound G, and a step
-    with R(r) * G * margin < top is skipped.  Here margin = 1 + 2**-44 *
-    (1 + |y| + |z|): the computed R(r), G and interior ratio each round by a
-    few ulp per unit of |y| and |z| (a power multiplies the relative error of
-    its base by its exponent), and the margin covers their sum over ten times.
-    So a skipped point lies strictly below a breakpoint, and the sup, its
-    largest-t tie and the None verdict of _ratios_at are those of the full
-    solve.  That needs every rounding to be relative.  An interior mean lies
-    between its step's end means, and its M_b = M_a / R is at least
-    lowest / top, so a chunk is solved in full when G is not finite, or when a
-    breakpoint mean or the mean carried in from the last chunk is below
-    max(_RESOLVED, top * tiny) * margin.  The first chunk is always solved in
-    full.  Its first step starts at t = 0, where D and t vanish, and even with
-    that step left out (its stationary point is t = 0) the second step about
-    doubles D and t, so G is near 2**p and little would be skipped; a step
-    function of one chunk would pay for the bound and gain nothing.
+    Without ts, a chunk is cut into blocks of _BLOCK steps, and the ratio at
+    each block's end is evaluated first; `top` is the largest ratio evaluated
+    so far.  A block's other breakpoints and its interior stationary points
+    (_stationary) are evaluated only when the block can reach `top`.
+    R = N * D**y * t**z, and the computed N and D never decrease in t, so on
+    a block (l, r] R <= R(r) * G, with G = (D(r)/D(l))**-y when y < 0
+    (reverse Holder) and G = (r/l)**-z when y > 0 (Muckenhoupt); either
+    exponent is p.  The first block starts at t = 0, where D and t vanish, so
+    its G is infinite.  A block with R(r) * G * margin < top is skipped, with
+    margin = 1 + 2**-44 * (1 + |y| + |z|): the computed R(r), G and skipped
+    ratio each round by a few ulp per unit of |y| and |z| (a power multiplies
+    the relative error of its base by its exponent), and the margin covers
+    their sum over ten times.  So a skipped point lies strictly below an
+    evaluated one, and the sup, its largest-t tie and the None verdict of
+    _ratios_at are those of evaluating every point.
+
+    That needs every rounding to be relative.  Computed N and D never
+    decrease and correctly rounded division is monotone, so the floor
+    fl(min(N, D) at the chunk's first breakpoint / its last breakpoint) is
+    below every breakpoint mean of the chunk; an interior mean lies between
+    its step's end means, and its M_b = M_a / R is at least lowest / top.
+    So when the floor, or a mean carried in from the last chunk, is below
+    max(_RESOLVED, top * tiny) * margin, nothing in the chunk is skipped, and
+    the exact minimum of all its means is returned.  A block whose N or D
+    overflows by its end has a bound that is not finite, so it is never
+    skipped.  A step function of one block is evaluated whole, without a
+    bound: its only block starts at t = 0.
     """
     y = -a / b
     z = -1.0 - y
@@ -202,26 +209,40 @@ def _ratio_chunks(right: np.ndarray, v: np.ndarray, a: float, b: float,
             n0, d0 = n[:-1], d[:-1]
             if ts is None:
                 # at breakpoint i, n0 + va*width is n[i + 1] itself, so the means
-                # there are read off n and d; only interior points are gathered
-                mean_a, mean_b = n[1:] / r, d[1:] / r
+                # there are read off n and d.  The breakpoints evaluated and the
+                # steps solved are all of them, or the blocks' ends and all of
+                # the blocks that can reach `top`.
+                n_at, d_at, t = n[1:], d[1:], r
+                solve = slice(None)
+                if s or r.size > _BLOCK:
+                    first = np.arange(0, r.size, _BLOCK)
+                    last = np.minimum(first + _BLOCK, r.size) - 1
+                    ends = _ratio(n[last + 1] / r[last], d[last + 1] / r[last], a, b)
+                    top = max(top, ends.max())
+                    resolved = max(_RESOLVED, top * _TINY) * margin
+                    # below every breakpoint mean of the chunk, and the one carried in
+                    floor = min(n[1], d[1]) / r[-1]
+                    if s:
+                        floor = min(floor, n_end / end, d_end / end)
+                    if floor >= resolved:
+                        upper, lower = (d[last + 1], d[first]) if y < 0 else (r[last], left[first])
+                        live = ~(ends * (upper / lower) ** max(-y, -z) * margin < top)
+                        if not live.all():
+                            solve = (first[live, None] + np.arange(_BLOCK)).ravel()
+                            solve = solve[solve < r.size]
+                            pts = np.concatenate([last[~live], solve])
+                            n_at, d_at, t = n_at[pts], d_at[pts], r[pts]
+                mean_a, mean_b = n_at / t, d_at / t
                 ratio = _ratio(mean_a, mean_b, a, b)
                 lowest = min(mean_a.min(), mean_b.min())
-                top = max(top, ratio.max())
-                step = slice(None)
-                if s:
-                    upper, lower = (d[1:], d0) if y < 0 else (r, left)
-                    reach = (upper / lower).max() ** max(-y, -z) * margin
-                    resolved = max(_RESOLVED, top * _TINY) * margin
-                    if np.isfinite(reach) and min(lowest, n_end / end, d_end / end) >= resolved:
-                        step = np.flatnonzero(ratio * reach >= top)
-                step, t_in = _stationary(n0, d0, va, vb, left, r, step, y, z)
-                t = r
+                step, t_in = _stationary(n0, d0, va, vb, left, r, solve, y, z)
                 if step.size:
                     mean_a = _mean_in(n0, va, left, step, t_in)
                     mean_b = _mean_in(d0, vb, left, step, t_in)
-                    t = np.concatenate([r, t_in])
+                    t = np.concatenate([t, t_in])
                     ratio = np.concatenate([ratio, _ratio(mean_a, mean_b, a, b)])
                     lowest = min(lowest, mean_a.min(), mean_b.min())
+                top = max(top, ratio.max())
             else:
                 # the grid points in (end, r[-1]], and the last chunk takes the rest
                 lo, hi = hi, (ts.size if s + _CHUNK >= right.size

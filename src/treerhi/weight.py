@@ -8,9 +8,12 @@ Node integrals of value**q are accumulated child-to-parent, left to right,
 so rounding error grows O(depth) per node and a recursive re-summation
 reproduces every node sum bit for bit.  The node sups sum their two
 exponents' node sums in one bottom-up pass over blocks of leaves and compare
-each level as it is formed, so they hold no whole tree of node sums.
-Every constant is a ratio of power means, which no scaling changes, so the
-node and prefix kernels share one range policy: _retried.
+each level as it is formed, so they hold no whole tree of node sums.  A
+leaf's ratio is 1 up to rounding, so on trees of several blocks the leaves
+are compared only where a range check fails, or when no upper level
+reaches their bound (_ratio_sup).  Every constant is a ratio of power
+means, which no scaling changes, so the node and prefix kernels share one
+range policy: _retried.
 """
 from __future__ import annotations
 
@@ -34,6 +37,11 @@ _RANGE_ERROR = "power averages at p={p} leave the double range even after rescal
 # rearrangement per pass of the prefix kernel: a pass's temporaries then stay
 # in a core's L2 cache.
 _CHUNK = 1 << 15
+# Rounding margin per unit exponent of the node sups' leaf bound (_ratio_sup)
+# and of the prefix sups' block bound (rearrange._ratio_chunks), and the
+# largest double.
+_MARGIN = 2.0**-44
+_MAX = np.finfo(np.float64).max
 
 
 def _check_exponent(p: float) -> float:
@@ -131,6 +139,17 @@ def _best_node(num: np.ndarray, den: np.ndarray, measure: float,
     return float(ratio[i]), i
 
 
+def _leaves_in_range(sums: np.ndarray, measure: float, y: float, margin: float) -> bool:
+    """Whether every leaf's a- and b-average (sums / measure, the rows of
+    sums) and the |y|-th power of its b-average lie a factor `margin` inside
+    [_RESOLVED, max double].  Division is monotone, so the rows' extremes
+    bound every average exactly; the margin covers the power's rounding."""
+    low, high = sums.min(axis=1) / measure, sums.max(axis=1) / measure
+    powered = np.array([low[1], high[1]]) ** abs(y)
+    return bool(min(low.min(), powered.min()) >= _RESOLVED * margin
+                and max(high.max(), powered.max()) <= _MAX / margin)
+
+
 @dataclass(frozen=True)
 class RhiReport:
     """A sup-over-nodes constant with the node attaining it.
@@ -222,42 +241,80 @@ class DyadicWeight:
         Each run of nodes is compared (_best_node) as _node_sums forms it.
         Every level needs a live node (nonzero b-average).  A level's best
         ratio goes to its lowest index, and the sup to the lowest level.
+
+        The leaf level is deferred when the leaves span several blocks.  At a
+        leaf both averages are powers of one value v, so the ratio is
+        v**(a + b*y) up to a few ulp per unit of |y|; a + b*y is 0 on the
+        reverse Holder side and, with y = -a/b rounded, within 2**-53 of it on
+        the Muckenhoupt side (a = 1), where |ln v| < 710 once the averages are
+        in range.  So a block whose leaves pass _leaves_in_range has no None
+        verdict and no leaf ratio above bound = 1 + 2**-44 * (2 + |y|), and
+        its _best_node is skipped.  After the pass the leaf level, which
+        loses ties, is left out when an upper level reaches bound; otherwise
+        (a constant weight, say) a second pass runs it over every block as
+        the first pass would have.  A block that fails the check runs
+        _best_node at once, so every None verdict is unchanged.
         """
         k, depth = self.space.k, self.space.depth
         y = -a / b
         best, index = [-np.inf] * (depth + 1), [0] * (depth + 1)
+        top, block = self._layout()
+        bound = 1.0 + _MARGIN * (2.0 + abs(y))
+        defer = values.size > block
+        deferred = False
         with np.errstate(all="ignore"):
-            for level, first, (num, den) in self._node_sums(values, a, b):
-                found = _best_node(num, den, float(k) ** (-level), y)
+            for level, first, sums in self._node_sums(values, a, b, top, block):
+                measure = float(k) ** (-level)
+                if defer and level == depth and _leaves_in_range(sums, measure, y, bound):
+                    deferred = True
+                    continue
+                found = _best_node(sums[0], sums[1], measure, y)
                 if found is None:
                     return None
                 if found[0] > best[level]:
                     best[level], index[level] = found[0], first + found[1]
-        if -np.inf in best:
+            if deferred and max(best[:depth]) < bound:
+                best[depth] = -np.inf
+                for first, sums in self._leaf_blocks(values, a, b, block):
+                    found = _best_node(sums[0], sums[1], float(k) ** (-depth), y)
+                    if found[0] > best[depth]:
+                        best[depth], index[depth] = found[0], first + found[1]
+        if -np.inf in best[:depth] or (best[depth] == -np.inf and not deferred):
             return None
         level = best.index(max(best))
         return best[level], NodeId(level, index[level])
 
-    def _node_sums(self, values: np.ndarray, a: float, b: float):
-        """(level, index of its first node, 2 x m array of the a- and b-power
-        sums of values) for each run of m nodes of one bottom-up pass.  Let L
-        be the deepest level of at most _CHUNK nodes: the levels below it are
-        formed a block of leaves at a time, a block holding the most whole
-        nodes of level L that fit in _CHUNK leaves, and at least one.  The
-        blocks fill level L, and L and the levels above it are formed whole."""
-        space = self.space
-        k, depth, h = space.k, space.depth, space.leaf_measure
+    def _layout(self) -> tuple[int, int]:
+        """(L, leaves per block) of _node_sums: L is the deepest level of at
+        most _CHUNK nodes, and a block holds the most whole nodes of level L
+        that fit in _CHUNK leaves, and at least one."""
+        k, depth = self.space.k, self.space.depth
         top = depth
         while k ** top > _CHUNK:
             top -= 1
         span = k ** (depth - top)  # leaves under a node of level top
-        block = max(1, _CHUNK // span) * span
-        heads = []
-        for start in range(0, space.n_leaves, block):
+        return top, max(1, _CHUNK // span) * span
+
+    def _leaf_blocks(self, values: np.ndarray, a: float, b: float, block: int):
+        """(index of its first leaf, 2 x m array of the a- and b-power sums of
+        values) for each block of m leaves."""
+        h = self.space.leaf_measure
+        for start in range(0, values.size, block):
             leaves = values[start:start + block]
             sums = np.empty((2, leaves.size))
             _leaf_sums(leaves, a, h, sums[0])
             _leaf_sums(leaves, b, h, sums[1])
+            yield start, sums
+
+    def _node_sums(self, values: np.ndarray, a: float, b: float, top: int, block: int):
+        """(level, index of its first node, 2 x m array of the a- and b-power
+        sums of values) for each run of m nodes of one bottom-up pass, with
+        (top, block) of _layout.  The levels below top are formed a block of
+        leaves at a time; the blocks fill level top, and top and the levels
+        above it are formed whole."""
+        k, depth = self.space.k, self.space.depth
+        heads = []
+        for start, sums in self._leaf_blocks(values, a, b, block):
             for level in range(depth, top, -1):
                 yield level, start // k ** (depth - level), sums
                 sums = _parent_sums(sums, k)

@@ -3,17 +3,18 @@ whole-array references in tests/helpers.py, bit for bit, on weights of
 2^16-2^17 leaves: the deepest levels and the step lists span several chunks.
 The node sup also runs on the shapes and weights that its blocks of leaves
 can get wrong: many blocks, blocks of one node, ties across blocks and
-levels, and dead or underflowing blocks.  The prefix sup, which solves the
-interior stationary points only on the steps that can reach the sup, runs
-on small step functions at chunks of 1, 3 and 64 steps as well.
+levels, and dead or underflowing blocks, and its deferred leaf level is
+counted.  The prefix sup, which evaluates a block of steps only when a bound
+can reach the sup, runs on small step functions at chunks of 1, 3 and 64
+steps and blocks of 1 to 8 steps as well.
 """
 import numpy as np
 import pytest
 
 from helpers import whole_node_ratio_sup, whole_node_sup, whole_prefix_sup, whole_ratio_curve
 from treerhi import (DyadicWeight, NodeId, StepFunction, TreeSpace, gen_constant, gen_random,
-                     gen_two_value, rearrange, rearrangement)
-from treerhi.rearrange import _prefix_sup, _ratio_chunks, ratio_curve
+                     gen_two_value, rearrange, rearrangement, weight)
+from treerhi.rearrange import _BLOCK, _prefix_sup, ratio_curve
 from treerhi.weight import _CHUNK, _RESOLVED, _power_pair
 
 PS = (1.5, 2.0, 3.0, 120.0)
@@ -169,13 +170,20 @@ def test_ratio_curve_matches_whole_steps(name):
                 == _outcome(whole_ratio_curve, star, q, 1000)), q
 
 
-def test_ramp_sup_sits_inside_a_later_chunk():
+def test_ramp_sup_sits_inside_a_later_chunk(monkeypatch):
+    """At blocks of 16 steps the second chunk's 101 steps make 7 blocks: the
+    ratio is near 1 on the ramp, so only the last block, whose wide step
+    holds the sup, can reach it.  The first chunk, where the ratio barely
+    moves, evaluates all of its blocks and has no interior stationary point."""
+    monkeypatch.setattr(rearrange, "_BLOCK", 16)
     star = rearrangement(WEIGHTS["ramp-2-17"])
-    assert star.breakpoints.size > _CHUNK
+    assert star.breakpoints.size == _CHUNK + 101
+    log = _solved(monkeypatch)
     for p, dual in ((1.5, False), (3.0, True)):
-        a, b = _power_pair(p, dual)
-        first, *_ = _ratio_chunks(star.breakpoints, star.values, a, b, None)
-        assert first[0].size == _CHUNK  # the first chunk has breakpoints only
+        log.clear()
+        assert _prefix_sup_pair(star, p, dual) == whole_prefix_sup(star, p, dual)
+        assert log == [(_CHUNK, list(range(_CHUNK // 16)), [0] * (_CHUNK // 16)),
+                       (101, [6], [1])], (p, dual)
         t = _prefix_sup(star, p, dual).witness_t
         assert star.breakpoints[_CHUNK] < t < star.breakpoints[-1]
         assert t not in star.breakpoints
@@ -236,15 +244,19 @@ def _near_resolved(scale: float) -> StepFunction:
 SMALL_STEPS = _small_steps()
 
 
-def _solved(monkeypatch) -> list[tuple[int, int]]:
-    """Records (steps solved, steps) of every chunk that solves for interior
-    stationary points."""
+def _solved(monkeypatch) -> list[tuple[int, list[int], list[int]]]:
+    """Records, for every chunk of the prefix sup, its steps, the blocks whose
+    steps it solves for interior stationary points, and the points found in
+    each of those blocks."""
     log = []
     solve = rearrange._stationary
 
     def counted(n0, d0, va, vb, left, right, step, y, z):
-        log.append((right.size if isinstance(step, slice) else step.size, right.size))
-        return solve(n0, d0, va, vb, left, right, step, y, z)
+        found = solve(n0, d0, va, vb, left, right, step, y, z)
+        blocks = np.unique(np.arange(right.size)[step] // rearrange._BLOCK)
+        points = np.bincount(found[0] // rearrange._BLOCK, minlength=right.size)[blocks]
+        log.append((right.size, blocks.tolist(), points.tolist()))
+        return found
 
     monkeypatch.setattr(rearrange, "_stationary", counted)
     return log
@@ -255,10 +267,13 @@ def _solved(monkeypatch) -> list[tuple[int, int]]:
 def test_pruned_prefix_sup_matches_whole_steps(name, chunk, monkeypatch):
     monkeypatch.setattr(rearrange, "_CHUNK", chunk)
     star = SMALL_STEPS[name]
-    for p in PS:
-        for dual in (False, True):
-            assert (_outcome(_prefix_sup_pair, star, p, dual)
-                    == _outcome(whole_prefix_sup, star, p, dual)), (p, dual)
+    # a block of a chunk's size or more is the whole chunk
+    for block in sorted({min(block, chunk) for block in (1, 3, 8, _BLOCK)}):
+        monkeypatch.setattr(rearrange, "_BLOCK", block)
+        for p in PS:
+            for dual in (False, True):
+                assert (_outcome(_prefix_sup_pair, star, p, dual)
+                        == _outcome(whole_prefix_sup, star, p, dual)), (block, p, dual)
 
 
 @pytest.mark.parametrize("star, p, chunk", [(rearrangement(WEIGHTS["spike-2-17"]), 2.0, _CHUNK),
@@ -272,25 +287,157 @@ def test_spike_sup_is_interior_in_a_later_chunk(star, p, chunk, monkeypatch):
 
 
 def test_prefix_sup_solves_few_steps_after_the_first_chunk(monkeypatch):
+    """The ratio rises to its sup at t = 1, so each later chunk evaluates only
+    its last block, and the first chunk a few blocks, its first (whose growth
+    bound is infinite) among them."""
     star = rearrangement(gen_random(TreeSpace(2, 17), 0))
     log = _solved(monkeypatch)
     for p in (1.5, 2.0, 3.0):
         for dual in (False, True):
             log.clear()
             assert _prefix_sup_pair(star, p, dual) == whole_prefix_sup(star, p, dual)
-            (first, _), *rest = log
-            assert first == _CHUNK and len(rest) == 3
-            assert sum(solved for solved, _ in rest) < 10, (p, dual)
+            (steps, blocks, points), *rest = log
+            assert steps == _CHUNK and blocks[0] == 0 and len(blocks) <= 8, (p, dual)
+            assert 1 <= sum(points) <= 2, (p, dual)
+            assert rest == [(_CHUNK, [_CHUNK // _BLOCK - 1], [0])] * 3, (p, dual)
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_chunk_near_resolved_is_solved_in_full(p, monkeypatch):
-    """Scaled by 2**10 the last chunk skips every step; at _RESOLVED * (1 + 2**-46)
-    its interior means could round below _RESOLVED, so it solves them all."""
+    """At chunks of 16 steps and blocks of 4: scaled by 2**10 the last chunk
+    skips every block; at _RESOLVED * (1 + 2**-46) its interior means could
+    round below _RESOLVED, so it evaluates all four."""
     monkeypatch.setattr(rearrange, "_CHUNK", 16)
+    monkeypatch.setattr(rearrange, "_BLOCK", 4)
     log = _solved(monkeypatch)
-    for scale, solved in ((2.0**10, 0), (1.0, 16)):
+    for scale, blocks in ((2.0**10, []), (1.0, [0, 1, 2, 3])):
         star = _near_resolved(scale)
         log.clear()
         assert _prefix_sup_pair(star, p, True) == whole_prefix_sup(star, p, True)
-        assert log[-1] == (solved, 16)
+        assert len(log) == 4
+        assert log[-1] == (16, blocks, [0] * len(blocks)), scale
+
+
+def _leaf_calls(monkeypatch) -> list[float]:
+    """Records the measure of every run of nodes that _best_node compares."""
+    log = []
+    best = weight._best_node
+
+    def counted(num, den, measure, y):
+        log.append(measure)
+        return best(num, den, measure, y)
+
+    monkeypatch.setattr(weight, "_best_node", counted)
+    return log
+
+
+def test_leaf_level_is_deferred(monkeypatch):
+    """Every leaf passes the range check and an upper level reaches the leaf
+    bound, so _best_node never sees the leaves at p <= 3; at p = 120 the
+    reverse Holder leaves overflow, so the check refuses and the leaves go
+    through _best_node on every scaling, which refuses them as before."""
+    w = gen_random(TreeSpace(2, 17), 0)
+    log = _leaf_calls(monkeypatch)
+    for p in PS:
+        for dual in (False, True):
+            log.clear()
+            assert _outcome(_node_sup, w, p, dual) == _outcome(whole_node_sup, w, p, dual)
+            a, b = _power_pair(p, dual)
+            assert w._ratio_sup(w.values, a, b) == whole_node_ratio_sup(w, a, b)
+            seen = log.count(w.space.leaf_measure)
+            assert (seen > 0) == (p == 120.0 and not dual), (p, dual, seen)
+
+
+@pytest.mark.parametrize("k, depth", [(2, 17), (3, 10)])
+def test_constant_leaves_run_in_a_second_pass(k, depth, monkeypatch):
+    """Every ratio of a constant weight is 1 up to rounding, below the leaf
+    bound, so the leaf level runs after the pass, once per block."""
+    w = gen_constant(TreeSpace(k, depth), 3.7)
+    blocks = -(-w.space.n_leaves // w._layout()[1])
+    assert blocks > 1
+    log = _leaf_calls(monkeypatch)
+    for p in PS:
+        for dual in (False, True):
+            a, b = _power_pair(p, dual)
+            log.clear()
+            assert w._ratio_sup(w.values, a, b) == whole_node_ratio_sup(w, a, b), (p, dual)
+            assert log.count(w.space.leaf_measure) == blocks, (p, dual)
+            assert _node_sup(w, p, dual) == whole_node_sup(w, p, dual), (p, dual)
+
+
+def _edge_leaves(value: float) -> DyadicWeight:
+    """gen_random at (2, 16) with one leaf of block 1 set to `value`."""
+    v = gen_random(TreeSpace(2, 16), 11).values.copy()
+    v[_CHUNK + 5] = value
+    return DyadicWeight.from_leaves(2, 16, v)
+
+
+_MAX = np.finfo(np.float64).max
+
+
+@pytest.mark.parametrize("value, p, dual, answered", [
+    (np.sqrt(_RESOLVED) * (1 + 2.0**-48), 2.0, False, True),
+    (np.sqrt(_RESOLVED) * (1 - 2.0**-20), 2.0, False, False),
+    (np.sqrt(_MAX) * (1 - 2.0**-48), 2.0, False, True),
+    (np.sqrt(_MAX) * (1 + 2.0**-20), 2.0, False, False),
+    (1 / _RESOLVED * (1 - 2.0**-48), 3.0, True, True),
+    (2 / _RESOLVED, 3.0, True, False),
+], ids=["square-above-resolved", "square-below-resolved", "square-below-max", "square-overflows",
+        "inverse-above-resolved", "inverse-below-resolved"])
+def test_leaves_near_the_range_ends_run_as_before(value, p, dual, answered, monkeypatch):
+    """One leaf whose power (its square at p = 2, its inverse on the
+    Muckenhoupt side at p = 3, where its b-average is in range) sits within
+    the check's margin of an end of the double range, or beyond it: the
+    check refuses its block, whose leaves go through _best_node at once, and
+    the verdict, retry and answer are those of the whole levels, at every
+    exponent on both sides."""
+    w = _edge_leaves(value)
+    log = _leaf_calls(monkeypatch)
+    a, b = _power_pair(p, dual)
+    found = w._ratio_sup(w.values, a, b)
+    assert found == whole_node_ratio_sup(w, a, b)
+    assert (found is not None) == answered
+    assert log.count(w.space.leaf_measure) == 1
+    for p in PS:
+        for dual in (False, True):
+            assert _outcome(_node_sup, w, p, dual) == _outcome(whole_node_sup, w, p, dual), \
+                (p, dual)
+
+
+def _small_block_weights() -> dict[str, DyadicWeight]:
+    space = TreeSpace(3, 5)
+    v = gen_random(space, 8).values
+    cases = {"random": v, "constant": np.full(v.size, 3.7), "zeros": np.where(v < 1.0, 0.0, v)}
+    for scale in (1e-300, 1e300):
+        cases[f"half*{scale:g}"] = np.concatenate([v[:81], v[81:] * scale])
+    return {name: DyadicWeight(space, leaves) for name, leaves in cases.items()}
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 16])
+@pytest.mark.parametrize("name, w", sorted(_small_block_weights().items()))
+def test_deferred_leaves_match_whole_levels_at_small_blocks(name, w, chunk, monkeypatch):
+    """243 leaves in one block, 3 blocks of 81 or 9 of 27: blocks that pass
+    the range check, blocks that fail it, and dead blocks side by side."""
+    monkeypatch.setattr(weight, "_CHUNK", chunk)
+    for p in PS:
+        for dual in (False, True):
+            if not (dual and name == "zeros"):
+                assert _outcome(_node_sup, w, p, dual) == _outcome(whole_node_sup, w, p, dual), \
+                    (p, dual)
+
+
+@pytest.mark.parametrize("k, depth", [(2, 15), (40000, 1), (2, 6)])
+def test_one_block_trees_keep_the_leaf_level(k, depth, monkeypatch):
+    """A tree whose leaves fit in one block runs its leaf level through
+    _best_node in the pass, as before, and never checks the range."""
+    w = gen_random(TreeSpace(k, depth), 4)
+    assert w.space.n_leaves <= w._layout()[1]
+    monkeypatch.setattr(weight, "_leaves_in_range", None)
+    log = _leaf_calls(monkeypatch)
+    for p in PS:
+        for dual in (False, True):
+            a, b = _power_pair(p, dual)
+            log.clear()
+            assert w._ratio_sup(w.values, a, b) == whole_node_ratio_sup(w, a, b), (p, dual)
+            assert log.count(w.space.leaf_measure) == 1, (p, dual)
+            assert _outcome(_node_sup, w, p, dual) == _outcome(whole_node_sup, w, p, dual)

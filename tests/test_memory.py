@@ -1,9 +1,9 @@
 """Peak memory of the analyze stages on a 2^20-leaf weight, from tracemalloc
 (numpy reports its array allocations to it).
 
-The node sups stream blocks of leaves and the rearrangement sorts one copy
-in place, so above the weight each needs only block-sized temporaries, and
-analyze holds the weight, the rearrangement and block-sized temporaries.
+The node sups stream blocks of leaves, the prefix sups chunks of steps, and
+the rearrangement sorts one copy in place, so above the weight each needs
+only block- or chunk-sized temporaries, and analyze holds the weight, the rearrangement and block-sized temporaries.
 Whole trees of node sums (16 MB a tree here) or leaf-sized temporaries of
 the rearrangement (8 MB each) break the bounds.
 """
@@ -11,7 +11,8 @@ import tracemalloc
 
 import pytest
 
-from treerhi import DyadicWeight, TreeSpace, gen_random, rearrangement
+from treerhi import (DyadicWeight, TreeSpace, gen_random, prefix_muckenhoupt_constant,
+                     prefix_rhi_constant, rearrangement)
 from treerhi.cli import analyze_weight
 from treerhi.weight import _scalings
 
@@ -74,6 +75,16 @@ def test_rearrangement_makes_no_leaf_sized_temporaries(traced):
     outputs = (star.breakpoints.nbytes + star.values.nbytes) / MB
     assert outputs == 16.0
     assert peak - outputs < 3.0
+
+
+@pytest.mark.parametrize("constant", [prefix_rhi_constant, prefix_muckenhoupt_constant])
+def test_prefix_sup_gathers_only_around_skipped_blocks(traced, constant):
+    # the first chunk's blocks all reach its sup here, and it is evaluated on
+    # views of its arrays (3.3 MB at the peak); gathering its 2^15 steps by
+    # index makes about 2 MB more
+    star = rearrangement(_fresh())
+    _, peak = _peak_above(constant, star, 2.0)
+    assert peak < 4.0
 
 
 def test_analyze_holds_the_weight_and_the_rearrangement(traced):
