@@ -15,7 +15,7 @@ from helpers import whole_node_ratio_sup, whole_node_sup, whole_prefix_sup, whol
 from treerhi import (DyadicWeight, NodeId, StepFunction, TreeSpace, gen_constant, gen_random,
                      gen_two_value, rearrange, rearrangement, weight)
 from treerhi.rearrange import _BLOCK, _prefix_sup, ratio_curve
-from treerhi.weight import _CHUNK, _RESOLVED, _power_pair
+from treerhi.weight import _CHUNK, _MAX, _RESOLVED, _power_pair
 
 PS = (1.5, 2.0, 3.0, 120.0)
 
@@ -370,9 +370,6 @@ def _edge_leaves(value: float) -> DyadicWeight:
     v = gen_random(TreeSpace(2, 16), 11).values.copy()
     v[_CHUNK + 5] = value
     return DyadicWeight.from_leaves(2, 16, v)
-
-
-_MAX = np.finfo(np.float64).max
 
 
 @pytest.mark.parametrize("value, p, dual, answered", [
