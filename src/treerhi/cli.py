@@ -81,9 +81,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def analyze_weight(w: DyadicWeight, p: float) -> dict:
     k = w.space.k
-    rhi = w.dyadic_rhi_constant(p)
+    duals = (False, True) if w.values.min() > 0 else (False,)
+    rhi, *muck = w._node_sups(p, duals)
+    rhi = weight_mod._answer(rhi, p)
     star = rearrange.rearrangement(w)
-    prefix = rearrange.prefix_rhi_constant(star, p)
+    prefix, *prefix_muck = rearrange._prefix_sups(star, p, duals)
+    prefix = weight_mod._answer(prefix, p)
     bound = k * rhi.constant - k + 1.0
     report = {
         "k": k,
@@ -98,9 +101,9 @@ def analyze_weight(w: DyadicWeight, p: float) -> dict:
         "p0_dyadic": exponents.p0_solve(p, max(rhi.constant, 1.0)).p0,
         "p0_bound": exponents.p0_solve(p, max(bound, 1.0)).p0,
     }
-    if np.all(w.values > 0):
-        muck = w.dyadic_muckenhoupt_constant(p)
-        prefix_muck = rearrange.prefix_muckenhoupt_constant(star, p)
+    if muck:
+        muck = weight_mod._answer(muck[0], p)
+        prefix_muck = weight_mod._answer(prefix_muck[0], p)
         report["muckenhoupt_constant"] = muck.constant
         report["muckenhoupt_witness"] = list(muck.witness)
         report["prefix_muckenhoupt_constant"] = prefix_muck.constant

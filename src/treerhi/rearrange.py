@@ -6,20 +6,13 @@ averages over (0, t] are exact piecewise-constant integrals, and the
 reverse-Holder / Muckenhoupt constants over prefix intervals are computed
 as a sup over t of a power-mean ratio, taken over the breakpoints and, inside
 each step, the single interior stationary point of the ratio, solved in
-closed form (the log-derivative equation there is linear in t).  The steps
-are taken in blocks, and a block's points are evaluated only when a bound
-on the ratio over it reaches the largest ratio evaluated so far: the ratio
-at the block's end, times the block's growth bound (D(r)/D(l))**p or
-(r/l)**p, times a rounding margin (_ratio_chunks).  A chunk whose means
-could come within the margin of the bottom of the double range is
-evaluated in full.  The sup and its witness are those of evaluating every
-point, bit for bit.  The power integrals are running sums over the steps,
-so at the breakpoints the means are read straight off them; only the
-interior stationary points, and the arbitrary grid of ratio_curve, are
-gathered back to their steps.  One loop runs over chunks of steps and
-carries the running sums from chunk to chunk, so the sums keep the bits of
-one pass over all steps.  The loop runs under weight._retried, the range
-policy that the node sups share.
+closed form (the log-derivative equation there is linear in t).  One loop
+over chunks of steps (_ratio_chunks) serves a list of exponent pairs.  It
+carries a running integral per distinct exponent, so every sum keeps the
+bits of one pass over all steps, and each pair evaluates a block of steps
+only where a bound on the ratio there reaches its largest ratio so far, so
+its sup and witness are those of evaluating every point, bit for bit.  It
+runs under weight._retried, the range policy that the node sups share.
 """
 from __future__ import annotations
 
@@ -28,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .weight import _CHUNK, _MARGIN, _RESOLVED, DyadicWeight, _retried
+from .weight import _CHUNK, _MARGIN, _RESOLVED, DyadicWeight, _answer, _retried
 
 T_SLACK = 1e-12
 # Steps per block of the prefix sup's bound (_ratio_chunks), and the smallest
@@ -134,34 +127,38 @@ def prefix_average(h: StepFunction, t: float, q: float = 1.0) -> float:
     return float(np.dot(powered, seg)) / t
 
 
-def _ratios_at(right: np.ndarray, v: np.ndarray, a: float, b: float,
-               ts: np.ndarray | None = None) -> tuple[float, float] | np.ndarray | None:
-    """Over the chunks of _ratio_chunks: without ts, (sup, t) with ties broken
-    toward the largest t; with ts, the ratios at ts.  None when a power mean
-    or the ratio leaves the double range."""
-    best, witness, curve = -np.inf, 0.0, []
-    for t, ratio, lowest in _ratio_chunks(right, v, a, b, ts):
-        top = ratio.max()
-        if not (np.isfinite(top) and lowest >= _RESOLVED):
-            return None
-        if ts is not None:
-            curve.append(ratio)
-        elif top >= best:  # a later chunk's t are all larger, so a tie moves right
-            best, witness = top, t[ratio == top].max()
-    return (best, witness) if ts is None else np.concatenate(curve)
+def _ratios_at(right: np.ndarray, v: np.ndarray, pairs,
+               ts: np.ndarray | None = None) -> list[tuple[float, float] | np.ndarray | None]:
+    """Over the chunks of _ratio_chunks, for each pair (a, b): without ts,
+    (sup, t) with ties broken toward the largest t; with ts, the ratios at
+    ts; None (also its best below) once a power mean or the ratio leaves the
+    double range."""
+    best, witness, curves = [-np.inf] * len(pairs), [0.0] * len(pairs), [[] for _ in pairs]
+    for chunk in _ratio_chunks(right, v, pairs, ts):
+        for j, (t, ratio, lowest) in enumerate(chunk):
+            top = ratio.max()
+            if best[j] is None or not (np.isfinite(top) and lowest >= _RESOLVED):
+                best[j] = None
+            elif ts is not None:
+                curves[j].append(ratio)
+            elif top >= best[j]:  # a later chunk's t are all larger, so a tie moves right
+                best[j], witness[j] = top, t[ratio == top].max()
+        if best.count(None) == len(pairs):
+            break
+    return [None if top is None else (top, t) if ts is None else np.concatenate(curve)
+            for top, t, curve in zip(best, witness, curves)]
 
 
-def _ratio_chunks(right: np.ndarray, v: np.ndarray, a: float, b: float,
-                  ts: np.ndarray | None):
-    """(t, ratio, lowest mean) for _CHUNK steps at a time: the power-mean ratio
-    R = (M_a / M_b)**a over (0, t] for t at the breakpoints and interior
-    stationary points that can reach the sup, or at the points of the sorted
-    grid ts (which holds every breakpoint) that fall in the chunk's steps.
+def _ratio_chunks(right: np.ndarray, v: np.ndarray, pairs, ts: np.ndarray | None):
+    """For _CHUNK steps at a time, a (t, ratio, lowest mean) per pair (a, b):
+    R = (M_a / M_b)**a over (0, t] at the breakpoints and interior stationary
+    points that can reach the pair's sup, or at the points of the sorted grid
+    ts (which holds every breakpoint) in the chunk's steps.
 
-    A chunk's temporaries stay in cache.  The integrals N and D of h**a and
-    h**b are running sums seeded with the previous chunk's totals: add.accumulate
-    adds in order, so every N and D, and so every mean and ratio, has the bits
-    of one whole-array cumsum.
+    A chunk's temporaries stay in cache.  The integral of h**q, for each
+    distinct exponent q, is a running sum seeded with the last chunk's total:
+    add.accumulate adds in order, so every integral, mean and ratio has the
+    bits of one whole-array cumsum.  Each pair keeps its own `top` below.
 
     Without ts, a chunk is cut into blocks of _BLOCK steps, and the ratio at
     each block's end is evaluated first; `top` is the largest ratio evaluated
@@ -191,23 +188,36 @@ def _ratio_chunks(right: np.ndarray, v: np.ndarray, a: float, b: float,
     skipped.  A step function of one block is evaluated whole, without a
     bound: its only block starts at t = 0.
     """
-    y = -a / b
-    z = -1.0 - y
-    margin = 1.0 + _MARGIN * (1.0 + abs(y) + abs(z))
-    n_end = d_end = end = 0.0  # N, D and the breakpoint where the last chunk ended
-    hi = 0
-    top = -np.inf
+    rows = list(dict.fromkeys(q for pair in pairs for q in pair))
+    cols = [(rows.index(a), rows.index(b), a, b, y, -1.0 - y) for a, b in pairs for y in (-a / b,)]
+    tops, hi = [-np.inf] * len(pairs), 0
+    ends, end = [0.0] * len(rows), 0.0  # the integrals and breakpoint where the last chunk ended
     for s in range(0, right.size, _CHUNK):
         r, vc = right[s:s + _CHUNK], v[s:s + _CHUNK]
         left = np.concatenate(([end], r[:-1]))
         width = r - left
+        if ts is not None:
+            # the grid points in (end, r[-1]], and the last chunk takes the rest
+            lo, hi = hi, (ts.size if s + _CHUNK >= right.size
+                          else int(np.searchsorted(ts, r[-1], side="right")))
+            grid = ts[lo:hi]
+            at = np.minimum(np.searchsorted(r, grid, side="left"), r.size - 1)
+        chunk = []
         with np.errstate(all="ignore"):
-            va, vb = _power(vc, a), _power(vc, b)
-            # n[i] is N up to the start of step i, n[i + 1] up to its end
-            n = np.add.accumulate(np.concatenate(([n_end], va * width)))
-            d = np.add.accumulate(np.concatenate(([d_end], vb * width)))
-            n0, d0 = n[:-1], d[:-1]
-            if ts is None:
+            powers = [_power(vc, q) for q in rows]
+            # sums[e][i] integrates h**rows[e] up to the start of step i, sums[e][i + 1] to its end
+            sums = [np.add.accumulate(np.concatenate(([e], vq * width)))
+                    for e, vq in zip(ends, powers)]
+            for j, (ia, ib, a, b, y, z) in enumerate(cols):
+                va, vb, n, d = powers[ia], powers[ib], sums[ia], sums[ib]
+                n0, d0 = n[:-1], d[:-1]
+                if ts is not None:
+                    mean_a = _mean_in(n0, va, left, at, grid)
+                    mean_b = _mean_in(d0, vb, left, at, grid)
+                    chunk.append((grid, _ratio(mean_a, mean_b, a, b),
+                                  np.minimum(mean_a.min(), mean_b.min())))
+                    continue
+                margin = 1.0 + _MARGIN * (1.0 + abs(y) + abs(z))
                 # at breakpoint i, n0 + va*width is n[i + 1] itself, so the means
                 # there are read off n and d.  The breakpoints evaluated and the
                 # steps solved are all of them, or the blocks' ends and all of
@@ -217,16 +227,16 @@ def _ratio_chunks(right: np.ndarray, v: np.ndarray, a: float, b: float,
                 if s or r.size > _BLOCK:
                     first = np.arange(0, r.size, _BLOCK)
                     last = np.minimum(first + _BLOCK, r.size) - 1
-                    ends = _ratio(n[last + 1] / r[last], d[last + 1] / r[last], a, b)
-                    top = max(top, ends.max())
-                    resolved = max(_RESOLVED, top * _TINY) * margin
+                    at_ends = _ratio(n[last + 1] / r[last], d[last + 1] / r[last], a, b)
+                    tops[j] = max(tops[j], at_ends.max())
+                    resolved = max(_RESOLVED, tops[j] * _TINY) * margin
                     # below every breakpoint mean of the chunk, and the one carried in
                     floor = min(n[1], d[1]) / r[-1]
                     if s:
-                        floor = min(floor, n_end / end, d_end / end)
+                        floor = min(floor, ends[ia] / end, ends[ib] / end)
                     if floor >= resolved:
                         upper, lower = (d[last + 1], d[first]) if y < 0 else (r[last], left[first])
-                        live = ~(ends * (upper / lower) ** max(-y, -z) * margin < top)
+                        live = ~(at_ends * (upper / lower) ** max(-y, -z) * margin < tops[j])
                         if not live.all():
                             solve = (first[live, None] + np.arange(_BLOCK)).ravel()
                             solve = solve[solve < r.size]
@@ -242,19 +252,10 @@ def _ratio_chunks(right: np.ndarray, v: np.ndarray, a: float, b: float,
                     t = np.concatenate([t, t_in])
                     ratio = np.concatenate([ratio, _ratio(mean_a, mean_b, a, b)])
                     lowest = min(lowest, mean_a.min(), mean_b.min())
-                top = max(top, ratio.max())
-            else:
-                # the grid points in (end, r[-1]], and the last chunk takes the rest
-                lo, hi = hi, (ts.size if s + _CHUNK >= right.size
-                              else int(np.searchsorted(ts, r[-1], side="right")))
-                t = ts[lo:hi]
-                step = np.minimum(np.searchsorted(r, t, side="left"), r.size - 1)
-                mean_a = _mean_in(n0, va, left, step, t)
-                mean_b = _mean_in(d0, vb, left, step, t)
-                ratio = _ratio(mean_a, mean_b, a, b)
-                lowest = np.minimum(mean_a.min(), mean_b.min())
-        yield t, ratio, lowest
-        n_end, d_end, end = n[-1], d[-1], r[-1]
+                tops[j] = max(tops[j], ratio.max())
+                chunk.append((t, ratio, lowest))
+        yield chunk
+        ends, end = [x[-1] for x in sums], r[-1]
 
 
 def _stationary(n0: np.ndarray, d0: np.ndarray, va: np.ndarray, vb: np.ndarray,
@@ -288,10 +289,15 @@ def _mean_in(n0: np.ndarray, vq: np.ndarray, left: np.ndarray,
     return (n0[step] + vq[step] * (ts - left[step])) / ts
 
 
+def _prefix_sups(h: StepFunction, p: float, duals) -> list[PrefixReport | None]:
+    """_prefix_sup for each dual in duals, or None for _answer to refuse."""
+    found = _retried(h.values, p, duals, "function", partial(_ratios_at, h.breakpoints))
+    return [None if f is None else PrefixReport(p, float(f[0]), float(f[1])) for f in found]
+
+
 def _prefix_sup(h: StepFunction, p: float, dual: bool) -> PrefixReport:
     """The sup of the prefix ratio, with ties resolved toward the largest t."""
-    best, witness = _retried(h.values, p, dual, "function", partial(_ratios_at, h.breakpoints))
-    return PrefixReport(exponent=p, constant=float(best), witness_t=float(witness))
+    return _answer(_prefix_sups(h, p, (dual,))[0], p)
 
 
 def prefix_rhi_constant(h: StepFunction, q: float) -> PrefixReport:
@@ -311,5 +317,6 @@ def ratio_curve(h: StepFunction, q: float, n_samples: int) -> np.ndarray:
     grid = np.unique(
         np.concatenate([np.linspace(1.0 / n_samples, 1.0, n_samples), h.breakpoints])
     )
-    ratios = _retried(h.values, q, False, "function", partial(_ratios_at, h.breakpoints, ts=grid))
+    ratios = _answer(_retried(h.values, q, (False,), "function",
+                              partial(_ratios_at, h.breakpoints, ts=grid))[0], q)
     return np.column_stack((grid, ratios))

@@ -6,14 +6,13 @@ operator, and the weak-type (1,1) check.
 
 Node integrals of value**q are accumulated child-to-parent, left to right,
 so rounding error grows O(depth) per node and a recursive re-summation
-reproduces every node sum bit for bit.  The node sups sum their two
-exponents' node sums in one bottom-up pass over blocks of leaves and compare
-each level as it is formed, so they hold no whole tree of node sums.  A
-leaf's ratio is 1 up to rounding, so on trees of several blocks the leaves
-are compared only where a range check fails, or when no upper level
-reaches their bound (_ratio_sup).  Every constant is a ratio of power
-means, which no scaling changes, so the node and prefix kernels share one
-range policy: _retried.
+reproduces every node sum bit for bit.  The node sups of several exponent
+pairs share one bottom-up pass over blocks of leaves, a row of node sums
+per distinct exponent, and compare each level as it is formed (_ratio_sup),
+so they hold no whole tree of node sums; the leaves, whose ratio is 1 up to
+rounding, only where a range check fails or no upper level reaches them.
+Every constant is a ratio of power means, which no scaling changes, so the
+node and prefix kernels share one range policy, _retried, per pair.
 """
 from __future__ import annotations
 
@@ -76,20 +75,32 @@ def _scalings(values: np.ndarray):
             yield np.ldexp(values, -e)
 
 
-def _retried(values: np.ndarray, p: float, dual: bool, what: str, kernel):
-    """kernel(scaled, a, b), with (a, b) of _power_pair, on the first of
-    _scalings(values) where it is not None.  Refuses an identically zero `what`,
-    a negative power of a zero value, and (_RANGE_ERROR) None at every scaling."""
-    a, b = _power_pair(p, dual)
+def _retried(values: np.ndarray, p: float, duals, what: str, kernel) -> list:
+    """For each dual in duals, kernel(scaled, pairs)'s answer for the pair
+    (a, b) of _power_pair at the first of _scalings(values) where it is not
+    None; each scaling gets only the pairs with no answer yet, and a pair
+    that none answers stays None.  Refuses a zero `what`, and a zero value
+    when a dual pair's negative power needs it."""
+    pairs = [_power_pair(p, dual) for dual in duals]
     if not values.any():
         raise ValueError(f"{what} is identically zero")
-    if min(a, b) < 0 and values.min() == 0:
+    if any(duals) and values.min() == 0:
         raise ValueError(f"a negative power at p={p} needs strictly positive values")
+    found = [None] * len(pairs)
     for scaled in _scalings(values):
-        found = kernel(scaled, a, b)
-        if found is not None:
-            return found
-    raise ValueError(_RANGE_ERROR.format(p=p))
+        pending = [i for i, f in enumerate(found) if f is None]
+        for i, f in zip(pending, kernel(scaled, [pairs[i] for i in pending])):
+            found[i] = f
+        if all(f is not None for f in found):
+            break
+    return found
+
+
+def _answer(found, p: float):
+    """found, or the _RANGE_ERROR refusal where _retried left it None."""
+    if found is None:
+        raise ValueError(_RANGE_ERROR.format(p=p))
+    return found
 
 
 def _leaf_sums(values: np.ndarray, q: float, h: float,
@@ -139,12 +150,11 @@ def _best_node(num: np.ndarray, den: np.ndarray, measure: float,
     return float(ratio[i]), i
 
 
-def _leaves_in_range(sums: np.ndarray, measure: float, y: float, margin: float) -> bool:
-    """Whether every leaf's a- and b-average (sums / measure, the rows of
-    sums) and the |y|-th power of its b-average lie a factor `margin` inside
-    [_RESOLVED, max double].  Division is monotone, so the rows' extremes
-    bound every average exactly; the margin covers the power's rounding."""
-    low, high = sums.min(axis=1) / measure, sums.max(axis=1) / measure
+def _leaves_in_range(low: np.ndarray, high: np.ndarray, y: float, margin: float) -> bool:
+    """Whether every leaf's a- and b-average, between low and high (the rows'
+    extremes over the leaf measure, which bound it exactly), and the |y|-th
+    power of its b-average lie a factor `margin` inside [_RESOLVED, max
+    double]; the margin covers the power's rounding."""
     powered = np.array([low[1], high[1]]) ** abs(y)
     return bool(min(low.min(), powered.min()) >= _RESOLVED * margin
                 and max(high.max(), powered.max()) <= _MAX / margin)
@@ -231,16 +241,23 @@ class DyadicWeight:
         """sup over all nodes of avg(value**a) * avg(value**b)**(-a/b), the
         power-mean ratio (M_a / M_b)**a of _power_pair, under _retried.  Nodes
         with zero b-average are skipped, not taken as 0/0."""
-        constant, witness = _retried(self.values, p, dual, "weight", self._ratio_sup)
-        return RhiReport(exponent=p, constant=constant, witness=witness)
+        return _answer(self._node_sups(p, (dual,))[0], p)
 
-    def _ratio_sup(self, values: np.ndarray, a: float, b: float) -> tuple[float, NodeId] | None:
-        """Sup and witness of _node_sup on values, this tree's leaves as they
-        are or rescaled, or None when out of double range.
+    def _node_sups(self, p: float, duals) -> list[RhiReport | None]:
+        """_node_sup for each dual in duals, or None for _answer to refuse."""
+        found = _retried(self.values, p, duals, "weight", self._ratio_sup)
+        return [None if f is None else RhiReport(p, *f) for f in found]
 
-        Each run of nodes is compared (_best_node) as _node_sums forms it.
-        Every level needs a live node (nonzero b-average).  A level's best
-        ratio goes to its lowest index, and the sup to the lowest level.
+    def _ratio_sup(self, values: np.ndarray, pairs) -> list[tuple[float, NodeId] | None]:
+        """Sup and witness of _node_sup for each pair (a, b) on values, this
+        tree's leaves as they are or rescaled, or None when out of range.
+
+        Each run of nodes of _node_sums, a row per distinct exponent, is
+        compared (_best_node) for each pair on its two rows as it is formed.
+        A pair keeps its own best ratios, deferral and None verdict, and the
+        pass stops once all are None.  Every level needs a live node (nonzero
+        b-average); its best ratio goes to its lowest index, the sup to the
+        lowest level.
 
         The leaf level is deferred when the leaves span several blocks.  At a
         leaf both averages are powers of one value v, so the ratio is
@@ -256,33 +273,46 @@ class DyadicWeight:
         _best_node at once, so every None verdict is unchanged.
         """
         k, depth = self.space.k, self.space.depth
-        y = -a / b
-        best, index = [-np.inf] * (depth + 1), [0] * (depth + 1)
+        rows = list(dict.fromkeys(q for pair in pairs for q in pair))
+        cols = [(rows.index(a), rows.index(b), y, 1.0 + _MARGIN * (2.0 + abs(y)))
+                for a, b in pairs for y in (-a / b,)]  # rows, y and leaf bound per pair
+        best = [[(-np.inf, 0)] * (depth + 1) for _ in pairs]  # per pair and level: (ratio, index)
+        deferred, live = [False] * len(pairs), list(range(len(pairs)))
         top, block = self._layout()
-        bound = 1.0 + _MARGIN * (2.0 + abs(y))
-        defer = values.size > block
-        deferred = False
         with np.errstate(all="ignore"):
-            for level, first, sums in self._node_sums(values, a, b, top, block):
+            for level, first, sums in self._node_sums(values, rows, top, block):
                 measure = float(k) ** (-level)
-                if defer and level == depth and _leaves_in_range(sums, measure, y, bound):
-                    deferred = True
-                    continue
-                found = _best_node(sums[0], sums[1], measure, y)
-                if found is None:
-                    return None
-                if found[0] > best[level]:
-                    best[level], index[level] = found[0], first + found[1]
-            if deferred and max(best[:depth]) < bound:
-                best[depth] = -np.inf
-                for first, sums in self._leaf_blocks(values, a, b, block):
-                    found = _best_node(sums[0], sums[1], float(k) ** (-depth), y)
-                    if found[0] > best[depth]:
-                        best[depth], index[depth] = found[0], first + found[1]
-        if -np.inf in best[:depth] or (best[depth] == -np.inf and not deferred):
-            return None
-        level = best.index(max(best))
-        return best[level], NodeId(level, index[level])
+                leaves = level == depth and values.size > block  # a leaf level of several blocks
+                if leaves:
+                    low, high = sums.min(axis=1) / measure, sums.max(axis=1) / measure
+                for j in tuple(live):
+                    a, b, y, bound = cols[j]
+                    if leaves and _leaves_in_range(low[[a, b]], high[[a, b]], y, bound):
+                        deferred[j] = True
+                        continue
+                    found = _best_node(sums[a], sums[b], measure, y)
+                    if found is None:
+                        live.remove(j)
+                    elif found[0] > best[j][level][0]:
+                        best[j][level] = found[0], first + found[1]
+                if not live:
+                    break
+            again = [j for j in live if deferred[j] and max(best[j][:depth])[0] < cols[j][3]]
+            for j in again:
+                best[j][depth] = -np.inf, 0
+            for first, sums in self._leaf_blocks(values, rows, block) if again else ():
+                for j in again:
+                    a, b, y, _ = cols[j]
+                    found = _best_node(sums[a], sums[b], float(k) ** (-depth), y)
+                    if found[0] > best[j][depth][0]:
+                        best[j][depth] = found[0], first + found[1]
+        answers = [None] * len(pairs)
+        for j in live:
+            ratios = [ratio for ratio, _ in best[j]]
+            if -np.inf not in ratios[:depth] and (ratios[depth] > -np.inf or deferred[j]):
+                level = ratios.index(max(ratios))
+                answers[j] = ratios[level], NodeId(level, best[j][level][1])
+        return answers
 
     def _layout(self) -> tuple[int, int]:
         """(L, leaves per block) of _node_sums: L is the deepest level of at
@@ -295,26 +325,26 @@ class DyadicWeight:
         span = k ** (depth - top)  # leaves under a node of level top
         return top, max(1, _CHUNK // span) * span
 
-    def _leaf_blocks(self, values: np.ndarray, a: float, b: float, block: int):
-        """(index of its first leaf, 2 x m array of the a- and b-power sums of
-        values) for each block of m leaves."""
+    def _leaf_blocks(self, values: np.ndarray, rows, block: int):
+        """(index of its first leaf, E x m array of the power sums of values,
+        a row per exponent of rows) for each block of m leaves."""
         h = self.space.leaf_measure
         for start in range(0, values.size, block):
             leaves = values[start:start + block]
-            sums = np.empty((2, leaves.size))
-            _leaf_sums(leaves, a, h, sums[0])
-            _leaf_sums(leaves, b, h, sums[1])
+            sums = np.empty((len(rows), leaves.size))
+            for q, row in zip(rows, sums):
+                _leaf_sums(leaves, q, h, row)
             yield start, sums
 
-    def _node_sums(self, values: np.ndarray, a: float, b: float, top: int, block: int):
-        """(level, index of its first node, 2 x m array of the a- and b-power
-        sums of values) for each run of m nodes of one bottom-up pass, with
-        (top, block) of _layout.  The levels below top are formed a block of
-        leaves at a time; the blocks fill level top, and top and the levels
-        above it are formed whole."""
+    def _node_sums(self, values: np.ndarray, rows, top: int, block: int):
+        """(level, index of its first node, E x m array of the power sums of
+        values, a row per exponent of rows) for each run of m nodes of one
+        bottom-up pass, with (top, block) of _layout.  The levels below top are
+        formed a block of leaves at a time; the blocks fill level top, and top
+        and the levels above it are formed whole."""
         k, depth = self.space.k, self.space.depth
         heads = []
-        for start, sums in self._leaf_blocks(values, a, b, block):
+        for start, sums in self._leaf_blocks(values, rows, block):
             for level in range(depth, top, -1):
                 yield level, start // k ** (depth - level), sums
                 sums = _parent_sums(sums, k)

@@ -205,12 +205,12 @@ def test_golden_corpus_covers_every_branch():
                     continue
                 # the values the prefix sup was taken on, and the points it tried
                 values = next(v for v in _scalings(star.values)
-                              if _ratios_at(star.breakpoints, v, a, b, None) is not None)
-                ts = np.concatenate([t for t, _, _ in _ratio_chunks(
-                    star.breakpoints, values, a, b, None)])
+                              if _ratios_at(star.breakpoints, v, [(a, b)])[0] is not None)
+                ts = np.concatenate([chunk[0][0] for chunk in _ratio_chunks(
+                    star.breakpoints, values, [(a, b)], None)])
                 side = "interior_ap" if dual else "interior_rh"
                 seen[side] += not np.all(np.isin(ts, star.breakpoints))
-                seen["dyadic_retry"] += w._ratio_sup(w.values, a, b) is None
+                seen["dyadic_retry"] += w._ratio_sup(w.values, [(a, b)])[0] is None
                 seen["prefix_retry"] += _ratios_at(
-                    star.breakpoints, star.values, a, b, None) is None
+                    star.breakpoints, star.values, [(a, b)])[0] is None
     assert all(seen.values()), seen

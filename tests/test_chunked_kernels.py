@@ -6,7 +6,9 @@ can get wrong: many blocks, blocks of one node, ties across blocks and
 levels, and dead or underflowing blocks, and its deferred leaf level is
 counted.  The prefix sup, which evaluates a block of steps only when a bound
 can reach the sup, runs on small step functions at chunks of 1, 3 and 64
-steps and blocks of 1 to 8 steps as well.
+steps and blocks of 1 to 8 steps as well.  Each side's kernel takes a list
+of exponent pairs: one pass for both pairs must give each the bits of its
+own pass, and analyze must make one pass per side.
 """
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ import pytest
 from helpers import whole_node_ratio_sup, whole_node_sup, whole_prefix_sup, whole_ratio_curve
 from treerhi import (DyadicWeight, NodeId, StepFunction, TreeSpace, gen_constant, gen_random,
                      gen_two_value, rearrange, rearrangement, weight)
-from treerhi.rearrange import _BLOCK, _prefix_sup, ratio_curve
+from treerhi.cli import analyze_weight
+from treerhi.rearrange import _BLOCK, _prefix_sup, _prefix_sups, ratio_curve
 from treerhi.weight import _CHUNK, _MAX, _RESOLVED, _power_pair
 
 PS = (1.5, 2.0, 3.0, 120.0)
@@ -120,17 +123,42 @@ def _prefix_sup_pair(star, p, dual):
     return report.constant, report.witness_t
 
 
+def _duals(values: np.ndarray) -> tuple[bool, ...]:
+    """The pairs that analyze asks for: both on positive values, else the
+    reverse Holder pair alone."""
+    return (False, True) if values.min() > 0 else (False,)
+
+
+def _answers(reports, p: float, witness: str) -> list:
+    """(constant, witness) of each report of a call for several pairs, or the
+    refusal that _answer makes of a None."""
+    return [_outcome(lambda r: (weight._answer(r, p).constant, getattr(r, witness)), report)
+            for report in reports]
+
+
+def _check_shared_node_pass(w: DyadicWeight, p: float) -> None:
+    duals = _duals(w.values)
+    shared = _answers(w._node_sups(p, duals), p, "witness")
+    assert shared == [_outcome(_node_sup, w, p, dual) for dual in duals], p
+    assert shared == [_outcome(whole_node_sup, w, p, dual) for dual in duals], p
+
+
+def _check_shared_prefix_loop(star: StepFunction, p: float) -> None:
+    duals = _duals(star.values)
+    shared = _answers(_prefix_sups(star, p, duals), p, "witness_t")
+    assert shared == [_outcome(_prefix_sup_pair, star, p, dual) for dual in duals], p
+    assert shared == [_outcome(whole_prefix_sup, star, p, dual) for dual in duals], p
+
+
 @pytest.mark.parametrize("name", sorted(NODE_WEIGHTS))
 def test_node_sup_matches_whole_levels(name):
     w = NODE_WEIGHTS[name]
     for p in PS:
-        for dual in (False, True):
-            if dual and np.any(w.values == 0):
-                continue
-            a, b = _power_pair(p, dual)
-            assert w._ratio_sup(w.values, a, b) == whole_node_ratio_sup(w, a, b), (p, dual)
-            assert _outcome(_node_sup, w, p, dual) == _outcome(whole_node_sup, w, p, dual), \
-                (p, dual)
+        pairs = [_power_pair(p, dual) for dual in _duals(w.values)]
+        whole = [whole_node_ratio_sup(w, a, b) for a, b in pairs]
+        assert w._ratio_sup(w.values, pairs) == whole, p
+        assert [w._ratio_sup(w.values, [pair])[0] for pair in pairs] == whole, p
+        _check_shared_node_pass(w, p)
 
 
 @pytest.mark.parametrize("name, witness", [("same-blocks-2-18", NodeId(17, 3)),
@@ -146,20 +174,16 @@ def test_node_sup_ties_go_to_the_lowest_level_and_index(name, witness):
 def test_one_underflowing_block_forces_the_retry():
     w = NODE_WEIGHTS["underflow-block-2-16"]
     head = DyadicWeight.from_leaves(2, 15, w.values[:_CHUNK])
-    assert head._ratio_sup(head.values, 2.0, 1.0) is not None
-    assert w._ratio_sup(w.values, 2.0, 1.0) is None
+    assert head._ratio_sup(head.values, [(2.0, 1.0)])[0] is not None
+    assert w._ratio_sup(w.values, [(2.0, 1.0)])[0] is None
     assert _node_sup(w, 2.0, False) == whole_node_sup(w, 2.0, False)
 
 
-@pytest.mark.parametrize("name", sorted(WEIGHTS))
+@pytest.mark.parametrize("name", sorted(NODE_WEIGHTS))
 def test_prefix_sup_matches_whole_steps(name):
-    star = rearrangement(WEIGHTS[name])
+    star = rearrangement(NODE_WEIGHTS[name])
     for p in PS:
-        for dual in (False, True):
-            if dual and star.values[-1] == 0:
-                continue
-            assert (_outcome(_prefix_sup_pair, star, p, dual)
-                    == _outcome(whole_prefix_sup, star, p, dual)), (p, dual)
+        _check_shared_prefix_loop(star, p)
 
 
 @pytest.mark.parametrize("name", sorted(WEIGHTS))
@@ -271,9 +295,7 @@ def test_pruned_prefix_sup_matches_whole_steps(name, chunk, monkeypatch):
     for block in sorted({min(block, chunk) for block in (1, 3, 8, _BLOCK)}):
         monkeypatch.setattr(rearrange, "_BLOCK", block)
         for p in PS:
-            for dual in (False, True):
-                assert (_outcome(_prefix_sup_pair, star, p, dual)
-                        == _outcome(whole_prefix_sup, star, p, dual)), (block, p, dual)
+            _check_shared_prefix_loop(star, p)
 
 
 @pytest.mark.parametrize("star, p, chunk", [(rearrangement(WEIGHTS["spike-2-17"]), 2.0, _CHUNK),
@@ -318,6 +340,38 @@ def test_chunk_near_resolved_is_solved_in_full(p, monkeypatch):
         assert log[-1] == (16, blocks, [0] * len(blocks)), scale
 
 
+def _carried_near_resolved(scale: float) -> StepFunction:
+    """Four equal steps, then four falling ones, the last of them wide: at
+    chunks of 4 steps the mean of h**-2 carried into the second chunk is
+    _RESOLVED * (1 + 2**-49) / scale**2, and the Muckenhoupt ratio at p = 1.5
+    rises to its sup in the last step."""
+    values = 2.0 ** np.array([485.0] * 4 + [484.0, 483.0, 482.0, 470.0])
+    values[:4] *= 1 - 2.0**-50
+    return StepFunction(np.array([1, 2, 3, 4, 33, 34, 35, 64]) / 64, values * scale)
+
+
+@pytest.mark.parametrize("chunk, scale, solved", [
+    (4, 2.0**-8, [[0, 1, 2, 3], [3]]), (4, 1.0, [[0, 1, 2, 3], [0, 1, 2, 3]]),
+    (8, 2.0**-8, [[0, 7]]), (8, 1.0, [list(range(8))]),
+], ids=["carried-far", "carried-near", "first-far", "first-near"])
+def test_carried_mean_near_resolved_is_solved_in_full(chunk, scale, solved, monkeypatch):
+    """On the Muckenhoupt side at p = 1.5, h**b = h**-2 and its prefix means
+    rise with t, so the mean carried into a chunk is the smallest b-mean it
+    can reach, and a chunk's b-means at its last breakpoint are its largest.
+    At blocks of 1 and chunks of 4 every breakpoint mean of the second chunk
+    is far above _RESOLVED.  Scaled by 2**-8 that chunk skips its first three
+    blocks; unscaled, the mean carried in lies within the margin of
+    _RESOLVED, so it evaluates all four.  In one chunk of 8 the floor is the
+    D of the first breakpoint over the last breakpoint, which unscaled lies
+    below the margin too, so every block is evaluated."""
+    monkeypatch.setattr(rearrange, "_CHUNK", chunk)
+    monkeypatch.setattr(rearrange, "_BLOCK", 1)
+    log = _solved(monkeypatch)
+    star = _carried_near_resolved(scale)
+    assert _prefix_sup_pair(star, 1.5, True) == whole_prefix_sup(star, 1.5, True)
+    assert [blocks for _, blocks, _ in log] == solved
+
+
 def _leaf_calls(monkeypatch) -> list[float]:
     """Records the measure of every run of nodes that _best_node compares."""
     log = []
@@ -343,7 +397,7 @@ def test_leaf_level_is_deferred(monkeypatch):
             log.clear()
             assert _outcome(_node_sup, w, p, dual) == _outcome(whole_node_sup, w, p, dual)
             a, b = _power_pair(p, dual)
-            assert w._ratio_sup(w.values, a, b) == whole_node_ratio_sup(w, a, b)
+            assert w._ratio_sup(w.values, [(a, b)])[0] == whole_node_ratio_sup(w, a, b)
             seen = log.count(w.space.leaf_measure)
             assert (seen > 0) == (p == 120.0 and not dual), (p, dual, seen)
 
@@ -360,7 +414,7 @@ def test_constant_leaves_run_in_a_second_pass(k, depth, monkeypatch):
         for dual in (False, True):
             a, b = _power_pair(p, dual)
             log.clear()
-            assert w._ratio_sup(w.values, a, b) == whole_node_ratio_sup(w, a, b), (p, dual)
+            assert w._ratio_sup(w.values, [(a, b)])[0] == whole_node_ratio_sup(w, a, b), (p, dual)
             assert log.count(w.space.leaf_measure) == blocks, (p, dual)
             assert _node_sup(w, p, dual) == whole_node_sup(w, p, dual), (p, dual)
 
@@ -391,7 +445,7 @@ def test_leaves_near_the_range_ends_run_as_before(value, p, dual, answered, monk
     w = _edge_leaves(value)
     log = _leaf_calls(monkeypatch)
     a, b = _power_pair(p, dual)
-    found = w._ratio_sup(w.values, a, b)
+    found = w._ratio_sup(w.values, [(a, b)])[0]
     assert found == whole_node_ratio_sup(w, a, b)
     assert (found is not None) == answered
     assert log.count(w.space.leaf_measure) == 1
@@ -417,10 +471,7 @@ def test_deferred_leaves_match_whole_levels_at_small_blocks(name, w, chunk, monk
     the range check, blocks that fail it, and dead blocks side by side."""
     monkeypatch.setattr(weight, "_CHUNK", chunk)
     for p in PS:
-        for dual in (False, True):
-            if not (dual and name == "zeros"):
-                assert _outcome(_node_sup, w, p, dual) == _outcome(whole_node_sup, w, p, dual), \
-                    (p, dual)
+        _check_shared_node_pass(w, p)
 
 
 @pytest.mark.parametrize("k, depth", [(2, 15), (40000, 1), (2, 6)])
@@ -435,6 +486,66 @@ def test_one_block_trees_keep_the_leaf_level(k, depth, monkeypatch):
         for dual in (False, True):
             a, b = _power_pair(p, dual)
             log.clear()
-            assert w._ratio_sup(w.values, a, b) == whole_node_ratio_sup(w, a, b), (p, dual)
+            assert w._ratio_sup(w.values, [(a, b)])[0] == whole_node_ratio_sup(w, a, b), (p, dual)
             assert log.count(w.space.leaf_measure) == 1, (p, dual)
             assert _outcome(_node_sup, w, p, dual) == _outcome(whole_node_sup, w, p, dual)
+
+
+@pytest.mark.parametrize("p, dual", [(2.0, False), (1.5, True)])
+def test_rescaled_pass_gets_only_the_pending_pair(p, dual, monkeypatch):
+    """Scaled by 1e200, this weight's powers leave the double range for the
+    reverse Holder pair at p = 2 and for the Muckenhoupt pair at p = 1.5,
+    while the other pair answers unscaled.  On each side the first rescaled
+    pass is handed the pending pair alone, and each answer is that of the
+    whole levels and steps."""
+    base = gen_random(TreeSpace(2, 6), 3)
+    w = DyadicWeight(base.space, base.values * 1e200)
+    star = rearrangement(w)
+    both = [_power_pair(p, False), _power_pair(p, True)]
+    calls = []
+    ratio_sup, ratios_at = DyadicWeight._ratio_sup, rearrange._ratios_at
+
+    def node_kernel(self, values, pairs):
+        calls.append(("node", values is w.values, list(pairs)))
+        return ratio_sup(self, values, pairs)
+
+    def prefix_kernel(right, values, pairs, ts=None):
+        calls.append(("prefix", values is star.values, list(pairs)))
+        return ratios_at(right, values, pairs, ts)
+
+    monkeypatch.setattr(DyadicWeight, "_ratio_sup", node_kernel)
+    monkeypatch.setattr(rearrange, "_ratios_at", prefix_kernel)
+    nodes = _answers(w._node_sups(p, (False, True)), p, "witness")
+    prefixes = _answers(_prefix_sups(star, p, (False, True)), p, "witness_t")
+    pending = [_power_pair(p, dual)]
+    assert calls == [("node", True, both), ("node", False, pending),
+                     ("prefix", True, both), ("prefix", False, pending)]
+    assert nodes == [whole_node_sup(w, p, d) for d in (False, True)]
+    assert prefixes == [whole_prefix_sup(star, p, d) for d in (False, True)]
+
+
+def test_analyze_makes_one_pass_per_side(monkeypatch):
+    """analyze_weight takes its four constants from one pass over the four
+    blocks of leaves and one loop over the four chunks of steps; a pass per
+    constant makes two of each."""
+    w = gen_random(TreeSpace(2, 17), 0)
+    seen = dict.fromkeys(["leaf passes", "leaf blocks", "chunk loops", "chunks"], 0)
+    leaf_blocks, ratio_chunks = DyadicWeight._leaf_blocks, rearrange._ratio_chunks
+
+    def counted_blocks(self, *args):
+        seen["leaf passes"] += 1
+        for block in leaf_blocks(self, *args):
+            seen["leaf blocks"] += 1
+            yield block
+
+    def counted_chunks(*args):
+        seen["chunk loops"] += 1
+        for chunk in ratio_chunks(*args):
+            seen["chunks"] += 1
+            yield chunk
+
+    monkeypatch.setattr(DyadicWeight, "_leaf_blocks", counted_blocks)
+    monkeypatch.setattr(rearrange, "_ratio_chunks", counted_chunks)
+    report = analyze_weight(w, 2.0)
+    assert "muckenhoupt_constant" in report
+    assert seen == {"leaf passes": 1, "leaf blocks": 4, "chunk loops": 1, "chunks": 4}
