@@ -7,12 +7,11 @@ reverse-Holder / Muckenhoupt constants over prefix intervals are computed
 as a sup over t of a power-mean ratio, taken over the breakpoints and, inside
 each step, the single interior stationary point of the ratio, solved in
 closed form (the log-derivative equation there is linear in t).  One loop
-over chunks of steps (_ratio_chunks) serves a list of exponent pairs.  It
-carries a running integral per distinct exponent, so every sum keeps the
-bits of one pass over all steps, and each pair evaluates a block of steps
-only where a bound on the ratio there reaches its largest ratio so far, so
-its sup and witness are those of evaluating every point, bit for bit.  It
-runs under weight._retried, the range policy that the node sups share.
+over chunks of steps (_ratio_chunks) serves a list of exponent pairs, with
+a running integral per distinct exponent that keeps the bits of one pass
+over all steps.  Each pair evaluates a block of steps only where a bound on
+its ratio there reaches its largest ratio so far, so its sup and witness are
+those of evaluating every point.  The node sups share its range policy.
 """
 from __future__ import annotations
 
@@ -131,32 +130,34 @@ def _ratios_at(right: np.ndarray, v: np.ndarray, pairs,
                ts: np.ndarray | None = None) -> list[tuple[float, float] | np.ndarray | None]:
     """Over the chunks of _ratio_chunks, for each pair (a, b): without ts,
     (sup, t) with ties broken toward the largest t; with ts, the ratios at
-    ts; None (also its best below) once a power mean or the ratio leaves the
-    double range."""
+    ts; None when a power mean or the ratio leaves the double range."""
     best, witness, curves = [-np.inf] * len(pairs), [0.0] * len(pairs), [[] for _ in pairs]
     for chunk in _ratio_chunks(right, v, pairs, ts):
-        for j, (t, ratio, lowest) in enumerate(chunk):
-            top = ratio.max()
-            if best[j] is None or not (np.isfinite(top) and lowest >= _RESOLVED):
+        for j, points in enumerate(chunk):
+            if points is None:
                 best[j] = None
             elif ts is not None:
-                curves[j].append(ratio)
-            elif top >= best[j]:  # a later chunk's t are all larger, so a tie moves right
-                best[j], witness[j] = top, t[ratio == top].max()
-        if best.count(None) == len(pairs):
-            break
+                curves[j].append(points[1])
+            else:
+                t, ratio = points
+                top = ratio.max()
+                if top >= best[j]:  # a later chunk's t are all larger, so a tie moves right
+                    best[j], witness[j] = top, t[ratio == top].max()
     return [None if top is None else (top, t) if ts is None else np.concatenate(curve)
             for top, t, curve in zip(best, witness, curves)]
 
 
 def _ratio_chunks(right: np.ndarray, v: np.ndarray, pairs, ts: np.ndarray | None):
-    """For _CHUNK steps at a time, a (t, ratio, lowest mean) per pair (a, b):
-    R = (M_a / M_b)**a over (0, t] at the breakpoints and interior stationary
-    points that can reach the pair's sup, or at the points of the sorted grid
-    ts (which holds every breakpoint) in the chunk's steps.
+    """For _CHUNK steps at a time, a (t, ratio) per pair (a, b): R = (M_a /
+    M_b)**a over (0, t] at the breakpoints and interior stationary points
+    that can reach the pair's sup, or at the points of the sorted grid ts
+    (which holds every breakpoint) in the chunk's steps.  From the chunk where
+    a mean falls below _RESOLVED or R is not finite on, a pair gets None, and
+    the loop ends once every pair does.
 
     A chunk's temporaries stay in cache.  The integral of h**q, for each
-    distinct exponent q, is a running sum seeded with the last chunk's total:
+    exponent q of the pairs still in range (one out of range can run in
+    subnormals), is a running sum seeded with the last chunk's total:
     add.accumulate adds in order, so every integral, mean and ratio has the
     bits of one whole-array cumsum.  Each pair keeps its own `top` below.
 
@@ -173,8 +174,8 @@ def _ratio_chunks(right: np.ndarray, v: np.ndarray, pairs, ts: np.ndarray | None
     ratio each round by a few ulp per unit of |y| and |z| (a power multiplies
     the relative error of its base by its exponent), and the margin covers
     their sum over ten times.  So a skipped point lies strictly below an
-    evaluated one, and the sup, its largest-t tie and the None verdict of
-    _ratios_at are those of evaluating every point.
+    evaluated one, and the sup, its largest-t tie and the None verdict are
+    those of evaluating every point.
 
     That needs every rounding to be relative.  Computed N and D never
     decrease and correctly rounded division is monotone, so the floor
@@ -183,7 +184,7 @@ def _ratio_chunks(right: np.ndarray, v: np.ndarray, pairs, ts: np.ndarray | None
     its step's end means, and its M_b = M_a / R is at least lowest / top.
     So when the floor, or a mean carried in from the last chunk, is below
     max(_RESOLVED, top * tiny) * margin, nothing in the chunk is skipped, and
-    the exact minimum of all its means is returned.  A block whose N or D
+    the exact minimum of all its means is checked.  A block whose N or D
     overflows by its end has a bound that is not finite, so it is never
     skipped.  A step function of one block is evaluated whole, without a
     bound: its only block starts at t = 0.
@@ -193,6 +194,9 @@ def _ratio_chunks(right: np.ndarray, v: np.ndarray, pairs, ts: np.ndarray | None
     tops, hi = [-np.inf] * len(pairs), 0
     ends, end = [0.0] * len(rows), 0.0  # the integrals and breakpoint where the last chunk ended
     for s in range(0, right.size, _CHUNK):
+        live = {e for col, top in zip(cols, tops) if top is not None for e in col[:2]}
+        if not live:
+            return
         r, vc = right[s:s + _CHUNK], v[s:s + _CHUNK]
         left = np.concatenate(([end], r[:-1]))
         width = r - left
@@ -204,58 +208,63 @@ def _ratio_chunks(right: np.ndarray, v: np.ndarray, pairs, ts: np.ndarray | None
             at = np.minimum(np.searchsorted(r, grid, side="left"), r.size - 1)
         chunk = []
         with np.errstate(all="ignore"):
-            powers = [_power(vc, q) for q in rows]
+            powers = {e: _power(vc, rows[e]) for e in live}
             # sums[e][i] integrates h**rows[e] up to the start of step i, sums[e][i + 1] to its end
-            sums = [np.add.accumulate(np.concatenate(([e], vq * width)))
-                    for e, vq in zip(ends, powers)]
+            sums = {e: np.add.accumulate(np.concatenate(([ends[e]], powers[e] * width)))
+                    for e in live}
             for j, (ia, ib, a, b, y, z) in enumerate(cols):
+                if tops[j] is None:  # the pair has left the double range
+                    chunk.append(None)
+                    continue
                 va, vb, n, d = powers[ia], powers[ib], sums[ia], sums[ib]
                 n0, d0 = n[:-1], d[:-1]
                 if ts is not None:
                     mean_a = _mean_in(n0, va, left, at, grid)
                     mean_b = _mean_in(d0, vb, left, at, grid)
-                    chunk.append((grid, _ratio(mean_a, mean_b, a, b),
-                                  np.minimum(mean_a.min(), mean_b.min())))
-                    continue
-                margin = 1.0 + _MARGIN * (1.0 + abs(y) + abs(z))
-                # at breakpoint i, n0 + va*width is n[i + 1] itself, so the means
-                # there are read off n and d.  The breakpoints evaluated and the
-                # steps solved are all of them, or the blocks' ends and all of
-                # the blocks that can reach `top`.
-                n_at, d_at, t = n[1:], d[1:], r
-                solve = slice(None)
-                if s or r.size > _BLOCK:
-                    first = np.arange(0, r.size, _BLOCK)
-                    last = np.minimum(first + _BLOCK, r.size) - 1
-                    at_ends = _ratio(n[last + 1] / r[last], d[last + 1] / r[last], a, b)
-                    tops[j] = max(tops[j], at_ends.max())
-                    resolved = max(_RESOLVED, tops[j] * _TINY) * margin
-                    # below every breakpoint mean of the chunk, and the one carried in
-                    floor = min(n[1], d[1]) / r[-1]
-                    if s:
-                        floor = min(floor, ends[ia] / end, ends[ib] / end)
-                    if floor >= resolved:
-                        upper, lower = (d[last + 1], d[first]) if y < 0 else (r[last], left[first])
-                        live = ~(at_ends * (upper / lower) ** max(-y, -z) * margin < tops[j])
-                        if not live.all():
-                            solve = (first[live, None] + np.arange(_BLOCK)).ravel()
-                            solve = solve[solve < r.size]
-                            pts = np.concatenate([last[~live], solve])
-                            n_at, d_at, t = n_at[pts], d_at[pts], r[pts]
-                mean_a, mean_b = n_at / t, d_at / t
-                ratio = _ratio(mean_a, mean_b, a, b)
-                lowest = min(mean_a.min(), mean_b.min())
-                step, t_in = _stationary(n0, d0, va, vb, left, r, solve, y, z)
-                if step.size:
-                    mean_a = _mean_in(n0, va, left, step, t_in)
-                    mean_b = _mean_in(d0, vb, left, step, t_in)
-                    t = np.concatenate([t, t_in])
-                    ratio = np.concatenate([ratio, _ratio(mean_a, mean_b, a, b)])
-                    lowest = min(lowest, mean_a.min(), mean_b.min())
-                tops[j] = max(tops[j], ratio.max())
-                chunk.append((t, ratio, lowest))
+                    t, ratio = grid, _ratio(mean_a, mean_b, a, b)
+                    lowest = np.minimum(mean_a.min(), mean_b.min())
+                else:
+                    margin = 1.0 + _MARGIN * (1.0 + abs(y) + abs(z))
+                    # at breakpoint i, n0 + va*width is n[i + 1] itself, so the means
+                    # there are read off n and d.  The breakpoints evaluated and the
+                    # steps solved are all of them, or the blocks' ends and all of
+                    # the blocks that can reach `top`.
+                    n_at, d_at, t = n[1:], d[1:], r
+                    solve = slice(None)
+                    if s or r.size > _BLOCK:
+                        first = np.arange(0, r.size, _BLOCK)
+                        last = np.minimum(first + _BLOCK, r.size) - 1
+                        at_ends = _ratio(n[last + 1] / r[last], d[last + 1] / r[last], a, b)
+                        tops[j] = max(tops[j], at_ends.max())
+                        resolved = max(_RESOLVED, tops[j] * _TINY) * margin
+                        # below every breakpoint mean of the chunk, and the one carried in
+                        floor = min(n[1], d[1]) / r[-1]
+                        if s:
+                            floor = min(floor, ends[ia] / end, ends[ib] / end)
+                        if floor >= resolved:
+                            upper, lower = ((d[last + 1], d[first]) if y < 0
+                                            else (r[last], left[first]))
+                            live = ~(at_ends * (upper / lower) ** max(-y, -z) * margin < tops[j])
+                            if not live.all():
+                                solve = (first[live, None] + np.arange(_BLOCK)).ravel()
+                                solve = solve[solve < r.size]
+                                pts = np.concatenate([last[~live], solve])
+                                n_at, d_at, t = n_at[pts], d_at[pts], r[pts]
+                    mean_a, mean_b = n_at / t, d_at / t
+                    ratio = _ratio(mean_a, mean_b, a, b)
+                    lowest = min(mean_a.min(), mean_b.min())
+                    step, t_in = _stationary(n0, d0, va, vb, left, r, solve, y, z)
+                    if step.size:
+                        mean_a = _mean_in(n0, va, left, step, t_in)
+                        mean_b = _mean_in(d0, vb, left, step, t_in)
+                        t = np.concatenate([t, t_in])
+                        ratio = np.concatenate([ratio, _ratio(mean_a, mean_b, a, b)])
+                        lowest = min(lowest, mean_a.min(), mean_b.min())
+                top = ratio.max()  # NaN, like inf, fails the check
+                tops[j] = max(tops[j], top) if np.isfinite(top) and lowest >= _RESOLVED else None
+                chunk.append(None if tops[j] is None else (t, ratio))
         yield chunk
-        ends, end = [x[-1] for x in sums], r[-1]
+        ends, end = {e: x[-1] for e, x in sums.items()}, r[-1]
 
 
 def _stationary(n0: np.ndarray, d0: np.ndarray, va: np.ndarray, vb: np.ndarray,
@@ -290,24 +299,20 @@ def _mean_in(n0: np.ndarray, vq: np.ndarray, left: np.ndarray,
 
 
 def _prefix_sups(h: StepFunction, p: float, duals) -> list[PrefixReport | None]:
-    """_prefix_sup for each dual in duals, or None for _answer to refuse."""
+    """For each dual in duals, the sup of the prefix ratio of _power_pair, with
+    ties resolved toward the largest t, or None for _answer to refuse."""
     found = _retried(h.values, p, duals, "function", partial(_ratios_at, h.breakpoints))
     return [None if f is None else PrefixReport(p, float(f[0]), float(f[1])) for f in found]
 
 
-def _prefix_sup(h: StepFunction, p: float, dual: bool) -> PrefixReport:
-    """The sup of the prefix ratio, with ties resolved toward the largest t."""
-    return _answer(_prefix_sups(h, p, (dual,))[0], p)
-
-
 def prefix_rhi_constant(h: StepFunction, q: float) -> PrefixReport:
     """sup over t of prefix_average(h, t, q) / prefix_average(h, t, 1)**q."""
-    return _prefix_sup(h, q, dual=False)
+    return _answer(_prefix_sups(h, q, (False,))[0], q)
 
 
 def prefix_muckenhoupt_constant(h: StepFunction, p: float) -> PrefixReport:
     """sup over t of avg(h) * avg(h**(-1/(p-1)))**(p-1) over prefixes (0, t]."""
-    return _prefix_sup(h, p, dual=True)
+    return _answer(_prefix_sups(h, p, (True,))[0], p)
 
 
 def ratio_curve(h: StepFunction, q: float, n_samples: int) -> np.ndarray:

@@ -78,9 +78,8 @@ def _scalings(values: np.ndarray):
 def _retried(values: np.ndarray, p: float, duals, what: str, kernel) -> list:
     """For each dual in duals, kernel(scaled, pairs)'s answer for the pair
     (a, b) of _power_pair at the first of _scalings(values) where it is not
-    None; each scaling gets only the pairs with no answer yet, and a pair
-    that none answers stays None.  Refuses a zero `what`, and a zero value
-    when a dual pair's negative power needs it."""
+    None, else None; each scaling gets only the pairs with no answer yet.
+    Refuses a zero `what`, and a zero value for a dual pair's negative power."""
     pairs = [_power_pair(p, dual) for dual in duals]
     if not values.any():
         raise ValueError(f"{what} is identically zero")
@@ -237,19 +236,15 @@ class DyadicWeight:
         measure = self.space.node_measure(node)  # validates the node
         return float(self.level_sums(q)[node.level][node.index]) / measure
 
-    def _node_sup(self, p: float, dual: bool) -> RhiReport:
-        """sup over all nodes of avg(value**a) * avg(value**b)**(-a/b), the
-        power-mean ratio (M_a / M_b)**a of _power_pair, under _retried.  Nodes
-        with zero b-average are skipped, not taken as 0/0."""
-        return _answer(self._node_sups(p, (dual,))[0], p)
-
     def _node_sups(self, p: float, duals) -> list[RhiReport | None]:
-        """_node_sup for each dual in duals, or None for _answer to refuse."""
+        """For each dual in duals, the sup over all nodes of the power-mean
+        ratio (M_a / M_b)**a of _power_pair, or None for _answer to refuse.
+        Nodes with zero b-average are skipped, not taken as 0/0."""
         found = _retried(self.values, p, duals, "weight", self._ratio_sup)
         return [None if f is None else RhiReport(p, *f) for f in found]
 
     def _ratio_sup(self, values: np.ndarray, pairs) -> list[tuple[float, NodeId] | None]:
-        """Sup and witness of _node_sup for each pair (a, b) on values, this
+        """Sup and witness of _node_sups for each pair (a, b) on values, this
         tree's leaves as they are or rescaled, or None when out of range.
 
         Each run of nodes of _node_sums, a row per distinct exponent, is
@@ -357,11 +352,11 @@ class DyadicWeight:
 
     def dyadic_rhi_constant(self, p: float) -> RhiReport:
         """sup over all nodes I of avg(value**p, I) / avg(value, I)**p."""
-        return self._node_sup(p, dual=False)
+        return _answer(self._node_sups(p, (False,))[0], p)
 
     def dyadic_muckenhoupt_constant(self, p: float) -> RhiReport:
         """sup over all nodes of avg(value) * avg(value**(-1/(p-1)))**(p-1)."""
-        return self._node_sup(p, dual=True)
+        return _answer(self._node_sups(p, (True,))[0], p)
 
     def maximal_function(self) -> np.ndarray:
         """Per leaf, the maximum average over all nodes containing it."""

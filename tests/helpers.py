@@ -266,7 +266,7 @@ def whole_node_ratio_sup(weight: DyadicWeight, a: float, b: float):
 
 def whole_node_sup(weight: DyadicWeight, p: float, dual: bool) -> tuple[float, NodeId]:
     """(constant, witness) of the node sup from whole_node_ratio_sup, with
-    DyadicWeight._node_sup's rescaled retries."""
+    DyadicWeight._node_sups' rescaled retries."""
     a, b = _power_pair(p, dual)
     for values in _scalings(weight.values):
         found = whole_node_ratio_sup(DyadicWeight(weight.space, values), a, b)

@@ -17,7 +17,7 @@ import pytest
 from treerhi import DyadicWeight, TreeSpace, gen_power, gen_random, rearrangement
 from treerhi import rearrange, weight
 from treerhi.cli import analyze_weight
-from treerhi.rearrange import _prefix_sup, _ratio_chunks, _ratios_at, ratio_curve
+from treerhi.rearrange import _prefix_sups, _ratio_chunks, _ratios_at, ratio_curve
 from treerhi.weight import _power_pair, _scalings
 
 PS = (1.5, 2.0, 3.0, 120.0)
@@ -199,8 +199,8 @@ def test_golden_corpus_covers_every_branch():
                     continue
                 a, b = _power_pair(p, dual)
                 try:
-                    w._node_sup(p, dual)
-                    _prefix_sup(star, p, dual)
+                    weight._answer(w._node_sups(p, (dual,))[0], p)
+                    weight._answer(_prefix_sups(star, p, (dual,))[0], p)
                 except ValueError:
                     continue
                 # the values the prefix sup was taken on, and the points it tried

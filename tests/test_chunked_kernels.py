@@ -15,9 +15,10 @@ import pytest
 
 from helpers import whole_node_ratio_sup, whole_node_sup, whole_prefix_sup, whole_ratio_curve
 from treerhi import (DyadicWeight, NodeId, StepFunction, TreeSpace, gen_constant, gen_random,
-                     gen_two_value, rearrange, rearrangement, weight)
+                     gen_two_value, prefix_muckenhoupt_constant, prefix_rhi_constant, rearrange,
+                     rearrangement, weight)
 from treerhi.cli import analyze_weight
-from treerhi.rearrange import _BLOCK, _prefix_sup, _prefix_sups, ratio_curve
+from treerhi.rearrange import _BLOCK, _prefix_sups, ratio_curve
 from treerhi.weight import _CHUNK, _MAX, _RESOLVED, _power_pair
 
 PS = (1.5, 2.0, 3.0, 120.0)
@@ -114,12 +115,12 @@ def _outcome(f, *args):
 
 
 def _node_sup(w, p, dual):
-    report = w._node_sup(p, dual)
+    report = (w.dyadic_muckenhoupt_constant if dual else w.dyadic_rhi_constant)(p)
     return report.constant, report.witness
 
 
 def _prefix_sup_pair(star, p, dual):
-    report = _prefix_sup(star, p, dual)
+    report = (prefix_muckenhoupt_constant if dual else prefix_rhi_constant)(star, p)
     return report.constant, report.witness_t
 
 
@@ -168,7 +169,7 @@ def test_node_sup_ties_go_to_the_lowest_level_and_index(name, witness):
     w = NODE_WEIGHTS[name]
     for p in PS:
         for dual in (False, True):
-            assert w._node_sup(p, dual).witness == witness, (p, dual)
+            assert _node_sup(w, p, dual)[1] == witness, (p, dual)
 
 
 def test_one_underflowing_block_forces_the_retry():
@@ -208,7 +209,7 @@ def test_ramp_sup_sits_inside_a_later_chunk(monkeypatch):
         assert _prefix_sup_pair(star, p, dual) == whole_prefix_sup(star, p, dual)
         assert log == [(_CHUNK, list(range(_CHUNK // 16)), [0] * (_CHUNK // 16)),
                        (101, [6], [1])], (p, dual)
-        t = _prefix_sup(star, p, dual).witness_t
+        t = _prefix_sup_pair(star, p, dual)[1]
         assert star.breakpoints[_CHUNK] < t < star.breakpoints[-1]
         assert t not in star.breakpoints
 
@@ -303,7 +304,7 @@ def test_pruned_prefix_sup_matches_whole_steps(name, chunk, monkeypatch):
 def test_spike_sup_is_interior_in_a_later_chunk(star, p, chunk, monkeypatch):
     monkeypatch.setattr(rearrange, "_CHUNK", chunk)
     assert star.breakpoints.size > chunk
-    t = _prefix_sup(star, p, False).witness_t
+    t = _prefix_sup_pair(star, p, False)[1]
     assert star.breakpoints[-2] < t < 1.0
     assert _prefix_sup_pair(star, p, False) == whole_prefix_sup(star, p, False)
 
@@ -522,6 +523,33 @@ def test_rescaled_pass_gets_only_the_pending_pair(p, dual, monkeypatch):
                      ("prefix", True, both), ("prefix", False, pending)]
     assert nodes == [whole_node_sup(w, p, d) for d in (False, True)]
     assert prefixes == [whole_prefix_sup(star, p, d) for d in (False, True)]
+
+
+def test_a_refused_pair_leaves_the_chunk_loop(monkeypatch):
+    """Scaled by 1e200, at p = 1.5 the Muckenhoupt pair's h**-2 underflows in
+    the first of four chunks.  From the second chunk on, the loop forms only
+    the reverse Holder pair's two rows and evaluates that pair alone."""
+    base = gen_random(TreeSpace(2, 17), 0)
+    star = rearrangement(DyadicWeight(base.space, base.values * 1e200))
+    rows, solved = [], []
+    power, stationary = rearrange._power, rearrange._stationary
+
+    def counted_power(x, q):
+        if x.base is star.values:  # a chunk of the leaves, not a mean
+            rows.append(q)
+        return power(x, q)
+
+    def counted_stationary(n0, d0, va, vb, left, right, step, y, z):
+        solved.append(y)
+        return stationary(n0, d0, va, vb, left, right, step, y, z)
+
+    monkeypatch.setattr(rearrange, "_power", counted_power)
+    monkeypatch.setattr(rearrange, "_stationary", counted_stationary)
+    pairs = [_power_pair(1.5, False), _power_pair(1.5, True)]
+    chunks = list(rearrange._ratio_chunks(star.breakpoints, star.values, pairs, None))
+    assert [[points is None for points in chunk] for chunk in chunks] == [[False, True]] * 4
+    assert sorted(rows[:3]) == [-2.0, 1.0, 1.5] and sorted(rows[3:]) == [1.0] * 3 + [1.5] * 3
+    assert solved == [-1.5, 0.5] + [-1.5] * 3
 
 
 def test_analyze_makes_one_pass_per_side(monkeypatch):
