@@ -194,8 +194,8 @@ def _ratio_chunks(right: np.ndarray, v: np.ndarray, pairs, ts: np.ndarray | None
     tops, hi = [-np.inf] * len(pairs), 0
     ends, end = [0.0] * len(rows), 0.0  # the integrals and breakpoint where the last chunk ended
     for s in range(0, right.size, _CHUNK):
-        live = {e for col, top in zip(cols, tops) if top is not None for e in col[:2]}
-        if not live:
+        needed = {e for col, top in zip(cols, tops) if top is not None for e in col[:2]}
+        if not needed:
             return
         r, vc = right[s:s + _CHUNK], v[s:s + _CHUNK]
         left = np.concatenate(([end], r[:-1]))
@@ -208,10 +208,10 @@ def _ratio_chunks(right: np.ndarray, v: np.ndarray, pairs, ts: np.ndarray | None
             at = np.minimum(np.searchsorted(r, grid, side="left"), r.size - 1)
         chunk = []
         with np.errstate(all="ignore"):
-            powers = {e: _power(vc, rows[e]) for e in live}
+            powers = {e: _power(vc, rows[e]) for e in needed}
             # sums[e][i] integrates h**rows[e] up to the start of step i, sums[e][i + 1] to its end
             sums = {e: np.add.accumulate(np.concatenate(([ends[e]], powers[e] * width)))
-                    for e in live}
+                    for e in needed}
             for j, (ia, ib, a, b, y, z) in enumerate(cols):
                 if tops[j] is None:  # the pair has left the double range
                     chunk.append(None)
