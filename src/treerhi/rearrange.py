@@ -151,9 +151,9 @@ def _ratio_chunks(right: np.ndarray, v: np.ndarray, pairs, ts: np.ndarray | None
     """For _CHUNK steps at a time, a (t, ratio) per pair (a, b): R = (M_a /
     M_b)**a over (0, t] at the breakpoints and interior stationary points
     that can reach the pair's sup, or at the points of the sorted grid ts
-    (which holds every breakpoint) in the chunk's steps.  From the chunk where
-    a mean falls below _RESOLVED or R is not finite on, a pair gets None, and
-    the loop ends once every pair does.
+    (which holds every breakpoint) in the chunk's steps.  A pair gets None in
+    the chunk where a mean falls below _RESOLVED or R is not finite, and in
+    every later one; the loop ends once every pair has.
 
     A chunk's temporaries stay in cache.  The integral of h**q, for each
     exponent q of the pairs still in range (one out of range can run in
