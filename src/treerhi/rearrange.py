@@ -7,11 +7,12 @@ reverse-Holder / Muckenhoupt constants over prefix intervals are computed
 as a sup over t of a power-mean ratio, taken over the breakpoints and, inside
 each step, the single interior stationary point of the ratio, solved in
 closed form (the log-derivative equation there is linear in t).  One loop
-over chunks of steps (_ratio_chunks) serves a list of exponent pairs, with
+over chunks of steps (_ratios_at) serves a list of exponent pairs, with
 a running integral per distinct exponent that keeps the bits of one pass
 over all steps.  Each pair evaluates a block of steps only where a bound on
 its ratio there reaches its largest ratio so far, so its sup and witness are
 those of evaluating every point.  The node sups share its range policy.
+ratio_curve evaluates a grid in one pass over whole arrays (_curve_at).
 """
 from __future__ import annotations
 
@@ -20,10 +21,11 @@ from functools import partial
 
 import numpy as np
 
+from .tree import MAX_LEAVES
 from .weight import _CHUNK, _MARGIN, _RESOLVED, DyadicWeight, _answer, _retried
 
 T_SLACK = 1e-12
-# Steps per block of the prefix sup's bound (_ratio_chunks), and the smallest
+# Steps per block of the prefix sup's bound (_ratios_at), and the smallest
 # normal double.
 _BLOCK = 256
 _TINY = np.finfo(np.float64).tiny
@@ -126,34 +128,12 @@ def prefix_average(h: StepFunction, t: float, q: float = 1.0) -> float:
     return float(np.dot(powered, seg)) / t
 
 
-def _ratios_at(right: np.ndarray, v: np.ndarray, pairs,
-               ts: np.ndarray | None = None) -> list[tuple[float, float] | np.ndarray | None]:
-    """Over the chunks of _ratio_chunks, for each pair (a, b): without ts,
-    (sup, t) with ties broken toward the largest t; with ts, the ratios at
-    ts; None when a power mean or the ratio leaves the double range."""
-    best, witness, curves = [-np.inf] * len(pairs), [0.0] * len(pairs), [[] for _ in pairs]
-    for chunk in _ratio_chunks(right, v, pairs, ts):
-        for j, points in enumerate(chunk):
-            if points is None:
-                best[j] = None
-            elif ts is not None:
-                curves[j].append(points[1])
-            else:
-                t, ratio = points
-                top = ratio.max()
-                if top >= best[j]:  # a later chunk's t are all larger, so a tie moves right
-                    best[j], witness[j] = top, t[ratio == top].max()
-    return [None if top is None else (top, t) if ts is None else np.concatenate(curve)
-            for top, t, curve in zip(best, witness, curves)]
-
-
-def _ratio_chunks(right: np.ndarray, v: np.ndarray, pairs, ts: np.ndarray | None):
-    """For _CHUNK steps at a time, a (t, ratio) per pair (a, b): R = (M_a /
-    M_b)**a over (0, t] at the breakpoints and interior stationary points
-    that can reach the pair's sup, or at the points of the sorted grid ts
-    (which holds every breakpoint) in the chunk's steps.  A pair gets None in
-    the chunk where a mean falls below _RESOLVED or R is not finite, and in
-    every later one; the loop ends once every pair has.
+def _ratios_at(right: np.ndarray, v: np.ndarray, pairs) -> list[tuple[float, float] | None]:
+    """For each pair (a, b), the sup of R = (M_a / M_b)**a over (0, t] and
+    the largest t attaining it, taken over the breakpoints and interior
+    stationary points that can reach the sup, _CHUNK steps at a time; None
+    for a pair once a mean falls below _RESOLVED or R is not finite, and the
+    loop ends once every pair is None.
 
     A chunk's temporaries stay in cache.  The integral of h**q, for each
     exponent q of the pairs still in range (one out of range can run in
@@ -161,8 +141,8 @@ def _ratio_chunks(right: np.ndarray, v: np.ndarray, pairs, ts: np.ndarray | None
     add.accumulate adds in order, so every integral, mean and ratio has the
     bits of one whole-array cumsum.  Each pair keeps its own `top` below.
 
-    Without ts, a chunk is cut into blocks of _BLOCK steps, and the ratio at
-    each block's end is evaluated first; `top` is the largest ratio evaluated
+    A chunk is cut into blocks of _BLOCK steps, and the ratio at each
+    block's end is evaluated first; `top` is the largest ratio evaluated
     so far.  A block's other breakpoints and its interior stationary points
     (_stationary) are evaluated only when the block can reach `top`.
     R = N * D**y * t**z, and the computed N and D never decrease in t, so on
@@ -191,80 +171,91 @@ def _ratio_chunks(right: np.ndarray, v: np.ndarray, pairs, ts: np.ndarray | None
     """
     rows = list(dict.fromkeys(q for pair in pairs for q in pair))
     cols = [(rows.index(a), rows.index(b), a, b, y, -1.0 - y) for a, b in pairs for y in (-a / b,)]
-    tops, hi = [-np.inf] * len(pairs), 0
+    tops, witness = [-np.inf] * len(pairs), [0.0] * len(pairs)
     ends, end = [0.0] * len(rows), 0.0  # the integrals and breakpoint where the last chunk ended
     for s in range(0, right.size, _CHUNK):
         needed = {e for col, top in zip(cols, tops) if top is not None for e in col[:2]}
         if not needed:
-            return
+            break
         r, vc = right[s:s + _CHUNK], v[s:s + _CHUNK]
         left = np.concatenate(([end], r[:-1]))
         width = r - left
-        if ts is not None:
-            # the grid points in (end, r[-1]], and the last chunk takes the rest
-            lo, hi = hi, (ts.size if s + _CHUNK >= right.size
-                          else int(np.searchsorted(ts, r[-1], side="right")))
-            grid = ts[lo:hi]
-            at = np.minimum(np.searchsorted(r, grid, side="left"), r.size - 1)
-        chunk = []
         with np.errstate(all="ignore"):
             powers = {e: _power(vc, rows[e]) for e in needed}
             # sums[e][i] integrates h**rows[e] up to the start of step i, sums[e][i + 1] to its end
             sums = {e: np.add.accumulate(np.concatenate(([ends[e]], powers[e] * width)))
                     for e in needed}
             for j, (ia, ib, a, b, y, z) in enumerate(cols):
-                if tops[j] is None:  # the pair has left the double range
-                    chunk.append(None)
+                before = tops[j]
+                if before is None:  # the pair has left the double range
                     continue
+                margin = 1.0 + _MARGIN * (1.0 + abs(y) + abs(z))
                 va, vb, n, d = powers[ia], powers[ib], sums[ia], sums[ib]
                 n0, d0 = n[:-1], d[:-1]
-                if ts is not None:
-                    mean_a = _mean_in(n0, va, left, at, grid)
-                    mean_b = _mean_in(d0, vb, left, at, grid)
-                    t, ratio = grid, _ratio(mean_a, mean_b, a, b)
-                    lowest = np.minimum(mean_a.min(), mean_b.min())
-                else:
-                    margin = 1.0 + _MARGIN * (1.0 + abs(y) + abs(z))
-                    # at breakpoint i, n0 + va*width is n[i + 1] itself, so the means
-                    # there are read off n and d.  The breakpoints evaluated and the
-                    # steps solved are all of them, or the blocks' ends and all of
-                    # the blocks that can reach `top`.
-                    n_at, d_at, t = n[1:], d[1:], r
-                    solve = slice(None)
-                    if s or r.size > _BLOCK:
-                        first = np.arange(0, r.size, _BLOCK)
-                        last = np.minimum(first + _BLOCK, r.size) - 1
-                        at_ends = _ratio(n[last + 1] / r[last], d[last + 1] / r[last], a, b)
-                        tops[j] = max(tops[j], at_ends.max())
-                        resolved = max(_RESOLVED, tops[j] * _TINY) * margin
-                        # below every breakpoint mean of the chunk, and the one carried in
-                        floor = min(n[1], d[1]) / r[-1]
-                        if s:
-                            floor = min(floor, ends[ia] / end, ends[ib] / end)
-                        if floor >= resolved:
-                            upper, lower = ((d[last + 1], d[first]) if y < 0
-                                            else (r[last], left[first]))
-                            live = ~(at_ends * (upper / lower) ** max(-y, -z) * margin < tops[j])
-                            if not live.all():
-                                solve = (first[live, None] + np.arange(_BLOCK)).ravel()
-                                solve = solve[solve < r.size]
-                                pts = np.concatenate([last[~live], solve])
-                                n_at, d_at, t = n_at[pts], d_at[pts], r[pts]
-                    mean_a, mean_b = n_at / t, d_at / t
-                    ratio = _ratio(mean_a, mean_b, a, b)
-                    lowest = min(mean_a.min(), mean_b.min())
-                    step, t_in = _stationary(n0, d0, va, vb, left, r, solve, y, z)
-                    if step.size:
-                        mean_a = _mean_in(n0, va, left, step, t_in)
-                        mean_b = _mean_in(d0, vb, left, step, t_in)
-                        t = np.concatenate([t, t_in])
-                        ratio = np.concatenate([ratio, _ratio(mean_a, mean_b, a, b)])
-                        lowest = min(lowest, mean_a.min(), mean_b.min())
-                top = ratio.max()  # NaN, like inf, fails the check
+                # at breakpoint i, n0 + va*width is n[i + 1] itself, so the means
+                # there are read off n and d.  The breakpoints evaluated and the
+                # steps solved are all of them, or the blocks' ends and all of
+                # the blocks that can reach `top`.
+                n_at, d_at, t = n[1:], d[1:], r
+                solve = slice(None)
+                if s or r.size > _BLOCK:
+                    first = np.arange(0, r.size, _BLOCK)
+                    last = np.minimum(first + _BLOCK, r.size) - 1
+                    at_ends = _ratio(n[last + 1] / r[last], d[last + 1] / r[last], a, b)
+                    tops[j] = max(tops[j], at_ends.max())
+                    resolved = max(_RESOLVED, tops[j] * _TINY) * margin
+                    # below every breakpoint mean of the chunk, and the one carried in
+                    floor = min(n[1], d[1]) / r[-1]
+                    if s:
+                        floor = min(floor, ends[ia] / end, ends[ib] / end)
+                    if floor >= resolved:
+                        upper, lower = ((d[last + 1], d[first]) if y < 0
+                                        else (r[last], left[first]))
+                        live = ~(at_ends * (upper / lower) ** max(-y, -z) * margin < tops[j])
+                        if not live.all():
+                            solve = (first[live, None] + np.arange(_BLOCK)).ravel()
+                            solve = solve[solve < r.size]
+                            pts = np.concatenate([last[~live], solve])
+                            n_at, d_at, t = n_at[pts], d_at[pts], r[pts]
+                mean_a, mean_b = n_at / t, d_at / t
+                ratio = _ratio(mean_a, mean_b, a, b)
+                lowest = min(mean_a.min(), mean_b.min())
+                step, t_in = _stationary(n0, d0, va, vb, left, r, solve, y, z)
+                if step.size:
+                    mean_a = _mean_in(n0, va, left, step, t_in)
+                    mean_b = _mean_in(d0, vb, left, step, t_in)
+                    t = np.concatenate([t, t_in])
+                    ratio = np.concatenate([ratio, _ratio(mean_a, mean_b, a, b)])
+                    lowest = min(lowest, mean_a.min(), mean_b.min())
+                top = ratio.max()
+                # against the top from before the chunk, which its block ends may have
+                # raised; a later chunk's t are all larger, so a tie moves right
+                if top >= before:
+                    witness[j] = t[ratio == top].max()
+                # NaN, like inf, fails the check
                 tops[j] = max(tops[j], top) if np.isfinite(top) and lowest >= _RESOLVED else None
-                chunk.append(None if tops[j] is None else (t, ratio))
-        yield chunk
         ends, end = {e: x[-1] for e, x in sums.items()}, r[-1]
+    return [None if top is None else (top, t) for top, t in zip(tops, witness)]
+
+
+def _curve_at(right: np.ndarray, grid: np.ndarray, step: np.ndarray,
+              v: np.ndarray, pairs) -> list[np.ndarray | None]:
+    """For each pair (a, b), R = (M_a / M_b)**a at the points grid, which
+    lie in the steps `step`; None when a mean falls below _RESOLVED or R is
+    not finite.  One pass over whole arrays, whose add.accumulate adds in
+    the order of _ratios_at's seeded chunks, so the sums have their bits."""
+    left = np.concatenate(([0.0], right[:-1]))
+    width = right - left
+    curves = []
+    with np.errstate(all="ignore"):
+        for a, b in pairs:
+            va, vb = _power(v, a), _power(v, b)
+            n, d = (np.add.accumulate(np.concatenate(([0.0], vq * width))) for vq in (va, vb))
+            mean_a, mean_b = _mean_in(n, va, left, step, grid), _mean_in(d, vb, left, step, grid)
+            ratio = _ratio(mean_a, mean_b, a, b)
+            lowest = min(mean_a.min(), mean_b.min())
+            curves.append(ratio if np.isfinite(ratio.max()) and lowest >= _RESOLVED else None)
+    return curves
 
 
 def _stationary(n0: np.ndarray, d0: np.ndarray, va: np.ndarray, vb: np.ndarray,
@@ -319,9 +310,15 @@ def ratio_curve(h: StepFunction, q: float, n_samples: int) -> np.ndarray:
     """Rows (t, R(t)) on a grid of all breakpoints plus a uniform fill."""
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
-    grid = np.unique(
-        np.concatenate([np.linspace(1.0 / n_samples, 1.0, n_samples), h.breakpoints])
-    )
+    if n_samples > MAX_LEAVES:
+        raise ValueError(f"need at most {MAX_LEAVES} samples, got {n_samples}")
+    right = h.breakpoints
+    grid, first = np.unique(
+        np.concatenate([right, np.linspace(1.0 / n_samples, 1.0, n_samples)]), return_index=True)
+    # a point's step counts the breakpoints below it; a sample past the last
+    # breakpoint, which T_SLACK allows below 1, falls in the last step
+    marks = first < right.size
+    step = np.minimum(np.cumsum(marks) - marks, right.size - 1)
     ratios = _answer(_retried(h.values, q, (False,), "function",
-                              partial(_ratios_at, h.breakpoints, ts=grid))[0], q)
+                              partial(_curve_at, right, grid, step))[0], q)
     return np.column_stack((grid, ratios))

@@ -37,7 +37,7 @@ _RANGE_ERROR = "power averages at p={p} leave the double range even after rescal
 # in a core's L2 cache.
 _CHUNK = 1 << 15
 # Rounding margin per unit exponent of the node sups' leaf bound (_ratio_sup)
-# and of the prefix sups' block bound (rearrange._ratio_chunks), and the
+# and of the prefix sups' block bound (rearrange._ratios_at), and the
 # largest double.
 _MARGIN = 2.0**-44
 _MAX = np.finfo(np.float64).max

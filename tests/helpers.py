@@ -178,7 +178,8 @@ def whole_prefix_ratios(right: np.ndarray, v: np.ndarray, a: float, b: float,
                         ts: np.ndarray | None):
     """(t, ratio) of the prefix kernel in one pass over all steps, or None out
     of double range: at every breakpoint and interior stationary point, or at
-    ts.  The reference for rearrange._ratios_at, which runs in chunks."""
+    ts.  The reference for rearrange._ratios_at, which runs in chunks, and
+    with ts for rearrange._curve_at."""
     left = np.concatenate(([0.0], right[:-1]))
     width = right - left
 

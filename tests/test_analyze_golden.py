@@ -6,7 +6,8 @@ error message instead.  The corpus reaches every branch of both kernels:
 interior stationary points, merged steps, zero-average nodes and the rescaled
 retries (see test_golden_corpus_covers_every_branch).  Its weights have at
 most 2^10 leaves, so the kernels run them in one chunk; the digests are also
-required at chunk sizes that cut every level and every step list.
+required at chunk sizes that cut every level and every step list of the sups
+(ratio_curve runs over whole arrays, so the chunk size leaves it alone).
 """
 import hashlib
 import json
@@ -17,7 +18,7 @@ import pytest
 from treerhi import DyadicWeight, TreeSpace, gen_power, gen_random, rearrangement
 from treerhi import rearrange, weight
 from treerhi.cli import analyze_weight
-from treerhi.rearrange import _prefix_sups, _ratio_chunks, _ratios_at, ratio_curve
+from treerhi.rearrange import _prefix_sups, _ratios_at, ratio_curve
 from treerhi.weight import _power_pair, _scalings
 
 PS = (1.5, 2.0, 3.0, 120.0)
@@ -185,11 +186,19 @@ def test_analyze_output_matches_golden_in_chunks(chunk, monkeypatch):
     assert changed == []
 
 
-def test_golden_corpus_covers_every_branch():
+def test_golden_corpus_covers_every_branch(monkeypatch):
     """Interior stationary points on both prefix sides, zero-average nodes,
     and rescaled retries on both kernels."""
     seen = {"interior_rh": 0, "interior_ap": 0, "zero_average_nodes": 0,
             "dyadic_retry": 0, "prefix_retry": 0}
+    interior, stationary = [], rearrange._stationary
+
+    def counted_stationary(*args):
+        step, t_in = stationary(*args)
+        interior.append(t_in.size)
+        return step, t_in
+
+    monkeypatch.setattr(rearrange, "_stationary", counted_stationary)
     for w in CORPUS.values():
         seen["zero_average_nodes"] += any(np.any(s == 0) for s in w.level_sums(1.0))
         star = rearrangement(w)
@@ -203,13 +212,13 @@ def test_golden_corpus_covers_every_branch():
                     weight._answer(_prefix_sups(star, p, (dual,))[0], p)
                 except ValueError:
                     continue
-                # the values the prefix sup was taken on, and the points it tried
+                # the interior points the prefix sup tried, on the values it was taken on
                 values = next(v for v in _scalings(star.values)
                               if _ratios_at(star.breakpoints, v, [(a, b)])[0] is not None)
-                ts = np.concatenate([chunk[0][0] for chunk in _ratio_chunks(
-                    star.breakpoints, values, [(a, b)], None)])
+                interior.clear()
+                _ratios_at(star.breakpoints, values, [(a, b)])
                 side = "interior_ap" if dual else "interior_rh"
-                seen[side] += not np.all(np.isin(ts, star.breakpoints))
+                seen[side] += sum(interior) > 0
                 seen["dyadic_retry"] += w._ratio_sup(w.values, [(a, b)])[0] is None
                 seen["prefix_retry"] += _ratios_at(
                     star.breakpoints, star.values, [(a, b)])[0] is None

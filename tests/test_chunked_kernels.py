@@ -510,9 +510,9 @@ def test_rescaled_pass_gets_only_the_pending_pair(p, dual, monkeypatch):
         calls.append(("node", values is w.values, list(pairs)))
         return ratio_sup(self, values, pairs)
 
-    def prefix_kernel(right, values, pairs, ts=None):
+    def prefix_kernel(right, values, pairs):
         calls.append(("prefix", values is star.values, list(pairs)))
-        return ratios_at(right, values, pairs, ts)
+        return ratios_at(right, values, pairs)
 
     monkeypatch.setattr(DyadicWeight, "_ratio_sup", node_kernel)
     monkeypatch.setattr(rearrange, "_ratios_at", prefix_kernel)
@@ -528,9 +528,11 @@ def test_rescaled_pass_gets_only_the_pending_pair(p, dual, monkeypatch):
 def test_a_refused_pair_leaves_the_chunk_loop(monkeypatch):
     """Scaled by 1e200, at p = 1.5 the Muckenhoupt pair's h**-2 underflows in
     the first of four chunks.  From the second chunk on, the loop forms only
-    the reverse Holder pair's two rows and evaluates that pair alone."""
+    the reverse Holder pair's two rows and evaluates that pair alone, which
+    still gets the sup of the whole steps."""
     base = gen_random(TreeSpace(2, 17), 0)
     star = rearrangement(DyadicWeight(base.space, base.values * 1e200))
+    answer = whole_prefix_sup(star, 1.5, False)
     rows, solved = [], []
     power, stationary = rearrange._power, rearrange._stationary
 
@@ -546,19 +548,19 @@ def test_a_refused_pair_leaves_the_chunk_loop(monkeypatch):
     monkeypatch.setattr(rearrange, "_power", counted_power)
     monkeypatch.setattr(rearrange, "_stationary", counted_stationary)
     pairs = [_power_pair(1.5, False), _power_pair(1.5, True)]
-    chunks = list(rearrange._ratio_chunks(star.breakpoints, star.values, pairs, None))
-    assert [[points is None for points in chunk] for chunk in chunks] == [[False, True]] * 4
+    assert rearrange._ratios_at(star.breakpoints, star.values, pairs) == [answer, None]
     assert sorted(rows[:3]) == [-2.0, 1.0, 1.5] and sorted(rows[3:]) == [1.0] * 3 + [1.5] * 3
     assert solved == [-1.5, 0.5] + [-1.5] * 3
 
 
 def test_analyze_makes_one_pass_per_side(monkeypatch):
     """analyze_weight takes its four constants from one pass over the four
-    blocks of leaves and one loop over the four chunks of steps; a pass per
-    constant makes two of each."""
+    blocks of leaves and one loop over the four chunks of steps, which forms
+    the unit row once per chunk; a pass per constant makes two of each."""
     w = gen_random(TreeSpace(2, 17), 0)
-    seen = dict.fromkeys(["leaf passes", "leaf blocks", "chunk loops", "chunks"], 0)
-    leaf_blocks, ratio_chunks = DyadicWeight._leaf_blocks, rearrange._ratio_chunks
+    seen = dict.fromkeys(["leaf passes", "leaf blocks", "prefix passes", "unit rows"], 0)
+    leaf_blocks, ratios_at, power = DyadicWeight._leaf_blocks, rearrange._ratios_at, rearrange._power
+    steps = []
 
     def counted_blocks(self, *args):
         seen["leaf passes"] += 1
@@ -566,14 +568,18 @@ def test_analyze_makes_one_pass_per_side(monkeypatch):
             seen["leaf blocks"] += 1
             yield block
 
-    def counted_chunks(*args):
-        seen["chunk loops"] += 1
-        for chunk in ratio_chunks(*args):
-            seen["chunks"] += 1
-            yield chunk
+    def counted_ratios(right, v, pairs):
+        seen["prefix passes"] += 1
+        steps.append(v)
+        return ratios_at(right, v, pairs)
+
+    def counted_power(x, q):
+        seen["unit rows"] += q == 1.0 and x.base is steps[-1]  # a chunk of the steps
+        return power(x, q)
 
     monkeypatch.setattr(DyadicWeight, "_leaf_blocks", counted_blocks)
-    monkeypatch.setattr(rearrange, "_ratio_chunks", counted_chunks)
+    monkeypatch.setattr(rearrange, "_ratios_at", counted_ratios)
+    monkeypatch.setattr(rearrange, "_power", counted_power)
     report = analyze_weight(w, 2.0)
     assert "muckenhoupt_constant" in report
-    assert seen == {"leaf passes": 1, "leaf blocks": 4, "chunk loops": 1, "chunks": 4}
+    assert seen == {"leaf passes": 1, "leaf blocks": 4, "prefix passes": 1, "unit rows": 4}

@@ -278,6 +278,17 @@ def test_curve_cmd(tmp_path):
     assert all(float(line.split(",")[1]) == pytest.approx(1.0) for line in lines[1:])
 
 
+
+def test_curve_refuses_more_samples_than_leaves(tmp_path, capsys):
+    """A sample count past the leaf limit is a usage error, not a grid that
+    cannot be allocated."""
+    wfile = tmp_path / "w.json"
+    wfile.write_text('{"k": 2, "depth": 1, "leaves": [1, 3]}')
+    out = tmp_path / "curve.csv"
+    assert run("curve", str(wfile), "--samples", "1000000000000", "-o", str(out)) == 2
+    assert "at most 16777216 samples, got 1000000000000" in capsys.readouterr().err
+    assert not out.exists()
+
 _BASE = gen_random(TreeSpace(2, 6), 1)
 CURVE_CASES = {
     "random": (_BASE, ["--p", "2"]),

@@ -307,6 +307,15 @@ def test_ratio_curve_contains_breakpoints_and_peak():
     assert curve[:, 1].max() == pytest.approx(1.25, rel=1e-12)
 
 
+def test_ratio_curve_clips_to_the_last_step():
+    """T_SLACK lets the last breakpoint fall just below 1, so the sample
+    t = 1 lies past it and is evaluated in the last step."""
+    h = StepFunction([0.5, 1 - 1e-13], [2.0, 1.0])
+    curve = ratio_curve(h, 2.0, 4)
+    assert curve.tolist() == [[0.25, 1.0], [0.5, 1.0], [0.75, 1.0799999999999998],
+                              [0.9999999999999, 1.1111111111111034], [1.0, 1.1111111111111112]]
+
+
 def test_ratio_curve_validation():
     with pytest.raises(ValueError):
         ratio_curve(two_step(), 2.0, 1)
