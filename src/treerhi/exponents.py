@@ -113,9 +113,17 @@ def p0_solve(p: float, C: float) -> ExponentResult:
     the left side to 1, about p(p-1)/(2q^2), is below the rounding of the
     plain log form, so _log_f takes its log1p form below C - 1 = NEAR_ONE;
     above that cut the roots are brentq's on the plain form, bit for bit.
+
+    Near the root the log of the left side varies in q by terms of order
+    p - 1, summed from terms of order 1, so a p within 2^-26 (half a
+    double's bits) of 1 is refused.  At p = 1 + 2^-52 the log1p form rounds q onto p at the
+    bracket's low end, and even with that term taken as s - log q its
+    rounding moved the root at C = 1 + 2^-51 by a third of q - p.
     """
     if not (math.isfinite(p) and p > 1):
         raise ValueError(f"base exponent must be a finite number > 1, got {p}")
+    if p - 1.0 < 2.0**-26:
+        raise ValueError(f"base exponent p={p} lies within 2^-26 of 1, where p0 is not resolved")
     if not (math.isfinite(C) and C >= 1):
         raise ValueError(f"constant must be a finite number >= 1, got {C}")
     if C == 1:
@@ -136,13 +144,20 @@ def improvement_range(p: float, c: float, k: int) -> ExponentResult:
     """Integrability range [p, p0) for a tree weight: p0_solve at k*c - k + 1.
 
     A reverse-Holder constant is at least 1 (Jensen), so c < 1 is refused
-    here, naming c rather than the effective constant it maps to.
+    here, and so is a c whose effective constant overflows, naming c rather
+    than the effective constant it maps to.
     """
     if k < 2:
         raise ValueError(f"branching factor must be >= 2, got {k}")
     if not (math.isfinite(c) and c >= 1):
         raise ValueError(f"tree constant c must be a finite number >= 1, got {c}")
-    return p0_solve(p, k * c - k + 1.0)
+    try:
+        C = k * c - k + 1.0
+    except OverflowError:  # an integer k beyond the double range
+        C = math.inf
+    if math.isinf(C):
+        raise ValueError(f"effective constant k*c - k + 1 overflows at c={c}, k={k}")
+    return p0_solve(p, C)
 
 
 def power_weight_constant(alpha: float, p: float) -> float:

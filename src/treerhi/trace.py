@@ -9,9 +9,11 @@ ending with the bound k*(c-1)+1 on the power average, where c is the
 reverse-Holder constant over the tree nodes.  Everything up to the power
 averages is built from the threshold alone, so a caller tracing one weight
 at several prefix lengths and exponents decomposes each length once and
-computes the rearrangement, the top set's leaf order, each exponent's node
-sup and each leaf's power once (_traces).
+computes the rearrangement, the top set's leaf order and each exponent's
+node sup once (_traces).
 
+The stopping family, then its maximal fathers, owners and cover (_family),
+come from top-down level walks with masks repeated k-fold per level.
 Maximal fathers are disjoint, so a trace stores O(n) fractions for n leaves
 and costs O(n log n).  The decomposition is kept as columns: each level of
 fathers, whose blocks are equal, fills its kernels, fillers, Gamma and delta
@@ -174,7 +176,7 @@ def stopping_decomposition(weight: DyadicWeight, threshold: float) -> list[NodeI
     Nodes are picked level by level; the mask of nodes under an earlier pick
     is repeated k-fold from each level to the next.
     """
-    if threshold <= 0:
+    if not threshold > 0:  # negated, so that NaN is refused too
         raise ValueError(f"threshold must be > 0, got {threshold}")
     avgs = weight.level_averages(1.0)
     if _exceeds(avgs[0][0], threshold):
@@ -191,27 +193,46 @@ def stopping_decomposition(weight: DyadicWeight, threshold: float) -> list[NodeI
 
 
 def select_fathers(space: TreeSpace, stopping_nodes: list[NodeId]) -> list[NodeId]:
-    """Fathers of the stopping family, deduplicated and reduced to maximal ones.
-
-    Walks the fathers as (level, index) pairs, root first, and keeps one
-    when no kept father has claimed its first leaf yet.
-    """
+    """Fathers of the stopping family, deduplicated and reduced to maximal
+    ones, root first (see _family)."""
     if not stopping_nodes:
         raise ValueError("stopping family is empty")
     if any(n.level == 0 for n in stopping_nodes):
         raise ValueError("stopping family contains the root, which has no father")
-    k, depth = space.k, space.depth
-    claimed = bytearray(space.n_leaves)  # 1 on the blocks of the kept fathers
-    kept: list[NodeId] = []
-    for level, index in sorted({(n.level - 1, n.index // k) for n in stopping_nodes}):
-        # a father inside the tree above the leaves means its child is a valid node
-        if not (0 <= level < depth and 0 <= index < k ** level):
-            raise ValueError(f"a stopping node at level {level + 1} lies outside the tree")
-        span = k ** (depth - level)
-        if not claimed[index * span]:
-            claimed[index * span:(index + 1) * span] = b"\1" * span
-            kept.append(NodeId(level, index))
-    return kept
+    outside = [n for n in stopping_nodes
+               if not (0 < n.level <= space.depth and 0 <= n.index < space.k ** n.level)]
+    if outside:
+        raise ValueError(f"a stopping node at level {min(outside).level} lies outside the tree")
+    return _family(space, stopping_nodes)[0]
+
+
+def _family(space: TreeSpace, nodes: list[NodeId]) -> tuple[list[NodeId], np.ndarray, np.ndarray]:
+    """The nodes' maximal fathers, root first; for each node, the position of
+    the father holding it in that list; and the nodes' 0/1 cover of the leaves.
+
+    Walks the levels top-down.  ``held`` gives each node of a level the kept
+    father above it (-1 if none) and, like the cover, is repeated k-fold to
+    the next level; a father is kept when no kept father holds it.
+    """
+    k = space.k
+    levels, indices = np.array(nodes, dtype=np.int64).reshape(-1, 2).T
+    counts = np.bincount(levels, minlength=space.depth + 2).tolist()
+    owner = np.empty(len(nodes), dtype=np.int64)
+    held, cover = np.full(1, -1), np.zeros(1)
+    fathers: list[NodeId] = []
+    for level in range(space.depth + 1):
+        if level:
+            held, cover = held.repeat(k), cover.repeat(k)
+        if counts[level]:
+            here = levels == level
+            cover[indices[here]] = 1.0
+            owner[here] = held[indices[here]]  # each node's father is kept or held
+        if counts[level + 1]:
+            claimed = np.bincount(indices[levels == level + 1] // k, minlength=held.size)
+            kept = ((claimed > 0) & (held < 0)).nonzero()[0]  # fathers no kept one holds
+            held[kept] = np.arange(len(fathers), len(fathers) + kept.size)
+            fathers += [NodeId(level, i) for i in kept.tolist()]
+    return fathers, owner, cover
 
 
 def _check_fill(kernel_average: float, father_average: float, threshold: float) -> None:
@@ -354,7 +375,7 @@ def lemma21_check(
     _check_exponent(p)
     sides = _lemma_sides(weight, e.fraction_array(), e_hat.fraction_array(),
                          e_hat.measure, e_hat.integral(weight))
-    return _lemma_conclusion(weight, sides, p, np.full(weight.space.n_leaves, np.nan))
+    return _lemma_conclusion(weight, sides, p)
 
 
 class _LemmaSides(NamedTuple):
@@ -401,16 +422,9 @@ def _lemma_sides(weight: DyadicWeight, fe: np.ndarray, fh: np.ndarray,
                        tuple(failures))
 
 
-def _lemma_conclusion(weight: DyadicWeight, sides: _LemmaSides, p: float,
-                      powers: np.ndarray) -> Lemma21Result:
-    """The power averages over e and e_hat at p, compared.  ``powers`` holds
-    value**p over the whole tree, NaN where not yet computed; the support's
-    missing powers are computed into it."""
-    vp = powers[sides.support]
-    missing = np.isnan(vp)
-    if missing.any():
-        vp[missing] = _powers(weight.values[sides.support[missing]], p)
-        powers[sides.support] = vp
+def _lemma_conclusion(weight: DyadicWeight, sides: _LemmaSides, p: float) -> Lemma21Result:
+    """The power averages over e and e_hat at p, compared."""
+    vp = _powers(weight.values[sides.support], p)
     h = weight.space.leaf_measure
     lhs = math.fsum((sides.fe * vp).tolist()) * h / sides.measure_e
     rhs = math.fsum((sides.fh * vp).tolist()) * h / sides.measure_hat
@@ -536,20 +550,17 @@ def _decompositions(weight: DyadicWeight, ps, ts):
 
 def _traces(weight: DyadicWeight, ps, ts):
     """trace_theorem1(weight, p, t) for each (t, p) of _decompositions; the
-    node sup at p is computed at p's first trace, and each leaf's value**p
-    at the first trace whose two-set check reads it."""
+    node sup at p is computed at p's first trace."""
     rhis: dict[float, RhiReport] = {}
-    powers: dict[float, np.ndarray] = {}
     for p, star, d in _decompositions(weight, ps, ts):
         prefix_power = prefix_average(star, d.t, p)
         if p not in rhis:
             rhis[p] = weight.dyadic_rhi_constant(p)
-            powers[p] = np.full(weight.space.n_leaves, np.nan)
-        yield _trace_at(d, weight, p, prefix_power, rhis[p], powers[p])
+        yield _trace_at(d, weight, p, prefix_power, rhis[p])
 
 
 def _trace_at(d: _Decomposition, weight: DyadicWeight, p: float, prefix_power: float,
-              rhi: RhiReport, powers: np.ndarray) -> DecompositionTrace:
+              rhi: RhiReport) -> DecompositionTrace:
     """The trace at exponent p, from the shared decomposition."""
     k = weight.space.k
     bound_factor = k * (rhi.constant - 1.0) + 1.0
@@ -563,7 +574,7 @@ def _trace_at(d: _Decomposition, weight: DyadicWeight, p: float, prefix_power: f
         fathers=list(d.fathers))
     tail = []
     if d.lemma is not None:  # else nothing exceeds the threshold
-        lemma = trace.lemma = _lemma_conclusion(weight, d.lemma, p, powers)
+        lemma = trace.lemma = _lemma_conclusion(weight, d.lemma, p)
         trace.gamma_power_average = gamma = lemma.rhs  # the power average over Gamma
         union, k_gamma = d.father_union_measure, k * d.gamma_measure
         tail = [("lemma_hypotheses_hold", float(lemma.hypotheses_hold), 1.0,
@@ -596,45 +607,32 @@ def _decompose(weight: DyadicWeight, t: float, threshold: float,
                               *_NO_FATHERS)
 
     stopping = stopping_decomposition(weight, threshold)
-    fathers = select_fathers(space, stopping)
-    n, depth = space.n_leaves, space.depth
-    spans = [k ** (depth - level) for level in range(depth + 1)]
-    node_spans = [spans[node.level] for node in stopping]
-    node_firsts = [node.index * span for node, span in zip(stopping, node_spans)]
-    covered = np.zeros(n)
-    for first, span in zip(node_firsts, node_spans):
-        covered[first:first + span] = 1.0
+    fathers, owner, covered = _family(space, stopping)
     mismatch = int(np.count_nonzero((covered > 0) != exceeds))
-
-    # each stopping node joins the father whose block holds its first leaf:
-    # the blocks are disjoint, so the last one starting at or before it
-    f = len(fathers)
-    sizes = np.array([spans[father.level] for father in fathers])
+    sizes = k ** (space.depth - np.array([father.level for father in fathers]))
     firsts = np.array([father.index for father in fathers]) * sizes
-    by_leaf = firsts.argsort()
-    owner = by_leaf[firsts[by_leaf].searchsorted(node_firsts, side="right") - 1]
     members: list[list[NodeId]] = [[] for _ in fathers]
     for node, s in zip(stopping, owner.tolist()):
         members[s].append(node)
 
     h = space.leaf_measure
     sums = weight.level_sums(1.0)
-    union = np.zeros(n)
+    union = np.zeros(space.n_leaves)
     # father average, kernel average, kernel measure, Gamma average and father
-    # measure; the kernel is the members' 0/1 cover, so its fsum is their leaf count
-    values = np.empty((5, f))
+    # measure; the kernel is the members' 0/1 cover, so its sum is their leaf count
+    values = np.empty((5, len(fathers)))
     fa, ka, km, ga, fm = values
-    km[:] = np.bincount(owner, weights=node_spans, minlength=f) * h
     ends = sizes.cumsum()
     sets = np.empty((4, int(ends[-1])))  # kernel, filler, gamma and delta
     s = 0
     for level, group in itertools.groupby(fathers, lambda father: father.level):
         index = np.array([father.index for father in group])
-        span, count = spans[level], len(index)
+        span, count = int(sizes[s]), len(index)
         part = slice(s, s + count)
         start = int(ends[s]) - span
         level_sets = sets[:, start:start + count * span].reshape(4, count, span)
         covered.reshape(-1, span).take(index, axis=0, out=level_sets[0])
+        np.multiply(level_sets[0].sum(axis=1), h, out=km[part])
         leaf_values = weight.values.reshape(-1, span).take(index, axis=0)
         kernel_integral = np.fromiter(map(math.fsum, (level_sets[0] * leaf_values).tolist()),
                                       np.float64, count) * h

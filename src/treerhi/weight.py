@@ -418,8 +418,8 @@ def gen_random(
     high: float = 1e3,
 ) -> DyadicWeight:
     """Log-uniform leaf values; deterministic for a fixed seed."""
-    if not 0 < low <= high:
-        raise ValueError(f"need 0 < low <= high, got [{low}, {high}]")
+    if not 0 < low <= high < math.inf:
+        raise ValueError(f"need 0 < low <= high < inf, got [{low}, {high}]")
     rng = np.random.default_rng(seed)
     values = np.exp(rng.uniform(np.log(low), np.log(high), space.n_leaves))
     return DyadicWeight(space, values)

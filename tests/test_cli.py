@@ -54,9 +54,15 @@ def test_gen_two_value(tmp_path):
     assert json.loads(out.read_text()) == {"k": 2, "depth": 2, "leaves": [3.0, 3.0, 0.5, 0.5]}
 
 
-def test_gen_bad_params(tmp_path):
+def test_gen_bad_params(tmp_path, capsys):
     assert run("gen", "power", "--alpha", "1.5", "-o", str(tmp_path / "x.json")) == 2
     assert run("gen", "constant", "--value", "-1", "-o", str(tmp_path / "x.json")) == 2
+    # a non-finite bound exited 3 with an OverflowError from the generator
+    for bound in (["--high", "inf"], ["--low", "inf", "--high", "inf"], ["--high", "nan"]):
+        capsys.readouterr()
+        assert run("gen", "random", *bound, "-o", str(tmp_path / "x.json")) == 2
+        assert capsys.readouterr().err.startswith("error: need 0 < low <= high < inf")
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_gen_oversized_tree_refused(tmp_path, capsys):
@@ -266,6 +272,14 @@ def test_p0_cmd(capsys):
         assert "infinity" in capsys.readouterr().out
     assert run("p0", "--p", "2", "--c", "0.5") == 2
     assert "c must be a finite number >= 1, got 0.5" in capsys.readouterr().err
+    # the effective constant k*c - k + 1 overflows: the refusal names c and k, not inf
+    assert run("p0", "--p", "1e308", "--c", "1e308") == 2
+    assert capsys.readouterr().err == (
+        "error: effective constant k*c - k + 1 overflows at c=1e+308, k=2\n")
+    assert run("p0", "--p", "2", "--c", "1", "--k", "1" + "0" * 400) == 2  # exited 3
+    assert "overflows at c=1.0, k=1000" in capsys.readouterr().err
+    assert run("p0", "--p", "1.0000000000000002", "--c", "10") == 2
+    assert "p=1.0000000000000002 lies within 2^-26 of 1" in capsys.readouterr().err
 
 
 def test_curve_cmd(tmp_path):
@@ -377,9 +391,9 @@ def test_verify_lemma_checks_every_exponent(monkeypatch, capsys):
     conclude = trace_mod._lemma_conclusion
     seen = []
 
-    def fail_at_3(weight, sides, p, powers):
+    def fail_at_3(weight, sides, p):
         seen.append(p)
-        result = conclude(weight, sides, p, powers)
+        result = conclude(weight, sides, p)
         return dataclasses.replace(result, conclusion_holds=p != 3.0)
 
     monkeypatch.setattr(trace_mod, "_lemma_conclusion", fail_at_3)

@@ -60,6 +60,12 @@ def test_p0_validation():
         p0_solve(1.0, 2.0)
     with pytest.raises(ValueError):
         p0_solve(2.0, 0.5)
+    # p = 1 + 2^-52: at C = 1 + 2^-51 the log1p form raised "math domain
+    # error", and at C = 10 the root rounded onto p
+    for C in (1.0 + 2.0**-51, 1.0 + 2.0**-40, 10.0, 1.0):
+        with pytest.raises(ValueError, match=r"p=1\.0000000000000002 lies within 2\^-26 of 1"):
+            p0_solve(1.0 + 2.0**-52, C)
+    assert p0_solve(1.0 + 2.0**-26, 10.0).p0 > 1.0 + 2.0**-26
 
 
 def test_improvement_range_chains_constant():

@@ -38,6 +38,8 @@ def test_step_function_validation():
         StepFunction(breakpoints=[0.5, 1.0], values=[1, 3])
     with pytest.raises(ValueError):
         StepFunction(breakpoints=[0.5, 1.0], values=[3, -1])
+    with pytest.raises(ValueError, match="equal-length"):
+        StepFunction(breakpoints=[0.5, 1.0], values=[3.0])
 
 
 @pytest.mark.parametrize("breakpoints, values, message", [

@@ -32,6 +32,7 @@ from treerhi.trace import (
     Assertion,
     FatherRecord,
     _at_most,
+    _family,
     _fill,
     _isclose,
     _traces,
@@ -73,6 +74,9 @@ def test_fractional_set_validation():
     with pytest.raises(ValueError):
         FractionalSet(space, 3, [0.5, 0.5])  # leaf 4 is outside the tree
     assert fractions(FractionalSet(space, 0, [0.0, 0.5])) == {1: 0.5}
+    with_zero = DyadicWeight.from_leaves(2, 2, [1.0, 0.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="strictly positive"):
+        FractionalSet(space, 0, [1.0, 1.0]).integral(with_zero, -1.0)
 
 
 def test_fractional_set_from_node():
@@ -110,6 +114,13 @@ def test_stopping_no_strict_exceedance():
 def test_stopping_root_qualifies_errors():
     with pytest.raises(ValueError):
         stopping_decomposition(w8211(), 2.0)
+
+
+@pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan])
+def test_stopping_refuses_threshold_not_above_zero(threshold):
+    # NaN once passed the check and gave an empty family
+    with pytest.raises(ValueError, match="threshold must be > 0"):
+        stopping_decomposition(w8211(), threshold)
 
 
 def test_stopping_covers_exceedance_exactly():
@@ -158,6 +169,41 @@ def test_select_fathers_rejects_root_member():
 def test_select_fathers_rejects_node_outside_tree(node):
     with pytest.raises(ValueError, match="outside the tree"):
         select_fathers(TreeSpace(2, 2), [NodeId(2, 0), node])
+
+
+def _family_reference(space, nodes):
+    """_family by TreeSpace.contains alone: the distinct fathers no other
+    father contains, root first; each node's father; the covered leaves."""
+    parents = sorted({NodeId(n.level - 1, n.index // space.k) for n in nodes})
+    fathers = [f for f in parents if not any(g != f and space.contains(g, f) for g in parents)]
+    owner = [[s for s, f in enumerate(fathers) if space.contains(f, n)] for n in nodes]
+    cover = [any(space.contains(n, NodeId(space.depth, leaf)) for n in nodes)
+             for leaf in range(space.n_leaves)]
+    return fathers, owner, cover
+
+
+def test_family_matches_containment_reference():
+    rng = np.random.default_rng(21)
+    shapes = [(2, 1), (2, 3), (2, 5), (3, 3), (4, 2), (5, 2)]
+    for case in range(300):
+        space = TreeSpace(*shapes[case % len(shapes)])
+        nodes = []
+        for _ in range(rng.integers(1, 9)):
+            if nodes and rng.random() < 0.4:  # a duplicate, ancestor or descendant
+                level, index = nodes[rng.integers(len(nodes))]
+                shift = int(rng.integers(-level + 1, space.depth - level + 1))
+                index = (index // space.k ** -shift if shift < 0 else
+                         index * space.k ** shift + int(rng.integers(space.k ** shift)))
+                level += shift
+            else:
+                level = int(rng.integers(1, space.depth + 1))
+                index = int(rng.integers(space.k ** level))
+            nodes.append(NodeId(level, index))
+        fathers, owner, cover = _family(space, nodes)
+        ref_fathers, ref_owner, ref_cover = _family_reference(space, nodes)
+        assert fathers == ref_fathers == select_fathers(space, nodes)
+        assert [[s] for s in owner.tolist()] == ref_owner  # exactly one holder each
+        assert cover.tolist() == [float(c) for c in ref_cover]
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +594,8 @@ def test_shared_traces_own_their_lists():
     assert isinstance(first.records, tuple) and isinstance(first.assertions, tuple)
     with pytest.raises(AttributeError):
         first.assertions.append(Assertion("extra", 0.0, 0.0, False))
+    with pytest.raises(AttributeError, match="has no attribute 'record'"):
+        first.record  # only records and assertions are built on read
 
 
 @pytest.mark.parametrize("case", GOLDEN_CASES)
