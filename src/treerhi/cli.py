@@ -83,11 +83,9 @@ def analyze_weight(w: DyadicWeight, p: float) -> dict:
     k = w.space.k
     duals = (False, True) if w.values.min() > 0 else (False,)
     rhi, *muck = w._node_sups(p, duals)
-    rhi = weight_mod._answer(rhi, p)
     star = rearrange.rearrangement(w)
     prefix, *prefix_muck = rearrange._prefix_sups(star, p, duals)
-    prefix = weight_mod._answer(prefix, p)
-    bound = k * rhi.constant - k + 1.0
+    bound = exponents.finite_bound(k * rhi.constant - k + 1.0, rhi.constant, k)
     report = {
         "k": k,
         "depth": w.space.depth,
@@ -102,8 +100,7 @@ def analyze_weight(w: DyadicWeight, p: float) -> dict:
         "p0_bound": exponents.p0_solve(p, max(bound, 1.0)).p0,
     }
     if muck:
-        muck = weight_mod._answer(muck[0], p)
-        prefix_muck = weight_mod._answer(prefix_muck[0], p)
+        (muck,), (prefix_muck,) = muck, prefix_muck
         report["muckenhoupt_constant"] = muck.constant
         report["muckenhoupt_witness"] = list(muck.witness)
         report["prefix_muckenhoupt_constant"] = prefix_muck.constant
@@ -163,7 +160,7 @@ def verify_theorem1(args) -> int:
         star = rearrange.rearrangement(w)
         for p in args.p:
             c = w.dyadic_rhi_constant(p).constant
-            bound = w.space.k * c - w.space.k + 1.0
+            bound = exponents.finite_bound(w.space.k * c - w.space.k + 1.0, c, w.space.k)
             prefix = rearrange.prefix_rhi_constant(star, p).constant
             if prefix > bound * (1.0 + tol):
                 return _fail(args, i, w, f"prefix {prefix} > bound {bound} at p={p}")

@@ -130,6 +130,8 @@ def p0_solve(p: float, C: float) -> ExponentResult:
         return ExponentResult(p=p, C=C, p0=math.inf, residual=math.nan)
     lo = -(math.log(C) - math.log(p) + p * math.log(p / (p - 1.0))) - 1.0
     hi = max(2.0 * p, 4.0)
+    if math.isinf(hi):
+        raise ValueError(f"base exponent p={p} is too large: the root's bracket end 2p overflows")
     while _log_f(math.log(hi - p), p, C) <= 0.0:
         hi *= 2.0
         if hi > ROOT_CAP:
@@ -140,12 +142,18 @@ def p0_solve(p: float, C: float) -> ExponentResult:
     return ExponentResult(p=p, C=C, p0=p + math.exp(root), residual=residual)
 
 
+def finite_bound(bound: float, c: float, k: int) -> float:
+    """bound, k*c - k + 1 in its caller's float form, refused naming c and k."""
+    if math.isinf(bound):
+        raise ValueError(f"effective constant k*c - k + 1 overflows at c={c}, k={k}")
+    return bound
+
+
 def improvement_range(p: float, c: float, k: int) -> ExponentResult:
     """Integrability range [p, p0) for a tree weight: p0_solve at k*c - k + 1.
 
     A reverse-Holder constant is at least 1 (Jensen), so c < 1 is refused
-    here, and so is a c whose effective constant overflows, naming c rather
-    than the effective constant it maps to.
+    here, and so is a c whose effective constant overflows (finite_bound).
     """
     if k < 2:
         raise ValueError(f"branching factor must be >= 2, got {k}")
@@ -155,9 +163,7 @@ def improvement_range(p: float, c: float, k: int) -> ExponentResult:
         C = k * c - k + 1.0
     except OverflowError:  # an integer k beyond the double range
         C = math.inf
-    if math.isinf(C):
-        raise ValueError(f"effective constant k*c - k + 1 overflows at c={c}, k={k}")
-    return p0_solve(p, C)
+    return p0_solve(p, finite_bound(C, c, k))
 
 
 def power_weight_constant(alpha: float, p: float) -> float:

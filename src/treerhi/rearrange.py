@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from .tree import MAX_LEAVES
-from .weight import _CHUNK, _MARGIN, _RESOLVED, DyadicWeight, _answer, _retried
+from .weight import _CHUNK, _MARGIN, _RESOLVED, DyadicWeight, _retried
 
 T_SLACK = 1e-12
 # Steps per block of the prefix sup's bound (_ratios_at), and the smallest
@@ -148,7 +148,10 @@ def _ratios_at(right: np.ndarray, v: np.ndarray, pairs) -> list[tuple[float, flo
     R = N * D**y * t**z, and the computed N and D never decrease in t, so on
     a block (l, r] R <= R(r) * G, with G = (D(r)/D(l))**-y when y < 0
     (reverse Holder) and G = (r/l)**-z when y > 0 (Muckenhoupt); either
-    exponent is p.  The first block starts at t = 0, where D and t vanish, so
+    exponent is p.  Without the power, G holds in exact arithmetic, since
+    prefix means of h never increase and of h**b (b < 0) never decrease; but
+    computed means keep that only up to about n * 2**-53, past the margin at
+    2**20 steps.  The first block starts at t = 0, where D and t vanish, so
     its G is infinite.  A block with R(r) * G * margin < top is skipped, with
     margin = 1 + 2**-44 * (1 + |y| + |z|): the computed R(r), G and skipped
     ratio each round by a few ulp per unit of |y| and |z| (a power multiplies
@@ -289,21 +292,21 @@ def _mean_in(n0: np.ndarray, vq: np.ndarray, left: np.ndarray,
     return (n0[step] + vq[step] * (ts - left[step])) / ts
 
 
-def _prefix_sups(h: StepFunction, p: float, duals) -> list[PrefixReport | None]:
+def _prefix_sups(h: StepFunction, p: float, duals) -> list[PrefixReport]:
     """For each dual in duals, the sup of the prefix ratio of _power_pair, with
-    ties resolved toward the largest t, or None for _answer to refuse."""
+    ties resolved toward the largest t, under _retried's range policy."""
     found = _retried(h.values, p, duals, "function", partial(_ratios_at, h.breakpoints))
-    return [None if f is None else PrefixReport(p, float(f[0]), float(f[1])) for f in found]
+    return [PrefixReport(p, float(top), float(t)) for top, t in found]
 
 
 def prefix_rhi_constant(h: StepFunction, q: float) -> PrefixReport:
     """sup over t of prefix_average(h, t, q) / prefix_average(h, t, 1)**q."""
-    return _answer(_prefix_sups(h, q, (False,))[0], q)
+    return _prefix_sups(h, q, (False,))[0]
 
 
 def prefix_muckenhoupt_constant(h: StepFunction, p: float) -> PrefixReport:
     """sup over t of avg(h) * avg(h**(-1/(p-1)))**(p-1) over prefixes (0, t]."""
-    return _answer(_prefix_sups(h, p, (True,))[0], p)
+    return _prefix_sups(h, p, (True,))[0]
 
 
 def ratio_curve(h: StepFunction, q: float, n_samples: int) -> np.ndarray:
@@ -319,6 +322,5 @@ def ratio_curve(h: StepFunction, q: float, n_samples: int) -> np.ndarray:
     # breakpoint, which T_SLACK allows below 1, falls in the last step
     marks = first < right.size
     step = np.minimum(np.cumsum(marks) - marks, right.size - 1)
-    ratios = _answer(_retried(h.values, q, (False,), "function",
-                              partial(_curve_at, right, grid, step))[0], q)
+    ratios = _retried(h.values, q, (False,), "function", partial(_curve_at, right, grid, step))[0]
     return np.column_stack((grid, ratios))

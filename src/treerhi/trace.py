@@ -37,6 +37,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
+from .exponents import finite_bound
 from .jsontext import _NL, _SetColumn, _Sets, _Table, _template, _Writer
 from .rearrange import _check_t, prefix_average, rearrangement
 from .sets import EQ_REL_TOL, FractionalSet, _check_fractions, _powers
@@ -235,13 +236,6 @@ def _family(space: TreeSpace, nodes: list[NodeId]) -> tuple[list[NodeId], np.nda
     return fathers, owner, cover
 
 
-def _check_fill(kernel_average: float, father_average: float, threshold: float) -> None:
-    if kernel_average < threshold * (1.0 - EQ_REL_TOL):
-        raise ValueError("kernel average must be at least the threshold")
-    if father_average > threshold * (1.0 + EQ_REL_TOL):
-        raise ValueError("father average must not exceed the threshold")
-
-
 def _fill(values: np.ndarray, sets: np.ndarray, seed, threshold: float, h: float,
           active: list[bool]) -> None:
     """Greedy fillers of F equal father blocks at once.
@@ -318,8 +312,11 @@ def build_gamma(
     """
     space = weight.space
     mass, total = kernel.measure, kernel.integral(weight)
-    kernel_avg = total / mass
-    _check_fill(kernel_avg, weight.node_average(father), threshold)
+    kernel_avg, father_avg = total / mass, weight.node_average(father)
+    if kernel_avg < threshold * (1.0 - EQ_REL_TOL):
+        raise ValueError("kernel average must be at least the threshold")
+    if father_avg > threshold * (1.0 + EQ_REL_TOL):
+        raise ValueError("father average must not exceed the threshold")
     first, count = space.leaf_range(father)
     sets = np.zeros((4, 1, count))
     sets[0, 0] = kernel.fraction_array(first, count)
@@ -563,7 +560,7 @@ def _trace_at(d: _Decomposition, weight: DyadicWeight, p: float, prefix_power: f
               rhi: RhiReport) -> DecompositionTrace:
     """The trace at exponent p, from the shared decomposition."""
     k = weight.space.k
-    bound_factor = k * (rhi.constant - 1.0) + 1.0
+    bound_factor = finite_bound(k * (rhi.constant - 1.0) + 1.0, rhi.constant, k)
     bound_value = bound_factor * d.threshold ** p
     trace = DecompositionTrace(
         k=k, depth=weight.space.depth, p=p, t=d.t, threshold=d.threshold,

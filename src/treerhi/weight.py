@@ -78,8 +78,9 @@ def _scalings(values: np.ndarray):
 def _retried(values: np.ndarray, p: float, duals, what: str, kernel) -> list:
     """For each dual in duals, kernel(scaled, pairs)'s answer for the pair
     (a, b) of _power_pair at the first of _scalings(values) where it is not
-    None, else None; each scaling gets only the pairs with no answer yet.
-    Refuses a zero `what`, and a zero value for a dual pair's negative power."""
+    None; each scaling gets only the pairs with no answer yet.  Refuses a zero
+    `what`, a zero value for a dual pair's negative power and (_RANGE_ERROR) a
+    pair that no scaling answers."""
     pairs = [_power_pair(p, dual) for dual in duals]
     if not values.any():
         raise ValueError(f"{what} is identically zero")
@@ -91,15 +92,8 @@ def _retried(values: np.ndarray, p: float, duals, what: str, kernel) -> list:
         for i, f in zip(pending, kernel(scaled, [pairs[i] for i in pending])):
             found[i] = f
         if all(f is not None for f in found):
-            break
-    return found
-
-
-def _answer(found, p: float):
-    """found, or the _RANGE_ERROR refusal where _retried left it None."""
-    if found is None:
-        raise ValueError(_RANGE_ERROR.format(p=p))
-    return found
+            return found
+    raise ValueError(_RANGE_ERROR.format(p=p))
 
 
 def _leaf_sums(values: np.ndarray, q: float, h: float,
@@ -236,12 +230,12 @@ class DyadicWeight:
         measure = self.space.node_measure(node)  # validates the node
         return float(self.level_sums(q)[node.level][node.index]) / measure
 
-    def _node_sups(self, p: float, duals) -> list[RhiReport | None]:
+    def _node_sups(self, p: float, duals) -> list[RhiReport]:
         """For each dual in duals, the sup over all nodes of the power-mean
-        ratio (M_a / M_b)**a of _power_pair, or None for _answer to refuse.
+        ratio (M_a / M_b)**a of _power_pair, under _retried's range policy.
         Nodes with zero b-average are skipped, not taken as 0/0."""
         found = _retried(self.values, p, duals, "weight", self._ratio_sup)
-        return [None if f is None else RhiReport(p, *f) for f in found]
+        return [RhiReport(p, *f) for f in found]
 
     def _ratio_sup(self, values: np.ndarray, pairs) -> list[tuple[float, NodeId] | None]:
         """Sup and witness of _node_sups for each pair (a, b) on values, this
@@ -301,12 +295,13 @@ class DyadicWeight:
                     found = _best_node(sums[a], sums[b], float(k) ** (-depth), y)
                     if found[0] > best[j][depth][0]:
                         best[j][depth] = found[0], first + found[1]
+        # A live root leaves a live node on every level, as a b-sum of non-negative
+        # terms is 0 only when all are; deferred leaves passed _leaves_in_range.
         answers = [None] * len(pairs)
         for j in live:
-            ratios = [ratio for ratio, _ in best[j]]
-            if -np.inf not in ratios[:depth] and (ratios[depth] > -np.inf or deferred[j]):
-                level = ratios.index(max(ratios))
-                answers[j] = ratios[level], NodeId(level, best[j][level][1])
+            if best[j][0][0] > -np.inf:
+                level = max(range(depth + 1), key=lambda i: best[j][i][0])
+                answers[j] = best[j][level][0], NodeId(level, best[j][level][1])
         return answers
 
     def _layout(self) -> tuple[int, int]:
@@ -352,11 +347,11 @@ class DyadicWeight:
 
     def dyadic_rhi_constant(self, p: float) -> RhiReport:
         """sup over all nodes I of avg(value**p, I) / avg(value, I)**p."""
-        return _answer(self._node_sups(p, (False,))[0], p)
+        return self._node_sups(p, (False,))[0]
 
     def dyadic_muckenhoupt_constant(self, p: float) -> RhiReport:
         """sup over all nodes of avg(value) * avg(value**(-1/(p-1)))**(p-1)."""
-        return _answer(self._node_sups(p, (True,))[0], p)
+        return self._node_sups(p, (True,))[0]
 
     def maximal_function(self) -> np.ndarray:
         """Per leaf, the maximum average over all nodes containing it."""

@@ -208,8 +208,8 @@ def test_golden_corpus_covers_every_branch(monkeypatch):
                     continue
                 a, b = _power_pair(p, dual)
                 try:
-                    weight._answer(w._node_sups(p, (dual,))[0], p)
-                    weight._answer(_prefix_sups(star, p, (dual,))[0], p)
+                    w._node_sups(p, (dual,))
+                    _prefix_sups(star, p, (dual,))
                 except ValueError:
                     continue
                 # the interior points the prefix sup tried, on the values it was taken on

@@ -282,6 +282,25 @@ def test_p0_cmd(capsys):
     assert "p=1.0000000000000002 lies within 2^-26 of 1" in capsys.readouterr().err
 
 
+def test_p0_bracket_end_overflow_refused(capsys):
+    # 2p overflows, so the root's bracket was (p, inf]: RuntimeError, exit 3
+    assert run("p0", "--p", "1e308", "--c", "1.0000000000000002") == 2
+    assert capsys.readouterr().err == (
+        "error: base exponent p=1e+308 is too large: the root's bracket end 2p overflows\n")
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["trace", "--t", "0.5"]])
+def test_overflowing_bound_refused_naming_c_and_k(tmp_path, capsys, argv):
+    # c = 2**1023.5 at the root, so k*c - k + 1 overflows: analyze refused
+    # naming the inf as a given constant, and trace passed against an inf bound
+    wfile, out = tmp_path / "w.json", tmp_path / "out.json"
+    wfile.write_text('{"k": 2, "depth": 1, "leaves": [1.5, 0]}')
+    assert run(argv[0], str(wfile), "--p", "1024.5", *argv[1:], "-o", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "error: effective constant k*c - k + 1 overflows at c=1.2711610061536464e+308, k=2\n")
+    assert not out.exists()
+
+
 def test_curve_cmd(tmp_path):
     wfile = tmp_path / "w.json"
     wfile.write_text('{"k": 2, "depth": 2, "leaves": [3, 3, 3, 3]}')
