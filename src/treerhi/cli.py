@@ -85,7 +85,7 @@ def analyze_weight(w: DyadicWeight, p: float) -> dict:
     rhi, *muck = w._node_sups(p, duals)
     star = rearrange.rearrangement(w)
     prefix, *prefix_muck = rearrange._prefix_sups(star, p, duals)
-    bound = exponents.finite_bound(k * rhi.constant - k + 1.0, rhi.constant, k)
+    bound = exponents.transference_bound(rhi.constant, k)
     report = {
         "k": k,
         "depth": w.space.depth,
@@ -104,7 +104,7 @@ def analyze_weight(w: DyadicWeight, p: float) -> dict:
         report["muckenhoupt_constant"] = muck.constant
         report["muckenhoupt_witness"] = list(muck.witness)
         report["prefix_muckenhoupt_constant"] = prefix_muck.constant
-        report["muckenhoupt_bound"] = k * muck.constant - k + 1.0
+        report["muckenhoupt_bound"] = exponents.transference_bound(muck.constant, k)
     return report
 
 
@@ -160,7 +160,7 @@ def verify_theorem1(args) -> int:
         star = rearrange.rearrangement(w)
         for p in args.p:
             c = w.dyadic_rhi_constant(p).constant
-            bound = exponents.finite_bound(w.space.k * c - w.space.k + 1.0, c, w.space.k)
+            bound = exponents.transference_bound(c, w.space.k)
             prefix = rearrange.prefix_rhi_constant(star, p).constant
             if prefix > bound * (1.0 + tol):
                 return _fail(args, i, w, f"prefix {prefix} > bound {bound} at p={p}")

@@ -2,8 +2,8 @@
 
 Solves for the exponent q > p where ((q-p)/q) * (q/(q-1))**p * C crosses 1,
 derives the integrability range [p, p0) with the tree-adjusted constant
-k*c - k + 1, and provides the analytic constant of the power weight
-u**(-alpha), used as a sharpness oracle.
+k*(c - 1) + 1 (transference_bound), and provides the analytic constant of
+the power weight u**(-alpha), used as a sharpness oracle.
 """
 from __future__ import annotations
 
@@ -119,6 +119,13 @@ def p0_solve(p: float, C: float) -> ExponentResult:
     double's bits) of 1 is refused.  At p = 1 + 2^-52 the log1p form rounds q onto p at the
     bracket's low end, and even with that term taken as s - log q its
     rounding moved the root at C = 1 + 2^-51 by a third of q - p.
+
+    Far from 1 the log of the left side is a difference of terms of order
+    p log p, so its rounding, and with it the relative error of p0 - p,
+    grows in proportion to p: a p above 2^26 (again half a double's bits) is
+    refused once C > 1.  Against an 80-digit bisection at C = 1.5, 10 and
+    1e6 that error was at most 6.3e-8 at p = 2^26, up to 1.8e-6 at 2^30 and
+    up to 0.61 at 2^46.
     """
     if not (math.isfinite(p) and p > 1):
         raise ValueError(f"base exponent must be a finite number > 1, got {p}")
@@ -128,10 +135,10 @@ def p0_solve(p: float, C: float) -> ExponentResult:
         raise ValueError(f"constant must be a finite number >= 1, got {C}")
     if C == 1:
         return ExponentResult(p=p, C=C, p0=math.inf, residual=math.nan)
+    if p > 2.0**26:
+        raise ValueError(f"base exponent p={p} exceeds 2^26, where p0 is not resolved")
     lo = -(math.log(C) - math.log(p) + p * math.log(p / (p - 1.0))) - 1.0
     hi = max(2.0 * p, 4.0)
-    if math.isinf(hi):
-        raise ValueError(f"base exponent p={p} is too large: the root's bracket end 2p overflows")
     while _log_f(math.log(hi - p), p, C) <= 0.0:
         hi *= 2.0
         if hi > ROOT_CAP:
@@ -142,28 +149,32 @@ def p0_solve(p: float, C: float) -> ExponentResult:
     return ExponentResult(p=p, C=C, p0=p + math.exp(root), residual=residual)
 
 
-def finite_bound(bound: float, c: float, k: int) -> float:
-    """bound, k*c - k + 1 in its caller's float form, refused naming c and k."""
+def transference_bound(c: float, k: int) -> float:
+    """Theorem 1's bound k*(c - 1) + 1 from the node constant c, in the form
+    that rounds closer than k*c - k + 1; refused naming c and k on overflow."""
+    try:
+        bound = k * (c - 1.0) + 1.0
+    except OverflowError:  # an integer k beyond the double range
+        bound = math.inf
     if math.isinf(bound):
         raise ValueError(f"effective constant k*c - k + 1 overflows at c={c}, k={k}")
     return bound
 
 
 def improvement_range(p: float, c: float, k: int) -> ExponentResult:
-    """Integrability range [p, p0) for a tree weight: p0_solve at k*c - k + 1.
+    """Integrability range [p, p0): p0_solve at transference_bound(c, k).
 
-    A reverse-Holder constant is at least 1 (Jensen), so c < 1 is refused
-    here, and so is a c whose effective constant overflows (finite_bound).
+    The bound is Theorem 1's on the prefix constant, over the intervals
+    (0, t] only; Theorem A assumes the reverse-Holder inequality on every
+    interval [a, b], so p0_bound rests on the prefix bound alone.  A
+    reverse-Holder constant is at least 1 (Jensen), so c < 1 is refused
+    here, and so is a c whose bound overflows.
     """
     if k < 2:
         raise ValueError(f"branching factor must be >= 2, got {k}")
     if not (math.isfinite(c) and c >= 1):
         raise ValueError(f"tree constant c must be a finite number >= 1, got {c}")
-    try:
-        C = k * c - k + 1.0
-    except OverflowError:  # an integer k beyond the double range
-        C = math.inf
-    return p0_solve(p, finite_bound(C, c, k))
+    return p0_solve(p, transference_bound(c, k))
 
 
 def power_weight_constant(alpha: float, p: float) -> float:

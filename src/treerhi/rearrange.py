@@ -315,12 +315,12 @@ def ratio_curve(h: StepFunction, q: float, n_samples: int) -> np.ndarray:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
     if n_samples > MAX_LEAVES:
         raise ValueError(f"need at most {MAX_LEAVES} samples, got {n_samples}")
-    right = h.breakpoints
-    grid, first = np.unique(
-        np.concatenate([right, np.linspace(1.0 / n_samples, 1.0, n_samples)]), return_index=True)
+    right, samples = h.breakpoints, np.linspace(1.0 / n_samples, 1.0, n_samples)
     # a point's step counts the breakpoints below it; a sample past the last
     # breakpoint, which T_SLACK allows below 1, falls in the last step
-    marks = first < right.size
-    step = np.minimum(np.cumsum(marks) - marks, right.size - 1)
+    at = right.searchsorted(samples)
+    new = right.take(at, mode="clip") != samples  # a sample at a breakpoint is on the grid
+    grid = np.insert(right, at[new], samples[new])
+    step = np.insert(np.arange(right.size), at[new], np.minimum(at[new], right.size - 1))
     ratios = _retried(h.values, q, (False,), "function", partial(_curve_at, right, grid, step))[0]
     return np.column_stack((grid, ratios))

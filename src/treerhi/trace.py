@@ -37,7 +37,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .exponents import finite_bound
+from .exponents import transference_bound
 from .jsontext import _NL, _SetColumn, _Sets, _Table, _template, _Writer
 from .rearrange import _check_t, prefix_average, rearrangement
 from .sets import EQ_REL_TOL, FractionalSet, _check_fractions, _powers
@@ -560,8 +560,10 @@ def _trace_at(d: _Decomposition, weight: DyadicWeight, p: float, prefix_power: f
               rhi: RhiReport) -> DecompositionTrace:
     """The trace at exponent p, from the shared decomposition."""
     k = weight.space.k
-    bound_factor = finite_bound(k * (rhi.constant - 1.0) + 1.0, rhi.constant, k)
+    bound_factor = transference_bound(rhi.constant, k)
     bound_value = bound_factor * d.threshold ** p
+    if math.isinf(bound_value):
+        raise ValueError(f"bound_value = bound_factor * threshold**p overflows at p={p}")
     trace = DecompositionTrace(
         k=k, depth=weight.space.depth, p=p, t=d.t, threshold=d.threshold,
         degenerate=d.lemma is None, rhi_constant=rhi.constant, rhi_witness=rhi.witness,

@@ -283,10 +283,19 @@ def test_p0_cmd(capsys):
 
 
 def test_p0_bracket_end_overflow_refused(capsys):
-    # 2p overflows, so the root's bracket was (p, inf]: RuntimeError, exit 3
+    # 2p overflows, so the root's bracket was (p, inf]: RuntimeError, exit 3;
+    # now every p above 2^26 is refused before the bracket is formed
     assert run("p0", "--p", "1e308", "--c", "1.0000000000000002") == 2
     assert capsys.readouterr().err == (
-        "error: base exponent p=1e+308 is too large: the root's bracket end 2p overflows\n")
+        "error: base exponent p=1e+308 exceeds 2^26, where p0 is not resolved\n")
+
+
+def test_p0_large_p_refused(capsys):
+    # exited 2 with the root finder's "f(lo) and f(hi) must have different
+    # signs", which names no input; p = 1e15 answered with residual 0.652
+    assert run("p0", "--p", "1e16", "--c", "10") == 2
+    assert capsys.readouterr().err == (
+        "error: base exponent p=1e+16 exceeds 2^26, where p0 is not resolved\n")
 
 
 @pytest.mark.parametrize("argv", [["analyze"], ["trace", "--t", "0.5"]])
@@ -298,6 +307,24 @@ def test_overflowing_bound_refused_naming_c_and_k(tmp_path, capsys, argv):
     assert run(argv[0], str(wfile), "--p", "1024.5", *argv[1:], "-o", str(out)) == 2
     assert capsys.readouterr().err == (
         "error: effective constant k*c - k + 1 overflows at c=1.2711610061536464e+308, k=2\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("leaves, argv, err", [
+    # the Muckenhoupt constant is 1.66e308, so its bound overflowed to an
+    # Infinity in the report
+    ([1e-300] + [1e9] * 7, ["analyze", "--p", "1.8"],
+     "effective constant k*c - k + 1 overflows at c=1.6578149946207805e+308, k=8"),
+    # bound_factor and threshold**p are both 2^600: every check passed
+    # against a bound_value of inf
+    ([2, 0], ["trace", "--p", "600", "--t", "0.5"],
+     "bound_value = bound_factor * threshold**p overflows at p=600.0"),
+], ids=["analyze", "trace"])
+def test_overflowing_outputs_refused(tmp_path, capsys, leaves, argv, err):
+    wfile, out = tmp_path / "w.json", tmp_path / "out.json"
+    wfile.write_text(json.dumps({"k": len(leaves), "depth": 1, "leaves": leaves}))
+    assert run(argv[0], str(wfile), *argv[1:], "-o", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
     assert not out.exists()
 
 

@@ -9,10 +9,16 @@ constant, two-valued, scaled by 1e+-300 or missing.  Trees and sample grids
 stay at 2^12 leaves or fewer, except where the request is refused before
 anything is allocated, and verify counts at 3 or fewer.  An argument written
 "@name" is the path of that file in the suite's directory.
+
+An analyze or trace that writes its report writes only finite numbers, but
+for analyze's p0 of +inf and a degenerate trace's NaN power average over an
+empty Gamma.
 """
 import contextlib
 import io
 import json
+import math
+from pathlib import Path
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -37,7 +43,9 @@ SAMPLES = st.sampled_from([-1, 0, 1, 2, 3, 200, LARGEST, MAX_LEAVES + 1])
 
 def _weights() -> dict[str, dict]:
     """Weight documents by name; at p = 1024.5, [1.5, 0] has c = 2**1023.5,
-    whose bound k*c - k + 1 overflows."""
+    whose bound k*c - k + 1 overflows.  So does the Muckenhoupt constant's
+    of "muckenhoupt-overflow" at p = 1.8, and at p = 600, t = 0.5 the
+    bound_value 2^600 * 2^600 of "bound-value-overflow"."""
     random = gen_random(TreeSpace(2, 6), 7).values
     shapes = {
         "zero": (2, 2, [0.0] * 4),
@@ -48,6 +56,8 @@ def _weights() -> dict[str, dict]:
         "random*1e-300": (2, 6, random * 1e-300),
         "subnormal": (2, 1, [5e-324, 0.0]),
         "overflow": (2, 1, [1.5, 0.0]),
+        "muckenhoupt-overflow": (8, 1, [1e-300] + [1e9] * 7),
+        "bound-value-overflow": (2, 1, [2.0, 0.0]),
         "wide": (8, 4, gen_random(TreeSpace(8, 4), 1).values),
     }
     return {name: {"k": k, "depth": depth, "leaves": [float(v) for v in leaves]}
@@ -116,6 +126,15 @@ CURVE = _argv(st.just(["curve"]), WEIGHT_FILES, _flag("--p", FLOATS),
               _flag("--samples", SAMPLES), st.just(["-o", "@out"]))
 
 
+def _non_finite(doc, path=()) -> list[tuple]:
+    """The key paths of the inf and NaN numbers in a JSON document."""
+    if isinstance(doc, dict):
+        return [bad for key, value in doc.items() for bad in _non_finite(value, path + (key,))]
+    if isinstance(doc, list):
+        return [bad for value in doc for bad in _non_finite(value, path)]
+    return [path] if isinstance(doc, float) and not math.isfinite(doc) else []
+
+
 def _run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -127,8 +146,13 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
 @example(argv=["analyze", "@overflow", "--p", "1024.5"])
 @example(argv=["trace", "@overflow", "--p", "1024.5", "--t", "0.5"])
 @example(argv=["p0", "--p=1e308", "--c=1.0000000000000002"])  # exited 3
+# each wrote an Infinity: a Muckenhoupt bound, and a bound_value
+@example(argv=["analyze", "@muckenhoupt-overflow", "--p", "1.8", "-o", "@out"])
+@example(argv=["trace", "@bound-value-overflow", "--p", "600", "--t", "0.5", "-o", "@out"])
+@example(argv=["p0", "--p=1e16", "--c=10"])  # the root finder's refusal, naming no input
 @settings(max_examples=500, deadline=None)
 def test_exit_code_contract(argv, paths):
+    Path(paths["@out"]).unlink(missing_ok=True)
     code, out, err = _run([paths.get(arg, arg) for arg in argv])
     event(f"{argv[0]} exit {code}")  # --hypothesis-show-statistics tallies these
     assert "Traceback" not in err, argv
@@ -138,3 +162,9 @@ def test_exit_code_contract(argv, paths):
         assert "FAIL at weight" in out or "ASSERTION FAILURES" in out, argv
     if code == 2:
         assert any("error:" in line for line in err.splitlines()), argv
+    elif argv[0] in ("analyze", "trace") and "-o" in argv:
+        report = json.loads(Path(paths["@out"]).read_text())
+        # p0 = +inf is an answer; a degenerate trace averages over an empty Gamma
+        allowed = ({("p0_dyadic",), ("p0_bound",)} if argv[0] == "analyze"
+                   else {("gamma_power_average",)} if report["degenerate"] else set())
+        assert set(_non_finite(report)) <= allowed, argv

@@ -9,6 +9,10 @@ import numpy as np
 import pytest
 
 from treerhi import exponents, improvement_range, p0_solve, power_weight_constant
+from treerhi.cli import analyze_weight
+from treerhi.exponents import transference_bound
+from test_analyze_golden import CORPUS, PS
+from test_trace_golden import CASES, _traces
 
 
 def crossing(q, p, C):
@@ -66,6 +70,53 @@ def test_p0_validation():
         with pytest.raises(ValueError, match=r"p=1\.0000000000000002 lies within 2\^-26 of 1"):
             p0_solve(1.0 + 2.0**-52, C)
     assert p0_solve(1.0 + 2.0**-26, 10.0).p0 > 1.0 + 2.0**-26
+
+
+def test_p0_large_p_refused():
+    # the relative error of p0 - p grows with p: 6.3e-8 at 2^26, 0.61 at 2^46
+    result = p0_solve(2.0**26, 10.0)
+    assert result.p0 > 2.0**26 and result.residual <= 1e-6
+    above = math.nextafter(2.0**26, math.inf)
+    for C in (1.5, 10.0, 1e6):
+        with pytest.raises(ValueError, match=r"p=67108864\.00000001 exceeds 2\^26"):
+            p0_solve(above, C)
+    for p in (above, 1e16, 1e308):  # p0 = +inf at C = 1 needs no root
+        assert math.isinf(p0_solve(p, 1.0).p0)
+
+
+def test_transference_bound_form_and_refusal():
+    rng = np.random.default_rng(23)
+    for k, gap in zip(rng.choice([2, 3, 4, 5, 8, 32], 2000), 10.0 ** rng.uniform(-8, 3, 2000)):
+        c, k = 1.0 + gap, int(k)
+        assert transference_bound(c, k).hex() == (k * (c - 1.0) + 1.0).hex()
+    with pytest.raises(ValueError, match=r"k\*c - k \+ 1 overflows at c=1e\+308, k=2$"):
+        transference_bound(1e308, 2)
+    with pytest.raises(ValueError, match=r"overflows at c=2\.0, k=10{400}$"):
+        transference_bound(2.0, 10**400)
+
+
+def test_golden_outputs_take_the_one_bound():
+    """analyze's bound and muckenhoupt_bound and the trace's bound_factor
+    over both golden corpora, bit for bit: at random-3-4-0, p = 1.5 the form
+    k*c - k + 1 gives other bits."""
+    checked = 0
+    for w in CORPUS.values():
+        for p in PS:
+            try:
+                report = analyze_weight(w, p)
+            except ValueError:
+                continue
+            for bound, c in (("bound", "dyadic_constant"),
+                             ("muckenhoupt_bound", "muckenhoupt_constant")):
+                if bound in report:
+                    assert report[bound].hex() == transference_bound(report[c], w.space.k).hex()
+                    checked += 1
+    for case in CASES:
+        for tr in _traces(case):
+            if not isinstance(tr, ValueError):
+                assert tr.bound_factor.hex() == transference_bound(tr.rhi_constant, tr.k).hex()
+                checked += 1
+    assert checked > 400
 
 
 def test_improvement_range_chains_constant():
