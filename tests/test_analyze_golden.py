@@ -11,6 +11,7 @@ required at chunk sizes that cut every level and every step list of the sups
 """
 import hashlib
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -86,7 +87,7 @@ GOLDEN = {
     ('random-2-8-1', 2.0): "2f202e05ecfc594138dba3250a787271c151fa17783c3428eda91ca569f5b9e6",
     ('random-2-8-1', 3.0): "2846bc715720b6503e0705c6ca41168e1781968ea6164edf97d391ec48911462",
     ('random-2-8-1', 120.0): "c85e4aee4514d8da239ea4567f634bcbad06ff33f2f7a5309a4db8a97da1a56b",
-    ('random-3-4-0', 1.5): "93f0c3a9cb78a201a77aa22c97dc9d4ecf2378a5dc20b56cd7a36f9b998d6e2e",
+    ('random-3-4-0', 1.5): "4d0cf558500103f4913618ad5907f1192a276639cb50329456376399e2c39f67",
     ('random-3-4-0', 2.0): "d7b82a399f7bf7a11b2554cb30de32eb3cf233c3f6099baec8c5be746870fe77",
     ('random-3-4-0', 3.0): "74690fd7e4bf8333247ceff9a1609f8400041990cfefbb01dae80df06ccafe81",
     ('random-3-4-0', 120.0): "6d3e310c9165e0b6de062b855afee5cf64d732c1f55c1001dec88c0ce83997f1",
@@ -173,6 +174,17 @@ GOLDEN = {
 def test_analyze_output_matches_golden(key):
     name, p = key
     assert _digest(name, p) == GOLDEN[key]
+
+
+def test_repinned_bound_is_exact():
+    """The one digest that moved when every site took the bound's form
+    k*(c - 1) + 1: here it is the exact rational value, where k*c - k + 1
+    landed one ulp above it."""
+    report = analyze_weight(CORPUS["random-3-4-0"], 1.5)
+    c, k = report["dyadic_constant"], report["k"]
+    assert (c, k) == (2.935057272130206, 3)
+    assert Fraction(report["bound"]) == k * (Fraction(c) - 1) + 1
+    assert report["margin"] == report["bound"] - report["prefix_constant"]
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 64])
