@@ -1,44 +1,41 @@
 """The text ``json.dumps(..., indent=2)`` writes for trace values.
 
 json.dumps with an indent runs the pure-Python encoder, which costs more
-than the trace itself; here each list is written a column at a time, so
-numbers and strings go through C-level maps.
+than the trace itself.  Here each column is written in a few whole-column
+passes, with no Python call per value, set or node: numbers and strings go
+through C-level maps, all NodeIds of a list through one %-format of a node
+template, and a list of containers (a record's members, a row of fraction
+maps) through one join per container.  The fraction maps of a trace's sets
+spell each block leaf's whole item ``"i": 1.0`` once and gather it into
+every set that holds the leaf whole.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+import operator
 from dataclasses import fields, is_dataclass
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
 
 import numpy as np
 
+from .tree import NodeId
+
 _NL = tuple("\n" + "  " * d for d in range(8))  # line break and indent at depth d
 _SEP = tuple("," + nl for nl in _NL)
-_BOOL = {True: "true", False: "false"}
+_CONSTANTS = {True: "true", False: "false", None: "null"}
 
 
-class _Table(NamedTuple):
-    """A list of ``kind`` objects held as one column per field."""
-    kind: type
-    columns: dict
+def _float(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
-class _Sets(NamedTuple):
-    """Rows of fractional sets: in each row of ``flat``, set i holds leaves
-    from ``firsts[i]`` on, its ``sizes[i]`` fractions following those of
-    the sets before it."""
-    firsts: np.ndarray
-    sizes: np.ndarray
-    flat: np.ndarray
-
-
-class _SetColumn(NamedTuple):
-    """The sets of one row of ``sets``, written together with its other rows."""
-    sets: _Sets
-    row: int
+# the writer of a value of each of these types on its own
+_SCALARS = {bool: _CONSTANTS.__getitem__, type(None): _CONSTANTS.__getitem__, int: int.__repr__,
+            float: _float, str: encode_basestring_ascii}
 
 
 @functools.cache
@@ -50,10 +47,23 @@ def _template(kind: type, d: int) -> tuple[tuple[str, ...], str]:
     return names, "{" + ",".join(keys) + _NL[d] + "}"
 
 
+def _rows(kind: type, columns: list[list[str]], d: int) -> list[str]:
+    """The JSON objects of ``kind`` at depth d whose fields' texts are the columns."""
+    return list(map(_template(kind, d)[1].__mod__, zip(*columns)))
+
+
 def _whole_items(leaves: np.ndarray) -> list[str]:
     """The JSON item of each leaf held whole, the commonest share, spelled
     by one %-format of all of them."""
     return ('"%d": 1.0\n' * leaves.size % tuple(leaves.tolist())).split("\n")[:-1]
+
+
+def _indexed_names(names: tuple[str, ...], count: int) -> list[str]:
+    """The JSON strings of "name[s]" for s in range(count), each of names in
+    turn within each s, spelled by one %-format."""
+    block = "".join(encode_basestring_ascii(n)[:-1].replace("%", "%%") + '[%d]"\n' for n in names)
+    indices = itertools.chain.from_iterable(zip(*[range(count)] * len(names)))
+    return (block * count % tuple(indices)).split("\n")[:-1]
 
 
 def _container(open_: str, items: list[str], close: str, d: int) -> str:
@@ -62,101 +72,130 @@ def _container(open_: str, items: list[str], close: str, d: int) -> str:
     return open_ + _NL[d + 1] + _SEP[d + 1].join(items) + _NL[d] + close
 
 
-def _float(x: float) -> str:
-    if math.isfinite(x):
-        return float.__repr__(x)
-    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+def _containers(open_: str, items: list[str], ends: list[int], close: str,
+                d: int) -> tuple[list[str], list[str], list[str]]:
+    """The containers at depth d of items[:ends[0]], items[ends[0]:ends[1]], ...
+    as three columns whose texts, joined row by row, write them: the
+    openings, the items joined, one join each, and the closings."""
+    starts = [0, *ends[:-1]]
+    opens, closes = [open_ + _NL[d + 1]] * len(ends), [_NL[d] + close] * len(ends)
+    for i in itertools.compress(itertools.count(), map(operator.eq, starts, ends)):
+        opens[i], closes[i] = open_, close
+    return opens, list(map(_SEP[d + 1].join, map(items.__getitem__, map(slice, starts, ends)))), closes
 
 
 class _Writer:
     """Values as ``json.dumps(..., indent=2)`` writes them, a column at a time.
 
-    A dataclass is an object of its fields in declaration order, a list or
-    tuple (a NodeId too) is a list, a _Table is the list of its rows and a
-    _SetColumn's set maps each leaf in the set to its fraction.  Numbers are
-    spelled by float.__repr__ and int.__repr__, as json spells them; repr()
-    would spell a numpy float as np.float64(...).  Other types, such as numpy
-    integers and bools, raise TypeError as in json.  A trace repeats its
-    threshold, averages and measures across records and assertions, and
-    spelling a float takes about a microsecond, so each distinct nonzero
-    float is spelled once per writer.
+    A dataclass is an object of its fields in declaration order and a list
+    or tuple (a NodeId too) is a list.  Numbers are spelled by float.__repr__
+    and int.__repr__, as json spells them; repr() would spell a numpy float
+    as np.float64(...).  Other types, such as numpy integers and bools, raise
+    TypeError as in json.  A trace repeats its threshold, averages and
+    measures across records and assertions, and spelling a float takes about
+    a microsecond, so each distinct float is spelled once per writer.
     """
 
     def __init__(self) -> None:
-        self.texts: dict[float, str] = {}
-        self.maps: dict[int, list[list[str]]] = {}  # by id of the _Sets written
+        # zeros look up None: 0.0 and -0.0 are equal keys but spelled apart
+        self.texts: dict[float, str | None] = {0.0: None, math.inf: "Infinity",
+                                               -math.inf: "-Infinity"}
 
     def floats(self, values: list) -> list[str]:
         texts = self.texts
-        new = [x for x in dict.fromkeys(values) if x and x not in texts]
-        texts.update(zip(new, map(_float, new)))
+        distinct = dict.fromkeys(values)
+        new = distinct.keys() - texts.keys()
+        spelled = list(map(float.__repr__, new))
+        if "nan" in spelled:
+            spelled = ["NaN" if text == "nan" else text for text in spelled]
+        texts.update(zip(new, spelled))
         out = list(map(texts.get, values))
-        if None in out:  # zeros: 0.0 and -0.0 are equal keys but spelled apart
-            out = [_float(x) if text is None else text for text, x in zip(out, values)]
+        if 0.0 in distinct:
+            for i in itertools.compress(itertools.count(), map(operator.not_, out)):
+                out[i] = float.__repr__(values[i])
         return out
 
-    def fraction_maps(self, sets: _Sets, d: int) -> list[list[str]]:
-        """The leaf -> fraction map of each set of each row at depth d, from
-        one pass over the nonzero fractions of all rows and a join per set."""
-        firsts, sizes, flat = sets
-        if not flat.size:
-            return [["{}"] * len(sizes)] * len(flat)
-        ends = sizes.cumsum()
-        inside = flat.ravel().nonzero()[0]
-        at = inside % flat.shape[1]
-        leaves = at + (firsts - ends + sizes)[ends.searchsorted(at, side="right")]
-        items = _whole_items(leaves)
-        fractions = flat.ravel()[inside]
-        part = (fractions != 1.0).nonzero()[0]
-        for i, leaf, text in zip(part.tolist(), leaves[part].tolist(),
-                                 self.floats(fractions[part].tolist())):
-            items[i] = f'"{leaf}": {text}'
-        cuts = inside.searchsorted(np.add.outer(np.arange(0, flat.size, flat.shape[1]), ends))
-        cuts = cuts.ravel().tolist()
-        maps = [_container("{", items[lo:hi], "}", d) for lo, hi in zip([0] + cuts, cuts)]
-        return [maps[j:j + len(sizes)] for j in range(0, len(maps), len(sizes))]
-
-    def rows(self, kind: type, columns: dict, d: int) -> list[str]:
-        """The JSON objects of ``kind`` at depth d whose fields hold the
-        columns: lists of values, or _SetColumns."""
-        names, template = _template(kind, d)
-        columns = [columns[n] for n in names]
-        return list(map(template.__mod__, zip(*[
-            self.set_items(c, d + 1) if type(c) is _SetColumn else self.items(c, d + 1)
-            for c in columns])))
-
-    def set_items(self, column: _SetColumn, d: int) -> list[str]:
-        key = id(column.sets)  # the table that holds the column keeps it alive
-        if key not in self.maps:
-            self.maps[key] = self.fraction_maps(column.sets, d)
-        return self.maps[key][column.row]
-
     def items(self, values: list, d: int) -> list[str]:
-        """Each value of the list at nesting depth d."""
+        """Each value of the list at nesting depth d: a list of one type in
+        one pass, a mixed one value by value."""
         kinds = set(map(type, values))
         if len(kinds) != 1:
-            return [self.items([v], d)[0] for v in values]
+            return [_SCALARS[type(v)](v) if type(v) in _SCALARS else self.items([v], d)[0]
+                    for v in values]
         kind = kinds.pop()
-        if kind is bool:
-            return list(map(_BOOL.__getitem__, values))
-        if kind is type(None):
-            return ["null"] * len(values)
-        if issubclass(kind, int):
-            return list(map(int.__repr__, values))
         if issubclass(kind, float):
             return self.floats(values)
+        if kind in _SCALARS:
+            return list(map(_SCALARS[kind], values))
+        if issubclass(kind, int):
+            return list(map(int.__repr__, values))
         if issubclass(kind, str):
             return list(map(encode_basestring_ascii, values))
-        if kind is _Table:
-            tables = [_container("[", self.rows(v.kind, v.columns, d + 1), "]", d) for v in values]
-            self.maps.clear()  # read by those rows only
-            return tables
-        if issubclass(kind, (list, tuple)):  # all lists at once, then split
-            flat = self.items([x for v in values for x in v], d + 1)
-            ends = list(itertools.accumulate(map(len, values)))
-            return [_container("[", flat[end - len(v):end], "]", d)
-                    for v, end in zip(values, ends)]
-        if is_dataclass(kind):
-            names = _template(kind, d)[0]
-            return self.rows(kind, {n: [getattr(v, n) for v in values] for n in names}, d)
+        if kind is NodeId:
+            flat = list(itertools.chain.from_iterable(values))
+            if set(map(type, flat)) == {int}:
+                # %d would also spell a bool or a numpy int, which json spells
+                # apart or refuses, so only ints take the node template
+                node = "[" + _NL[d + 1] + "%d" + _SEP[d + 1] + "%d" + _NL[d] + "]\0"
+                return (node * len(values) % tuple(flat)).split("\0")[:-1]
+        if issubclass(kind, (list, tuple)):
+            if len(values) == 1:
+                return [_container("[", self.items(list(values[0]), d + 1), "]", d)]
+            return list(map("".join, zip(*self.lists(values, d))))
+        if is_dataclass(kind):  # all fields at once, then split
+            texts = self.items([getattr(v, n) for n in _template(kind, d)[0] for v in values], d + 1)
+            r = len(values)
+            return _rows(kind, [texts[i:i + r] for i in range(0, len(texts), r)], d)
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+    def lists(self, values: list, d: int) -> tuple[list[str], list[str], list[str]]:
+        """The lists or tuples of ``values`` at depth d, all items in one
+        pass, as _containers' three columns."""
+        flat = list(itertools.chain.from_iterable(values))
+        ends = list(itertools.accumulate(map(len, values)))
+        return _containers("[", self.items(flat, d + 1), ends, "]", d)
+
+    def table(self, kind: type, columns: list, d: int) -> str:
+        """The list at depth d of ``kind`` objects whose fields' texts are the
+        columns, as one join of the template's texts between the fields and
+        the fields' texts, row after row.  A field's texts are a list, or a
+        tuple of lists whose texts it joins (see _containers)."""
+        if not len(columns[0]):
+            return "[]"
+        first, *keys = _template(kind, d + 1)[1].split("%s")
+        between = [itertools.repeat(_SEP[d + 1] + first)]
+        for column, key in zip(columns, keys):
+            between += column if type(column) is tuple else (column,)
+            between.append(itertools.repeat(key))
+        pieces = list(itertools.chain.from_iterable(zip(*between)))
+        pieces[0] = "[" + _NL[d + 1] + first
+        return "".join(pieces) + _NL[d] + "]"
+
+    def set_maps(self, firsts: np.ndarray, sizes: np.ndarray, sets: np.ndarray,
+                 d: int) -> list[list[str]]:
+        """The leaf -> fraction maps at depth d of the kernels, fillers, Gamma
+        and delta sets, the rows of ``sets``: in each row, set s holds the
+        ``sizes[s]`` fractions after those of the sets before it, over the
+        leaves from ``firsts[s]`` on.
+
+        Each block leaf's whole item is spelled once and gathered into every
+        set that holds the leaf whole.  A fractional share is spelled on its
+        own, but Gamma's share at a leaf where the filler holds the same one
+        reuses the filler's item.
+        """
+        if not sizes.size:
+            return [([], [], [])] * len(sets)
+        n = sets.shape[1]
+        ends = sizes.cumsum()
+        leaves = np.arange(n) + (firsts - ends + sizes).repeat(sizes)  # the leaf at each position
+        rows, at = sets.nonzero()
+        shares = sets[rows, at]
+        items = np.array(_whole_items(leaves), dtype=object)[at]
+        part = (shares != 1.0).nonzero()[0]
+        pairs = zip(leaves[at[part]].tolist(), self.floats(shares[part].tolist()))
+        items[part] = ('"%d": %s\n' * part.size % tuple(
+            itertools.chain.from_iterable(pairs))).split("\n")[:-1]
+        cuts = (rows * n + at).searchsorted((np.arange(0, sets.size, n)[:, None] + ends).ravel())
+        maps = _containers("{", items.tolist(), cuts.tolist(), "}", d)
+        f = sizes.size
+        return [tuple(column[j:j + f] for column in maps) for j in range(0, f * len(sets), f)]

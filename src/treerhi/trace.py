@@ -38,7 +38,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .exponents import transference_bound
-from .jsontext import _NL, _SetColumn, _Sets, _Table, _template, _Writer
+from .jsontext import _NL, _indexed_names, _template, _Writer
 from .rearrange import _check_t, prefix_average, rearrangement
 from .sets import EQ_REL_TOL, FractionalSet, _check_fractions, _powers
 from .tree import NodeId, TreeSpace
@@ -128,11 +128,23 @@ class DecompositionTrace:
     def to_json(self, config: dict | None = None) -> str:
         """The text ``json.dumps(..., indent=2)`` writes for this trace as a
         dict: its fields in declaration order, then ``config`` when given."""
-        tables = {"records": _Table(FatherRecord, self._source[0].record_table()),
-                  "assertions": _Table(Assertion, self.assertion_table())}
-        names = _template(DecompositionTrace, 0)[0]
-        columns = {n: [tables[n] if n in tables else getattr(self, n)] for n in names}
-        text = _Writer().rows(DecompositionTrace, columns, 0)[0]
+        d, tail = self._source
+        w = _Writer()
+        f = len(d.fathers)
+        fa, ka, _, ga, _ = d.values.tolist()
+        averages = w.items(fa + ka + ga, 3)
+        records = [w.items(d.fathers, 3), w.lists(d.members, 3),
+                   *w.set_maps(d.firsts, d.sizes, d.sets, 3),
+                   averages[:f], averages[f:2 * f], averages[2 * f:]]
+        head, family, rest = d.assertion_parts(tail)
+        assertions = [w.items(head[0], 3) + _indexed_names(FAMILIES, f) + w.items(rest[0], 3),
+                      *(w.items(a + b + c, 3) for a, b, c in zip(head[1:], family, rest[1:]))]
+        tables = {"records": w.table(FatherRecord, records, 1),
+                  "assertions": w.table(Assertion, assertions, 1)}
+        names, template = _template(DecompositionTrace, 0)
+        scalars = [n for n in names if n not in tables]
+        texts = dict(zip(scalars, w.items([getattr(self, n) for n in scalars], 1)), **tables)
+        text = template % tuple(map(texts.__getitem__, names))
         if config is None:
             return text
         config_text = json.dumps(config, indent=2).replace("\n", _NL[1])
@@ -479,27 +491,25 @@ class _Decomposition(NamedTuple):
     father_union_measure: float = 0.0
     lemma: _LemmaSides | None = None
 
+    def assertion_parts(self, tail: tuple[tuple, ...]) -> tuple[list, list, list]:
+        """The assertions in three parts: the columns (name, lhs, rhs, holds)
+        of the first check; the columns lhs, rhs and holds of the per-father
+        checks, FAMILIES of father 0, then of father 1, ...; and the columns
+        of the other checks, then of the rows of tail."""
+        fa, ka, km, ga, fm = self.values.tolist()
+        threshold = itertools.repeat(float(self.threshold))
+        family = [list(itertools.chain.from_iterable(c)) for c in (
+            zip(fa, ka, km, ga), zip(threshold, threshold, fm, threshold), zip(*self.holds.tolist()))]
+        head, rest = ([list(c) for c in zip(*rows)] or [[], [], [], []]
+                      for rows in (self.checks[:1], self.checks[1:] + tail))
+        return head, family, rest
+
     def assertion_table(self, tail: tuple[tuple, ...]) -> dict[str, list]:
         """The columns of the assertions: these checks, then the rows of tail."""
-        columns = [list(c) for c in zip(self.checks[0])]
-        rhs = np.full((len(self.fathers), 4), self.threshold)
-        rhs[:, 2] = self.values[4]
-        for column, family in zip(columns, (
-                [f"{name}[{s}]" for s in range(len(rhs)) for name in FAMILIES],
-                self.values[:4].T.ravel().tolist(), rhs.ravel().tolist(),
-                self.holds.T.ravel().tolist())):
-            column += family
-        for column, rest in zip(columns, zip(*self.checks[1:] + tail)):
-            column += rest
-        return dict(zip(_template(Assertion, 0)[0], columns))
-
-    def record_table(self) -> dict[str, list]:
-        """The columns of the father records."""
-        names = _template(FatherRecord, 0)[0]
-        fa, ka, _, ga, _ = self.values.tolist()
-        sets = _Sets(self.firsts, self.sizes, self.sets)
-        return dict(zip(names, [list(self.fathers), list(self.members),
-                                *[_SetColumn(sets, j) for j in range(4)], fa, ka, ga]))
+        head, family, rest = self.assertion_parts(tail)
+        names = [f"{name}[{s}]" for s in range(len(self.fathers)) for name in FAMILIES]
+        return dict(zip(_template(Assertion, 0)[0],
+                        (a + b + c for a, b, c in zip(head, [names, *family], rest))))
 
     def father_records(self) -> tuple[FatherRecord, ...]:
         """The father records; each set is a read-only view of ``sets``."""
