@@ -11,6 +11,7 @@ every set that holds the leaf whole.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -110,9 +111,12 @@ class _Writer:
             spelled = ["NaN" if text == "nan" else text for text in spelled]
         texts.update(zip(new, spelled))
         out = list(map(texts.get, values))
-        if 0.0 in distinct:
-            for i in itertools.compress(itertools.count(), map(operator.not_, out)):
-                out[i] = float.__repr__(values[i])
+        if 0.0 in distinct:  # zeros looked up None
+            with contextlib.suppress(ValueError):
+                i = -1
+                while True:
+                    i = out.index(None, i + 1)
+                    out[i] = float.__repr__(values[i])
         return out
 
     def items(self, values: list, d: int) -> list[str]:
@@ -172,22 +176,24 @@ class _Writer:
         return "".join(pieces) + _NL[d] + "]"
 
     def set_maps(self, firsts: np.ndarray, sizes: np.ndarray, sets: np.ndarray,
-                 d: int) -> list[list[str]]:
+                 d: int) -> list[tuple[list[str], list[str], list[str]]]:
         """The leaf -> fraction maps at depth d of the kernels, fillers, Gamma
-        and delta sets, the rows of ``sets``: in each row, set s holds the
-        ``sizes[s]`` fractions after those of the sets before it, over the
-        leaves from ``firsts[s]`` on.
+        and delta sets, the rows of ``sets``, as _containers' three columns
+        per row: in each row, set s holds the ``sizes[s]`` fractions after
+        those of the sets before it, over the leaves from ``firsts[s]`` on.
 
         Each block leaf's whole item is spelled once and gathered into every
-        set that holds the leaf whole.  A fractional share is spelled on its
-        own, but Gamma's share at a leaf where the filler holds the same one
-        reuses the filler's item.
+        set that holds the leaf whole.  The fractional shares are spelled
+        through the float memo, so a share that the filler and Gamma hold at
+        the same leaf is spelled once.
         """
         if not sizes.size:
             return [([], [], [])] * len(sets)
         n = sets.shape[1]
         ends = sizes.cumsum()
         leaves = np.arange(n) + (firsts - ends + sizes).repeat(sizes)  # the leaf at each position
+        if leaves.dtype.kind not in "iu":  # '%d' would spell a numpy int, a key json refuses
+            raise TypeError(f"leaf indices of dtype {leaves.dtype} are not JSON keys")
         rows, at = sets.nonzero()
         shares = sets[rows, at]
         items = np.array(_whole_items(leaves), dtype=object)[at]

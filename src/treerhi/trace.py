@@ -131,14 +131,18 @@ class DecompositionTrace:
         d, tail = self._source
         w = _Writer()
         f = len(d.fathers)
-        fa, ka, _, ga, _ = d.values.tolist()
-        averages = w.items(fa + ka + ga, 3)
+        texts = w.items(d.values.ravel().tolist(), 3)
+        values = [texts[i * f:(i + 1) * f] for i in range(5)]
+        texts = w.items(d.holds.ravel().tolist(), 3)
+        family = _family_columns(values, w.items([float(d.threshold)], 3)[0],
+                                 [texts[i * f:(i + 1) * f] for i in range(4)])
+        fa, ka, _, ga, _ = values
         records = [w.items(d.fathers, 3), w.lists(d.members, 3),
-                   *w.set_maps(d.firsts, d.sizes, d.sets, 3),
-                   averages[:f], averages[f:2 * f], averages[2 * f:]]
-        head, family, rest = d.assertion_parts(tail)
-        assertions = [w.items(head[0], 3) + _indexed_names(FAMILIES, f) + w.items(rest[0], 3),
-                      *(w.items(a + b + c, 3) for a, b, c in zip(head[1:], family, rest[1:]))]
+                   *w.set_maps(d.firsts, d.sizes, d.sets, 3), fa, ka, ga]
+        assertions = []
+        for a, b, c in zip(*d.check_columns(tail), [_indexed_names(FAMILIES, f), *family]):
+            texts = w.items(a + b, 3)
+            assertions.append(texts[:len(a)] + c + texts[len(a):])
         tables = {"records": w.table(FatherRecord, records, 1),
                   "assertions": w.table(Assertion, assertions, 1)}
         names, template = _template(DecompositionTrace, 0)
@@ -339,8 +343,16 @@ def build_gamma(
 
 
 def _descending_order(values: np.ndarray) -> np.ndarray:
-    """Leaf indices by descending value, ties by leaf: the top sets' order."""
-    return np.argsort(-values, kind="stable")
+    """Leaf indices by descending value, ties by leaf: the top sets' order.
+
+    Without ties every sort gives that order, so the stable sort runs only
+    when the default one's order has two equal values next to each other.
+    """
+    order = np.argsort(-values)
+    ranked = values[order]
+    if (ranked[1:] == ranked[:-1]).any():
+        order = np.argsort(-values, kind="stable")
+    return order
 
 
 def _top_fractions(order: np.ndarray, space: TreeSpace, t: float) -> np.ndarray:
@@ -456,6 +468,16 @@ FAMILIES = ("father_average_le_threshold", "kernel_average_gt_threshold",
             "kernel_measure_bounds", "gamma_average_matches_threshold")
 
 
+def _family_columns(values: list[list], threshold, holds: list[list]) -> list[list]:
+    """The columns lhs, rhs and holds of the per-father checks, FAMILIES of
+    father 0, then of father 1, ...: from the rows of a decomposition's
+    ``values`` and ``holds`` and its threshold, as values or as their texts."""
+    fa, ka, km, ga, fm = values
+    threshold = itertools.repeat(threshold)
+    return [list(itertools.chain.from_iterable(c)) for c in (
+        zip(fa, ka, km, ga), zip(threshold, threshold, fm, threshold), zip(*holds))]
+
+
 def trace_theorem1(weight: DyadicWeight, p: float, t: float) -> DecompositionTrace:
     """Run the whole decomposition at prefix length t and record every check."""
     return next(_traces(weight, (p,), (t,)))
@@ -491,23 +513,18 @@ class _Decomposition(NamedTuple):
     father_union_measure: float = 0.0
     lemma: _LemmaSides | None = None
 
-    def assertion_parts(self, tail: tuple[tuple, ...]) -> tuple[list, list, list]:
-        """The assertions in three parts: the columns (name, lhs, rhs, holds)
-        of the first check; the columns lhs, rhs and holds of the per-father
-        checks, FAMILIES of father 0, then of father 1, ...; and the columns
-        of the other checks, then of the rows of tail."""
-        fa, ka, km, ga, fm = self.values.tolist()
-        threshold = itertools.repeat(float(self.threshold))
-        family = [list(itertools.chain.from_iterable(c)) for c in (
-            zip(fa, ka, km, ga), zip(threshold, threshold, fm, threshold), zip(*self.holds.tolist()))]
-        head, rest = ([list(c) for c in zip(*rows)] or [[], [], [], []]
-                      for rows in (self.checks[:1], self.checks[1:] + tail))
-        return head, family, rest
+    def check_columns(self, tail: tuple[tuple, ...]) -> tuple[list, list]:
+        """The columns (name, lhs, rhs, holds) of the assertions before the
+        per-father ones, the first check, and of those after them, the other
+        checks and then the rows of tail."""
+        return tuple([list(c) for c in zip(*rows)] or [[], [], [], []]
+                     for rows in (self.checks[:1], self.checks[1:] + tail))
 
     def assertion_table(self, tail: tuple[tuple, ...]) -> dict[str, list]:
         """The columns of the assertions: these checks, then the rows of tail."""
-        head, family, rest = self.assertion_parts(tail)
+        head, rest = self.check_columns(tail)
         names = [f"{name}[{s}]" for s in range(len(self.fathers)) for name in FAMILIES]
+        family = _family_columns(self.values.tolist(), float(self.threshold), self.holds.tolist())
         return dict(zip(_template(Assertion, 0)[0],
                         (a + b + c for a, b, c in zip(head, [names, *family], rest))))
 

@@ -387,7 +387,8 @@ def trace_to_dict(trace) -> dict:
         return [n.level, n.index]
 
     def fset(s) -> dict:
-        return {str(leaf): frac for leaf, frac in fractions(s).items()}
+        # json writes an int key as its decimal string and refuses a numpy int
+        return dict(fractions(s))
 
     return {
         "k": trace.k,

@@ -356,6 +356,28 @@ def test_build_top_set_validation():
         build_top_set(w8211(), 1.5)
 
 
+def _tied_random(n: int, seed: int) -> np.ndarray:
+    """Random leaves drawn from a few values, so most have ties."""
+    rng = np.random.default_rng(seed)
+    return rng.choice([0.0, 0.5, 1.0, 3.0], n)
+
+
+@pytest.mark.parametrize("values", [
+    np.full(4096, 2.5),
+    gen_two_value(TreeSpace(2, 12), 1.0, 7.0).values,
+    gen_two_value(TreeSpace(4, 3), 7.0, 1.0).values,
+    _tied_random(4096, 0),
+    _tied_random(37, 1),
+    np.concatenate([np.arange(3000.0), np.arange(1000.0)]),
+    gen_random(TreeSpace(2, 12), 3).values,  # no ties: the default sort's order
+    np.zeros(1),
+], ids=["constant", "two-value", "two-value-rising", "tied-random", "tied-short",
+        "tied-runs", "untied", "one-leaf"])
+def test_descending_order_is_the_stable_order(values):
+    order = trace_mod._descending_order(values)
+    assert np.array_equal(order, np.argsort(-values, kind="stable"))
+
+
 # ---------------------------------------------------------------------------
 # two-set power comparison
 # ---------------------------------------------------------------------------
