@@ -3,11 +3,12 @@
 json.dumps with an indent runs the pure-Python encoder, which costs more
 than the trace itself.  Here each column is written in a few whole-column
 passes, with no Python call per value, set or node: numbers and strings go
-through C-level maps, all NodeIds of a list through one %-format of a node
-template, and a list of containers (a record's members, a row of fraction
-maps) through one join per container.  The fraction maps of a trace's sets
-spell each block leaf's whole item ``"i": 1.0`` once and gather it into
-every set that holds the leaf whole.
+through C-level maps and one float memo, all NodeIds of a list through one
+%-format of a node template, the items of a list of containers (a record's
+members, a row of fraction maps) through one join per container, and a table
+of objects through one join of the pieces of all its rows.  The fraction
+maps of a trace's sets spell each block leaf's whole item ``"i": 1.0`` once
+and gather it into every set that holds the leaf whole.
 """
 from __future__ import annotations
 
@@ -48,9 +49,34 @@ def _template(kind: type, d: int) -> tuple[tuple[str, ...], str]:
     return names, "{" + ",".join(keys) + _NL[d] + "}"
 
 
-def _rows(kind: type, columns: list[list[str]], d: int) -> list[str]:
+def _pieces(kind: type, columns: list, d: int) -> list:
+    """For the JSON objects of ``kind`` at depth d whose fields' texts are the
+    columns, iterables of texts that, read in step, write one object each:
+    the template's texts around the fields, and the columns.  A field's
+    texts are a list, or a tuple of lists whose texts it joins (see
+    _containers)."""
+    first, *keys = _template(kind, d)[1].split("%s")
+    pieces = [itertools.repeat(first)]
+    for column, key in zip(columns, keys):
+        pieces += column if type(column) is tuple else (column,)
+        pieces.append(itertools.repeat(key))
+    return pieces
+
+
+def _rows(kind: type, columns: list, d: int) -> list[str]:
     """The JSON objects of ``kind`` at depth d whose fields' texts are the columns."""
-    return list(map(_template(kind, d)[1].__mod__, zip(*columns)))
+    return list(map("".join, zip(*_pieces(kind, columns, d))))
+
+
+def _table(kind: type, columns: list, d: int) -> str:
+    """The list at depth d of the objects of _rows, as one join of all their
+    pieces, row after row."""
+    if not columns[0]:
+        return "[]"
+    pieces = list(itertools.chain.from_iterable(
+        zip(itertools.repeat(_SEP[d + 1]), *_pieces(kind, columns, d + 1))))
+    pieces[0] = "[" + _NL[d + 1]
+    return "".join(pieces) + _NL[d] + "]"
 
 
 def _whole_items(leaves: np.ndarray) -> list[str]:
@@ -158,22 +184,6 @@ class _Writer:
         flat = list(itertools.chain.from_iterable(values))
         ends = list(itertools.accumulate(map(len, values)))
         return _containers("[", self.items(flat, d + 1), ends, "]", d)
-
-    def table(self, kind: type, columns: list, d: int) -> str:
-        """The list at depth d of ``kind`` objects whose fields' texts are the
-        columns, as one join of the template's texts between the fields and
-        the fields' texts, row after row.  A field's texts are a list, or a
-        tuple of lists whose texts it joins (see _containers)."""
-        if not len(columns[0]):
-            return "[]"
-        first, *keys = _template(kind, d + 1)[1].split("%s")
-        between = [itertools.repeat(_SEP[d + 1] + first)]
-        for column, key in zip(columns, keys):
-            between += column if type(column) is tuple else (column,)
-            between.append(itertools.repeat(key))
-        pieces = list(itertools.chain.from_iterable(zip(*between)))
-        pieces[0] = "[" + _NL[d + 1] + first
-        return "".join(pieces) + _NL[d] + "]"
 
     def set_maps(self, firsts: np.ndarray, sizes: np.ndarray, sets: np.ndarray,
                  d: int) -> list[tuple[list[str], list[str], list[str]]]:

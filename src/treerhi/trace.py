@@ -38,7 +38,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .exponents import transference_bound
-from .jsontext import _NL, _indexed_names, _template, _Writer
+from .jsontext import _NL, _indexed_names, _table, _template, _Writer
 from .rearrange import _check_t, prefix_average, rearrangement
 from .sets import EQ_REL_TOL, FractionalSet, _check_fractions, _powers
 from .tree import NodeId, TreeSpace
@@ -131,6 +131,8 @@ class DecompositionTrace:
         d, tail = self._source
         w = _Writer()
         f = len(d.fathers)
+        # the records and the per-father assertions share the texts of the
+        # averages and measures
         texts = w.items(d.values.ravel().tolist(), 3)
         values = [texts[i * f:(i + 1) * f] for i in range(5)]
         texts = w.items(d.holds.ravel().tolist(), 3)
@@ -140,15 +142,16 @@ class DecompositionTrace:
         records = [w.items(d.fathers, 3), w.lists(d.members, 3),
                    *w.set_maps(d.firsts, d.sizes, d.sets, 3), fa, ka, ga]
         assertions = []
-        for a, b, c in zip(*d.check_columns(tail), [_indexed_names(FAMILIES, f), *family]):
-            texts = w.items(a + b, 3)
-            assertions.append(texts[:len(a)] + c + texts[len(a):])
-        tables = {"records": w.table(FatherRecord, records, 1),
-                  "assertions": w.table(Assertion, assertions, 1)}
+        for before, after, per_father in zip(*d.check_columns(tail),
+                                             [_indexed_names(FAMILIES, f), *family]):
+            texts = w.items(before + after, 3)
+            assertions.append(texts[:len(before)] + per_father + texts[len(before):])
+        fields = {"records": _table(FatherRecord, records, 1),
+                  "assertions": _table(Assertion, assertions, 1)}
         names, template = _template(DecompositionTrace, 0)
-        scalars = [n for n in names if n not in tables]
-        texts = dict(zip(scalars, w.items([getattr(self, n) for n in scalars], 1)), **tables)
-        text = template % tuple(map(texts.__getitem__, names))
+        scalars = [n for n in names if n not in fields]
+        fields.update(zip(scalars, w.items([getattr(self, n) for n in scalars], 1)))
+        text = template % tuple(map(fields.__getitem__, names))
         if config is None:
             return text
         config_text = json.dumps(config, indent=2).replace("\n", _NL[1])
