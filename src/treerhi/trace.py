@@ -136,18 +136,21 @@ class DecompositionTrace:
         texts = w.items(d.values.ravel().tolist(), 3)
         values = [texts[i * f:(i + 1) * f] for i in range(5)]
         texts = w.items(d.holds.ravel().tolist(), 3)
-        family = _family_columns(values, w.items([float(d.threshold)], 3)[0],
+        family = _family_columns(values, w.floats([float(d.threshold)])[0],
                                  [texts[i * f:(i + 1) * f] for i in range(4)])
         fa, ka, _, ga, _ = values
-        records = [w.items(d.fathers, 3), w.lists(d.members, 3),
-                   *w.set_maps(d.firsts, d.sizes, d.sets, 3), fa, ka, ga]
+        # a table's columns are dropped once it is written: kept, the texts of
+        # the sets and checks would sit beside the whole trace's text at its peak
+        fields = {"records": _table(FatherRecord, [
+            w.items(d.fathers, 3), w.lists(d.members, 3),
+            *w.set_maps(d.firsts, d.sizes, d.sets, 3), fa, ka, ga], 1)}
         assertions = []
         for before, after, per_father in zip(*d.check_columns(tail),
                                              [_indexed_names(FAMILIES, f), *family]):
             texts = w.items(before + after, 3)
             assertions.append(texts[:len(before)] + per_father + texts[len(before):])
-        fields = {"records": _table(FatherRecord, records, 1),
-                  "assertions": _table(Assertion, assertions, 1)}
+        fields["assertions"] = _table(Assertion, assertions, 1)
+        del values, family, assertions, texts
         names, template = _template(DecompositionTrace, 0)
         scalars = [n for n in names if n not in fields]
         fields.update(zip(scalars, w.items([getattr(self, n) for n in scalars], 1)))

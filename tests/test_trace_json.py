@@ -71,7 +71,8 @@ HAND_BUILT = {
     "non_finite_assertions": _trace(
         fathers=[_father(values=(3.0, math.inf, -0.0, math.nan, 0.5))],
         checks=[("nan_lhs", math.nan, math.inf, False)],
-        tail=[("neg_inf_lhs", -math.inf, -0.0, True), ("inf_rhs", 1e-320, math.inf, True)]),
+        tail=[("neg_inf_lhs", -math.inf, -0.0, True), ("inf_rhs", 1e-320, math.inf, True),
+              ("signed_zeros", 0.0, -0.0, True)]),
     "numpy_floats": _trace(
         p=np.float64(2.5), t=np.float64(0.1), threshold=np.float64(1 / 3),
         gamma_power_average=np.float64(math.nan), bound_value=np.float64(math.inf),
