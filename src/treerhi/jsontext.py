@@ -12,7 +12,6 @@ and gather it into every set that holds the leaf whole.
 """
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
@@ -85,20 +84,6 @@ def _whole_items(leaves: np.ndarray) -> list[str]:
     return ('"%d": 1.0\n' * leaves.size % tuple(leaves.tolist())).split("\n")[:-1]
 
 
-def _indexed_names(names: tuple[str, ...], count: int) -> list[str]:
-    """The JSON strings of "name[s]" for s in range(count), each of names in
-    turn within each s, spelled by one %-format."""
-    block = "".join(encode_basestring_ascii(n)[:-1].replace("%", "%%") + '[%d]"\n' for n in names)
-    indices = itertools.chain.from_iterable(zip(*[range(count)] * len(names)))
-    return (block * count % tuple(indices)).split("\n")[:-1]
-
-
-def _container(open_: str, items: list[str], close: str, d: int) -> str:
-    if not items:
-        return open_ + close
-    return open_ + _NL[d + 1] + _SEP[d + 1].join(items) + _NL[d] + close
-
-
 def _containers(open_: str, items: list[str], ends: list[int], close: str,
                 d: int) -> tuple[list[str], list[str], list[str]]:
     """The containers at depth d of items[:ends[0]], items[ends[0]:ends[1]], ...
@@ -138,11 +123,7 @@ class _Writer:
         texts.update(zip(new, spelled))
         out = list(map(texts.get, values))
         if 0.0 in distinct:  # zeros looked up None
-            with contextlib.suppress(ValueError):
-                i = -1
-                while True:
-                    i = out.index(None, i + 1)
-                    out[i] = float.__repr__(values[i])
+            out = [float.__repr__(x) if t is None else t for t, x in zip(out, values)]
         return out
 
     def items(self, values: list, d: int) -> list[str]:
@@ -169,8 +150,6 @@ class _Writer:
                 node = "[" + _NL[d + 1] + "%d" + _SEP[d + 1] + "%d" + _NL[d] + "]\0"
                 return (node * len(values) % tuple(flat)).split("\0")[:-1]
         if issubclass(kind, (list, tuple)):
-            if len(values) == 1:
-                return [_container("[", self.items(list(values[0]), d + 1), "]", d)]
             return list(map("".join, zip(*self.lists(values, d))))
         if is_dataclass(kind):  # all fields at once, then split
             texts = self.items([getattr(v, n) for n in _template(kind, d)[0] for v in values], d + 1)

@@ -33,12 +33,13 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from .exponents import transference_bound
-from .jsontext import _NL, _indexed_names, _table, _template, _Writer
+from .jsontext import _NL, _table, _template, _Writer
 from .rearrange import _check_t, prefix_average, rearrangement
 from .sets import EQ_REL_TOL, FractionalSet, _check_fractions, _powers
 from .tree import NodeId, TreeSpace
@@ -146,7 +147,7 @@ class DecompositionTrace:
             *w.set_maps(d.firsts, d.sizes, d.sets, 3), fa, ka, ga], 1)}
         assertions = []
         for before, after, per_father in zip(*d.check_columns(tail),
-                                             [_indexed_names(FAMILIES, f), *family]):
+                                             [_family_names(f, encode_basestring_ascii), *family]):
             texts = w.items(before + after, 3)
             assertions.append(texts[:len(before)] + per_father + texts[len(before):])
         fields["assertions"] = _table(Assertion, assertions, 1)
@@ -474,6 +475,15 @@ FAMILIES = ("father_average_le_threshold", "kernel_average_gt_threshold",
             "kernel_measure_bounds", "gamma_average_matches_threshold")
 
 
+def _family_names(count: int, spell=str) -> list[str]:
+    """The names "name[s]" of the per-father checks, FAMILIES of father 0,
+    then of father 1, ... up to count, by one %-format of a block that spell
+    writes (encode_basestring_ascii for their JSON strings)."""
+    block = "".join(spell(name + "[%d]") + "\n" for name in FAMILIES)
+    indices = itertools.chain.from_iterable(zip(*[range(count)] * len(FAMILIES)))
+    return (block * count % tuple(indices)).split("\n")[:-1]
+
+
 def _family_columns(values: list[list], threshold, holds: list[list]) -> list[list]:
     """The columns lhs, rhs and holds of the per-father checks, FAMILIES of
     father 0, then of father 1, ...: from the rows of a decomposition's
@@ -529,7 +539,7 @@ class _Decomposition(NamedTuple):
     def assertion_table(self, tail: tuple[tuple, ...]) -> dict[str, list]:
         """The columns of the assertions: these checks, then the rows of tail."""
         head, rest = self.check_columns(tail)
-        names = [f"{name}[{s}]" for s in range(len(self.fathers)) for name in FAMILIES]
+        names = _family_names(len(self.fathers))
         family = _family_columns(self.values.tolist(), float(self.threshold), self.holds.tolist())
         return dict(zip(_template(Assertion, 0)[0],
                         (a + b + c for a, b, c in zip(head, [names, *family], rest))))
