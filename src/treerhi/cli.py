@@ -280,9 +280,8 @@ def cmd_p0(args: argparse.Namespace) -> int:
 
 
 def write_curve_csv(path, curve: np.ndarray) -> None:
-    lines = ["t,ratio"]
-    lines += [f"{t:.17g},{r:.17g}" for t, r in curve.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = "%.17g,%.17g\n" * len(curve) % tuple(curve.ravel().tolist())
+    Path(path).write_text("t,ratio\n" + rows)
 
 
 def cmd_curve(args: argparse.Namespace) -> int:

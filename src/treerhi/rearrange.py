@@ -36,7 +36,9 @@ class StepFunction:
     """Left-continuous, non-increasing step function on (0, 1].
 
     values[i] is taken on (breakpoints[i-1], breakpoints[i]], with an
-    implicit leading breakpoint at 0; the last breakpoint is 1.
+    implicit leading breakpoint at 0; the last breakpoint is 1.  Unit steps
+    (_unit_steps, breakpoints j/n for n values) form their breakpoints on
+    the first read, through __getattr__, and keep them read-only.
     """
 
     breakpoints: np.ndarray
@@ -51,10 +53,42 @@ class StepFunction:
             raise ValueError("breakpoints must be strictly increasing and positive")
         if not abs(bp[-1] - 1.0) <= T_SLACK:
             raise ValueError(f"last breakpoint must be 1, got {bp[-1]}")
-        if not (np.isfinite(vals[0]) and vals[-1] >= 0 and (vals[1:] <= vals[:-1]).all()):
-            raise ValueError("values must be finite, non-negative and non-increasing")
+        _check_values(vals)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def _unit_steps(cls, values: np.ndarray) -> StepFunction:
+        """n unit steps: values[j - 1] on ((j - 1)/n, j/n], for values a
+        non-empty read-only float64 array that owns its data, kept without a
+        copy.  Their breakpoints are formed when first read."""
+        _check_values(values)
+        h = object.__new__(cls)
+        object.__setattr__(h, "values", values)
+        return h
+
+    def __getattr__(self, name: str):
+        """The ``breakpoints`` of unit steps, read for the first time."""
+        if name != "breakpoints":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        n = self.values.size
+        built = _right_ends(None, 0, n, n)
+        built.setflags(write=False)
+        self.__dict__[name] = built
+        return built
+
+
+def _check_values(vals: np.ndarray) -> None:
+    # negated, so that NaN fails it
+    if not (np.isfinite(vals[0]) and vals[-1] >= 0 and (vals[1:] <= vals[:-1]).all()):
+        raise ValueError("values must be finite, non-negative and non-increasing")
+
+
+def _right_ends(right: np.ndarray | None, s: int, e: int, n: int) -> np.ndarray:
+    """breakpoints[s:e] of n steps: a slice of `right`, or for unit steps
+    (right None) j/n for j = s + 1, ..., e, formed here with the bits of the
+    same slice of the whole."""
+    return right[s:e] if right is not None else np.arange(s + 1, e + 1, dtype=np.float64) / n
 
 
 def _frozen(x) -> np.ndarray:
@@ -93,18 +127,21 @@ def rearrangement(weight: DyadicWeight) -> StepFunction:
     Breakpoints are cumulative leaf counts divided by the leaf count, so
     level-set lengths of the result match level-set measures of the weight
     exactly.  The negated values are sorted in place in one copy, which
-    becomes the values when no two leaves tie, so no leaf-sized array is
-    made beyond the two outputs.
+    becomes the values when no two leaves tie.  Then the steps are the n
+    unit steps, whose breakpoints are formed only when read, so the values
+    are the only leaf-sized array made; with ties, the m distinct steps keep
+    explicit breakpoints.
     """
     n = weight.space.n_leaves
     desc = np.negative(weight.values)
     desc.sort()
     change = desc[1:] != desc[:-1]
     if change.all():
-        values, breakpoints = desc, np.arange(1, n + 1, dtype=np.float64)
-    else:
-        ends = np.append(np.flatnonzero(change), n - 1)
-        values, breakpoints = desc[ends], (ends + 1).astype(np.float64)
+        np.negative(desc, out=desc)
+        desc.setflags(write=False)
+        return StepFunction._unit_steps(desc)
+    ends = np.append(np.flatnonzero(change), n - 1)
+    values, breakpoints = desc[ends], (ends + 1).astype(np.float64)
     np.negative(values, out=values)
     breakpoints /= n
     # frozen here, so that StepFunction keeps them without a copy
@@ -128,18 +165,20 @@ def prefix_average(h: StepFunction, t: float, q: float = 1.0) -> float:
     return float(np.dot(powered, seg)) / t
 
 
-def _ratios_at(right: np.ndarray, v: np.ndarray, pairs) -> list[tuple[float, float] | None]:
+def _ratios_at(right: np.ndarray | None, v: np.ndarray,
+               pairs) -> list[tuple[float, float] | None]:
     """For each pair (a, b), the sup of R = (M_a / M_b)**a over (0, t] and
-    the largest t attaining it, taken over the breakpoints and interior
-    stationary points that can reach the sup, _CHUNK steps at a time; None
-    for a pair once a mean falls below _RESOLVED or R is not finite, and the
-    loop ends once every pair is None.
+    the largest t attaining it, taken over the breakpoints `right` (None for
+    unit steps) and interior stationary points that can reach the sup,
+    _CHUNK steps at a time; None for a pair once a mean falls below
+    _RESOLVED or R is not finite, and the loop ends once every pair is None.
 
-    A chunk's temporaries stay in cache.  The integral of h**q, for each
-    exponent q of the pairs still in range (one out of range can run in
-    subnormals), is a running sum seeded with the last chunk's total:
-    add.accumulate adds in order, so every integral, mean and ratio has the
-    bits of one whole-array cumsum.  Each pair keeps its own `top` below.
+    A chunk's temporaries stay in cache, its breakpoints among them
+    (_right_ends), so unit steps need no whole array of breakpoints.  The
+    integral of h**q, for each exponent q of the pairs still in range (one
+    out of range can run in subnormals), is a running sum seeded with the
+    last chunk's total: add.accumulate adds in order, so every integral,
+    mean and ratio has the bits of one whole-array cumsum.  Each pair keeps its own `top` below.
 
     A chunk is cut into blocks of _BLOCK steps, and the ratio at each
     block's end is evaluated first; `top` is the largest ratio evaluated
@@ -176,11 +215,11 @@ def _ratios_at(right: np.ndarray, v: np.ndarray, pairs) -> list[tuple[float, flo
     cols = [(rows.index(a), rows.index(b), a, b, y, -1.0 - y) for a, b in pairs for y in (-a / b,)]
     tops, witness = [-np.inf] * len(pairs), [0.0] * len(pairs)
     ends, end = [0.0] * len(rows), 0.0  # the integrals and breakpoint where the last chunk ended
-    for s in range(0, right.size, _CHUNK):
+    for s in range(0, v.size, _CHUNK):
         needed = {e for col, top in zip(cols, tops) if top is not None for e in col[:2]}
         if not needed:
             break
-        r, vc = right[s:s + _CHUNK], v[s:s + _CHUNK]
+        r, vc = _right_ends(right, s, min(s + _CHUNK, v.size), v.size), v[s:s + _CHUNK]
         left = np.concatenate(([end], r[:-1]))
         width = r - left
         with np.errstate(all="ignore"):
@@ -295,7 +334,9 @@ def _mean_in(n0: np.ndarray, vq: np.ndarray, left: np.ndarray,
 def _prefix_sups(h: StepFunction, p: float, duals) -> list[PrefixReport]:
     """For each dual in duals, the sup of the prefix ratio of _power_pair, with
     ties resolved toward the largest t, under _retried's range policy."""
-    found = _retried(h.values, p, duals, "function", partial(_ratios_at, h.breakpoints))
+    # unit steps whose breakpoints no one has read yet pass None: not formed here
+    found = _retried(h.values, p, duals, "function",
+                     partial(_ratios_at, vars(h).get("breakpoints")))
     return [PrefixReport(p, float(top), float(t)) for top, t in found]
 
 

@@ -8,7 +8,9 @@ counted.  The prefix sup, which evaluates a block of steps only when a bound
 can reach the sup, runs on small step functions at chunks of 1, 3 and 64
 steps and blocks of 1 to 8 steps as well.  Each side's kernel takes a list
 of exponent pairs: one pass for both pairs must give each the bits of its
-own pass, and analyze must make one pass per side.
+own pass, and analyze must make one pass per side.  A tie-free weight's
+rearrangement forms each chunk's breakpoints from the step indices, which
+must give the bits of explicit breakpoints at every chunk size.
 """
 import numpy as np
 import pytest
@@ -588,3 +590,34 @@ def test_analyze_makes_one_pass_per_side(monkeypatch):
     report = analyze_weight(w, 2.0)
     assert "muckenhoupt_constant" in report
     assert seen == {"leaf passes": 1, "leaf blocks": 4, "prefix passes": 1, "unit rows": 4}
+
+
+def _unit_cases() -> dict[str, tuple[StepFunction, bool]]:
+    """Tie-free rearrangements of leaf counts that are not powers of two, and
+    of 2^12; scaled by 1e+-200, the prefix sup answers only on a rescaled
+    copy."""
+    cases = {}
+    for k, depth, scale in [(3, 7, 1.0), (5, 5, 1e200), (6, 4, 1e-200), (2, 12, 1.0)]:
+        w = gen_random(TreeSpace(k, depth), k + depth)
+        star = rearrangement(DyadicWeight(w.space, w.values * scale))
+        cases[f"{k}-{depth}x{scale:g}"] = star, scale != 1.0
+    return cases
+
+
+UNIT_CASES = _unit_cases()
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64, _CHUNK])
+@pytest.mark.parametrize("name", sorted(UNIT_CASES))
+def test_unit_steps_match_explicit_breakpoints(name, chunk, monkeypatch):
+    monkeypatch.setattr(rearrange, "_CHUNK", chunk)
+    star, scaled = UNIT_CASES[name]
+    n = star.values.size
+    assert "breakpoints" not in vars(star)  # not formed, in this test or another
+    explicit = StepFunction(np.arange(1, n + 1, dtype=np.float64) / n, star.values.copy())
+    pairs = [_power_pair(2.0, dual) for dual in (False, True)]
+    assert (None in rearrange._ratios_at(None, star.values, pairs)) == scaled  # retried
+    for f in (prefix_rhi_constant, prefix_muckenhoupt_constant):
+        assert f(star, 2.0) == f(explicit, 2.0), f.__name__
+    assert _prefix_sups(star, 2.0, (False, True)) == _prefix_sups(explicit, 2.0, (False, True))
+    assert "breakpoints" not in vars(star)

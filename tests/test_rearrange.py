@@ -9,6 +9,7 @@ from treerhi import (
     TreeSpace,
     gen_constant,
     gen_random,
+    gen_two_value,
     prefix_average,
     prefix_muckenhoupt_constant,
     prefix_rhi_constant,
@@ -82,6 +83,28 @@ def test_rearrangement_sorted_input_identity():
     h = rearrangement(DyadicWeight.from_leaves(2, 2, [9, 4, 2, 1]))
     assert list(h.breakpoints) == [0.25, 0.5, 0.75, 1.0]
     assert list(h.values) == [9, 4, 2, 1]
+
+
+def test_tie_free_rearrangement_forms_its_breakpoints_on_read():
+    h = rearrangement(gen_random(TreeSpace(3, 5), 0))
+    assert "breakpoints" not in vars(h)
+    formed = h.breakpoints
+    assert formed.tobytes() == (np.arange(1, 244, dtype=np.float64) / 243).tobytes()
+    assert not formed.flags.writeable
+    assert h.breakpoints is formed  # formed once
+
+
+@pytest.mark.parametrize("w, steps", [(gen_two_value(TreeSpace(2, 6), 5.0, 0.25), 2),
+                                      (gen_constant(TreeSpace(3, 4), 2.5), 1)])
+def test_tied_rearrangement_keeps_explicit_breakpoints(w, steps):
+    h = rearrangement(w)
+    assert vars(h)["breakpoints"].size == h.values.size == steps
+
+
+def test_unit_steps_check_their_values():
+    for values in ([1.0, 2.0], [np.nan, 1.0], [1.0, -1.0], [np.inf]):
+        with pytest.raises(ValueError, match="values"):
+            StepFunction._unit_steps(np.array(values))
 
 
 def _rearrangement_cases() -> dict[str, DyadicWeight]:
@@ -321,6 +344,15 @@ def test_ratio_curve_clips_to_the_last_step():
 def test_ratio_curve_validation():
     with pytest.raises(ValueError):
         ratio_curve(two_step(), 2.0, 1)
+
+
+def test_write_curve_csv_spells_rows_as_the_f_string_did(tmp_path):
+    path = tmp_path / "curve.csv"
+    curve = np.array([[0.25, -0.0], [0.5, 5e-324], [0.75, np.inf], [1.0, np.nan],
+                      [1.0, -np.inf], [1 / 3, 2.2250738585072014e-308]])
+    write_curve_csv(path, curve)
+    rows = [f"{t:.17g},{r:.17g}" for t, r in curve.tolist()]
+    assert path.read_text() == "\n".join(["t,ratio", *rows]) + "\n"
 
 
 def test_write_curve_csv(tmp_path):
