@@ -1,7 +1,8 @@
 """Non-increasing rearrangement and prefix-interval constants.
 
 The rearrangement of a tree weight is an exact step function on (0, 1]
-whose breakpoints are integer multiples of the leaf measure.  Prefix
+whose breakpoints are integer multiples of the leaf measure; when no two
+leaves tie they are all n of them, formed only when read.  Prefix
 averages over (0, t] are exact piecewise-constant integrals, and the
 reverse-Holder / Muckenhoupt constants over prefix intervals are computed
 as a sup over t of a power-mean ratio, taken over the breakpoints and, inside
