@@ -143,11 +143,7 @@ def _fail(args, index: int, w: DyadicWeight, detail: str) -> int:
     doc = {
         "config": _echo_config(args),
         "index": index,
-        "weight": {
-            "k": w.space.k,
-            "depth": w.space.depth,
-            "leaves": [float(v) for v in w.values],
-        },
+        "weight": weight_mod.weight_doc(w),
         "detail": detail,
     }
     print(f"FAIL at weight {index}: {detail}")

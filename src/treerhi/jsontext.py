@@ -138,10 +138,6 @@ class _Writer:
             return self.floats(values)
         if kind in _SCALARS:
             return list(map(_SCALARS[kind], values))
-        if issubclass(kind, int):
-            return list(map(int.__repr__, values))
-        if issubclass(kind, str):
-            return list(map(encode_basestring_ascii, values))
         if kind is NodeId:
             flat = list(itertools.chain.from_iterable(values))
             if set(map(type, flat)) == {int}:

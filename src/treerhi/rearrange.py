@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from .tree import MAX_LEAVES
-from .weight import _CHUNK, _MARGIN, _RESOLVED, DyadicWeight, _retried
+from .weight import _CHUNK, _MARGIN, _RESOLVED, DyadicWeight, _power_average, _retried
 
 T_SLACK = 1e-12
 # Steps per block of the prefix sup's bound (_ratios_at), and the smallest
@@ -159,11 +159,11 @@ def prefix_average(h: StepFunction, t: float, q: float = 1.0) -> float:
     if t <= h.breakpoints[0]:
         # constant on (0, t]: avoid the v*t/t round trip, which can land an
         # ulp below v and make the prefix average undercut the top value
-        return float((h.values[:1] ** q)[0])
+        return _power_average(q, lambda: float((h.values[:1] ** q)[0]))
     left = np.concatenate(([0.0], h.breakpoints[:-1]))
     seg = np.clip(np.minimum(h.breakpoints, t) - left, 0.0, None)
-    powered = h.values if q == 1.0 else h.values ** q
-    return float(np.dot(powered, seg)) / t
+    return _power_average(
+        q, lambda: float(np.dot(h.values if q == 1.0 else h.values ** q, seg)) / t)
 
 
 def _ratios_at(right: np.ndarray | None, v: np.ndarray,

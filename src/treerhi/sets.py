@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .tree import NodeId, TreeSpace
-from .weight import DyadicWeight
+from .weight import DyadicWeight, _power_average
 
 EQ_REL_TOL = 1e-12
 
@@ -67,15 +67,13 @@ class FractionalSet:
         return math.fsum(self.window.tolist()) * self.space.leaf_measure
 
     def integral(self, weight: DyadicWeight, q: float = 1.0) -> float:
-        if q == 1.0:
-            values = weight.values[self.first:self.first + self.window.size]
-            return math.fsum((self.window * values).tolist()) * self.space.leaf_measure
         inside = self.window.nonzero()[0]  # value**q only where the set has mass
         values = weight.values[inside + self.first]
         if q < 0 and (values == 0).any():
             raise ValueError("negative exponent requires strictly positive values")
-        terms = self.window[inside] * _powers(values, q)
-        return math.fsum(terms.tolist()) * self.space.leaf_measure
+        window, h = self.window[inside], self.space.leaf_measure
+        return _power_average(q, lambda: math.fsum(
+            (window * (values if q == 1.0 else _powers(values, q))).tolist()) * h)
 
     def average(self, weight: DyadicWeight, q: float = 1.0) -> float:
         return self.integral(weight, q) / self.measure

@@ -6,13 +6,13 @@ operator, and the weak-type (1,1) check.
 
 Node integrals of value**q are accumulated child-to-parent, left to right,
 so rounding error grows O(depth) per node and a recursive re-summation
-reproduces every node sum bit for bit.  The node sups of several exponent
-pairs share one bottom-up pass over blocks of leaves, a row of node sums
-per distinct exponent, and compare each level as it is formed (_ratio_sup),
-so they hold no whole tree of node sums; the leaves, whose ratio is 1 up to
-rounding, only where a range check fails or no upper level reaches them.
-Every constant is a ratio of power means, which no scaling changes, so the
-node and prefix kernels share one range policy, _retried, per pair.
+reproduces every node sum bit for bit.  A node sup is one max over nodes of
+(ratio, -level, -index) (_ratio_sup), in one bottom-up pass over blocks of
+leaves shared by all exponent pairs; the leaves, whose ratio is 1 up to
+rounding, are compared after it, only where a range check fails or no upper
+level reaches them.  Every constant is a ratio of power means, which no
+scaling changes, so the node and prefix kernels share one range policy,
+_retried, per pair.
 """
 from __future__ import annotations
 
@@ -48,6 +48,19 @@ def _check_exponent(p: float) -> float:
     if not (math.isfinite(p) and p > 1):
         raise ValueError(f"exponent must be a finite number > 1, got {p}")
     return float(p)
+
+
+def _power_average(q: float, average) -> float:
+    """average(), a power average or integral at exponent q, refused naming q
+    when q or the result is not finite."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            found = average() if math.isfinite(q) else math.nan
+    except OverflowError:  # Python's float pow or math.fsum
+        found = math.inf
+    if math.isfinite(found):
+        return found
+    raise ValueError(f"the power average at q={q} is not a finite number")
 
 
 def _power_pair(p: float, dual: bool) -> tuple[float, float]:
@@ -143,14 +156,13 @@ def _best_node(num: np.ndarray, den: np.ndarray, measure: float,
     return float(ratio[i]), i
 
 
-def _leaves_in_range(low: np.ndarray, high: np.ndarray, y: float, margin: float) -> bool:
-    """Whether every leaf's a- and b-average, between low and high (the rows'
-    extremes over the leaf measure, which bound it exactly), and the |y|-th
-    power of its b-average lie a factor `margin` inside [_RESOLVED, max
-    double]; the margin covers the power's rounding."""
-    powered = np.array([low[1], high[1]]) ** abs(y)
-    return bool(min(low.min(), powered.min()) >= _RESOLVED * margin
-                and max(high.max(), powered.max()) <= _MAX / margin)
+def _leaves_in_range(low: tuple, high: tuple, y: float, margin: float) -> bool:
+    """Whether the leaves' a- and b-averages, between the extremes low and high
+    of their (a, b) rows, and the |y|-th powers of their b-averages lie a
+    factor `margin` (covering the power's rounding) inside [_RESOLVED, _MAX]."""
+    powered = (np.array([low[1], high[1]]) ** abs(y)).tolist()
+    return bool(min(*low, *powered) >= _RESOLVED * margin
+                and max(*high, *powered) <= _MAX / margin)
 
 
 @dataclass(frozen=True)
@@ -228,7 +240,8 @@ class DyadicWeight:
 
     def node_average(self, node: NodeId, q: float = 1.0) -> float:
         measure = self.space.node_measure(node)  # validates the node
-        return float(self.level_sums(q)[node.level][node.index]) / measure
+        return _power_average(
+            q, lambda: float(self.level_sums(q)[node.level][node.index]) / measure)
 
     def _node_sups(self, p: float, duals) -> list[RhiReport]:
         """For each dual in duals, the sup over all nodes of the power-mean
@@ -241,68 +254,54 @@ class DyadicWeight:
         """Sup and witness of _node_sups for each pair (a, b) on values, this
         tree's leaves as they are or rescaled, or None when out of range.
 
-        Each run of nodes of _node_sums, a row per distinct exponent, is
-        compared (_best_node) for each pair on its two rows as it is formed.
-        A pair keeps its own best ratios, deferral and None verdict, and the
-        pass stops once all are None.  Every level needs a live node (nonzero
-        b-average); its best ratio goes to its lowest index, the sup to the
-        lowest level.
+        One max over nodes: each pair keeps one running best (ratio, -level,
+        -index), so ties go to the lowest level, then the lowest index.  Each
+        run of nodes above the leaves (_node_sums, a row per distinct exponent)
+        is compared (_best_node) for each pair as it is formed.  A refused
+        pair's best is None, and the pass stops once all are; a dead root
+        (every b-sum 0) leaves the best at -inf, also refused.
 
-        The leaf level is deferred when the leaves span several blocks.  At a
-        leaf both averages are powers of one value v, so the ratio is
-        v**(a + b*y) up to a few ulp per unit of |y|; a + b*y is 0 on the
-        reverse Holder side and, with y = -a/b rounded, within 2**-53 of it on
-        the Muckenhoupt side (a = 1), where |ln v| < 710 once the averages are
-        in range.  So a block whose leaves pass _leaves_in_range has no None
-        verdict and no leaf ratio above bound = 1 + 2**-44 * (2 + |y|), and
-        its _best_node is skipped.  After the pass the leaf level, which
-        loses ties, is left out when an upper level reaches bound; otherwise
-        (a constant weight, say) a second pass runs it over every block as
-        the first pass would have.  A block that fails the check runs
-        _best_node at once, so every None verdict is unchanged.
+        The leaves are compared after the pass.  At a leaf both averages are
+        powers of one value v, so the ratio is v**(a + b*y) up to a few ulp per
+        unit of |y|; a + b*y is 0 on the reverse Holder side and, with y = -a/b
+        rounded, within 2**-53 of it on the Muckenhoupt side (a = 1), where
+        |ln v| < 710 once the averages are in range.  So leaves whose rows'
+        extremes pass _leaves_in_range have no None verdict and no ratio above
+        bound = 1 + 2**-44 * (2 + |y|), and lose to an upper level that reaches
+        bound.  Otherwise one leaf pass (_leaf_blocks) compares them.
         """
         k, depth = self.space.k, self.space.depth
         rows = list(dict.fromkeys(q for pair in pairs for q in pair))
         cols = [(rows.index(a), rows.index(b), y, 1.0 + _MARGIN * (2.0 + abs(y)))
                 for a, b in pairs for y in (-a / b,)]  # rows, y and leaf bound per pair
-        best = [[(-np.inf, 0)] * (depth + 1) for _ in pairs]  # per pair and level: (ratio, index)
-        deferred, live = [False] * len(pairs), list(range(len(pairs)))
+        best = [(-np.inf, 0, 0)] * len(pairs)  # per pair: (ratio, -level, -index), None if refused
+
+        def compare(level: int, first: int, sums: np.ndarray, js) -> None:
+            for j in js:
+                if best[j] is not None:
+                    a, b, y, _ = cols[j]
+                    found = _best_node(sums[a], sums[b], float(k) ** (-level), y)
+                    best[j] = None if found is None else max(
+                        best[j], (found[0], -level, -first - found[1]))
+
         top, block = self._layout()
         with np.errstate(all="ignore"):
             for level, first, sums in self._node_sums(values, rows, top, block):
-                measure = float(k) ** (-level)
-                leaves = level == depth and values.size > block  # a leaf level of several blocks
-                if leaves:
-                    low, high = sums.min(axis=1) / measure, sums.max(axis=1) / measure
-                for j in tuple(live):
-                    a, b, y, bound = cols[j]
-                    if leaves and _leaves_in_range(low[[a, b]], high[[a, b]], y, bound):
-                        deferred[j] = True
-                        continue
-                    found = _best_node(sums[a], sums[b], measure, y)
-                    if found is None:
-                        live.remove(j)
-                    elif found[0] > best[j][level][0]:
-                        best[j][level] = found[0], first + found[1]
-                if not live:
-                    break
-            again = [j for j in live if deferred[j] and max(best[j][:depth])[0] < cols[j][3]]
-            for j in again:
-                best[j][depth] = -np.inf, 0
-            for first, sums in self._leaf_blocks(values, rows, block) if again else ():
-                for j in again:
-                    a, b, y, _ = cols[j]
-                    found = _best_node(sums[a], sums[b], float(k) ** (-depth), y)
-                    if found[0] > best[j][depth][0]:
-                        best[j][depth] = found[0], first + found[1]
-        # A live root leaves a live node on every level, as a b-sum of non-negative
-        # terms is 0 only when all are; deferred leaves passed _leaves_in_range.
-        answers = [None] * len(pairs)
-        for j in live:
-            if best[j][0][0] > -np.inf:
-                level = max(range(depth + 1), key=lambda i: best[j][i][0])
-                answers[j] = best[j][level][0], NodeId(level, best[j][level][1])
-        return answers
+                if level < depth:
+                    compare(level, first, sums, range(len(pairs)))
+                    if not any(best):  # every pair refused
+                        break
+                else:  # per row, the extremes of the leaf sums of the blocks so far
+                    low = np.minimum(low, sums.min(axis=1)) if first else sums.min(axis=1)
+                    high = np.maximum(high, sums.max(axis=1)) if first else sums.max(axis=1)
+            low, high = (np.array([low, high]) / self.space.leaf_measure).tolist()
+            leaves = [j for j, (a, b, y, bound) in enumerate(cols) if best[j] is not None and (
+                not _leaves_in_range((low[a], low[b]), (high[a], high[b]), y, bound)
+                or best[j][0] < bound)]
+            for first, sums in self._leaf_blocks(values, rows, block) if leaves else ():
+                compare(depth, first, sums, leaves)
+        return [None if found is None or found[0] == -np.inf
+                else (found[0], NodeId(-found[1], -found[2])) for found in best]
 
     def _layout(self) -> tuple[int, int]:
         """(L, leaves per block) of _node_sums: L is the deepest level of at
@@ -424,13 +423,12 @@ def gen_random(
 # Weight file format: {"k": int, "depth": int, "leaves": [reals]}
 # ---------------------------------------------------------------------------
 
+def weight_doc(weight: DyadicWeight) -> dict:
+    return {"k": weight.space.k, "depth": weight.space.depth, "leaves": weight.values.tolist()}
+
+
 def save_weight(weight: DyadicWeight, path: str | Path) -> None:
-    doc = {
-        "k": weight.space.k,
-        "depth": weight.space.depth,
-        "leaves": [float(v) for v in weight.values],
-    }
-    Path(path).write_text(json.dumps(doc) + "\n")
+    Path(path).write_text(json.dumps(weight_doc(weight)) + "\n")
 
 
 def load_weight(path: str | Path) -> DyadicWeight:

@@ -3,8 +3,8 @@ whole-array references in tests/helpers.py, bit for bit, on weights of
 2^16-2^17 leaves: the deepest levels and the step lists span several chunks.
 The node sup also runs on the shapes and weights that its blocks of leaves
 can get wrong: many blocks, blocks of one node, ties across blocks and
-levels, and dead or underflowing blocks, and its deferred leaf level is
-counted.  The prefix sup, which evaluates a block of steps only when a bound
+levels, and dead or underflowing blocks, and its leaf level, compared
+only after the pass and only where it must be, is counted.  The prefix sup, which evaluates a block of steps only when a bound
 can reach the sup, runs on small step functions at chunks of 1, 3 and 64
 steps and blocks of 1 to 8 steps as well.  Each side's kernel takes a list
 of exponent pairs: one pass for both pairs must give each the bits of its
@@ -95,6 +95,9 @@ def _node_weights() -> dict[str, DyadicWeight]:
     # identical two-value halves: the root ties with both nodes of level 1
     half = gen_two_value(TreeSpace(2, 15), 5.0, 0.25).values
     cases["same-halves-2-16"] = DyadicWeight.from_leaves(2, 16, np.tile(half, 2))
+    # four copies of one block: every node of level >= 2 ties with its twins
+    cases["tiled-blocks-2-17"] = DyadicWeight.from_leaves(
+        2, 17, np.tile(gen_random(TreeSpace(2, 15), 0).values, 4))
     v = gen_random(TreeSpace(2, 18), 6).values.copy()
     v[3 * _CHUNK:4 * _CHUNK] = 0.0  # block 3 is node (3, 3): it and every node under it are dead
     cases["dead-block-2-18"] = DyadicWeight.from_leaves(2, 18, v)
@@ -177,6 +180,20 @@ def test_node_sup_ties_go_to_the_lowest_level_and_index(name, witness):
     for p in PS:
         for dual in (False, True):
             assert _node_sup(w, p, dual)[1] == witness, (p, dual)
+
+
+def test_node_sup_ties_across_blocks_go_to_the_first_block():
+    """Each block of the tiled weight is one node of level 2 whose subtree
+    has the bits of the other three, so every sup below level 2 ties across
+    the blocks; the witness is the twin of the lowest index, in block 0."""
+    w = NODE_WEIGHTS["tiled-blocks-2-17"]
+    for p in PS:
+        for dual in (False, True):
+            found = _outcome(_node_sup, w, p, dual)
+            assert found == _outcome(whole_node_sup, w, p, dual), (p, dual)
+            if isinstance(found, tuple):
+                level, index = found[1]
+                assert level >= 2 and index < 2 ** (level - 2), (p, dual)
 
 
 def test_one_underflowing_block_forces_the_retry():
@@ -393,30 +410,60 @@ def _leaf_calls(monkeypatch) -> list[float]:
     return log
 
 
-def test_leaf_level_is_deferred(monkeypatch):
-    """Every leaf passes the range check and an upper level reaches the leaf
-    bound, so _best_node never sees the leaves at p <= 3; at p = 120 the
-    reverse Holder leaves overflow, so the check refuses and the leaves go
-    through _best_node on every scaling, which refuses them as before."""
-    w = gen_random(TreeSpace(2, 17), 0)
-    log = _leaf_calls(monkeypatch)
+def _range_checks(monkeypatch) -> list[float]:
+    """Records the y of every pair whose leaves _leaves_in_range checks."""
+    log = []
+    check = weight._leaves_in_range
+
+    def counted(low, high, y, margin):
+        log.append(y)
+        return check(low, high, y, margin)
+
+    monkeypatch.setattr(weight, "_leaves_in_range", counted)
+    return log
+
+
+def _check_leaves_skipped(w: DyadicWeight, monkeypatch) -> None:
+    """At every exponent on both sides, alone and as a pair, w's leaves as
+    they are pass the range check, once per live pair of a pass, and an
+    upper level reaches the leaf bound, so _best_node never sees them; at
+    p = 120 the reverse Holder pair is refused on an upper level, whose sums
+    overflow with the leaves', before the check.  The rescaled retries of
+    that pair may compare the leaves; their answers are the whole levels'."""
+    calls, checks = _leaf_calls(monkeypatch), _range_checks(monkeypatch)
     for p in PS:
+        pairs = [_power_pair(p, dual) for dual in (False, True)]
+        whole = [whole_node_ratio_sup(w, a, b) for a, b in pairs]
+        checks.clear()
+        assert w._ratio_sup(w.values, pairs) == whole, p
+        assert checks == [-a / b for (a, b), f in zip(pairs, whole) if f is not None], p
+        assert (whole[0] is None) == (p == 120.0), p
+        for dual, (a, b) in zip((False, True), pairs):
+            checks.clear()
+            assert w._ratio_sup(w.values, [(a, b)]) == [whole[dual]], (p, dual)
+            assert len(checks) == (whole[dual] is not None), (p, dual)
+        assert w.space.leaf_measure not in calls, p
         for dual in (False, True):
-            log.clear()
             assert _outcome(_node_sup, w, p, dual) == _outcome(whole_node_sup, w, p, dual)
-            a, b = _power_pair(p, dual)
-            assert w._ratio_sup(w.values, [(a, b)])[0] == whole_node_ratio_sup(w, a, b)
-            seen = log.count(w.space.leaf_measure)
-            assert (seen > 0) == (p == 120.0 and not dual), (p, dual, seen)
+        calls.clear()
 
 
-@pytest.mark.parametrize("k, depth", [(2, 17), (3, 10)])
+def test_leaf_level_is_deferred(monkeypatch):
+    """A random weight on four blocks: its leaves are compared only after
+    the pass, and there only when they must be, which for it is never."""
+    w = gen_random(TreeSpace(2, 17), 0)
+    assert w.space.n_leaves == 4 * w._layout()[1]
+    _check_leaves_skipped(w, monkeypatch)
+
+
+@pytest.mark.parametrize("k, depth", [(2, 17), (3, 10), (2, 6)])
 def test_constant_leaves_run_in_a_second_pass(k, depth, monkeypatch):
     """Every ratio of a constant weight is 1 up to rounding, below the leaf
-    bound, so the leaf level runs after the pass, once per block."""
+    bound, so the leaf level runs after the pass, once per block, on one
+    block as on several."""
     w = gen_constant(TreeSpace(k, depth), 3.7)
     blocks = -(-w.space.n_leaves // w._layout()[1])
-    assert blocks > 1
+    assert (blocks > 1) == (depth > 6)
     log = _leaf_calls(monkeypatch)
     for p in PS:
         for dual in (False, True):
@@ -434,29 +481,34 @@ def _edge_leaves(value: float) -> DyadicWeight:
     return DyadicWeight.from_leaves(2, 16, v)
 
 
-@pytest.mark.parametrize("value, p, dual, answered", [
-    (np.sqrt(_RESOLVED) * (1 + 2.0**-48), 2.0, False, True),
-    (np.sqrt(_RESOLVED) * (1 - 2.0**-20), 2.0, False, False),
-    (np.sqrt(_MAX) * (1 - 2.0**-48), 2.0, False, True),
-    (np.sqrt(_MAX) * (1 + 2.0**-20), 2.0, False, False),
-    (1 / _RESOLVED * (1 - 2.0**-48), 3.0, True, True),
-    (2 / _RESOLVED, 3.0, True, False),
+@pytest.mark.parametrize("value, p, dual, answered, leaf_blocks", [
+    (np.sqrt(_RESOLVED) * (1 + 2.0**-48), 2.0, False, True, 2),
+    (np.sqrt(_RESOLVED) * (1 - 2.0**-20), 2.0, False, False, 2),
+    (np.sqrt(_MAX) * (1 - 2.0**-48), 2.0, False, True, 2),
+    (np.sqrt(_MAX) * (1 + 2.0**-20), 2.0, False, False, 0),
+    (1 / _RESOLVED * (1 - 2.0**-48), 3.0, True, True, 2),
+    (2 / _RESOLVED, 3.0, True, False, 2),
 ], ids=["square-above-resolved", "square-below-resolved", "square-below-max", "square-overflows",
         "inverse-above-resolved", "inverse-below-resolved"])
-def test_leaves_near_the_range_ends_run_as_before(value, p, dual, answered, monkeypatch):
+def test_leaves_near_the_range_ends_run_as_before(value, p, dual, answered, leaf_blocks,
+                                                  monkeypatch):
     """One leaf whose power (its square at p = 2, its inverse on the
     Muckenhoupt side at p = 3, where its b-average is in range) sits within
-    the check's margin of an end of the double range, or beyond it: the
-    check refuses its block, whose leaves go through _best_node at once, and
-    the verdict, retry and answer are those of the whole levels, at every
-    exponent on both sides."""
+    the check's margin of an end of the double range, or beyond it.  The
+    check, run once after the pass, refuses the leaves, and both blocks go
+    through _best_node in the leaf pass, the second of them refused when the
+    leaf's power is out of range.  An overflowing square overflows its
+    ancestors' sums too, so the pass refuses the pair on an upper level and
+    neither the check nor the leaf pass runs.  The verdict, retry and answer
+    are those of the whole levels, at every exponent on both sides."""
     w = _edge_leaves(value)
-    log = _leaf_calls(monkeypatch)
+    calls, checks = _leaf_calls(monkeypatch), _range_checks(monkeypatch)
     a, b = _power_pair(p, dual)
     found = w._ratio_sup(w.values, [(a, b)])[0]
     assert found == whole_node_ratio_sup(w, a, b)
     assert (found is not None) == answered
-    assert log.count(w.space.leaf_measure) == 1
+    assert calls.count(w.space.leaf_measure) == leaf_blocks
+    assert len(checks) == (leaf_blocks > 0)
     for p in PS:
         for dual in (False, True):
             assert _outcome(_node_sup, w, p, dual) == _outcome(whole_node_sup, w, p, dual), \
@@ -475,8 +527,8 @@ def _small_block_weights() -> dict[str, DyadicWeight]:
 @pytest.mark.parametrize("chunk", [1, 4, 16])
 @pytest.mark.parametrize("name, w", sorted(_small_block_weights().items()))
 def test_deferred_leaves_match_whole_levels_at_small_blocks(name, w, chunk, monkeypatch):
-    """243 leaves in one block, 3 blocks of 81 or 9 of 27: blocks that pass
-    the range check, blocks that fail it, and dead blocks side by side."""
+    """243 leaves in one block, 3 blocks of 81 or 9 of 27: leaves that pass
+    the range check, leaves that fail it, and dead blocks."""
     monkeypatch.setattr(weight, "_CHUNK", chunk)
     for p in PS:
         _check_shared_node_pass(w, p)
@@ -484,19 +536,11 @@ def test_deferred_leaves_match_whole_levels_at_small_blocks(name, w, chunk, monk
 
 @pytest.mark.parametrize("k, depth", [(2, 15), (40000, 1), (2, 6)])
 def test_one_block_trees_keep_the_leaf_level(k, depth, monkeypatch):
-    """A tree whose leaves fit in one block runs its leaf level through
-    _best_node in the pass, as before, and never checks the range."""
+    """A tree whose leaves fit in one block keeps the rule of several: a
+    random weight's leaves are checked after the pass and never compared."""
     w = gen_random(TreeSpace(k, depth), 4)
     assert w.space.n_leaves <= w._layout()[1]
-    monkeypatch.setattr(weight, "_leaves_in_range", None)
-    log = _leaf_calls(monkeypatch)
-    for p in PS:
-        for dual in (False, True):
-            a, b = _power_pair(p, dual)
-            log.clear()
-            assert w._ratio_sup(w.values, [(a, b)])[0] == whole_node_ratio_sup(w, a, b), (p, dual)
-            assert log.count(w.space.leaf_measure) == 1, (p, dual)
-            assert _outcome(_node_sup, w, p, dual) == _outcome(whole_node_sup, w, p, dual)
+    _check_leaves_skipped(w, monkeypatch)
 
 
 @pytest.mark.parametrize("p, dual", [(2.0, False), (1.5, True)])

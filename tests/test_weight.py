@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,10 +15,13 @@ from treerhi import (
     gen_random,
     gen_two_value,
     load_weight,
+    prefix_average,
+    rearrangement,
     save_weight,
     trace_theorem1,
 )
 from treerhi.cli import analyze_weight
+from treerhi.sets import FractionalSet
 from helpers import maximal_oracle, muckenhoupt_oracle, rhi_oracle
 
 
@@ -69,6 +75,25 @@ def test_analyze_witnesses_are_level_index_lists():
                        ("muckenhoupt_witness", w.dyadic_muckenhoupt_constant(2.0))):
         assert type(report[key]) is list
         assert report[key] == [found.witness.level, found.witness.index]
+
+
+_RANDOM = gen_random(TreeSpace(2, 4), 0)
+_AVERAGES = {
+    "prefix": lambda q: prefix_average(rearrangement(_RANDOM), 0.5, q),
+    "node": lambda q: _RANDOM.node_average(NodeId(1, 0), q),
+    "set": lambda q: FractionalSet.from_node(_RANDOM.space, NodeId(1, 0)).integral(_RANDOM, q),
+}
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf, 1e6, -1e6])
+@pytest.mark.parametrize("average", sorted(_AVERAGES))
+def test_power_averages_refuse_what_they_cannot_answer(average, q):
+    """A non-finite exponent, or an average that overflows or is NaN (values
+    1e-3 to 1e3 at q = +-1e6), is refused with a ValueError naming q, never
+    returned as NaN or inf or raised as an OverflowError."""
+    with pytest.raises(ValueError, match=re.escape(f"at q={q} is not a finite number")):
+        _AVERAGES[average](q)
+    assert _AVERAGES[average](1.0) > 0
 
 
 def test_negative_exponent_requires_positive_values():
