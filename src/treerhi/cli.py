@@ -249,7 +249,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
     w = weight_mod.load_weight(args.weight)
     tr = trace_mod.trace_theorem1(w, args.p, args.t)
     if args.output:
-        Path(args.output).write_text(tr.to_json(_echo_config(args)) + "\n")
+        text = tr.to_json(_echo_config(args))
+        with Path(args.output).open("w") as out:
+            print(text, file=out)  # the text, then its newline: no copy of both
     branch = "degenerate" if tr.degenerate else f"{len(tr.fathers)} fathers"
     status = "all hold" if tr.all_hold else "ASSERTION FAILURES"
     table = tr.assertion_table()

@@ -40,10 +40,10 @@ _SCALARS = {bool: _CONSTANTS.__getitem__, type(None): _CONSTANTS.__getitem__, in
 
 
 @functools.cache
-def _template(kind: type, d: int) -> tuple[tuple[str, ...], str]:
-    """Field names of a dataclass and a %-template of its JSON at depth d:
-    an object of the fields."""
-    names = tuple(f.name for f in fields(kind))
+def _template(kind: type, d: int, extra: tuple[str, ...] = ()) -> tuple[tuple[str, ...], str]:
+    """Field names of a dataclass, then the extra names, and a %-template of
+    its JSON at depth d: an object of these keys."""
+    names = tuple(f.name for f in fields(kind)) + extra
     keys = [_NL[d + 1] + encode_basestring_ascii(n) + ": %s" for n in names]
     return names, "{" + ",".join(keys) + _NL[d] + "}"
 

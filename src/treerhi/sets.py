@@ -76,7 +76,10 @@ class FractionalSet:
             (window * (values if q == 1.0 else _powers(values, q))).tolist()) * h)
 
     def average(self, weight: DyadicWeight, q: float = 1.0) -> float:
-        return self.integral(weight, q) / self.measure
+        measure = self.measure
+        if not measure:
+            raise ValueError("set is empty (measure 0): it has no average")
+        return self.integral(weight, q) / measure
 
     def fraction_array(self, first: int = 0, count: int | None = None) -> np.ndarray:
         """Fractions over leaves [first, first + count), by default the whole

@@ -12,20 +12,20 @@ at several prefix lengths and exponents decomposes each length once and
 computes the rearrangement, the top set's leaf order and each exponent's
 node sup once (_traces).
 
-The stopping family, then its maximal fathers, owners and cover (_family),
-come from top-down level walks with masks repeated k-fold per level.
-Maximal fathers are disjoint, so a trace stores O(n) fractions for n leaves
-and costs O(n log n).  The decomposition is kept as columns: each level of
-fathers, whose blocks are equal, fills its kernels, fillers, Gamma and delta
-sets as F x span rows of one frozen array, with a fixed number of numpy calls
-(one stable sort per row; the greedy filler's running sums are seeded
-cumsums, which add in the filler's own order), and the four per-father
-checks are decided on whole columns of averages and measures (a degenerate
-trace's have no fathers).  ``to_json`` (through the writer in jsontext.py),
-``all_hold`` and ``assertion_table`` read only the columns, so tracing,
-checking and writing a trace make no per-father objects; ``records`` and
-``assertions`` are read-only tuples built from them on first read.  The
-sets are sets.FractionalSet.
+The stopping family and its maximal fathers, owners and cover come from one
+top-down walk over the levels (_walk).  Maximal fathers are disjoint, so a
+trace stores O(n) fractions for n leaves and costs O(n log n).  The
+decomposition is kept as columns: each level of fathers, whose blocks are
+equal, fills its kernels, fillers, Gamma and delta sets as F x span rows of
+one frozen array, with a fixed number of numpy calls (one stable sort per
+row; the greedy filler's running sums are seeded cumsums, which add in the
+filler's own order), and the four per-father checks are decided on whole
+columns of averages and measures (a degenerate trace's have no fathers).
+``to_json`` (through the writer in jsontext.py), ``all_hold`` and
+``assertion_table`` read only the columns, so tracing, checking and writing a
+trace make no per-father objects; ``records`` and ``assertions`` are
+read-only tuples built from them on first read.  The sets are
+sets.FractionalSet.
 """
 from __future__ import annotations
 
@@ -152,14 +152,12 @@ class DecompositionTrace:
             assertions.append(texts[:len(before)] + per_father + texts[len(before):])
         fields["assertions"] = _table(Assertion, assertions, 1)
         del values, family, assertions, texts
-        names, template = _template(DecompositionTrace, 0)
+        names, template = _template(DecompositionTrace, 0, () if config is None else ("config",))
+        if config is not None:  # one more key of the template: the text is formed once
+            fields["config"] = json.dumps(config, indent=2).replace("\n", _NL[1])
         scalars = [n for n in names if n not in fields]
         fields.update(zip(scalars, w.items([getattr(self, n) for n in scalars], 1)))
-        text = template % tuple(map(fields.__getitem__, names))
-        if config is None:
-            return text
-        config_text = json.dumps(config, indent=2).replace("\n", _NL[1])
-        return f'{text[:-2]},{_NL[1]}"config": {config_text}\n}}'  # before the final "\n}"
+        return template % tuple(map(fields.__getitem__, names))
 
 
 # ---------------------------------------------------------------------------
@@ -193,32 +191,19 @@ def _isclose(a: np.ndarray, b: float, rel_tol: float) -> np.ndarray:
 
 
 def stopping_decomposition(weight: DyadicWeight, threshold: float) -> list[NodeId]:
-    """Maximal nodes whose average exceeds the threshold (see _exceeds).
-
-    The result is pairwise disjoint and its leaves are exactly the set where
-    the maximal function exceeds the threshold.  The root must not qualify.
-    Nodes are picked level by level; the mask of nodes under an earlier pick
-    is repeated k-fold from each level to the next.
-    """
+    """Maximal nodes whose average exceeds the threshold (_exceeds): the picks
+    of _walk.  They are pairwise disjoint, their leaves are exactly the set
+    where the maximal function exceeds the threshold, and the root must not
+    qualify."""
     if not threshold > 0:  # negated, so that NaN is refused too
         raise ValueError(f"threshold must be > 0, got {threshold}")
-    avgs = weight.level_averages(1.0)
-    if _exceeds(avgs[0][0], threshold):
-        raise ValueError("root average exceeds the threshold")
-    blocked = np.zeros(1, dtype=bool)
-    selected: list[NodeId] = []
-    for level, avg in enumerate(avgs):
-        if level:
-            blocked = blocked.repeat(weight.space.k)
-        picked = _exceeds(avg, threshold) > blocked  # above the threshold and not blocked
-        selected += [NodeId(level, i) for i in picked.nonzero()[0].tolist()]
-        blocked |= picked
-    return selected
+    return _node_ids(_walk(weight.space, _exceeding(weight, threshold))[0])
 
 
 def select_fathers(space: TreeSpace, stopping_nodes: list[NodeId]) -> list[NodeId]:
     """Fathers of the stopping family, deduplicated and reduced to maximal
-    ones, root first (see _family)."""
+    ones, root first (see _walk).  A node under another is left out of the
+    walk: its father lies under the other's, so it adds no maximal father."""
     if not stopping_nodes:
         raise ValueError("stopping family is empty")
     if any(n.level == 0 for n in stopping_nodes):
@@ -227,36 +212,51 @@ def select_fathers(space: TreeSpace, stopping_nodes: list[NodeId]) -> list[NodeI
                if not (0 < n.level <= space.depth and 0 <= n.index < space.k ** n.level)]
     if outside:
         raise ValueError(f"a stopping node at level {min(outside).level} lies outside the tree")
-    return _family(space, stopping_nodes)[0]
+    levels, indices = np.array(stopping_nodes, dtype=np.int64).reshape(-1, 2).T
+    masks = (np.bincount(indices[levels == level], minlength=space.k ** level) > 0
+             for level in range(space.depth + 1))
+    return _node_ids(_walk(space, masks)[1])
 
 
-def _family(space: TreeSpace, nodes: list[NodeId]) -> tuple[list[NodeId], np.ndarray, np.ndarray]:
-    """The nodes' maximal fathers, root first; for each node, the position of
-    the father holding it in that list; and the nodes' 0/1 cover of the leaves.
+def _exceeding(weight: DyadicWeight, threshold: float):
+    """Per level, root first, whether each node's average exceeds the threshold."""
+    k = float(weight.space.k)  # level_averages(1.0), a level at a time
+    return (_exceeds(s / k ** -level, threshold) for level, s in enumerate(weight.level_sums(1.0)))
 
-    Walks the levels top-down.  ``held`` gives each node of a level the kept
-    father above it (-1 if none) and, like the cover, is repeated k-fold to
-    the next level; a father is kept when no kept father holds it.
-    """
-    k = space.k
-    levels, indices = np.array(nodes, dtype=np.int64).reshape(-1, 2).T
-    counts = np.bincount(levels, minlength=space.depth + 2).tolist()
-    owner = np.empty(len(nodes), dtype=np.int64)
-    held, cover = np.full(1, -1), np.zeros(1)
-    fathers: list[NodeId] = []
-    for level in range(space.depth + 1):
-        if level:
-            held, cover = held.repeat(k), cover.repeat(k)
-        if counts[level]:
-            here = levels == level
-            cover[indices[here]] = 1.0
-            owner[here] = held[indices[here]]  # each node's father is kept or held
-        if counts[level + 1]:
-            claimed = np.bincount(indices[levels == level + 1] // k, minlength=held.size)
-            kept = ((claimed > 0) & (held < 0)).nonzero()[0]  # fathers no kept one holds
-            held[kept] = np.arange(len(fathers), len(fathers) + kept.size)
-            fathers += [NodeId(level, i) for i in kept.tolist()]
-    return fathers, owner, cover
+
+def _walk(space: TreeSpace, masks) -> tuple[list, list, list, np.ndarray]:
+    """One top-down walk over ``masks``, a bool array per level, root first:
+    per level, the indices of the maximal nodes of the masks (the picks), of
+    their maximal fathers (none at the leaves) and of the father holding each
+    pick, counted root first; and the picks' cover of the leaves.  A pick is
+    a node of its mask under no earlier pick (``blocked``); a pick's parent
+    that no kept father holds (``held``, -1 if none) is kept.  Both are
+    repeated k-fold from level to level.  A root in its mask is refused."""
+    masks = iter(masks)
+    if next(masks).any():
+        raise ValueError("root average exceeds the threshold")
+    blocked, held, none = np.zeros(1, dtype=bool), np.full(1, -1), np.zeros(0, dtype=np.intp)
+    picks, fathers, owners, k = [none], [], [none], space.k
+    for mask in masks:
+        blocked = blocked.repeat(k)
+        picked = mask > blocked
+        index = picked.nonzero()[0]
+        kept = parents = none
+        if index.size:
+            parents = index // k
+            kept = ((np.bincount(parents, minlength=held.size) > 0) & (held < 0)).nonzero()[0]
+            held[kept] = np.arange(kept.size) + sum(map(len, fathers))
+            blocked |= picked
+        picks.append(index)
+        fathers.append(kept)
+        owners.append(held[parents])  # each pick's father is kept or held
+        held = held.repeat(k)
+    return picks, fathers, owners, blocked
+
+
+def _node_ids(levels: list[np.ndarray]) -> list[NodeId]:
+    """The nodes of per-level index arrays, root first."""
+    return [NodeId(level, i) for level, index in enumerate(levels) for i in index.tolist()]
 
 
 def _fill(values: np.ndarray, sets: np.ndarray, seed, threshold: float, h: float,
@@ -648,13 +648,13 @@ def _decompose(weight: DyadicWeight, t: float, threshold: float,
         return _Decomposition(space, t, threshold, exceedance_leaves, checks, (), (), (),
                               *_NO_FATHERS)
 
-    stopping = stopping_decomposition(weight, threshold)
-    fathers, owner, covered = _family(space, stopping)
-    mismatch = int(np.count_nonzero((covered > 0) != exceeds))
-    sizes = k ** (space.depth - np.array([father.level for father in fathers]))
-    firsts = np.array([father.index for father in fathers]) * sizes
+    picks, levels, owners, covered = _walk(space, _exceeding(weight, threshold))
+    stopping, fathers = _node_ids(picks), _node_ids(levels)
+    mismatch = int(np.count_nonzero(covered != exceeds))
+    sizes = np.repeat(k ** (space.depth - np.arange(len(levels))), list(map(len, levels)))
+    firsts = np.concatenate(levels) * sizes
     members: list[list[NodeId]] = [[] for _ in fathers]
-    for node, s in zip(stopping, owner.tolist()):
+    for node, s in zip(stopping, np.concatenate(owners).tolist()):
         members[s].append(node)
 
     h = space.leaf_measure
@@ -667,13 +667,12 @@ def _decompose(weight: DyadicWeight, t: float, threshold: float,
     ends = sizes.cumsum()
     sets = np.empty((4, int(ends[-1])))  # kernel, filler, gamma and delta
     s = 0
-    for level, group in itertools.groupby(fathers, lambda father: father.level):
-        index = np.array([father.index for father in group])
+    for level, index in itertools.compress(enumerate(levels), map(len, levels)):
         span, count = int(sizes[s]), len(index)
         part = slice(s, s + count)
         start = int(ends[s]) - span
         level_sets = sets[:, start:start + count * span].reshape(4, count, span)
-        covered.reshape(-1, span).take(index, axis=0, out=level_sets[0])
+        level_sets[0] = covered.reshape(-1, span)[index]
         np.multiply(level_sets[0].sum(axis=1), h, out=km[part])
         leaf_values = weight.values.reshape(-1, span).take(index, axis=0)
         kernel_integral = np.fromiter(map(math.fsum, (level_sets[0] * leaf_values).tolist()),

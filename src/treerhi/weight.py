@@ -268,13 +268,16 @@ class DyadicWeight:
         |ln v| < 710 once the averages are in range.  So leaves whose rows'
         extremes pass _leaves_in_range have no None verdict and no ratio above
         bound = 1 + 2**-44 * (2 + |y|), and lose to an upper level that reaches
-        bound.  Otherwise one leaf pass (_leaf_blocks) compares them.
+        bound.  Otherwise one leaf pass (_leaf_blocks) compares them.  A node
+        whose b-sum is 0 is dead and skipped, a leaf too, so in a block that
+        holds a dead leaf a pair's extremes are those of its live leaves.
         """
         k, depth = self.space.k, self.space.depth
         rows = list(dict.fromkeys(q for pair in pairs for q in pair))
         cols = [(rows.index(a), rows.index(b), y, 1.0 + _MARGIN * (2.0 + abs(y)))
                 for a, b in pairs for y in (-a / b,)]  # rows, y and leaf bound per pair
         best = [(-np.inf, 0, 0)] * len(pairs)  # per pair: (ratio, -level, -index), None if refused
+        ends = [None] * len(pairs)  # per pair: the minima and maxima of its leaf sums
 
         def compare(level: int, first: int, sums: np.ndarray, js) -> None:
             for j in js:
@@ -291,13 +294,21 @@ class DyadicWeight:
                     compare(level, first, sums, range(len(pairs)))
                     if not any(best):  # every pair refused
                         break
-                else:  # per row, the extremes of the leaf sums of the blocks so far
-                    low = np.minimum(low, sums.min(axis=1)) if first else sums.min(axis=1)
-                    high = np.maximum(high, sums.max(axis=1)) if first else sums.max(axis=1)
-            low, high = (np.array([low, high]) / self.space.leaf_measure).tolist()
-            leaves = [j for j, (a, b, y, bound) in enumerate(cols) if best[j] is not None and (
-                not _leaves_in_range((low[a], low[b]), (high[a], high[b]), y, bound)
-                or best[j][0] < bound)]
+                else:  # per pair, the extremes of its a and b leaf sums of the blocks so far
+                    low, high = sums.min(axis=1).tolist(), sums.max(axis=1).tolist()
+                    for j, (a, b, _, _) in enumerate(cols):
+                        lo, hi = [low[a], low[b]], [high[a], high[b]]
+                        if not lo[1]:  # a dead leaf (b-sum 0): those of the live leaves
+                            two, live = sums[[a, b]], sums[b] > 0
+                            lo = two.min(axis=1, where=live, initial=np.inf).tolist()
+                            hi = two.max(axis=1, where=live, initial=-np.inf).tolist()
+                        ends[j] = (list(map(min, ends[j][0], lo)),
+                                   list(map(max, ends[j][1], hi))) if first else (lo, hi)
+            h = self.space.leaf_measure
+            leaves = [j for j, ((*_, y, bound), (lo, hi)) in enumerate(zip(cols, ends))
+                      if best[j] is not None and (not _leaves_in_range(
+                          [lo[0] / h, lo[1] / h], [hi[0] / h, hi[1] / h], y, bound)
+                          or best[j][0] < bound)]
             for first, sums in self._leaf_blocks(values, rows, block) if leaves else ():
                 compare(depth, first, sums, leaves)
         return [None if found is None or found[0] == -np.inf

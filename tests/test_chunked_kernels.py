@@ -456,6 +456,21 @@ def test_leaf_level_is_deferred(monkeypatch):
     _check_leaves_skipped(w, monkeypatch)
 
 
+@pytest.mark.parametrize("zero", [5, 3 * _CHUNK + 7])
+def test_a_zero_leaf_sends_no_block_to_the_leaf_pass(zero, monkeypatch):
+    """One zero leaf, in the first block or the last of four: the reverse
+    Holder pair's b-row minimum is 0 there, so that block's extremes are
+    taken over its live leaves, which pass the range check, and no block
+    goes through the leaf pass; the sup is the whole levels' bit for bit."""
+    v = gen_random(TreeSpace(2, 17), 0).values.copy()
+    v[zero] = 0.0
+    w = DyadicWeight(TreeSpace(2, 17), v)
+    calls = _leaf_calls(monkeypatch)
+    report, = w._node_sups(2.0, (False,))
+    assert w.space.leaf_measure not in calls
+    assert (report.constant, report.witness) == whole_node_sup(w, 2.0, False)
+
+
 @pytest.mark.parametrize("k, depth", [(2, 17), (3, 10), (2, 6)])
 def test_constant_leaves_run_in_a_second_pass(k, depth, monkeypatch):
     """Every ratio of a constant weight is 1 up to rounding, below the leaf

@@ -15,7 +15,7 @@ import tracemalloc
 import pytest
 
 from treerhi import (DyadicWeight, TreeSpace, gen_random, prefix_muckenhoupt_constant,
-                     prefix_rhi_constant, rearrangement)
+                     prefix_rhi_constant, rearrangement, trace_theorem1)
 from treerhi.cli import analyze_weight
 from treerhi.weight import _scalings
 
@@ -97,3 +97,24 @@ def test_analyze_holds_the_weight_and_the_rearrangement(traced):
     _, peak = _peak_above(analyze_weight, w, 2.0)
     assert peak < 13.0
     assert w._sums == {}
+
+
+def test_trace_stays_below_200_bytes_per_leaf(traced):
+    # 171 B/leaf at 2^16 leaves, set by the stages after the walk: the
+    # walk's masks, formed a level at a time, do not reach the peak, and
+    # neither would whole trees of node averages and masks (18 B/leaf)
+    w = gen_random(TreeSpace(2, 16), 0)
+    _, peak = _peak_above(trace_theorem1, w, 2.0, 0.5)
+    assert peak * MB / w.space.n_leaves < 200.0
+
+
+def test_trace_config_adds_no_copy_of_the_text(traced):
+    # the config is a key of the template, so the text is formed once; spliced
+    # into a copy of the text, it peaked 67% above the text alone here
+    trace = trace_theorem1(gen_random(TreeSpace(2, 14), 0), 2.0, 0.5)
+    config = {"command": "trace", "weight": "w.json", "p": 2.0, "t": 0.5, "output": "t.json"}
+    plain, peak = _peak_above(trace.to_json)
+    del plain
+    text, config_peak = _peak_above(trace.to_json, config)
+    assert text.endswith('"output": "t.json"\n  }\n}')
+    assert config_peak < peak * 1.1

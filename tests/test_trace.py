@@ -32,10 +32,11 @@ from treerhi.trace import (
     Assertion,
     FatherRecord,
     _at_most,
-    _family,
     _fill,
     _isclose,
+    _node_ids,
     _traces,
+    _walk,
 )
 from helpers import (
     father,
@@ -63,6 +64,16 @@ def test_fractional_set_measure_and_integral():
     assert s.measure == pytest.approx(0.375, rel=1e-15)
     assert s.integral(w) == pytest.approx(8 * 0.25 + 2 * 0.125, rel=1e-15)
     assert s.average(w) == pytest.approx(2.25 / 0.375, rel=1e-15)
+
+
+def test_fractional_set_average_refuses_an_empty_set():
+    # a set of measure 0 once raised ZeroDivisionError
+    w = gen_random(TreeSpace(2, 2), 0)
+    empty = FractionalSet(w.space, 0, [0.0, 0.0])
+    assert empty.measure == 0.0 and empty.integral(w) == 0.0
+    for q in (1.0, 2.0):
+        with pytest.raises(ValueError, match="set is empty"):
+            empty.average(w, q)
 
 
 def test_fractional_set_validation():
@@ -112,7 +123,7 @@ def test_stopping_no_strict_exceedance():
 
 
 def test_stopping_root_qualifies_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="root average exceeds the threshold"):
         stopping_decomposition(w8211(), 2.0)
 
 
@@ -171,22 +182,51 @@ def test_select_fathers_rejects_node_outside_tree(node):
         select_fathers(TreeSpace(2, 2), [NodeId(2, 0), node])
 
 
-def _family_reference(space, nodes):
-    """_family by TreeSpace.contains alone: the distinct fathers no other
-    father contains, root first; each node's father; the covered leaves."""
+def _fathers_reference(space, nodes):
+    """The distinct fathers of nodes that no other father contains, root
+    first, by TreeSpace.contains alone."""
     parents = sorted({NodeId(n.level - 1, n.index // space.k) for n in nodes})
-    fathers = [f for f in parents if not any(g != f and space.contains(g, f) for g in parents)]
-    owner = [[s for s, f in enumerate(fathers) if space.contains(f, n)] for n in nodes]
-    cover = [any(space.contains(n, NodeId(space.depth, leaf)) for n in nodes)
+    return [f for f in parents if not any(g != f and space.contains(g, f) for g in parents)]
+
+
+def _walk_reference(space, masks):
+    """_walk by TreeSpace.contains alone: the marked nodes under no other
+    marked node, root first; their maximal fathers; the fathers holding
+    each of them; the leaves they cover."""
+    marked = _node_ids([np.flatnonzero(mask) for mask in masks])
+    picks = [n for n in marked if not any(m != n and space.contains(m, n) for m in marked)]
+    fathers = _fathers_reference(space, picks)
+    owners = [[s for s, f in enumerate(fathers) if space.contains(f, n)] for n in picks]
+    cover = [any(space.contains(n, NodeId(space.depth, leaf)) for n in picks)
              for leaf in range(space.n_leaves)]
-    return fathers, owner, cover
+    return picks, fathers, owners, cover
 
 
-def test_family_matches_containment_reference():
-    rng = np.random.default_rng(21)
-    shapes = [(2, 1), (2, 3), (2, 5), (3, 3), (4, 2), (5, 2)]
+SHAPES = [(2, 1), (2, 3), (2, 5), (3, 3), (4, 2), (5, 2)]
+
+
+def test_walk_matches_containment_reference():
+    rng = np.random.default_rng(27)
     for case in range(300):
-        space = TreeSpace(*shapes[case % len(shapes)])
+        space = TreeSpace(*SHAPES[case % len(SHAPES)])
+        density = rng.random() * 0.5
+        masks = [np.zeros(1, dtype=bool)] + [rng.random(space.k ** level) < density
+                                              for level in range(1, space.depth + 1)]
+        picks, fathers, owners, cover = _walk(space, masks)
+        ref_picks, ref_fathers, ref_owners, ref_cover = _walk_reference(space, masks)
+        assert _node_ids(picks) == ref_picks
+        assert _node_ids(fathers) == ref_fathers
+        assert [[s] for a in owners for s in a.tolist()] == ref_owners  # one holder each
+        assert cover.tolist() == ref_cover
+        assert len(picks) == len(owners) == space.depth + 1 and len(fathers) == space.depth
+
+
+def test_select_fathers_matches_containment_reference():
+    # node lists with duplicates, ancestors and descendants: a node under
+    # another adds no maximal father
+    rng = np.random.default_rng(21)
+    for case in range(300):
+        space = TreeSpace(*SHAPES[case % len(SHAPES)])
         nodes = []
         for _ in range(rng.integers(1, 9)):
             if nodes and rng.random() < 0.4:  # a duplicate, ancestor or descendant
@@ -199,11 +239,7 @@ def test_family_matches_containment_reference():
                 level = int(rng.integers(1, space.depth + 1))
                 index = int(rng.integers(space.k ** level))
             nodes.append(NodeId(level, index))
-        fathers, owner, cover = _family(space, nodes)
-        ref_fathers, ref_owner, ref_cover = _family_reference(space, nodes)
-        assert fathers == ref_fathers == select_fathers(space, nodes)
-        assert [[s] for s in owner.tolist()] == ref_owner  # exactly one holder each
-        assert cover.tolist() == [float(c) for c in ref_cover]
+        assert select_fathers(space, nodes) == _fathers_reference(space, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -712,18 +748,25 @@ def test_elementwise_verdicts_match_scalar(lhs, rhs, edges):
 
 
 def test_verify_decomposition_decomposes_each_prefix_once(monkeypatch):
-    # five prefix lengths x three exponents: one stopping family per length
-    # (the weight, 2 leaves, is degenerate at the first three), where a
-    # trace per exponent picked six
-    calls = []
-
-    def counted(weight, threshold):
-        calls.append(threshold)
-        return stopping_decomposition(weight, threshold)
-
-    monkeypatch.setattr(trace_mod, "stopping_decomposition", counted)
+    # five prefix lengths x three exponents: one walk per length (the weight,
+    # 2 leaves, is degenerate at the first three), where a trace per
+    # exponent walked six times
+    calls = _count_calls(monkeypatch, trace_mod, "_walk")
     assert main(["verify", "decomposition", "--count", "1"]) == 0
     assert 0 < len(calls) <= 5
+
+
+def test_each_decomposition_walks_once(monkeypatch):
+    # the stopping family, its fathers, owners and cover come from one walk;
+    # t = 0.01, below a leaf's measure, is degenerate and walks no levels
+    w = gen_random(TreeSpace(2, 6), 0)
+    calls = _count_calls(monkeypatch, trace_mod, "_walk")
+    assert not trace_theorem1(w, 2.0, 0.3).degenerate
+    assert len(calls) == 1
+    calls.clear()
+    traces = list(_traces(w, (1.5, 2.0, 3.0), (0.01, 0.3, 0.6)))
+    decomposed = {tr.t for tr in traces if not tr.degenerate}
+    assert len(decomposed) == 2 and len(calls) == 2
 
 
 def _count_calls(monkeypatch, owner, name):
