@@ -29,10 +29,6 @@ EXIT_INTERNAL = 3
 LEMMA_ATTEMPTS = 20  # weights tried per requested lemma instance
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _float_list(text: str) -> tuple[float, ...]:
     values = tuple(float(x) for x in text.split(",") if x)
     if not values:
@@ -49,11 +45,6 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def _echo_config(args: argparse.Namespace) -> dict:
     return {k: str(v) if isinstance(v, Path) else v for k, v in sorted(vars(args).items())}
-
-
-def _write_report(path: str | None, doc: dict) -> None:
-    if path:
-        Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +114,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if "muckenhoupt_constant" in report:
         print(f"Muckenhoupt        = {report['muckenhoupt_constant']:.12g}   "
               f"prefix = {report['prefix_muckenhoupt_constant']:.12g}")
-    _write_report(args.output, report)
+    if args.output:
+        Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -229,13 +221,13 @@ VERIFY_SUITES = {
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.count <= 0:
-        raise UsageError("count must be positive")
+        raise ValueError("count must be positive")
     for p in args.p:
         weight_mod._check_exponent(p)
     if args.depth < 1:
-        raise UsageError("depth must be >= 1")
+        raise ValueError("depth must be >= 1")
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
-        raise UsageError(f"tolerance must be a finite number >= 0, got {args.tolerance}")
+        raise ValueError(f"tolerance must be a finite number >= 0, got {args.tolerance}")
     for k in args.k:
         TreeSpace(k, args.depth)  # refuses k < 2 and oversized trees up front
     return VERIFY_SUITES[args.suite](args)
@@ -376,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return COMMANDS[args.command](args)
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:

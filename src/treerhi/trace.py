@@ -9,8 +9,9 @@ ending with the bound k*(c-1)+1 on the power average, where c is the
 reverse-Holder constant over the tree nodes.  Everything up to the power
 averages is built from the threshold alone, so a caller tracing one weight
 at several prefix lengths and exponents decomposes each length once and
-computes the rearrangement, the top set's leaf order and each exponent's
-node sup once (_traces).
+computes the rearrangement, the one sort of the leaves, and each exponent's
+node sup once (_traces); the rearrangement gives the threshold, the maximum
+and every top set.
 
 The stopping family and its maximal fathers, owners and cover come from one
 top-down walk over the levels (_walk).  Maximal fathers are disjoint, so a
@@ -40,7 +41,7 @@ import numpy as np
 
 from .exponents import transference_bound
 from .jsontext import _NL, _table, _template, _Writer
-from .rearrange import _check_t, prefix_average, rearrangement
+from .rearrange import StepFunction, _check_t, prefix_average, rearrangement
 from .sets import EQ_REL_TOL, FractionalSet, _check_fractions, _powers
 from .tree import NodeId, TreeSpace
 from .weight import _RESOLVED, DyadicWeight, RhiReport, _check_exponent
@@ -349,40 +350,36 @@ def build_gamma(
     return FractionalSet(space, first, sets[2, 0]), FractionalSet(space, first, sets[3, 0])
 
 
-def _descending_order(values: np.ndarray) -> np.ndarray:
-    """Leaf indices by descending value, ties by leaf: the top sets' order.
-
-    Without ties every sort gives that order, so the stable sort runs only
-    when the default one's order has two equal values next to each other.
-    """
-    order = np.argsort(-values)
-    ranked = values[order]
-    if (ranked[1:] == ranked[:-1]).any():
-        order = np.argsort(-values, kind="stable")
-    return order
-
-
-def _top_fractions(order: np.ndarray, space: TreeSpace, t: float) -> np.ndarray:
-    """Read-only fractions of the greedy top set of measure t over the tree."""
-    h = space.leaf_measure
-    quotient = t / h
+def _top_fractions(weight: DyadicWeight, star: StepFunction, t: float) -> np.ndarray:
+    """Read-only fractions of the greedy top set of measure t over the tree:
+    by descending value, ties by leaf, ``full`` leaves whole and the next by
+    ``rest``.  So every leaf above the level, star's value at rank ``full``,
+    is whole, and so are the first leaves at it up to that rank."""
+    n, values = weight.space.n_leaves, weight.values
+    quotient = t / weight.space.leaf_measure
     full = int(round(quotient)) if abs(quotient - round(quotient)) < 1e-9 else int(quotient)
-    full = min(full, space.n_leaves)
-    fractions = np.zeros(space.n_leaves)
-    fractions[order[:full]] = 1.0
-    rest = quotient - full
-    if rest > EQ_REL_TOL and full < space.n_leaves:
-        fractions[order[full]] = rest
+    if full >= n:
+        fractions = np.ones(n)
+    else:
+        # the step holding the position (full + 1/2)/n; unit steps hold one rank each
+        step = full if star.values.size == n else star.breakpoints.searchsorted((full + 0.5) / n)
+        level = star.values[step]
+        fractions = (values > level).astype(np.float64)
+        at = np.flatnonzero(values == level)
+        whole = full - np.count_nonzero(fractions)  # the leaves at the level taken whole
+        fractions[at[:whole]] = 1.0
+        rest = quotient - full
+        if rest > EQ_REL_TOL:
+            fractions[at[whole]] = rest
     fractions.setflags(write=False)
     return fractions
 
 
 def build_top_set(weight: DyadicWeight, t: float) -> FractionalSet:
-    """Greedy top set of measure t: leaves by descending value, one fractional.
-
-    Its average equals the prefix average of the rearrangement over (0, t].
-    """
-    fractions = _top_fractions(_descending_order(weight.values), weight.space, _check_t(t))
+    """Greedy top set of measure t: leaves by descending value, one fractional,
+    read from the rearrangement.  Its average equals the rearrangement's
+    prefix average over (0, t]."""
+    fractions = _top_fractions(weight, rearrangement(weight), _check_t(t))
     return FractionalSet._checked(weight.space, 0, fractions)  # shares 1 and rest < 1
 
 
@@ -564,9 +561,9 @@ for _column in _NO_FATHERS:
 def _decompositions(weight: DyadicWeight, ps, ts):
     """(p, star, d) for each t of ts and, within it, each p of ps, once p
     passes its checks: d is the decomposition at t, built at t's first p,
-    and star the rearrangement.  A refusal comes where separate traces
-    would raise it, and ends the run."""
-    star = order = None
+    and star the rearrangement, the one sort of the leaves.  A refusal comes
+    where separate traces would raise it, and ends the run."""
+    star = None
     for t in ts:
         d = None
         for p in ps:
@@ -577,14 +574,13 @@ def _decompositions(weight: DyadicWeight, ps, ts):
                     if not weight.values.any():
                         raise ValueError("weight is identically zero")
                     star = rearrangement(weight)
-                    order = _descending_order(weight.values)
                 threshold = prefix_average(star, t, 1.0)
             # every power average the trace sums from leaf powers lies in [A**p, max**p]
             for v in (threshold, star.values[0]):
                 if not (v > 0 and math.log2(_RESOLVED) <= p * math.log2(v) < 1024):
                     raise ValueError(f"threshold**p or max**p leaves the double range at p={p}")
             if d is None:
-                d = _decompose(weight, t, threshold, order)
+                d = _decompose(weight, t, threshold, star)
             yield p, star, d
 
 
@@ -632,9 +628,10 @@ def _trace_at(d: _Decomposition, weight: DyadicWeight, p: float, prefix_power: f
 
 
 def _decompose(weight: DyadicWeight, t: float, threshold: float,
-               order: np.ndarray) -> _Decomposition:
+               star: StepFunction) -> _Decomposition:
     """Stopping family, fathers, fills, Gamma and top set at this threshold,
-    with the checks that do not read p; ``order`` is _descending_order's."""
+    with the checks that do not read p; ``star`` is the rearrangement, which
+    gives the maximum and the top set."""
     space = weight.space
     k = space.k
     exceeds = _exceeds(weight.maximal_function(), threshold)
@@ -643,7 +640,7 @@ def _decompose(weight: DyadicWeight, t: float, threshold: float,
     if not exceedance_leaves:
         # Nothing exceeds the threshold, so the rearrangement is at most the
         # threshold on (0, t] and the bound follows directly.
-        top = float(weight.values.max())
+        top = float(star.values[0])
         checks = (("max_value_le_threshold", top, threshold, _at_most(top, threshold)),)
         return _Decomposition(space, t, threshold, exceedance_leaves, checks, (), (), (),
                               *_NO_FATHERS)
@@ -705,7 +702,7 @@ def _decompose(weight: DyadicWeight, t: float, threshold: float,
               ("gamma_average_matches_threshold", gamma_average, threshold,
                math.isclose(gamma_average, threshold, rel_tol=GAMMA_REL_TOL)),
               ("gamma_measure_le_t", gamma_measure, t, _at_most(gamma_measure, t)))
-    lemma = _lemma_sides(weight, _top_fractions(order, space, t), union, gamma_measure,
+    lemma = _lemma_sides(weight, _top_fractions(weight, star, t), union, gamma_measure,
                          gamma_integral)
     return _Decomposition(
         space, t, threshold, exceedance_leaves, checks, tuple(stopping), tuple(fathers),

@@ -26,6 +26,7 @@ from treerhi import (
 from treerhi import save_weight
 from treerhi import trace as trace_mod
 from treerhi.cli import main
+from treerhi.sets import EQ_REL_TOL
 from treerhi.trace import (
     ASSERT_REL_TOL,
     GAMMA_REL_TOL,
@@ -398,20 +399,42 @@ def _tied_random(n: int, seed: int) -> np.ndarray:
     return rng.choice([0.0, 0.5, 1.0, 3.0], n)
 
 
-@pytest.mark.parametrize("values", [
-    np.full(4096, 2.5),
-    gen_two_value(TreeSpace(2, 12), 1.0, 7.0).values,
-    gen_two_value(TreeSpace(4, 3), 7.0, 1.0).values,
-    _tied_random(4096, 0),
-    _tied_random(37, 1),
-    np.concatenate([np.arange(3000.0), np.arange(1000.0)]),
-    gen_random(TreeSpace(2, 12), 3).values,  # no ties: the default sort's order
-    np.zeros(1),
+def _stable_top_fractions(w: DyadicWeight, t: float) -> np.ndarray:
+    """The top set of measure t as the prefix of the stable descending order."""
+    n = w.space.n_leaves
+    quotient = t / w.space.leaf_measure
+    full = int(round(quotient)) if abs(quotient - round(quotient)) < 1e-9 else int(quotient)
+    full = min(full, n)
+    order = np.argsort(-w.values, kind="stable")
+    fractions = np.zeros(n)
+    fractions[order[:full]] = 1.0
+    if quotient - full > EQ_REL_TOL and full < n:
+        fractions[order[full]] = quotient - full
+    return fractions
+
+
+@pytest.mark.parametrize("w", [
+    gen_constant(TreeSpace(2, 12), 2.5),
+    gen_two_value(TreeSpace(2, 12), 1.0, 7.0),
+    gen_two_value(TreeSpace(4, 3), 7.0, 1.0),
+    DyadicWeight(TreeSpace(2, 12), _tied_random(4096, 0)),
+    DyadicWeight(TreeSpace(3, 3), _tied_random(27, 1)),
+    DyadicWeight(TreeSpace(2, 12), np.concatenate([np.arange(3000.0), np.arange(1096.0)])),
+    gen_random(TreeSpace(2, 12), 3),  # no ties: unit steps
+    DyadicWeight(TreeSpace(2, 0), np.zeros(1)),
+    DyadicWeight(TreeSpace(2, 6), np.tile([0.0, -0.0, 1.0, -0.0], 16)),
 ], ids=["constant", "two-value", "two-value-rising", "tied-random", "tied-short",
-        "tied-runs", "untied", "one-leaf"])
-def test_descending_order_is_the_stable_order(values):
-    order = trace_mod._descending_order(values)
-    assert np.array_equal(order, np.argsort(-values, kind="stable"))
+        "tied-runs", "untied", "one-leaf", "signed-zero"])
+def test_descending_order_is_the_stable_order(w):
+    # the top set read from the rearrangement is the prefix of the stable
+    # descending order of the leaves: ties are taken by leaf
+    values, n = w.values, w.space.n_leaves
+    levels, counts = np.unique(values, return_counts=True)
+    above = np.count_nonzero(values > levels[counts.argmax()])
+    inside_run = (above + min(counts.max(), 2) - 0.5) / n  # half a leaf into the longest run
+    for t in (0.3 / n, min(2 / n, 1.0), 1 / n, 0.3, 0.5, inside_run, 1 - 1e-13, 1.0):
+        expected = _stable_top_fractions(w, t)
+        assert build_top_set(w, t).window.tobytes() == expected.tobytes(), t
 
 
 # ---------------------------------------------------------------------------
@@ -790,6 +813,12 @@ def test_verify_decomposition_shares_node_sup_and_rearrangement(monkeypatch):
     assert main(["verify", "decomposition", "--count", "1"]) == 0
     assert sups == [1.5, 2.0, 3.0]
     assert len(rearranged) == 1
+    # a single trace sorts the leaves once too: the rearrangement gives the
+    # threshold, the maximum and the top set, degenerate or not
+    for t in (0.01, 0.3):
+        rearranged.clear()
+        trace_theorem1(gen_random(TreeSpace(2, 6), 0), 2.0, t)
+        assert len(rearranged) == 1
 
 
 def test_verify_lemma_computes_no_node_sup(monkeypatch, capsys):
@@ -797,14 +826,6 @@ def test_verify_lemma_computes_no_node_sup(monkeypatch, capsys):
     assert main(["verify", "lemma", "--count", "3"]) == 0
     assert "all conclusions hold" in capsys.readouterr().out
     assert sups == []
-
-
-def test_verify_decomposition_sorts_top_order_once(monkeypatch):
-    # the top sets at five prefix lengths share one descending order of the
-    # leaves, where each prefix length sorted the weight again
-    sorts = _count_calls(monkeypatch, trace_mod, "_descending_order")
-    assert main(["verify", "decomposition", "--count", "1"]) == 0
-    assert len(sorts) == 1
 
 
 def _count_constructions(monkeypatch):
