@@ -211,6 +211,13 @@ def _ratios_at(right: np.ndarray | None, v: np.ndarray,
     overflows by its end has a bound that is not finite, so it is never
     skipped.  A step function of one block is evaluated whole, without a
     bound: its only block starts at t = 0.
+
+    No step of this argument uses non-increasing values.  The block bound
+    needs only the computed N and D non-decreasing, as running sums of
+    non-negative terms are; the floor needs only that and t at most the
+    chunk's last breakpoint; and an interior mean lies between its step's
+    end means, as (n0 + v * (t - l)) / t is monotone in t.  Only G without
+    the power, rejected above, leans on monotone h.
     """
     rows = list(dict.fromkeys(q for pair in pairs for q in pair))
     cols = [(rows.index(a), rows.index(b), a, b, y, -1.0 - y) for a, b in pairs for y in (-a / b,)]

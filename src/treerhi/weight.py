@@ -8,11 +8,11 @@ Node integrals of value**q are accumulated child-to-parent, left to right,
 so rounding error grows O(depth) per node and a recursive re-summation
 reproduces every node sum bit for bit.  A node sup is one max over nodes of
 (ratio, -level, -index) (_ratio_sup), in one bottom-up pass over blocks of
-leaves shared by all exponent pairs; the leaves, whose ratio is 1 up to
-rounding, are compared after it, only where a range check fails or no upper
-level reaches them.  Every constant is a ratio of power means, which no
-scaling changes, so the node and prefix kernels share one range policy,
-_retried, per pair.
+leaves shared by all exponent pairs; a block of leaves, whose ratio is 1 up
+to rounding, is compared only where a range check fails, and all again only
+where no upper level reaches the leaf bound.  Every constant is a ratio of
+power means, which no scaling changes, so the node and prefix kernels share
+one range policy, _retried, per pair.
 """
 from __future__ import annotations
 
@@ -256,28 +256,28 @@ class DyadicWeight:
 
         One max over nodes: each pair keeps one running best (ratio, -level,
         -index), so ties go to the lowest level, then the lowest index.  Each
-        run of nodes above the leaves (_node_sums, a row per distinct exponent)
-        is compared (_best_node) for each pair as it is formed.  A refused
-        pair's best is None, and the pass stops once all are; a dead root
-        (every b-sum 0) leaves the best at -inf, also refused.
+        run of nodes (_node_sums, a row per distinct exponent) is compared
+        (_best_node, which skips a dead node, of b-sum 0) for each pair as it
+        is formed, a block of leaves only for the pairs whose extremes there
+        fail _leaves_in_range.  A refused pair's best is None, and the pass
+        stops once all are; a dead root leaves the best at -inf, also refused.
 
-        The leaves are compared after the pass.  At a leaf both averages are
-        powers of one value v, so the ratio is v**(a + b*y) up to a few ulp per
-        unit of |y|; a + b*y is 0 on the reverse Holder side and, with y = -a/b
-        rounded, within 2**-53 of it on the Muckenhoupt side (a = 1), where
-        |ln v| < 710 once the averages are in range.  So leaves whose rows'
-        extremes pass _leaves_in_range have no None verdict and no ratio above
-        bound = 1 + 2**-44 * (2 + |y|), and lose to an upper level that reaches
-        bound.  Otherwise one leaf pass (_leaf_blocks) compares them.  A node
-        whose b-sum is 0 is dead and skipped, a leaf too, so in a block that
-        holds a dead leaf a pair's extremes are those of its live leaves.
+        At a leaf both averages are powers of one value v, so the ratio is
+        v**(a + b*y) up to a few ulp per unit of |y|; a + b*y is 0 on the
+        reverse Holder side and, with y = -a/b rounded, within 2**-53 of it on
+        the Muckenhoupt side (a = 1), where |ln v| < 710 once the averages are
+        in range.  So a block that passes has no None verdict and every ratio
+        strictly below bound = 1 + 2**-44 * (2 + |y|), over ten times wider.
+        The leaves lose every tie and a best only grows, so no such block
+        holds the sup of a pair whose best reaches bound; for any other pair,
+        as on a constant weight, one leaf pass (_leaf_blocks) compares every
+        block (one compared twice changes no max).
         """
-        k, depth = self.space.k, self.space.depth
+        k, depth, h = self.space.k, self.space.depth, self.space.leaf_measure
         rows = list(dict.fromkeys(q for pair in pairs for q in pair))
         cols = [(rows.index(a), rows.index(b), y, 1.0 + _MARGIN * (2.0 + abs(y)))
                 for a, b in pairs for y in (-a / b,)]  # rows, y and leaf bound per pair
         best = [(-np.inf, 0, 0)] * len(pairs)  # per pair: (ratio, -level, -index), None if refused
-        ends = [None] * len(pairs)  # per pair: the minima and maxima of its leaf sums
 
         def compare(level: int, first: int, sums: np.ndarray, js) -> None:
             for j in js:
@@ -290,25 +290,17 @@ class DyadicWeight:
         top, block = self._layout()
         with np.errstate(all="ignore"):
             for level, first, sums in self._node_sums(values, rows, top, block):
-                if level < depth:
-                    compare(level, first, sums, range(len(pairs)))
-                    if not any(best):  # every pair refused
-                        break
-                else:  # per pair, the extremes of its a and b leaf sums of the blocks so far
+                js = range(len(pairs))
+                if level == depth:  # leaves: only the pairs whose extremes fail the range check
                     low, high = sums.min(axis=1).tolist(), sums.max(axis=1).tolist()
-                    for j, (a, b, _, _) in enumerate(cols):
-                        lo, hi = [low[a], low[b]], [high[a], high[b]]
-                        if not lo[1]:  # a dead leaf (b-sum 0): those of the live leaves
-                            two, live = sums[[a, b]], sums[b] > 0
-                            lo = two.min(axis=1, where=live, initial=np.inf).tolist()
-                            hi = two.max(axis=1, where=live, initial=-np.inf).tolist()
-                        ends[j] = (list(map(min, ends[j][0], lo)),
-                                   list(map(max, ends[j][1], hi))) if first else (lo, hi)
-            h = self.space.leaf_measure
-            leaves = [j for j, ((*_, y, bound), (lo, hi)) in enumerate(zip(cols, ends))
-                      if best[j] is not None and (not _leaves_in_range(
-                          [lo[0] / h, lo[1] / h], [hi[0] / h, hi[1] / h], y, bound)
-                          or best[j][0] < bound)]
+                    js = [j for j, (a, b, y, bound) in enumerate(cols) if best[j] is not None
+                          and not _leaves_in_range([low[a] / h, low[b] / h],
+                                                   [high[a] / h, high[b] / h], y, bound)]
+                compare(level, first, sums, js)
+                if not any(best):  # every pair refused
+                    break
+            leaves = [j for j, (*_, bound) in enumerate(cols)
+                      if best[j] is not None and best[j][0] < bound]
             for first, sums in self._leaf_blocks(values, rows, block) if leaves else ():
                 compare(depth, first, sums, leaves)
         return [None if found is None or found[0] == -np.inf

@@ -3,8 +3,9 @@ whole-array references in tests/helpers.py, bit for bit, on weights of
 2^16-2^17 leaves: the deepest levels and the step lists span several chunks.
 The node sup also runs on the shapes and weights that its blocks of leaves
 can get wrong: many blocks, blocks of one node, ties across blocks and
-levels, and dead or underflowing blocks, and its leaf level, compared
-only after the pass and only where it must be, is counted.  The prefix sup, which evaluates a block of steps only when a bound
+levels, and dead or underflowing blocks; the blocks of leaves that it
+compares, each decided as it is formed and all again after the pass only
+where they must be, are counted.  The prefix sup, which evaluates a block of steps only when a bound
 can reach the sup, runs on small step functions at chunks of 1, 3 and 64
 steps and blocks of 1 to 8 steps as well.  Each side's kernel takes a list
 of exponent pairs: one pass for both pairs must give each the bits of its
@@ -397,13 +398,15 @@ def test_carried_mean_near_resolved_is_solved_in_full(chunk, scale, solved, monk
     assert [blocks for _, blocks, _ in log] == solved
 
 
-def _leaf_calls(monkeypatch) -> list[float]:
-    """Records the measure of every run of nodes that _best_node compares."""
+def _leaf_calls(monkeypatch, w: DyadicWeight) -> list[tuple[float, bool]]:
+    """Records, for every block of w's leaves that _best_node compares, the
+    pair's y and whether the block holds a dead leaf (b-sum 0)."""
     log = []
     best = weight._best_node
 
     def counted(num, den, measure, y):
-        log.append(measure)
+        if measure == w.space.leaf_measure:
+            log.append((y, bool((den == 0).any())))
         return best(num, den, measure, y)
 
     monkeypatch.setattr(weight, "_best_node", counted)
@@ -424,33 +427,40 @@ def _range_checks(monkeypatch) -> list[float]:
 
 
 def _check_leaves_skipped(w: DyadicWeight, monkeypatch) -> None:
-    """At every exponent on both sides, alone and as a pair, w's leaves as
-    they are pass the range check, once per live pair of a pass, and an
-    upper level reaches the leaf bound, so _best_node never sees them; at
-    p = 120 the reverse Holder pair is refused on an upper level, whose sums
-    overflow with the leaves', before the check.  The rescaled retries of
-    that pair may compare the leaves; their answers are the whole levels'."""
-    calls, checks = _leaf_calls(monkeypatch), _range_checks(monkeypatch)
+    """At every exponent on both sides, alone and as a pair, each block of
+    w's leaves as they are is range-checked once for each pair not yet
+    refused, passes, and is not compared, and an upper level reaches the
+    leaf bound, so no leaf pass runs.  At p = 120 the reverse Holder pair's
+    leaf sums overflow in the first block: it fails the check there, before
+    an upper level, and goes alone through _best_node, which refuses the
+    pair.  The rescaled retries of that pair may compare the leaves; their
+    answers are the whole levels'."""
+    calls, checks = _leaf_calls(monkeypatch, w), _range_checks(monkeypatch)
+    blocks = -(-w.space.n_leaves // w._layout()[1])
     for p in PS:
         pairs = [_power_pair(p, dual) for dual in (False, True)]
         whole = [whole_node_ratio_sup(w, a, b) for a, b in pairs]
+        ys = [-a / b for a, b in pairs]
+        live = [y for y, f in zip(ys, whole) if f is not None]
+        calls.clear()
         checks.clear()
         assert w._ratio_sup(w.values, pairs) == whole, p
-        assert checks == [-a / b for (a, b), f in zip(pairs, whole) if f is not None], p
+        assert checks == ys + live * (blocks - 1), p
+        assert calls == [(y, False) for y, f in zip(ys, whole) if f is None], p
         assert (whole[0] is None) == (p == 120.0), p
-        for dual, (a, b) in zip((False, True), pairs):
+        for dual, y in zip((False, True), ys):
+            calls.clear()
             checks.clear()
-            assert w._ratio_sup(w.values, [(a, b)]) == [whole[dual]], (p, dual)
-            assert len(checks) == (whole[dual] is not None), (p, dual)
-        assert w.space.leaf_measure not in calls, p
+            assert w._ratio_sup(w.values, [pairs[dual]]) == [whole[dual]], (p, dual)
+            assert checks == [y] * (blocks if whole[dual] is not None else 1), (p, dual)
+            assert calls == ([] if whole[dual] is not None else [(y, False)]), (p, dual)
         for dual in (False, True):
             assert _outcome(_node_sup, w, p, dual) == _outcome(whole_node_sup, w, p, dual)
-        calls.clear()
 
 
 def test_leaf_level_is_deferred(monkeypatch):
-    """A random weight on four blocks: its leaves are compared only after
-    the pass, and there only when they must be, which for it is never."""
+    """A random weight on four blocks: a block of its leaves is compared
+    only when it must be, which for it is never on a pair that answers."""
     w = gen_random(TreeSpace(2, 17), 0)
     assert w.space.n_leaves == 4 * w._layout()[1]
     _check_leaves_skipped(w, monkeypatch)
@@ -459,15 +469,17 @@ def test_leaf_level_is_deferred(monkeypatch):
 @pytest.mark.parametrize("zero", [5, 3 * _CHUNK + 7])
 def test_a_zero_leaf_sends_no_block_to_the_leaf_pass(zero, monkeypatch):
     """One zero leaf, in the first block or the last of four: the reverse
-    Holder pair's b-row minimum is 0 there, so that block's extremes are
-    taken over its live leaves, which pass the range check, and no block
-    goes through the leaf pass; the sup is the whole levels' bit for bit."""
+    Holder pair's b-row minimum is 0 there, so that block alone fails the
+    range check and goes through _best_node in the pass, which skips the
+    dead leaf; every block is checked, and an upper level reaches the leaf
+    bound, so no leaf pass runs.  The sup is the whole levels' bit for bit."""
     v = gen_random(TreeSpace(2, 17), 0).values.copy()
     v[zero] = 0.0
     w = DyadicWeight(TreeSpace(2, 17), v)
-    calls = _leaf_calls(monkeypatch)
+    calls, checks = _leaf_calls(monkeypatch, w), _range_checks(monkeypatch)
     report, = w._node_sups(2.0, (False,))
-    assert w.space.leaf_measure not in calls
+    assert calls == [(-2.0, True)]
+    assert checks == [-2.0] * 4
     assert (report.constant, report.witness) == whole_node_sup(w, 2.0, False)
 
 
@@ -479,13 +491,13 @@ def test_constant_leaves_run_in_a_second_pass(k, depth, monkeypatch):
     w = gen_constant(TreeSpace(k, depth), 3.7)
     blocks = -(-w.space.n_leaves // w._layout()[1])
     assert (blocks > 1) == (depth > 6)
-    log = _leaf_calls(monkeypatch)
+    log = _leaf_calls(monkeypatch, w)
     for p in PS:
         for dual in (False, True):
             a, b = _power_pair(p, dual)
             log.clear()
             assert w._ratio_sup(w.values, [(a, b)])[0] == whole_node_ratio_sup(w, a, b), (p, dual)
-            assert log.count(w.space.leaf_measure) == blocks, (p, dual)
+            assert log == [(-a / b, False)] * blocks, (p, dual)
             assert _node_sup(w, p, dual) == whole_node_sup(w, p, dual), (p, dual)
 
 
@@ -496,34 +508,32 @@ def _edge_leaves(value: float) -> DyadicWeight:
     return DyadicWeight.from_leaves(2, 16, v)
 
 
-@pytest.mark.parametrize("value, p, dual, answered, leaf_blocks", [
-    (np.sqrt(_RESOLVED) * (1 + 2.0**-48), 2.0, False, True, 2),
-    (np.sqrt(_RESOLVED) * (1 - 2.0**-20), 2.0, False, False, 2),
-    (np.sqrt(_MAX) * (1 - 2.0**-48), 2.0, False, True, 2),
-    (np.sqrt(_MAX) * (1 + 2.0**-20), 2.0, False, False, 0),
-    (1 / _RESOLVED * (1 - 2.0**-48), 3.0, True, True, 2),
-    (2 / _RESOLVED, 3.0, True, False, 2),
+@pytest.mark.parametrize("value, p, dual, answered", [
+    (np.sqrt(_RESOLVED) * (1 + 2.0**-48), 2.0, False, True),
+    (np.sqrt(_RESOLVED) * (1 - 2.0**-20), 2.0, False, False),
+    (np.sqrt(_MAX) * (1 - 2.0**-48), 2.0, False, True),
+    (np.sqrt(_MAX) * (1 + 2.0**-20), 2.0, False, False),
+    (1 / _RESOLVED * (1 - 2.0**-48), 3.0, True, True),
+    (2 / _RESOLVED, 3.0, True, False),
 ], ids=["square-above-resolved", "square-below-resolved", "square-below-max", "square-overflows",
         "inverse-above-resolved", "inverse-below-resolved"])
-def test_leaves_near_the_range_ends_run_as_before(value, p, dual, answered, leaf_blocks,
-                                                  monkeypatch):
-    """One leaf whose power (its square at p = 2, its inverse on the
-    Muckenhoupt side at p = 3, where its b-average is in range) sits within
-    the check's margin of an end of the double range, or beyond it.  The
-    check, run once after the pass, refuses the leaves, and both blocks go
-    through _best_node in the leaf pass, the second of them refused when the
-    leaf's power is out of range.  An overflowing square overflows its
-    ancestors' sums too, so the pass refuses the pair on an upper level and
-    neither the check nor the leaf pass runs.  The verdict, retry and answer
+def test_leaves_near_the_range_ends_run_as_before(value, p, dual, answered, monkeypatch):
+    """One leaf of the second of two blocks whose power (its square at
+    p = 2, its inverse on the Muckenhoupt side at p = 3, where its b-average
+    is in range) sits within the check's margin of an end of the double
+    range, or beyond it.  Both blocks are checked; the first passes, and the
+    second fails and goes alone through _best_node, which refuses the pair
+    when the leaf's power is out of range, an overflowing square before the
+    upper level whose sum it overflows too.  The verdict, retry and answer
     are those of the whole levels, at every exponent on both sides."""
     w = _edge_leaves(value)
-    calls, checks = _leaf_calls(monkeypatch), _range_checks(monkeypatch)
+    calls, checks = _leaf_calls(monkeypatch, w), _range_checks(monkeypatch)
     a, b = _power_pair(p, dual)
     found = w._ratio_sup(w.values, [(a, b)])[0]
     assert found == whole_node_ratio_sup(w, a, b)
     assert (found is not None) == answered
-    assert calls.count(w.space.leaf_measure) == leaf_blocks
-    assert len(checks) == (leaf_blocks > 0)
+    assert calls == [(-a / b, False)]
+    assert checks == [-a / b] * 2
     for p in PS:
         for dual in (False, True):
             assert _outcome(_node_sup, w, p, dual) == _outcome(whole_node_sup, w, p, dual), \
@@ -552,7 +562,8 @@ def test_deferred_leaves_match_whole_levels_at_small_blocks(name, w, chunk, monk
 @pytest.mark.parametrize("k, depth", [(2, 15), (40000, 1), (2, 6)])
 def test_one_block_trees_keep_the_leaf_level(k, depth, monkeypatch):
     """A tree whose leaves fit in one block keeps the rule of several: a
-    random weight's leaves are checked after the pass and never compared."""
+    random weight's leaves are checked once and compared only where the
+    reverse Holder pair's sums overflow at p = 120."""
     w = gen_random(TreeSpace(k, depth), 4)
     assert w.space.n_leaves <= w._layout()[1]
     _check_leaves_skipped(w, monkeypatch)

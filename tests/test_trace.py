@@ -471,6 +471,22 @@ def test_lemma_negative_path():
     assert not result.hypotheses_hold
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-8, 1e-100])
+def test_lemma_averages_differ_at_every_scale(scale):
+    """Averages are of degree 1 in the weight, so their check is relative
+    only.  e_hat is e, the top set of measure 1/4, plus a 1e-4 share of the
+    largest leaf outside it, which moves the average by about 4e-6 of
+    itself: the hypothesis fails at every scale, small weights included."""
+    w = gen_random(TreeSpace(2, 6), 4, low=1e-3 * scale, high=1e3 * scale)
+    e = build_top_set(w, 0.25)
+    fh = e.fraction_array().copy()
+    fh[np.argmax(np.where(fh > 0, -np.inf, w.values))] = 1e-4
+    e_hat = FractionalSet(w.space, 0, fh)
+    assert 1e-6 < 1 - e_hat.average(w) / e.average(w) < 1e-5
+    result = lemma21_check(w, e, e_hat, 2.0)
+    assert "averages differ" in result.failures
+
+
 def test_lemma_rejects_empty():
     w = w8211()
     with pytest.raises(ValueError):
