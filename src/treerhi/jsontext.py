@@ -16,7 +16,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import fields, is_dataclass
+from dataclasses import fields
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -62,14 +62,9 @@ def _pieces(kind: type, columns: list, d: int) -> list:
     return pieces
 
 
-def _rows(kind: type, columns: list, d: int) -> list[str]:
-    """The JSON objects of ``kind`` at depth d whose fields' texts are the columns."""
-    return list(map("".join, zip(*_pieces(kind, columns, d))))
-
-
 def _table(kind: type, columns: list, d: int) -> str:
-    """The list at depth d of the objects of _rows, as one join of all their
-    pieces, row after row."""
+    """The list at depth d of the JSON objects of ``kind`` whose fields' texts
+    are the columns, as one join of all their pieces, row after row."""
     if not columns[0]:
         return "[]"
     pieces = list(itertools.chain.from_iterable(
@@ -99,13 +94,12 @@ def _containers(open_: str, items: list[str], ends: list[int], close: str,
 class _Writer:
     """Values as ``json.dumps(..., indent=2)`` writes them, a column at a time.
 
-    A dataclass is an object of its fields in declaration order and a list
-    or tuple (a NodeId too) is a list.  Numbers are spelled by float.__repr__
-    and int.__repr__, as json spells them; repr() would spell a numpy float
-    as np.float64(...).  Other types, such as numpy integers and bools, raise
-    TypeError as in json.  A trace repeats its threshold, averages and
-    measures across records and assertions, and spelling a float takes about
-    a microsecond, so each distinct float is spelled once per writer.
+    A list or tuple (a NodeId too) is a list.  Numbers are spelled as json
+    spells them, by float.__repr__ and int.__repr__; repr() would spell a
+    numpy float as np.float64(...).  Other types, such as numpy integers and
+    bools, raise TypeError as in json.  A trace repeats its threshold,
+    averages and measures across records and assertions, and a float takes
+    about a microsecond to spell, so a writer spells each distinct one once.
     """
 
     def __init__(self) -> None:
@@ -147,10 +141,6 @@ class _Writer:
                 return (node * len(values) % tuple(flat)).split("\0")[:-1]
         if issubclass(kind, (list, tuple)):
             return list(map("".join, zip(*self.lists(values, d))))
-        if is_dataclass(kind):  # all fields at once, then split
-            texts = self.items([getattr(v, n) for n in _template(kind, d)[0] for v in values], d + 1)
-            r = len(values)
-            return _rows(kind, [texts[i:i + r] for i in range(0, len(texts), r)], d)
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
     def lists(self, values: list, d: int) -> tuple[list[str], list[str], list[str]]:

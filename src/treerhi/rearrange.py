@@ -154,16 +154,14 @@ def rearrangement(weight: DyadicWeight) -> StepFunction:
 def prefix_average(h: StepFunction, t: float, q: float = 1.0) -> float:
     """(1/t) * integral of h**q over (0, t], by exact step integration."""
     t = _check_t(t)
-    if q < 0 and np.any(h.values == 0):
-        raise ValueError("negative exponent requires strictly positive values")
     if t <= h.breakpoints[0]:
         # constant on (0, t]: avoid the v*t/t round trip, which can land an
         # ulp below v and make the prefix average undercut the top value
-        return _power_average(q, lambda: float((h.values[:1] ** q)[0]))
+        return _power_average(q, h.values, lambda: float((h.values[:1] ** q)[0]))
     left = np.concatenate(([0.0], h.breakpoints[:-1]))
     seg = np.clip(np.minimum(h.breakpoints, t) - left, 0.0, None)
     return _power_average(
-        q, lambda: float(np.dot(h.values if q == 1.0 else h.values ** q, seg)) / t)
+        q, h.values, lambda: float(np.dot(h.values if q == 1.0 else h.values ** q, seg)) / t)
 
 
 def _ratios_at(right: np.ndarray | None, v: np.ndarray,

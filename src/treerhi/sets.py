@@ -69,10 +69,8 @@ class FractionalSet:
     def integral(self, weight: DyadicWeight, q: float = 1.0) -> float:
         inside = self.window.nonzero()[0]  # value**q only where the set has mass
         values = weight.values[inside + self.first]
-        if q < 0 and (values == 0).any():
-            raise ValueError("negative exponent requires strictly positive values")
         window, h = self.window[inside], self.space.leaf_measure
-        return _power_average(q, lambda: math.fsum(
+        return _power_average(q, values, lambda: math.fsum(
             (window * (values if q == 1.0 else _powers(values, q))).tolist()) * h)
 
     def average(self, weight: DyadicWeight, q: float = 1.0) -> float:

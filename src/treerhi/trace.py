@@ -44,7 +44,7 @@ from .jsontext import _NL, _table, _template, _Writer
 from .rearrange import StepFunction, _check_t, prefix_average, rearrangement
 from .sets import EQ_REL_TOL, FractionalSet, _check_fractions, _powers
 from .tree import NodeId, TreeSpace
-from .weight import _RESOLVED, DyadicWeight, RhiReport, _check_exponent
+from .weight import _RESOLVED, DyadicWeight, RhiReport, _check_exponent, _power_average
 
 GAMMA_REL_TOL = 1e-10
 ASSERT_REL_TOL = 1e-9
@@ -153,6 +153,9 @@ class DecompositionTrace:
             assertions.append(texts[:len(before)] + per_father + texts[len(before):])
         fields["assertions"] = _table(Assertion, assertions, 1)
         del values, family, assertions, texts
+        if self.lemma is not None:  # an object, as the tables write theirs
+            keys, form = _template(Lemma21Result, 1)
+            fields["lemma"] = form % tuple(w.items([getattr(self.lemma, n) for n in keys], 2))
         names, template = _template(DecompositionTrace, 0, () if config is None else ("config",))
         if config is not None:  # one more key of the template: the text is formed once
             fields["config"] = json.dumps(config, indent=2).replace("\n", _NL[1])
@@ -361,9 +364,7 @@ def _top_fractions(weight: DyadicWeight, star: StepFunction, t: float) -> np.nda
     if full >= n:
         fractions = np.ones(n)
     else:
-        # the step holding the position (full + 1/2)/n; unit steps hold one rank each
-        step = full if star.values.size == n else star.breakpoints.searchsorted((full + 0.5) / n)
-        level = star.values[step]
+        level = star.values[star.breakpoints.searchsorted((full + 0.5) / n)]
         fractions = (values > level).astype(np.float64)
         at = np.flatnonzero(values == level)
         whole = full - np.count_nonzero(fractions)  # the leaves at the level taken whole
@@ -420,7 +421,7 @@ def _lemma_sides(weight: DyadicWeight, fe: np.ndarray, fh: np.ndarray,
                  measure_hat: float, integral_hat: float) -> _LemmaSides:
     """The common average and the failed hypotheses of lemma21_check, from
     the sets' fractions over the whole tree, fe and fh, and e_hat's measure
-    and integral."""
+    and integral.  Every check compares values of degree 1, relatively."""
     if not (fe.any() and fh.any()):
         raise ValueError("both sets must be nonempty")
     values = weight.values
@@ -429,15 +430,14 @@ def _lemma_sides(weight: DyadicWeight, fe: np.ndarray, fh: np.ndarray,
     fe_in = fe[support]
     # fsum is correctly rounded, so the leaves outside e change no bit
     measure_e = math.fsum(fe_in.tolist()) * h  # average = integral / measure
-    avg_e = math.fsum((fe_in * values[support]).tolist()) * h / measure_e
-    avg_hat = integral_hat / measure_hat
-    common = avg_e
+    common = _power_average(  # e's average
+        1.0, values, lambda: math.fsum((fe_in * values[support]).tolist()) * h / measure_e)
     failures: list[str] = []
-    if not math.isclose(avg_e, avg_hat, rel_tol=ASSERT_REL_TOL):  # of degree 1: relative only
+    if not math.isclose(common, integral_hat / measure_hat, rel_tol=ASSERT_REL_TOL):
         failures.append("averages differ")
 
     outside = np.minimum(fe, fh) < 1.0 - EQ_REL_TOL
-    if (values[outside] > common * (1.0 + ASSERT_REL_TOL) + 1e-300).any():
+    if (values[outside] > common * (1.0 + ASSERT_REL_TOL)).any():
         failures.append("value above the common average outside the overlap")
     only_hat = fh - fe > EQ_REL_TOL
     if only_hat.any():  # e is nonempty, checked above
@@ -449,13 +449,17 @@ def _lemma_sides(weight: DyadicWeight, fe: np.ndarray, fh: np.ndarray,
 
 def _lemma_conclusion(weight: DyadicWeight, sides: _LemmaSides, p: float) -> Lemma21Result:
     """The power averages over e and e_hat at p, compared."""
-    vp = _powers(weight.values[sides.support], p)
-    h = weight.space.leaf_measure
-    lhs = math.fsum((sides.fe * vp).tolist()) * h / sides.measure_e
-    rhs = math.fsum((sides.fh * vp).tolist()) * h / sides.measure_hat
+    values, h = weight.values[sides.support], weight.space.leaf_measure
+
+    def averages() -> tuple[float, float]:
+        vp = _powers(values, p)
+        return (math.fsum((sides.fe * vp).tolist()) * h / sides.measure_e,
+                math.fsum((sides.fh * vp).tolist()) * h / sides.measure_hat)
+
+    lhs, rhs = _power_average(p, values, averages)
     return Lemma21Result(
         hypotheses_hold=not sides.failures,
-        conclusion_holds=lhs <= rhs * (1.0 + EQ_REL_TOL) + 1e-300,
+        conclusion_holds=lhs <= rhs * (1.0 + EQ_REL_TOL),
         lhs=lhs,
         rhs=rhs,
         average=sides.average,
@@ -672,8 +676,8 @@ def _decompose(weight: DyadicWeight, t: float, threshold: float,
         level_sets[0] = covered.reshape(-1, span)[index]
         np.multiply(level_sets[0].sum(axis=1), h, out=km[part])
         leaf_values = weight.values.reshape(-1, span).take(index, axis=0)
-        kernel_integral = np.fromiter(map(math.fsum, (level_sets[0] * leaf_values).tolist()),
-                                      np.float64, count) * h
+        kernel_integral = _power_average(1.0, leaf_values, lambda: np.fromiter(
+            map(math.fsum, (level_sets[0] * leaf_values).tolist()), np.float64, count) * h)
         np.divide(kernel_integral, km[part], out=ka[part])
         fm[part] = space.node_measure(fathers[s])
         np.divide(sums[level].take(index), fm[part], out=fa[part])  # level_averages(1.0)
@@ -683,7 +687,8 @@ def _decompose(weight: DyadicWeight, t: float, threshold: float,
         # free one gets at most its share 1), so the union's fractions are gamma's
         union.reshape(-1, span)[index] = level_sets[2]
         rows, terms = level_sets[2].tolist(), (level_sets[2] * leaf_values).tolist()
-        np.divide(np.fromiter(map(math.fsum, terms), np.float64, count) * h,
+        np.divide(_power_average(1.0, leaf_values, lambda: np.fromiter(
+                      map(math.fsum, terms), np.float64, count) * h),
                   np.fromiter(map(math.fsum, rows), np.float64, count) * h, out=ga[part])
         s += count
     _check_fractions(sets)
@@ -696,7 +701,8 @@ def _decompose(weight: DyadicWeight, t: float, threshold: float,
     # union holds gamma's fractions and zeros elsewhere: fsum is correctly
     # rounded, so the zeros change no bit of these fsums over the fathers' blocks
     gamma_measure = math.fsum(union.tolist()) * h
-    gamma_integral = math.fsum((union * weight.values).tolist()) * h
+    gamma_integral = _power_average(
+        1.0, weight.values, lambda: math.fsum((union * weight.values).tolist()) * h)
     gamma_average = gamma_integral / gamma_measure
     checks = (("stopping_family_covers_exceedance", float(mismatch), 0.0, not mismatch),
               ("gamma_average_matches_threshold", gamma_average, threshold,

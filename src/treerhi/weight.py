@@ -12,7 +12,8 @@ leaves shared by all exponent pairs; a block of leaves, whose ratio is 1 up
 to rounding, is compared only where a range check fails, and all again only
 where no upper level reaches the leaf bound.  Every constant is a ratio of
 power means, which no scaling changes, so the node and prefix kernels share
-one range policy, _retried, per pair.
+one range policy, _retried, per pair; every other sum over leaf values
+goes through one guard, _power_average.
 """
 from __future__ import annotations
 
@@ -50,15 +51,20 @@ def _check_exponent(p: float) -> float:
     return float(p)
 
 
-def _power_average(q: float, average) -> float:
-    """average(), a power average or integral at exponent q, refused naming q
-    when q or the result is not finite."""
+def _power_average(q: float, values: np.ndarray, average):
+    """average(), a power average or integral at exponent q of `values`, or
+    an array or tuple of them: the guard of every sum over leaf values.
+    Refuses a zero value when q < 0, and names q when q or a result is not
+    finite (an OverflowError of Python's pow or math.fsum counts as inf)."""
+    if q < 0 and not values.all():
+        raise ValueError("negative exponent requires strictly positive values")
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             found = average() if math.isfinite(q) else math.nan
-    except OverflowError:  # Python's float pow or math.fsum
+    except OverflowError:
         found = math.inf
-    if math.isfinite(found):
+    # a float by math.isfinite: np.isfinite costs over a microsecond per call
+    if (math.isfinite(found) if isinstance(found, float) else np.isfinite(found).all()):
         return found
     raise ValueError(f"the power average at q={q} is not a finite number")
 
@@ -241,7 +247,7 @@ class DyadicWeight:
     def node_average(self, node: NodeId, q: float = 1.0) -> float:
         measure = self.space.node_measure(node)  # validates the node
         return _power_average(
-            q, lambda: float(self.level_sums(q)[node.level][node.index]) / measure)
+            q, self.values, lambda: float(self.level_sums(q)[node.level][node.index]) / measure)
 
     def _node_sups(self, p: float, duals) -> list[RhiReport]:
         """For each dual in duals, the sup over all nodes of the power-mean
@@ -369,7 +375,8 @@ class DyadicWeight:
             raise ValueError(f"threshold must be > 0, got {threshold}")
         mask = self.maximal_function() > threshold
         lhs = float(np.count_nonzero(mask)) * self.space.leaf_measure
-        rhs = float(self.values[mask].sum()) * self.space.leaf_measure / threshold
+        rhs = _power_average(1.0, self.values, lambda: float(self.values[mask].sum())
+                             * self.space.leaf_measure) / threshold
         holds = lhs <= rhs + REL_TOL * max(1.0, rhs)
         return WeakTypeResult(threshold=threshold, lhs=lhs, rhs=rhs, holds=holds)
 

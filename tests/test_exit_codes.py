@@ -45,8 +45,12 @@ def _weights() -> dict[str, dict]:
     """Weight documents by name; at p = 1024.5, [1.5, 0] has c = 2**1023.5,
     whose bound k*c - k + 1 overflows.  So does the Muckenhoupt constant's
     of "muckenhoupt-overflow" at p = 1.8, and at p = 600, t = 0.5 the
-    bound_value 2^600 * 2^600 of "bound-value-overflow"."""
+    bound_value 2^600 * 2^600 of "bound-value-overflow".  The "near-top"
+    weights have their largest leaf just inside the range of the trace at
+    p = 1 + 2**-52 (the sums of the kernels overflow) and at p = 3 (the
+    power averages of the two-set check overflow)."""
     random = gen_random(TreeSpace(2, 6), 7).values
+    near_top = {seed: gen_random(TreeSpace(2, 3), seed).values for seed in (0, 9)}
     shapes = {
         "zero": (2, 2, [0.0] * 4),
         "constant": (3, 2, [3.7] * 9),
@@ -59,6 +63,8 @@ def _weights() -> dict[str, dict]:
         "muckenhoupt-overflow": (8, 1, [1e-300] + [1e9] * 7),
         "bound-value-overflow": (2, 1, [2.0, 0.0]),
         "wide": (8, 4, gen_random(TreeSpace(8, 4), 1).values),
+        "near-top-a": (2, 3, near_top[0] / near_top[0].max() * 1.5e308),
+        "near-top-b": (2, 3, near_top[9] / near_top[9].max() * (0.999 * 2 ** (1023 / 3))),
     }
     return {name: {"k": k, "depth": depth, "leaves": [float(v) for v in leaves]}
             for name, (k, depth, leaves) in shapes.items()}
@@ -150,6 +156,9 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
 @example(argv=["analyze", "@muckenhoupt-overflow", "--p", "1.8", "-o", "@out"])
 @example(argv=["trace", "@bound-value-overflow", "--p", "600", "--t", "0.5", "-o", "@out"])
 @example(argv=["p0", "--p=1e16", "--c=10"])  # the root finder's refusal, naming no input
+# each exited 3 with an OverflowError of math.fsum
+@example(argv=["trace", "@near-top-a", "--p", "1.0000000000000002", "--t", "0.5"])
+@example(argv=["trace", "@near-top-b", "--p", "3", "--t", "1"])
 @settings(max_examples=500, deadline=None)
 def test_exit_code_contract(argv, paths):
     Path(paths["@out"]).unlink(missing_ok=True)

@@ -487,6 +487,31 @@ def test_lemma_averages_differ_at_every_scale(scale):
     assert "averages differ" in result.failures
 
 
+@pytest.mark.parametrize("scale", [1.0, 2.0**-485], ids=["1", "2**-485"])
+def test_lemma_conclusion_is_relative_only(scale):
+    """The power averages are of degree p in the weight, so their comparison
+    is relative only.  e is leaf 0 of [4, 3, 2, 1] and e_hat adds a 2e-10
+    share of leaf 1; at p = 2 the average over e exceeds the one over e_hat
+    by about 9e-11 of itself.  The conclusion fails at every scale, also
+    where the power averages are near 1.6e-291."""
+    w = DyadicWeight.from_leaves(2, 2, np.array([4.0, 3.0, 2.0, 1.0]) * scale)
+    result = lemma21_check(w, FractionalSet(w.space, 0, [1.0]),
+                           FractionalSet(w.space, 0, [1.0, 2e-10]), 2.0)
+    assert 8e-11 < result.lhs / result.rhs - 1.0 < 1e-10
+    assert not result.conclusion_holds
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**-1000], ids=["1", "2**-1000"])
+def test_lemma_outside_overlap_check_is_relative_only(scale):
+    """Leaf 1 lies outside the overlap of e = e_hat = leaf 0, at three times
+    their common average: the hypothesis fails at every scale, also where
+    the excess, 2**-999, is below 1e-300."""
+    w = DyadicWeight.from_leaves(2, 1, np.array([1.0, 3.0]) * scale)
+    e = FractionalSet(w.space, 0, [1.0])
+    result = lemma21_check(w, e, e, 2.0)
+    assert result.failures == ("value above the common average outside the overlap",)
+
+
 def test_lemma_rejects_empty():
     w = w8211()
     with pytest.raises(ValueError):

@@ -96,6 +96,34 @@ def test_power_averages_refuse_what_they_cannot_answer(average, q):
     assert _AVERAGES[average](1.0) > 0
 
 
+_ZERO_LEAF = DyadicWeight.from_leaves(2, 2, [1.0, 0.0, 2.0, 3.0])
+_ZERO_AVERAGES = {
+    "prefix": lambda q: prefix_average(rearrangement(_ZERO_LEAF), 0.5, q),
+    "node": lambda q: _ZERO_LEAF.node_average(NodeId(1, 1), q),
+    "set": lambda q: FractionalSet.from_node(_ZERO_LEAF.space, NodeId(0, 0)).integral(
+        _ZERO_LEAF, q),
+}
+
+
+@pytest.mark.parametrize("q", [-2.0, -math.inf])
+@pytest.mark.parametrize("average", sorted(_ZERO_AVERAGES))
+def test_negative_power_of_a_zero_value_is_refused_with_one_message(average, q):
+    """On a weight with a zero leaf, each power average at q < 0, -inf
+    included, gives the one refusal of weight._power_average."""
+    with pytest.raises(ValueError, match="^negative exponent requires strictly positive values$"):
+        _ZERO_AVERAGES[average](q)
+
+
+def test_weak_type_refuses_an_integral_that_overflows():
+    """Leaves scaled to a largest value of 1.5e308: their sum over {M > t}
+    overflows, and the check refuses it naming q = 1 instead of returning
+    an infinite rhs."""
+    v = gen_random(TreeSpace(2, 3), 0).values
+    w = DyadicWeight(TreeSpace(2, 3), v / v.max() * 1.5e308)
+    with pytest.raises(ValueError, match=re.escape("at q=1.0 is not a finite number")):
+        w.weak_type_check(1e300)
+
+
 def test_negative_exponent_requires_positive_values():
     w = DyadicWeight.from_leaves(2, 1, [0, 3])
     with pytest.raises(ValueError):
