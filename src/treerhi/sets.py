@@ -7,12 +7,11 @@ fillers, Gamma and delta sets and its top sets.
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
 from .tree import NodeId, TreeSpace
-from .weight import DyadicWeight, _power_average
+from .weight import DyadicWeight, _fsum, _power_average
 
 EQ_REL_TOL = 1e-12
 
@@ -64,14 +63,14 @@ class FractionalSet:
 
     @property
     def measure(self) -> float:
-        return math.fsum(self.window.tolist()) * self.space.leaf_measure
+        return _fsum(self.window) * self.space.leaf_measure
 
     def integral(self, weight: DyadicWeight, q: float = 1.0) -> float:
         inside = self.window.nonzero()[0]  # value**q only where the set has mass
         values = weight.values[inside + self.first]
         window, h = self.window[inside], self.space.leaf_measure
-        return _power_average(q, values, lambda: math.fsum(
-            (window * (values if q == 1.0 else _powers(values, q))).tolist()) * h)
+        return _power_average(q, values, lambda: _fsum(
+            window * (values if q == 1.0 else _powers(values, q))) * h)
 
     def average(self, weight: DyadicWeight, q: float = 1.0) -> float:
         measure = self.measure

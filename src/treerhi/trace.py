@@ -44,7 +44,7 @@ from .jsontext import _NL, _table, _template, _Writer
 from .rearrange import StepFunction, _check_t, prefix_average, rearrangement
 from .sets import EQ_REL_TOL, FractionalSet, _check_fractions, _powers
 from .tree import NodeId, TreeSpace
-from .weight import _RESOLVED, DyadicWeight, RhiReport, _check_exponent, _power_average
+from .weight import _RESOLVED, DyadicWeight, RhiReport, _check_exponent, _fsum, _power_average
 
 GAMMA_REL_TOL = 1e-10
 ASSERT_REL_TOL = 1e-9
@@ -428,10 +428,11 @@ def _lemma_sides(weight: DyadicWeight, fe: np.ndarray, fh: np.ndarray,
     h = weight.space.leaf_measure
     support = np.logical_or(fe, fh).nonzero()[0]
     fe_in = fe[support]
-    # fsum is correctly rounded, so the leaves outside e change no bit
-    measure_e = math.fsum(fe_in.tolist()) * h  # average = integral / measure
+    # _fsum is fsum's correctly rounded sum, binned or listed, so the leaves
+    # outside e change no bit
+    measure_e = _fsum(fe_in) * h  # average = integral / measure
     common = _power_average(  # e's average
-        1.0, values, lambda: math.fsum((fe_in * values[support]).tolist()) * h / measure_e)
+        1.0, values, lambda: _fsum(fe_in * values[support]) * h / measure_e)
     failures: list[str] = []
     if not math.isclose(common, integral_hat / measure_hat, rel_tol=ASSERT_REL_TOL):
         failures.append("averages differ")
@@ -453,8 +454,8 @@ def _lemma_conclusion(weight: DyadicWeight, sides: _LemmaSides, p: float) -> Lem
 
     def averages() -> tuple[float, float]:
         vp = _powers(values, p)
-        return (math.fsum((sides.fe * vp).tolist()) * h / sides.measure_e,
-                math.fsum((sides.fh * vp).tolist()) * h / sides.measure_hat)
+        return (_fsum(sides.fe * vp) * h / sides.measure_e,
+                _fsum(sides.fh * vp) * h / sides.measure_hat)
 
     lhs, rhs = _power_average(p, values, averages)
     return Lemma21Result(
@@ -676,8 +677,8 @@ def _decompose(weight: DyadicWeight, t: float, threshold: float,
         level_sets[0] = covered.reshape(-1, span)[index]
         np.multiply(level_sets[0].sum(axis=1), h, out=km[part])
         leaf_values = weight.values.reshape(-1, span).take(index, axis=0)
-        kernel_integral = _power_average(1.0, leaf_values, lambda: np.fromiter(
-            map(math.fsum, (level_sets[0] * leaf_values).tolist()), np.float64, count) * h)
+        kernel_integral = _power_average(
+            1.0, leaf_values, lambda: _fsum(level_sets[0] * leaf_values) * h)
         np.divide(kernel_integral, km[part], out=ka[part])
         fm[part] = space.node_measure(fathers[s])
         np.divide(sums[level].take(index), fm[part], out=fa[part])  # level_averages(1.0)
@@ -686,10 +687,8 @@ def _decompose(weight: DyadicWeight, t: float, threshold: float,
         # the blocks are disjoint and gamma is at most 1 (a kernel leaf is 1, a
         # free one gets at most its share 1), so the union's fractions are gamma's
         union.reshape(-1, span)[index] = level_sets[2]
-        rows, terms = level_sets[2].tolist(), (level_sets[2] * leaf_values).tolist()
-        np.divide(_power_average(1.0, leaf_values, lambda: np.fromiter(
-                      map(math.fsum, terms), np.float64, count) * h),
-                  np.fromiter(map(math.fsum, rows), np.float64, count) * h, out=ga[part])
+        np.divide(_power_average(1.0, leaf_values, lambda: _fsum(level_sets[2] * leaf_values) * h),
+                  _fsum(level_sets[2]) * h, out=ga[part])
         s += count
     _check_fractions(sets)
     sets.setflags(write=False)
@@ -698,11 +697,11 @@ def _decompose(weight: DyadicWeight, t: float, threshold: float,
                       (km >= fm / k * (1.0 - ASSERT_REL_TOL)) & (km < fm * (1.0 + ASSERT_REL_TOL)),
                       _isclose(ga, threshold, GAMMA_REL_TOL)])
 
-    # union holds gamma's fractions and zeros elsewhere: fsum is correctly
-    # rounded, so the zeros change no bit of these fsums over the fathers' blocks
-    gamma_measure = math.fsum(union.tolist()) * h
-    gamma_integral = _power_average(
-        1.0, weight.values, lambda: math.fsum((union * weight.values).tolist()) * h)
+    # union holds gamma's fractions and zeros elsewhere: _fsum is fsum's
+    # correctly rounded sum, binned or listed, so the zeros change no bit of
+    # these sums over the fathers' blocks
+    gamma_measure = _fsum(union) * h
+    gamma_integral = _power_average(1.0, weight.values, lambda: _fsum(union * weight.values) * h)
     gamma_average = gamma_integral / gamma_measure
     checks = (("stopping_family_covers_exceedance", float(mismatch), 0.0, not mismatch),
               ("gamma_average_matches_threshold", gamma_average, threshold,
@@ -713,4 +712,4 @@ def _decompose(weight: DyadicWeight, t: float, threshold: float,
     return _Decomposition(
         space, t, threshold, exceedance_leaves, checks, tuple(stopping), tuple(fathers),
         tuple(members), firsts, sizes, sets, values, holds, gamma_measure,
-        math.fsum(fm.tolist()), lemma)
+        _fsum(fm), lemma)

@@ -13,7 +13,9 @@ to rounding, is compared only where a range check fails, and all again only
 where no upper level reaches the leaf bound.  Every constant is a ratio of
 power means, which no scaling changes, so the node and prefix kernels share
 one range policy, _retried, per pair; every other sum over leaf values
-goes through one guard, _power_average.
+goes through one guard, _power_average.  Exact sums of leaf terms (the
+sets' and the tracer's) go through _fsum, math.fsum's bits from whole-array
+passes.
 """
 from __future__ import annotations
 
@@ -42,6 +44,11 @@ _CHUNK = 1 << 15
 # largest double.
 _MARGIN = 2.0**-44
 _MAX = np.finfo(np.float64).max
+# Terms per sum from which _fsum adds in bins; below it math.fsum of a list
+# is faster (crossover measured in BENCH_exact_sums.json).
+_BINNED = 576
+# A double's sign, exponent and top 26 stored bits.
+_HIGH = np.uint64(2**64 - 2**26)
 
 
 def _check_exponent(p: float) -> float:
@@ -67,6 +74,50 @@ def _power_average(q: float, values: np.ndarray, average):
     if (math.isfinite(found) if isinstance(found, float) else np.isfinite(found).all()):
         return found
     raise ValueError(f"the power average at q={q} is not a finite number")
+
+
+def _fsum(terms: np.ndarray):
+    """math.fsum of a 1-d array of finite doubles, or an array of the fsums
+    of a 2-d one's rows, bit for bit while the magnitudes of a row add up
+    below 2^1024.  Past that (for non-negative terms, exactly where fsum
+    overflows) it gives a value that is not finite or fsum's OverflowError,
+    which _power_average refuses alike.
+
+    Rows of _BINNED terms or more are split into a high part, a double's top
+    27 significant bits, and its exact rest, and np.bincount adds each part
+    per row and binary exponent.  Within a bin every part is a multiple of
+    one quantum, a high part at most 2^27 of them and a rest below 2^26, so
+    the partial sums of up to 2^26 terms stay below 2^53 quanta and are
+    exact; math.fsum then rounds the few bin sums of a row once.  Shorter
+    rows, and rows whose bins would outnumber their terms, go to math.fsum
+    as lists."""
+    if terms.shape[-1] >= _BINNED:
+        rows = terms.reshape(-1, terms.shape[-1])
+        count = len(rows)
+        bits = rows.view(np.uint64)
+        keys = bits << 1  # the sign bit out: the exponent leads
+        top = int(keys.max()) >> 53
+        # 0 wraps to the largest key and goes to the top bin, which it leaves
+        # unchanged; a power of two drops to the bin below, whose quantum it
+        # is a multiple of, at most twice that bin's other terms
+        keys -= 1
+        keys >>= 53
+        keys = keys.view(np.int64)
+        np.minimum(keys, top, out=keys)
+        low = int(keys.min())
+        width = top - low + 1
+        if count * width <= rows.size:
+            keys += np.arange(-low, count * width - low, width)[:, None]
+            keys = keys.ravel()
+            part = (bits & _HIGH).view(np.float64)
+            high = np.bincount(keys, part.ravel(), count * width).reshape(count, width).tolist()
+            np.subtract(rows, part, out=part)
+            rest = np.bincount(keys, part.ravel(), count * width).reshape(count, width).tolist()
+            sums = list(map(math.fsum, map(list.__add__, high, rest)))
+            return np.array(sums) if terms.ndim > 1 else sums[0]
+    if terms.ndim == 1:
+        return math.fsum(terms.tolist())
+    return np.fromiter(map(math.fsum, terms.tolist()), np.float64, len(terms))
 
 
 def _power_pair(p: float, dual: bool) -> tuple[float, float]:

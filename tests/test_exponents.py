@@ -186,12 +186,12 @@ def test_p0_residual_small_for_large_constant():
         assert result.p0 >= 2.0
 
 
-def _decimal_root(p: float, C: float) -> float:
+def _decimal_root(p: float, C: float, digits: int = 50) -> float:
     """The root q > p of log((q-p)/q) + p log(q/(q-1)) + log C = 0 by
-    bisection in 50-digit decimal arithmetic, from a bracket around the
-    asymptote sqrt(p(p-1)/(2 log C))."""
+    bisection in decimal arithmetic of that many digits, from a bracket
+    around the asymptote sqrt(p(p-1)/(2 log C))."""
     with localcontext() as ctx:
-        ctx.prec = 50
+        ctx.prec = digits
         big_p, log_c = Decimal(p), Decimal(C).ln()
 
         def f(q):
@@ -226,6 +226,21 @@ def test_p0_near_one_matches_table_and_asymptote(p, gap, table):
                                     (1.0001, 1e-7), (1.0 + 2.0**-10, 2.0**-21)])
 def test_p0_near_one_matches_decimal_root(p, gap):
     assert p0_solve(p, 1.0 + gap).p0 == pytest.approx(_decimal_root(p, 1.0 + gap), rel=1e-9)
+
+
+# (p, C, relative error of p0 against an 80-digit bisection, as recorded in
+# CHANGES.md): the log1p form loses digits when both p - 1 and C - 1 are
+# small, about 2^-53 * sqrt(p / (2 (p - 1) log C)) of the root
+NEAR_ONE_LOSS = [(1.0 + 2.0**-26, 1.0 + 2.0**-52, 7.6e-5), (1.0 + 1e-7, 1.0 + 2.0**-52, 6.3e-6),
+                 (1.0001, 1.0 + 2.0**-52, 5.9e-7), (1.0 + 2.0**-26, 1.0 + 1e-15, 1.6e-5),
+                 (1.0 + 1e-7, 1.0 + 1e-15, 3.8e-6), (1.0001, 1.0 + 1e-15, 1.3e-7)]
+
+
+@pytest.mark.parametrize("p, C, loss", NEAR_ONE_LOSS)
+def test_p0_near_one_loses_no_more_than_recorded(p, C, loss):
+    # pins the known loss: a solver that loses more fails here
+    root = _decimal_root(p, C, digits=80)
+    assert abs(p0_solve(p, C).p0 - root) / root <= 2 * loss
 
 
 def test_p0_near_one_beyond_the_bracket_is_infinite():

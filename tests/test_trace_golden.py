@@ -9,7 +9,7 @@ import hashlib
 
 import pytest
 
-from treerhi import DyadicWeight, TreeSpace, gen_random, trace_theorem1
+from treerhi import DyadicWeight, TreeSpace, gen_random, trace_theorem1, weight
 from helpers import father, fractions
 
 PS = (1.5, 2.0, 3.0)
@@ -71,6 +71,13 @@ GOLDEN = {
 
 @pytest.mark.parametrize("case", CASES)
 def test_trace_json_matches_golden(case):
+    assert _digest(case) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_trace_json_matches_golden_with_every_sum_binned(case, monkeypatch):
+    # the corpus stops at 256 leaves, below the cutoff of weight._fsum's bins
+    monkeypatch.setattr(weight, "_BINNED", 0)
     assert _digest(case) == GOLDEN[case]
 
 
