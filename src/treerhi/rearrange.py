@@ -337,23 +337,23 @@ def _mean_in(n0: np.ndarray, vq: np.ndarray, left: np.ndarray,
     return (n0[step] + vq[step] * (ts - left[step])) / ts
 
 
-def _prefix_sups(h: StepFunction, p: float, duals) -> list[PrefixReport]:
-    """For each dual in duals, the sup of the prefix ratio of _power_pair, with
-    ties resolved toward the largest t, under _retried's range policy."""
+def _prefix_sups(h: StepFunction, entries) -> list[PrefixReport]:
+    """For each (p, dual) of entries, the sup of the prefix ratio of _power_pair,
+    ties to the largest t, from one loop (_ratios_at) under _retried's policy."""
     # unit steps whose breakpoints no one has read yet pass None: not formed here
-    found = _retried(h.values, p, duals, "function",
+    found = _retried(h.values, entries, "function",
                      partial(_ratios_at, vars(h).get("breakpoints")))
-    return [PrefixReport(p, float(top), float(t)) for top, t in found]
+    return [PrefixReport(p, float(top), float(t)) for (p, _), (top, t) in zip(entries, found)]
 
 
 def prefix_rhi_constant(h: StepFunction, q: float) -> PrefixReport:
     """sup over t of prefix_average(h, t, q) / prefix_average(h, t, 1)**q."""
-    return _prefix_sups(h, q, (False,))[0]
+    return _prefix_sups(h, [(q, False)])[0]
 
 
 def prefix_muckenhoupt_constant(h: StepFunction, p: float) -> PrefixReport:
     """sup over t of avg(h) * avg(h**(-1/(p-1)))**(p-1) over prefixes (0, t]."""
-    return _prefix_sups(h, p, (True,))[0]
+    return _prefix_sups(h, [(p, True)])[0]
 
 
 def ratio_curve(h: StepFunction, q: float, n_samples: int) -> np.ndarray:
@@ -369,5 +369,5 @@ def ratio_curve(h: StepFunction, q: float, n_samples: int) -> np.ndarray:
     new = right.take(at, mode="clip") != samples  # a sample at a breakpoint is on the grid
     grid = np.insert(right, at[new], samples[new])
     step = np.insert(np.arange(right.size), at[new], np.minimum(at[new], right.size - 1))
-    ratios = _retried(h.values, q, (False,), "function", partial(_curve_at, right, grid, step))[0]
+    ratios = _retried(h.values, [(q, False)], "function", partial(_curve_at, right, grid, step))[0]
     return np.column_stack((grid, ratios))

@@ -145,25 +145,25 @@ def _scalings(values: np.ndarray):
             yield np.ldexp(values, -e)
 
 
-def _retried(values: np.ndarray, p: float, duals, what: str, kernel) -> list:
-    """For each dual in duals, kernel(scaled, pairs)'s answer for the pair
-    (a, b) of _power_pair at the first of _scalings(values) where it is not
-    None; each scaling gets only the pairs with no answer yet.  Refuses a zero
-    `what`, a zero value for a dual pair's negative power and (_RANGE_ERROR) a
-    pair that no scaling answers."""
-    pairs = [_power_pair(p, dual) for dual in duals]
+def _retried(values: np.ndarray, entries, what: str, kernel) -> list:
+    """For each (p, dual) of entries, kernel(scaled, pairs)'s answer for its pair
+    of _power_pair at the first of _scalings(values) where it is not None; each
+    scaling gets the pending pairs only.  Refuses a zero `what`, a zero value for
+    the first dual entry's negative power and the first entry no scaling answers."""
+    pairs = [_power_pair(p, dual) for p, dual in entries]
     if not values.any():
         raise ValueError(f"{what} is identically zero")
-    if any(duals) and values.min() == 0:
-        raise ValueError(f"a negative power at p={p} needs strictly positive values")
-    found = [None] * len(pairs)
+    negative = next((p for p, dual in entries if dual), None)
+    if negative is not None and values.min() == 0:
+        raise ValueError(f"a negative power at p={negative} needs strictly positive values")
+    found, pending = [None] * len(pairs), range(len(pairs))
     for scaled in _scalings(values):
-        pending = [i for i, f in enumerate(found) if f is None]
         for i, f in zip(pending, kernel(scaled, [pairs[i] for i in pending])):
             found[i] = f
-        if all(f is not None for f in found):
+        pending = [i for i, f in enumerate(found) if f is None]
+        if not pending:
             return found
-    raise ValueError(_RANGE_ERROR.format(p=p))
+    raise ValueError(_RANGE_ERROR.format(p=entries[pending[0]][0]))
 
 
 def _leaf_sums(values: np.ndarray, q: float, h: float,
@@ -300,12 +300,12 @@ class DyadicWeight:
         return _power_average(
             q, self.values, lambda: float(self.level_sums(q)[node.level][node.index]) / measure)
 
-    def _node_sups(self, p: float, duals) -> list[RhiReport]:
-        """For each dual in duals, the sup over all nodes of the power-mean
-        ratio (M_a / M_b)**a of _power_pair, under _retried's range policy.
-        Nodes with zero b-average are skipped, not taken as 0/0."""
-        found = _retried(self.values, p, duals, "weight", self._ratio_sup)
-        return [RhiReport(p, *f) for f in found]
+    def _node_sups(self, entries) -> list[RhiReport]:
+        """For each (p, dual) of entries, the sup over all nodes of the ratio
+        (M_a / M_b)**a of _power_pair, from one pass (_ratio_sup) under
+        _retried's range policy.  Nodes of b-average 0 are skipped, not 0/0."""
+        found = _retried(self.values, entries, "weight", self._ratio_sup)
+        return [RhiReport(p, *f) for (p, _), f in zip(entries, found)]
 
     def _ratio_sup(self, values: np.ndarray, pairs) -> list[tuple[float, NodeId] | None]:
         """Sup and witness of _node_sups for each pair (a, b) on values, this
@@ -406,11 +406,11 @@ class DyadicWeight:
 
     def dyadic_rhi_constant(self, p: float) -> RhiReport:
         """sup over all nodes I of avg(value**p, I) / avg(value, I)**p."""
-        return self._node_sups(p, (False,))[0]
+        return self._node_sups([(p, False)])[0]
 
     def dyadic_muckenhoupt_constant(self, p: float) -> RhiReport:
         """sup over all nodes of avg(value) * avg(value**(-1/(p-1)))**(p-1)."""
-        return self._node_sups(p, (True,))[0]
+        return self._node_sups([(p, True)])[0]
 
     def maximal_function(self) -> np.ndarray:
         """Per leaf, the maximum average over all nodes containing it."""

@@ -220,8 +220,8 @@ def test_golden_corpus_covers_every_branch(monkeypatch):
                     continue
                 a, b = _power_pair(p, dual)
                 try:
-                    w._node_sups(p, (dual,))
-                    _prefix_sups(star, p, (dual,))
+                    w._node_sups([(p, dual)])
+                    _prefix_sups(star, [(p, dual)])
                 except ValueError:
                     continue
                 # the interior points the prefix sup tried, on the values it was taken on

@@ -9,10 +9,13 @@ where they must be, are counted.  The prefix sup, which evaluates a block of ste
 can reach the sup, runs on small step functions at chunks of 1, 3 and 64
 steps and blocks of 1 to 8 steps as well.  Each side's kernel takes a list
 of exponent pairs: one pass for both pairs must give each the bits of its
-own pass, and analyze must make one pass per side.  A tie-free weight's
+own pass, and so must one pass for a list of (p, dual) entries at several
+p; analyze and verify theorem1 must make one pass per side.  A tie-free weight's
 rearrangement forms each chunk's breakpoints from the step indices, which
 must give the bits of explicit breakpoints at every chunk size.
 """
+import re
+
 import numpy as np
 import pytest
 
@@ -20,9 +23,9 @@ from helpers import whole_node_ratio_sup, whole_node_sup, whole_prefix_sup, whol
 from treerhi import (DyadicWeight, NodeId, StepFunction, TreeSpace, gen_constant, gen_random,
                      gen_two_value, prefix_muckenhoupt_constant, prefix_rhi_constant, rearrange,
                      rearrangement, weight)
-from treerhi.cli import analyze_weight
+from treerhi.cli import analyze_weight, main
 from treerhi.rearrange import _BLOCK, _prefix_sups, ratio_curve
-from treerhi.weight import _CHUNK, _MAX, _RESOLVED, _power_pair
+from treerhi.weight import _CHUNK, _MAX, _RANGE_ERROR, _RESOLVED, _power_pair
 
 PS = (1.5, 2.0, 3.0, 120.0)
 
@@ -150,14 +153,16 @@ def _shared(singles: list):
 
 def _check_shared_node_pass(w: DyadicWeight, p: float) -> None:
     duals = _duals(w.values)
-    shared = _outcome(lambda: _pairs(w._node_sups(p, duals), "witness"))
+    entries = [(p, dual) for dual in duals]
+    shared = _outcome(lambda: _pairs(w._node_sups(entries), "witness"))
     assert shared == _shared([_outcome(_node_sup, w, p, dual) for dual in duals]), p
     assert shared == _shared([_outcome(whole_node_sup, w, p, dual) for dual in duals]), p
 
 
 def _check_shared_prefix_loop(star: StepFunction, p: float) -> None:
     duals = _duals(star.values)
-    shared = _outcome(lambda: _pairs(_prefix_sups(star, p, duals), "witness_t"))
+    entries = [(p, dual) for dual in duals]
+    shared = _outcome(lambda: _pairs(_prefix_sups(star, entries), "witness_t"))
     assert shared == _shared([_outcome(_prefix_sup_pair, star, p, dual) for dual in duals]), p
     assert shared == _shared([_outcome(whole_prefix_sup, star, p, dual) for dual in duals]), p
 
@@ -477,7 +482,7 @@ def test_a_zero_leaf_sends_no_block_to_the_leaf_pass(zero, monkeypatch):
     v[zero] = 0.0
     w = DyadicWeight(TreeSpace(2, 17), v)
     calls, checks = _leaf_calls(monkeypatch, w), _range_checks(monkeypatch)
-    report, = w._node_sups(2.0, (False,))
+    report, = w._node_sups([(2.0, False)])
     assert calls == [(-2.0, True)]
     assert checks == [-2.0] * 4
     assert (report.constant, report.witness) == whole_node_sup(w, 2.0, False)
@@ -573,13 +578,13 @@ def test_one_block_trees_keep_the_leaf_level(k, depth, monkeypatch):
 def test_rescaled_pass_gets_only_the_pending_pair(p, dual, monkeypatch):
     """Scaled by 1e200, this weight's powers leave the double range for the
     reverse Holder pair at p = 2 and for the Muckenhoupt pair at p = 1.5,
-    while the other pair answers unscaled.  On each side the first rescaled
-    pass is handed the pending pair alone, and each answer is that of the
-    whole levels and steps."""
+    while the other pair at that p, and the same side's pair at the other of
+    the two p, answer unscaled.  For both lists of entries, on each side the
+    first rescaled pass is handed the pending pair alone, and each answer is
+    that of the whole levels and steps."""
     base = gen_random(TreeSpace(2, 6), 3)
     w = DyadicWeight(base.space, base.values * 1e200)
     star = rearrangement(w)
-    both = [_power_pair(p, False), _power_pair(p, True)]
     calls = []
     ratio_sup, ratios_at = DyadicWeight._ratio_sup, rearrange._ratios_at
 
@@ -593,13 +598,16 @@ def test_rescaled_pass_gets_only_the_pending_pair(p, dual, monkeypatch):
 
     monkeypatch.setattr(DyadicWeight, "_ratio_sup", node_kernel)
     monkeypatch.setattr(rearrange, "_ratios_at", prefix_kernel)
-    nodes = _pairs(w._node_sups(p, (False, True)), "witness")
-    prefixes = _pairs(_prefix_sups(star, p, (False, True)), "witness_t")
     pending = [_power_pair(p, dual)]
-    assert calls == [("node", True, both), ("node", False, pending),
-                     ("prefix", True, both), ("prefix", False, pending)]
-    assert nodes == [whole_node_sup(w, p, d) for d in (False, True)]
-    assert prefixes == [whole_prefix_sup(star, p, d) for d in (False, True)]
+    for entries in ([(p, False), (p, True)], [(3.5 - p, dual), (p, dual)]):
+        calls.clear()
+        nodes = _pairs(w._node_sups(entries), "witness")
+        prefixes = _pairs(_prefix_sups(star, entries), "witness_t")
+        both = [_power_pair(*entry) for entry in entries]
+        assert calls == [("node", True, both), ("node", False, pending),
+                         ("prefix", True, both), ("prefix", False, pending)], entries
+        assert nodes == [whole_node_sup(w, *entry) for entry in entries], entries
+        assert prefixes == [whole_prefix_sup(star, *entry) for entry in entries], entries
 
 
 def test_a_refused_pair_leaves_the_chunk_loop(monkeypatch):
@@ -662,6 +670,119 @@ def test_analyze_makes_one_pass_per_side(monkeypatch):
     assert seen == {"leaf passes": 1, "leaf blocks": 4, "prefix passes": 1, "unit rows": 4}
 
 
+def test_verify_theorem1_makes_one_pass_per_side_per_weight(monkeypatch, capsys):
+    """verify theorem1 takes a weight's constants at every --p from one node
+    pass and one loop over the steps, each handed the reverse Holder pairs
+    of all three exponents; a pass per exponent makes three of each."""
+    calls = []
+    ratio_sup, ratios_at = DyadicWeight._ratio_sup, rearrange._ratios_at
+
+    def node_kernel(self, values, pairs):
+        calls.append(("node", list(pairs)))
+        return ratio_sup(self, values, pairs)
+
+    def prefix_kernel(right, values, pairs):
+        calls.append(("prefix", list(pairs)))
+        return ratios_at(right, values, pairs)
+
+    monkeypatch.setattr(DyadicWeight, "_ratio_sup", node_kernel)
+    monkeypatch.setattr(rearrange, "_ratios_at", prefix_kernel)
+    assert main(["verify", "theorem1", "--count", "4", "--p", "1.5,2,3"]) == 0
+    pairs = [_power_pair(p, False) for p in (1.5, 2.0, 3.0)]
+    assert calls == [("node", pairs), ("prefix", pairs)] * 4
+    assert capsys.readouterr().out == "theorem1: 4 weights x 3 exponents, all bounded\n"
+
+
+def test_an_entry_list_is_refused_at_its_first_entry_out_of_range():
+    """This weight's node sup leaves the double range at p = 120 and 150 on
+    every scaling, while its prefix sup answers: the node pass names the
+    first refused entry in list order, and the prefix loop answers each entry
+    as its own call does."""
+    w = gen_random(TreeSpace(2, 6), 3)
+    for entries, p in [([(2.0, False), (120.0, False)], 120.0),
+                       ([(150.0, False), (2.0, False), (120.0, False)], 150.0)]:
+        with pytest.raises(ValueError, match=re.escape(_RANGE_ERROR.format(p=p)) + "$"):
+            w._node_sups(entries)
+    star = rearrangement(w)
+    reports = _prefix_sups(star, [(2.0, False), (120.0, False)])
+    assert reports == [prefix_rhi_constant(star, 2.0), prefix_rhi_constant(star, 120.0)]
+    assert reports[1].constant == pytest.approx(4.7938e139, rel=1e-4)
+
+
+def test_an_entry_list_with_a_zero_leaf_is_refused_at_its_first_dual_entry():
+    """A zero leaf refuses the list at its first dual entry, on both sides and
+    before any pass, so also before a range refusal of an earlier entry."""
+    v = gen_random(TreeSpace(2, 6), 3).values.copy()
+    v[5] = 0.0
+    w = DyadicWeight(TreeSpace(2, 6), v)
+    star = rearrangement(w)
+    for entries in ([(2.0, False), (1.5, True)], [(120.0, False), (1.5, True), (3.0, True)]):
+        for sups in (w._node_sups, lambda entries: _prefix_sups(star, entries)):
+            with pytest.raises(ValueError, match=r"^a negative power at p=1\.5 needs strictly "
+                                                 "positive values$"):
+                sups(entries)
+
+
+def _entry_weights() -> dict[str, DyadicWeight]:
+    plain = gen_random(TreeSpace(2, 6), 3)
+    zero = gen_random(TreeSpace(4, 3), 5).values.copy()
+    zero[7] = 0.0
+    return {"plain": plain,
+            "tied": DyadicWeight.from_leaves(3, 4, np.tile([4.0, 1.0, 2.5], 27)),
+            "zero-leaf": DyadicWeight(TreeSpace(4, 3), zero),
+            "plain*1e+200": DyadicWeight(plain.space, plain.values * 1e200),
+            "plain*1e-200": DyadicWeight(plain.space, plain.values * 1e-200)}
+
+
+ENTRY_WEIGHTS = _entry_weights()
+_ENTRIES = [(p, dual) for p in PS for dual in (False, True)]
+ENTRY_LISTS = {
+    "all": _ENTRIES,
+    "all-reversed": _ENTRIES[::-1],
+    "below-120": [entry for entry in _ENTRIES if entry[0] < 120.0],
+    "mixed": [(120.0, True), (1.5, False), (3.0, True), (2.0, False)],
+    "repeated": [(3.0, False), (1.5, True), (3.0, False)],
+    "reverse-holder": [(3.0, False), (1.5, False), (2.0, False)],
+}
+
+
+def _shared_entries(singles: list):
+    """What one call for a list of entries must give, from the outcome of
+    each entry's own call: the first zero-value refusal, which comes before
+    any pass, else the first range refusal, else every entry's own answer."""
+    refusals = sorted((single for single in singles if isinstance(single, str)),
+                      key=lambda refusal: "strictly positive" not in refusal)
+    return refusals[0] if refusals else singles
+
+
+@pytest.mark.parametrize("entries", sorted(ENTRY_LISTS))
+@pytest.mark.parametrize("name", sorted(ENTRY_WEIGHTS))
+def test_an_entry_list_gives_each_entry_its_own_call(name, entries):
+    """Mixed lists of p and duals: one pass per side gives each entry the
+    report of its one-pair call, bit for bit, or the refusal that comes first."""
+    w, entries = ENTRY_WEIGHTS[name], ENTRY_LISTS[entries]
+    star = rearrangement(w)
+    for sups in (w._node_sups, lambda entries: _prefix_sups(star, entries)):
+        singles = [_outcome(lambda: sups([entry])[0]) for entry in entries]
+        assert _outcome(sups, entries) == _shared_entries(singles), sups
+
+
+def test_entry_lists_meet_answers_and_both_refusals():
+    """The cases above are not all refused: every weight has a list answered
+    on both sides, and range and zero-value refusals both occur."""
+    answered, refusals = set(), set()
+    for name, w in ENTRY_WEIGHTS.items():
+        star = rearrangement(w)
+        for entries in ENTRY_LISTS.values():
+            outcomes = [_outcome(w._node_sups, entries), _outcome(_prefix_sups, star, entries)]
+            refused = [outcome for outcome in outcomes if isinstance(outcome, str)]
+            refusals.update("zero" if "strictly positive" in r else "range" for r in refused)
+            if not refused:
+                answered.add(name)
+    assert answered == set(ENTRY_WEIGHTS)
+    assert refusals == {"range", "zero"}
+
+
 def _unit_cases() -> dict[str, tuple[StepFunction, bool]]:
     """Tie-free rearrangements of leaf counts that are not powers of two, and
     of 2^12; scaled by 1e+-200, the prefix sup answers only on a rescaled
@@ -689,5 +810,6 @@ def test_unit_steps_match_explicit_breakpoints(name, chunk, monkeypatch):
     assert (None in rearrange._ratios_at(None, star.values, pairs)) == scaled  # retried
     for f in (prefix_rhi_constant, prefix_muckenhoupt_constant):
         assert f(star, 2.0) == f(explicit, 2.0), f.__name__
-    assert _prefix_sups(star, 2.0, (False, True)) == _prefix_sups(explicit, 2.0, (False, True))
+    both = [(2.0, False), (2.0, True)]
+    assert _prefix_sups(star, both) == _prefix_sups(explicit, both)
     assert "breakpoints" not in vars(star)

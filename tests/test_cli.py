@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from treerhi import (
-    DyadicWeight, PrefixReport, TreeSpace, WeakTypeResult, cli, gen_power, gen_random,
+    DyadicWeight, TreeSpace, WeakTypeResult, cli, gen_power, gen_random,
     load_weight, rearrange, save_weight, trace_theorem1,
 )
 from treerhi import trace as trace_mod
@@ -454,11 +454,15 @@ def _fails_every_comparison(lhs, rhs):
     return np.asarray(lhs) > np.inf
 
 
+def _inflated_prefix_sups(h, entries, prefix_sups=rearrange._prefix_sups):
+    """rearrange._prefix_sups with every constant of its shared pass raised to 1e300."""
+    return [dataclasses.replace(report, constant=1e300) for report in prefix_sups(h, entries)]
+
+
 # per suite, the check made to fail (module, name, replacement) and the start
 # of its FAIL detail
 FAILED_CHECKS = {
-    "theorem1": (rearrange, "prefix_rhi_constant", lambda h, p: PrefixReport(p, 1e300, 1.0),
-                 "prefix 1e+300 > bound "),
+    "theorem1": (rearrange, "_prefix_sups", _inflated_prefix_sups, "prefix 1e+300 > bound "),
     "weaktype": (DyadicWeight, "weak_type_check",
                  lambda w, lam: WeakTypeResult(lam, 1.0, 0.5, False),
                  "weak type fails at lambda="),

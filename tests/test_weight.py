@@ -114,6 +114,13 @@ def test_negative_power_of_a_zero_value_is_refused_with_one_message(average, q):
         _ZERO_AVERAGES[average](q)
 
 
+@pytest.mark.parametrize("method", ["level_sums", "level_averages"])
+def test_node_sums_refuse_a_negative_exponent_of_a_zero_leaf(method):
+    """level_sums' own check, which level_averages reaches through it."""
+    with pytest.raises(ValueError, match="^negative exponent requires strictly positive values$"):
+        getattr(_ZERO_LEAF, method)(-1.0)
+
+
 def test_weak_type_refuses_an_integral_that_overflows():
     """Leaves scaled to a largest value of 1.5e308: their sum over {M > t}
     overflows, and the check refuses it naming q = 1 instead of returning
