@@ -183,8 +183,8 @@ def power_weight_constant(alpha: float, p: float) -> float:
     The prefix ratio of the power function is t-independent and equals
     (1-alpha)**p / (1-alpha*p); requires alpha*p < 1.
     """
-    if p <= 1:
-        raise ValueError(f"exponent must be > 1, got {p}")
+    if not (math.isfinite(p) and p > 1):
+        raise ValueError(f"exponent must be a finite number > 1, got {p}")
     if not 0 < alpha or not alpha * p < 1:
         raise ValueError(f"need 0 < alpha and alpha*p < 1, got alpha={alpha}, p={p}")
     return (1.0 - alpha) ** p / (1.0 - alpha * p)

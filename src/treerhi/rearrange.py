@@ -37,16 +37,16 @@ class StepFunction:
     """Left-continuous, non-increasing step function on (0, 1].
 
     values[i] is taken on (breakpoints[i-1], breakpoints[i]], with an
-    implicit leading breakpoint at 0; the last breakpoint is 1.  Unit steps
-    (_unit_steps, breakpoints j/n for n values) form their breakpoints on
-    the first read, through __getattr__, and keep them read-only.
+    implicit leading breakpoint at 0; the last breakpoint is 1.  The
+    constructor checks read-only copies of the arrays it is handed, so a
+    caller's array is never shared; rearrangement keeps its own (_sorted).
     """
 
     breakpoints: np.ndarray
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        bp, vals = _frozen(self.breakpoints), _frozen(self.values)
+        bp, vals = (np.array(x, dtype=np.float64) for x in (self.breakpoints, self.values))
         if bp.ndim != 1 or bp.shape != vals.shape or bp.size == 0:
             raise ValueError("breakpoints and values must be equal-length 1-d arrays")
         # negated comparisons, so that NaN fails each check
@@ -54,35 +54,33 @@ class StepFunction:
             raise ValueError("breakpoints must be strictly increasing and positive")
         if not abs(bp[-1] - 1.0) <= T_SLACK:
             raise ValueError(f"last breakpoint must be 1, got {bp[-1]}")
-        _check_values(vals)
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", vals)
+        if not (np.isfinite(vals[0]) and vals[-1] >= 0 and (vals[1:] <= vals[:-1]).all()):
+            raise ValueError("values must be finite, non-negative and non-increasing")
+        self._keep(vals, bp)
 
     @classmethod
-    def _unit_steps(cls, values: np.ndarray) -> StepFunction:
-        """n unit steps: values[j - 1] on ((j - 1)/n, j/n], for values a
-        non-empty read-only float64 array that owns its data, kept without a
-        copy.  Their breakpoints are formed when first read."""
-        _check_values(values)
+    def _sorted(cls, values: np.ndarray, breakpoints: np.ndarray | None = None) -> StepFunction:
+        """Steps kept as built, read-only, with no copy and no check: finite,
+        non-negative, non-increasing float64 values and their breakpoints, or
+        None for n unit steps (breakpoints j/n, formed when first read)."""
         h = object.__new__(cls)
-        object.__setattr__(h, "values", values)
+        h._keep(values, breakpoints)
         return h
+
+    def _keep(self, values: np.ndarray | None, breakpoints: np.ndarray | None) -> None:
+        """Keeps the arrays that are not None as they are, made read-only."""
+        for name, x in (("values", values), ("breakpoints", breakpoints)):
+            if x is not None:
+                x.setflags(write=False)
+                self.__dict__[name] = x
 
     def __getattr__(self, name: str):
         """The ``breakpoints`` of unit steps, read for the first time."""
         if name != "breakpoints":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         n = self.values.size
-        built = _right_ends(None, 0, n, n)
-        built.setflags(write=False)
-        self.__dict__[name] = built
-        return built
-
-
-def _check_values(vals: np.ndarray) -> None:
-    # negated, so that NaN fails it
-    if not (np.isfinite(vals[0]) and vals[-1] >= 0 and (vals[1:] <= vals[:-1]).all()):
-        raise ValueError("values must be finite, non-negative and non-increasing")
+        self._keep(None, _right_ends(None, 0, n, n))
+        return self.__dict__[name]
 
 
 def _right_ends(right: np.ndarray | None, s: int, e: int, n: int) -> np.ndarray:
@@ -90,18 +88,6 @@ def _right_ends(right: np.ndarray | None, s: int, e: int, n: int) -> np.ndarray:
     (right None) j/n for j = s + 1, ..., e, formed here with the bits of the
     same slice of the whole."""
     return right[s:e] if right is not None else np.arange(s + 1, e + 1, dtype=np.float64) / n
-
-
-def _frozen(x) -> np.ndarray:
-    """x as a read-only float64 array: x itself when it already is one that
-    owns its data (as rearrangement builds them), else a read-only copy, so
-    a caller's writable array is never frozen and never shared."""
-    if (isinstance(x, np.ndarray) and x.dtype == np.float64
-            and not x.flags.writeable and x.flags.owndata):
-        return x
-    x = np.array(x, dtype=np.float64)
-    x.setflags(write=False)
-    return x
 
 
 @dataclass(frozen=True)
@@ -131,24 +117,20 @@ def rearrangement(weight: DyadicWeight) -> StepFunction:
     becomes the values when no two leaves tie.  Then the steps are the n
     unit steps, whose breakpoints are formed only when read, so the values
     are the only leaf-sized array made; with ties, the m distinct steps keep
-    explicit breakpoints.
+    explicit breakpoints.  Either way the arrays built here are kept as
+    they are (_sorted): the sort made them non-increasing, and the weight
+    checked that its values are finite and non-negative.
     """
     n = weight.space.n_leaves
     desc = np.negative(weight.values)
     desc.sort()
     change = desc[1:] != desc[:-1]
     if change.all():
-        np.negative(desc, out=desc)
-        desc.setflags(write=False)
-        return StepFunction._unit_steps(desc)
+        return StepFunction._sorted(np.negative(desc, out=desc))
     ends = np.append(np.flatnonzero(change), n - 1)
     values, breakpoints = desc[ends], (ends + 1).astype(np.float64)
-    np.negative(values, out=values)
     breakpoints /= n
-    # frozen here, so that StepFunction keeps them without a copy
-    breakpoints.setflags(write=False)
-    values.setflags(write=False)
-    return StepFunction(breakpoints=breakpoints, values=values)
+    return StepFunction._sorted(np.negative(values, out=values), breakpoints)
 
 
 def prefix_average(h: StepFunction, t: float, q: float = 1.0) -> float:

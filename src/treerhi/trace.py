@@ -201,7 +201,8 @@ def stopping_decomposition(weight: DyadicWeight, threshold: float) -> list[NodeI
     qualify."""
     if not threshold > 0:  # negated, so that NaN is refused too
         raise ValueError(f"threshold must be > 0, got {threshold}")
-    return _node_ids(_walk(weight.space, _exceeding(weight, threshold))[0])
+    masks = (_exceeds(a, threshold) for a in weight.level_averages(1.0))
+    return _node_ids(_walk(weight.space, masks)[0])
 
 
 def select_fathers(space: TreeSpace, stopping_nodes: list[NodeId]) -> list[NodeId]:
@@ -220,12 +221,6 @@ def select_fathers(space: TreeSpace, stopping_nodes: list[NodeId]) -> list[NodeI
     masks = (np.bincount(indices[levels == level], minlength=space.k ** level) > 0
              for level in range(space.depth + 1))
     return _node_ids(_walk(space, masks)[1])
-
-
-def _exceeding(weight: DyadicWeight, threshold: float):
-    """Per level, root first, whether each node's average exceeds the threshold."""
-    k = float(weight.space.k)  # level_averages(1.0), a level at a time
-    return (_exceeds(s / k ** -level, threshold) for level, s in enumerate(weight.level_sums(1.0)))
 
 
 def _walk(space: TreeSpace, masks) -> tuple[list, list, list, np.ndarray]:
@@ -650,7 +645,8 @@ def _decompose(weight: DyadicWeight, t: float, threshold: float,
         return _Decomposition(space, t, threshold, exceedance_leaves, checks, (), (), (),
                               *_NO_FATHERS)
 
-    picks, levels, owners, covered = _walk(space, _exceeding(weight, threshold))
+    picks, levels, owners, covered = _walk(
+        space, (_exceeds(a, threshold) for a in weight.level_averages(1.0)))
     stopping, fathers = _node_ids(picks), _node_ids(levels)
     mismatch = int(np.count_nonzero(covered != exceeds))
     sizes = np.repeat(k ** (space.depth - np.arange(len(levels))), list(map(len, levels)))

@@ -326,9 +326,11 @@ class DyadicWeight:
         in range.  So a block that passes has no None verdict and every ratio
         strictly below bound = 1 + 2**-44 * (2 + |y|), over ten times wider.
         The leaves lose every tie and a best only grows, so no such block
-        holds the sup of a pair whose best reaches bound; for any other pair,
-        as on a constant weight, one leaf pass (_leaf_blocks) compares every
-        block (one compared twice changes no max).
+        holds the sup of a pair whose best reaches bound; for any other pair
+        with a live root, as on a constant weight, one leaf pass (_leaf_blocks)
+        compares every block (one compared twice changes no max).  A b-sum of
+        non-negative doubles is 0 only when every term is, so below a dead
+        root every leaf is dead too, and its pair gets no leaf pass.
         """
         k, depth, h = self.space.k, self.space.depth, self.space.leaf_measure
         rows = list(dict.fromkeys(q for pair in pairs for q in pair))
@@ -357,7 +359,7 @@ class DyadicWeight:
                 if not any(best):  # every pair refused
                     break
             leaves = [j for j, (*_, bound) in enumerate(cols)
-                      if best[j] is not None and best[j][0] < bound]
+                      if best[j] is not None and -np.inf < best[j][0] < bound]
             for first, sums in self._leaf_blocks(values, rows, block) if leaves else ():
                 compare(depth, first, sums, leaves)
         return [None if found is None or found[0] == -np.inf

@@ -14,6 +14,7 @@ p; analyze and verify theorem1 must make one pass per side.  A tie-free weight's
 rearrangement forms each chunk's breakpoints from the step indices, which
 must give the bits of explicit breakpoints at every chunk size.
 """
+import math
 import re
 
 import numpy as np
@@ -608,6 +609,32 @@ def test_rescaled_pass_gets_only_the_pending_pair(p, dual, monkeypatch):
                          ("prefix", True, both), ("prefix", False, pending)], entries
         assert nodes == [whole_node_sup(w, *entry) for entry in entries], entries
         assert prefixes == [whole_prefix_sup(star, *entry) for entry in entries], entries
+
+
+def test_a_dead_root_runs_no_leaf_pass(monkeypatch):
+    """Scaled by 1e200, every leaf's h**-2 underflows at p = 1.5, so every
+    b-sum is 0 and the root is dead: the Muckenhoupt pair is refused without
+    the leaf pass, and each scaling makes one pass over the leaf blocks (a
+    power sum per row and block).  The answer, from the first rescaling, is
+    the pass's on the leaves brought to a maximum in [1/2, 1)."""
+    base = gen_random(TreeSpace(2, 16), 5)
+    w = DyadicWeight(base.space, base.values * 1e200)
+    blocks = -(-w.space.n_leaves // w._layout()[1])
+    assert blocks == 2
+    calls = []
+    leaf_sums = weight._leaf_sums
+
+    def counted(values, q, h, out=None):
+        calls.append(q)
+        return leaf_sums(values, q, h, out)
+
+    monkeypatch.setattr(weight, "_leaf_sums", counted)
+    report, = w._node_sups([(1.5, True)])
+    assert sorted(calls) == [-2.0] * 2 * blocks + [1.0] * 2 * blocks  # two scalings
+    monkeypatch.undo()
+    e = math.frexp(w.values.max())[1]
+    scaled = DyadicWeight(w.space, w.values * 2.0**-e)
+    assert report == scaled._node_sups([(1.5, True)])[0]
 
 
 def test_a_refused_pair_leaves_the_chunk_loop(monkeypatch):

@@ -158,6 +158,9 @@ def test_power_weight_constant_validation():
         power_weight_constant(0.0, 2.0)
     with pytest.raises(ValueError):
         power_weight_constant(0.25, 1.0)
+    for p in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=rf"exponent must be a finite number > 1, got {p}"):
+            power_weight_constant(0.25, p)
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
@@ -318,3 +321,13 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_module_entry_runs_p0():
+    # `python -m treerhi.cli` goes through the __main__ block and entry()
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-m", "treerhi.cli", "p0", "--p", "2", "--c", "1.125",
+                           "--k", "2"], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("p0 = ")

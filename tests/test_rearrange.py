@@ -51,26 +51,39 @@ def test_step_function_validation():
     ([0.5, 1.0], [1.0, np.nan], "values"),
     ([0.5, 1.0], [np.inf, 1.0], "values"),
     ([0.5, 1.0], [1.0, -np.inf], "values"),
+    ([1.0], [np.inf], "values"),
 ])
 def test_step_function_refuses_non_finite(breakpoints, values, message):
     with pytest.raises(ValueError, match=message):
         StepFunction(breakpoints=breakpoints, values=values)
 
 
-def test_step_function_keeps_frozen_arrays_and_copies_the_rest():
+def test_step_function_copies_every_array_it_is_handed():
     frozen = np.array([0.5, 1.0])
-    frozen.setflags(write=False)
+    frozen.setflags(write=False)  # read-only and owns its data: still copied
     writable = np.array([3.0, 1.0])
     view = writable[:]
     view.setflags(write=False)  # read-only, but its owner is not
-    h = StepFunction(breakpoints=frozen, values=writable)
-    assert h.breakpoints is frozen
-    assert h.values is not writable and writable.flags.writeable
-    assert not h.values.flags.writeable
+    for h, handed in ((StepFunction(breakpoints=frozen, values=writable), (frozen, writable)),
+                      (StepFunction(breakpoints=frozen, values=view), (frozen, view))):
+        for kept, x in zip((h.breakpoints, h.values), handed):
+            assert not np.shares_memory(kept, x)
+            assert kept.flags.owndata and not kept.flags.writeable
+    assert writable.flags.writeable
     writable[0] = 9.0
     assert h.values[0] == 3.0
-    g = StepFunction(breakpoints=frozen, values=view)
-    assert g.values is not view and writable.flags.writeable
+
+
+@pytest.mark.parametrize("w, arrays", [(gen_random(TreeSpace(3, 5), 0), ("values",)),
+                                       (gen_two_value(TreeSpace(2, 6), 5.0, 0.25),
+                                        ("values", "breakpoints"))])
+def test_rearrangement_keeps_the_arrays_it_built(w, arrays):
+    h = rearrangement(w)
+    assert sorted(vars(h)) == sorted(arrays)  # tie-free: no breakpoints until read
+    for name in arrays:
+        kept = vars(h)[name]
+        assert kept.flags.owndata and not kept.flags.writeable
+        assert not np.shares_memory(kept, w.values)
 
 
 def test_rearrangement_sort_and_merge():
@@ -99,12 +112,6 @@ def test_tie_free_rearrangement_forms_its_breakpoints_on_read():
 def test_tied_rearrangement_keeps_explicit_breakpoints(w, steps):
     h = rearrangement(w)
     assert vars(h)["breakpoints"].size == h.values.size == steps
-
-
-def test_unit_steps_check_their_values():
-    for values in ([1.0, 2.0], [np.nan, 1.0], [1.0, -1.0], [np.inf]):
-        with pytest.raises(ValueError, match="values"):
-            StepFunction._unit_steps(np.array(values))
 
 
 def _rearrangement_cases() -> dict[str, DyadicWeight]:
