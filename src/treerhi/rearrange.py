@@ -56,7 +56,9 @@ class StepFunction:
             raise ValueError(f"last breakpoint must be 1, got {bp[-1]}")
         if not (np.isfinite(vals[0]) and vals[-1] >= 0 and (vals[1:] <= vals[:-1]).all()):
             raise ValueError("values must be finite, non-negative and non-increasing")
-        self._keep(vals, bp)
+        bp.setflags(write=False)
+        vals.setflags(write=False)
+        self.__dict__.update(breakpoints=bp, values=vals)
 
     @classmethod
     def _sorted(cls, values: np.ndarray, breakpoints: np.ndarray | None = None) -> StepFunction:
@@ -64,23 +66,21 @@ class StepFunction:
         non-negative, non-increasing float64 values and their breakpoints, or
         None for n unit steps (breakpoints j/n, formed when first read)."""
         h = object.__new__(cls)
-        h._keep(values, breakpoints)
+        values.setflags(write=False)
+        h.__dict__["values"] = values
+        if breakpoints is not None:
+            breakpoints.setflags(write=False)
+            h.__dict__["breakpoints"] = breakpoints
         return h
-
-    def _keep(self, values: np.ndarray | None, breakpoints: np.ndarray | None) -> None:
-        """Keeps the arrays that are not None as they are, made read-only."""
-        for name, x in (("values", values), ("breakpoints", breakpoints)):
-            if x is not None:
-                x.setflags(write=False)
-                self.__dict__[name] = x
 
     def __getattr__(self, name: str):
         """The ``breakpoints`` of unit steps, read for the first time."""
         if name != "breakpoints":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         n = self.values.size
-        self._keep(None, _right_ends(None, 0, n, n))
-        return self.__dict__[name]
+        bp = self.__dict__[name] = _right_ends(None, 0, n, n)
+        bp.setflags(write=False)
+        return bp
 
 
 def _right_ends(right: np.ndarray | None, s: int, e: int, n: int) -> np.ndarray:

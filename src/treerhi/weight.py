@@ -315,9 +315,10 @@ class DyadicWeight:
         -index), so ties go to the lowest level, then the lowest index.  Each
         run of nodes (_node_sums, a row per distinct exponent) is compared
         (_best_node, which skips a dead node, of b-sum 0) for each pair as it
-        is formed, a block of leaves only for the pairs whose extremes there
-        fail _leaves_in_range.  A refused pair's best is None, and the pass
-        stops once all are; a dead root leaves the best at -inf, also refused.
+        is formed, a block of leaves below the root only for the pairs whose
+        extremes there fail _leaves_in_range.  A refused pair's best is None,
+        and the pass stops once all are; the root is compared for every pair,
+        so a best left at -inf means a dead root, also refused.
 
         At a leaf both averages are powers of one value v, so the ratio is
         v**(a + b*y) up to a few ulp per unit of |y|; a + b*y is 0 on the
@@ -350,7 +351,7 @@ class DyadicWeight:
         with np.errstate(all="ignore"):
             for level, first, sums in self._node_sums(values, rows, top, block):
                 js = range(len(pairs))
-                if level == depth:  # leaves: only the pairs whose extremes fail the range check
+                if level == depth > 0:  # leaves below the root: the pairs failing the range check
                     low, high = sums.min(axis=1).tolist(), sums.max(axis=1).tolist()
                     js = [j for j, (a, b, y, bound) in enumerate(cols) if best[j] is not None
                           and not _leaves_in_range([low[a] / h, low[b] / h],

@@ -637,6 +637,21 @@ def test_a_dead_root_runs_no_leaf_pass(monkeypatch):
     assert report == scaled._node_sups([(1.5, True)])[0]
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_a_one_leaf_tree_answers_at_its_root(k):
+    """At depth 0 the root is the one leaf, in range here: it is compared for
+    every pair, so a live root is not taken for a dead one and refused."""
+    w = DyadicWeight.from_leaves(k, 0, [7.0])
+    for entries in ([(2.0, False), (2.0, True)], [(1.5, True)]):
+        found = w._node_sups(entries)
+        assert [(r.exponent, r.constant, r.witness) for r in found] == [
+            (p, 1.0, NodeId(0, 0)) for p, _ in entries]
+    assert w.dyadic_rhi_constant(2.0).constant == 1.0
+    for p in (1.5, 2.0):
+        report = analyze_weight(w, p)
+        assert report["dyadic_constant"] == report["muckenhoupt_constant"] == 1.0
+
+
 def test_a_refused_pair_leaves_the_chunk_loop(monkeypatch):
     """Scaled by 1e200, at p = 1.5 the Muckenhoupt pair's h**-2 underflows in
     the first of four chunks.  From the second chunk on, the loop forms only
